@@ -18,19 +18,12 @@
 //! the held-out scenario, plus search wall-clock and fan-out speedup.
 
 use autotune::{objective, tune, Portfolio, SearchSpec};
+use bench::scenario;
 use desim::json::Value;
 use scheduler::{
     run_scenario_with_policy, ParamPolicy, PolicyParams, ProbeCache, Scenario, POLICY_NAMES,
 };
 use testkit::bench::{black_box, BenchOpts, Suite};
-
-fn load_pai_magnitude() -> Scenario {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/pai_magnitude.json");
-    let text = std::fs::read_to_string(path).expect("scenarios/pai_magnitude.json is checked in");
-    let sc = Scenario::from_json_str(&text).expect("pai_magnitude parses");
-    sc.validate().expect("pai_magnitude validates");
-    sc
-}
 
 /// Held-out objective for one policy on `pai_magnitude`, normalized by
 /// the fifo baseline's mean JCT exactly as the search oracle does.
@@ -95,7 +88,7 @@ fn main() {
     // objective the tuned policy strictly beats every hand-written
     // preset. The search never saw this scenario — pf_pai in the
     // portfolio is a 2k-job cut at the same scale, not this trace.
-    let sc = load_pai_magnitude();
+    let sc = scenario("pai_magnitude.json");
     let mut pai_cache = ProbeCache::new(sc.config.probe_iters);
     let fifo = Box::new(ParamPolicy::preset("fifo-first-fit").expect("preset exists"));
     let base_jct =

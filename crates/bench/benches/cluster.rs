@@ -4,19 +4,12 @@
 //! placement policy that respects the chassis topology must beat naive
 //! FIFO first-fit on mean job-completion time.
 
-use scheduler::{
-    all_policies, compare_policies, compare_policies_faulty, paper_fault_plan, trace,
-    ProbeCache, SchedulerConfig, ScheduleReport,
-};
+use bench::{replay_fresh, scenario};
+use scheduler::ScheduleReport;
 use testkit::bench::{black_box, BenchOpts, Suite};
 
-fn replay_all(n_jobs: usize, seed: u64) -> Vec<ScheduleReport> {
-    compare_policies(
-        &trace::seeded_two_tenant(n_jobs, seed),
-        all_policies(),
-        &SchedulerConfig::default(),
-    )
-    .expect("trace drains under every policy")
+fn by_policy<'a>(reports: &'a [ScheduleReport], name: &str) -> &'a ScheduleReport {
+    reports.iter().find(|r| r.policy == name).expect("policy ran")
 }
 
 fn main() {
@@ -27,23 +20,21 @@ fn main() {
             iters: 5,
         },
     );
+    // The seeded 20-job two-tenant trace under the four training
+    // policies, fault-free and under the pinned 3-event fault plan.
+    let policies = scenario("cluster_policies.json");
+    let faults = scenario("faults_policies.json");
+    let replay_all = || replay_fresh(&policies, parsweep::default_jobs());
 
     s.bench("cluster_replay_20_jobs_4_policies", || {
-        let reports = replay_all(20, 0xC10D);
+        let reports = replay_all();
         assert_eq!(reports.len(), 4);
         black_box(reports)
     });
 
     s.bench("cluster_policy_beats_fifo_on_mean_jct", || {
-        let reports = replay_all(20, 0xC10D);
-        let jct = |name: &str| {
-            reports
-                .iter()
-                .find(|r| r.policy == name)
-                .expect("policy ran")
-                .mean_jct
-                .as_secs_f64()
-        };
+        let reports = replay_all();
+        let jct = |name: &str| by_policy(&reports, name).mean_jct.as_secs_f64();
         let fifo = jct("fifo-first-fit");
         let smart = jct("frag-aware").min(jct("topology-aware"));
         assert!(
@@ -54,23 +45,9 @@ fn main() {
     });
 
     s.bench("cluster_topology_packing_recovers_faster_from_faults", || {
-        let cfg = SchedulerConfig::default();
-        let mut cache = ProbeCache::new(cfg.probe_iters);
-        let pairs = compare_policies_faulty(
-            &trace::seeded_two_tenant(20, 0xC10D),
-            all_policies(),
-            &paper_fault_plan(),
-            &cfg,
-            4,
-            &mut cache,
-        )
-        .expect("faulty trace drains under every policy");
+        let reports = replay_fresh(&faults, 4);
         let recovery = |name: &str| {
-            pairs
-                .iter()
-                .map(|(_, f)| f)
-                .find(|f| f.policy == name)
-                .expect("policy ran")
+            by_policy(&reports, name)
                 .recovery
                 .as_ref()
                 .expect("faulty replay carries recovery metrics")
@@ -90,14 +67,8 @@ fn main() {
     });
 
     s.bench("cluster_fragmentation_visible_under_first_fit", || {
-        let reports = replay_all(20, 0xC10D);
-        let share = |name: &str| {
-            reports
-                .iter()
-                .find(|r| r.policy == name)
-                .expect("policy ran")
-                .frag_share
-        };
+        let reports = replay_all();
+        let share = |name: &str| by_policy(&reports, name).frag_share;
         // FIFO first-fit splits jobs across drawers; frag-aware never does.
         assert_eq!(share("frag-aware"), 0.0, "frag-aware must never split");
         assert!(

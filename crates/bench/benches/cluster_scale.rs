@@ -14,9 +14,10 @@ use desim::json::Value;
 use desim::{Dur, Sim};
 use devices::GpuSpec;
 use dlmodels::Benchmark;
+use bench::replay_fresh;
 use scheduler::{
-    all_policies, compare_policies_cached_on, cross_chassis_stretch, trace, ProbeCache,
-    RackTopology, ScheduleReport, SchedulerConfig, Shape,
+    cross_chassis_stretch, ProbeCache, RackTopology, Scenario, ScheduleReport, Shape, Topology,
+    TraceSpec, POLICY_NAMES,
 };
 use testkit::bench::{black_box, BenchOpts, Suite};
 use training::engine::model_for;
@@ -47,20 +48,18 @@ fn desim_event_chain() -> u64 {
 const SCALES: [(u8, usize, usize); 4] = [(1, 16, 12), (2, 24, 20), (4, 32, 40), (8, 40, 72)];
 
 fn replay_at(chassis: u8, n_jobs: usize, quota: usize, workers: usize) -> Vec<ScheduleReport> {
-    let topo = RackTopology::with_chassis(chassis);
-    let cfg = SchedulerConfig { quota_gpus_per_tenant: quota, ..SchedulerConfig::default() };
-    // A fresh cache each call: the bench measures probing + replay, not
-    // cache hits.
-    let mut cache = ProbeCache::new_for(cfg.probe_iters, topo);
-    compare_policies_cached_on(
-        topo,
-        &trace::seeded_two_tenant(n_jobs, 0xC10D),
-        all_policies(),
-        &cfg,
-        workers,
-        &mut cache,
-    )
-    .expect("trace drains under every policy at every scale")
+    let trace = TraceSpec::Poisson {
+        seed: 0xC10D,
+        n_jobs,
+        tenants: 2,
+        mean_interarrival: Dur::from_millis(1500),
+        name: None,
+    };
+    let policies = POLICY_NAMES[..4].iter().map(|p| p.to_string()).collect();
+    let mut sc = Scenario::new(format!("scale-{chassis}x{n_jobs}"), trace, policies);
+    sc.topology = Topology::with_chassis(chassis);
+    sc.config.quota_gpus_per_tenant = quota;
+    replay_fresh(&sc, workers)
 }
 
 /// Probe-derived samples/sec for `bench` on `n` GPUs, using the same

@@ -19,11 +19,9 @@
 //! mean JCTs for both legs, the asserted ratios, and the preemption /
 //! migration counters of the enabled leg.
 
+use bench::scenario;
 use desim::json::Value;
-use scheduler::{
-    policy_by_name, ClusterSim, ProbeCache, RackTopology, Scenario, ScheduleReport,
-    SchedulerConfig, Trace,
-};
+use scheduler::{run_scenario, ProbeCache, Scenario, ScheduleReport, Trace, TraceSpec};
 use testkit::bench::{black_box, BenchOpts, Suite};
 
 /// The asserted floor on the high-tier improvement: preemption must cut
@@ -35,11 +33,7 @@ const MIN_HIGH_TIER_GAIN: f64 = 0.20;
 const MAX_LOW_TIER_INFLATION: f64 = 1.5;
 
 fn load_cluster_priority() -> Scenario {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/cluster_priority.json");
-    let text =
-        std::fs::read_to_string(path).expect("scenarios/cluster_priority.json is checked in");
-    let sc = Scenario::from_json_str(&text).expect("cluster_priority parses");
-    sc.validate().expect("cluster_priority validates");
+    let sc = scenario("cluster_priority.json");
     assert!(
         sc.config.preempt,
         "cluster_priority is the preemption study; its preempt knob must be on"
@@ -47,32 +41,31 @@ fn load_cluster_priority() -> Scenario {
     sc
 }
 
-/// The same study with every priority lever off: arrivals queue behind
-/// whatever is running, exactly the pre-priority engine.
-fn baseline_config(sc: &Scenario) -> SchedulerConfig {
-    SchedulerConfig {
-        preempt: false,
-        defrag: false,
-        relocate_slo: false,
-        ..sc.config.clone()
-    }
+/// The no-priority baseline: identical jobs with every tier flattened to
+/// low and every priority lever off, so the queue is plain arrival order
+/// and nothing can preempt — the pre-tier engine's behavior on this mix.
+fn baseline(sc: &Scenario, trace: &Trace) -> Scenario {
+    let mut base = sc.clone();
+    let jobs = trace
+        .jobs
+        .iter()
+        .cloned()
+        .map(|mut j| {
+            j.priority = 1;
+            j
+        })
+        .collect();
+    base.trace = TraceSpec::Jobs { name: trace.name.clone(), jobs };
+    base.config.preempt = false;
+    base.config.defrag = false;
+    base.config.relocate_slo = false;
+    base
 }
 
-fn replay(
-    topo: RackTopology,
-    trace: &Trace,
-    policy_name: &str,
-    cfg: &SchedulerConfig,
-    warm: &str,
-    workers: usize,
-) -> ScheduleReport {
-    let cache = ProbeCache::load_str_for(warm, cfg.probe_iters, topo);
-    let policy = policy_by_name(policy_name).expect("pinned policy is registered");
-    ClusterSim::with_probe_cache_on(topo, trace.clone(), policy, cfg.clone(), cache)
-        .expect("cluster_priority trace admits")
-        .with_workers(workers)
-        .run()
-        .expect("cluster_priority trace drains")
+/// One replay of `sc` at `workers` on a copy of the `warm` probe cache.
+fn replay(sc: &Scenario, warm: &str, workers: usize) -> ScheduleReport {
+    let mut cache = ProbeCache::load_str_for(warm, sc.config.probe_iters, sc.topology.rack());
+    run_scenario(sc, workers, &mut cache).expect("cluster_priority trace drains").reports.remove(0)
 }
 
 /// Mean JCT over the jobs the *real* trace puts at `tier`, selected by
@@ -97,39 +90,20 @@ fn main() {
     assert!(plan.is_empty(), "cluster_priority is fault-free; wire the plan in if that changes");
     let trace = mix.training();
     let policy_name = sc.policies[0].clone();
-    // The no-priority baseline workload: identical jobs with every tier
-    // flattened to low, so the queue is plain arrival order and nothing
-    // can preempt — the pre-tier engine's behavior on this mix.
-    let flat = Trace {
-        name: trace.name.clone(),
-        jobs: trace
-            .jobs
-            .iter()
-            .cloned()
-            .map(|mut j| {
-                j.priority = 1;
-                j
-            })
-            .collect(),
-    };
+    let flat = baseline(&sc, &trace);
 
     // Warm the probe cache once (probing is deterministic and identical
     // for both legs; the bench times the replay, not the probes).
     let warm = {
-        let cache = ProbeCache::new_for(sc.config.probe_iters, topo);
-        let policy = policy_by_name(&policy_name).expect("pinned policy is registered");
-        let (_, cache) =
-            ClusterSim::with_probe_cache_on(topo, trace.clone(), policy, sc.config.clone(), cache)
-                .expect("warm-up replay admits")
-                .run_report()
-                .expect("warm-up replay drains");
+        let mut cache = ProbeCache::new_for(sc.config.probe_iters, topo);
+        run_scenario(&sc, 1, &mut cache).expect("warm-up replay drains");
         cache.save_json()
     };
 
     // Worker-count independence, asserted before any timing: preemption
     // and migration decisions must not let the fan-out change a byte.
-    let tiered = replay(topo, &trace, &policy_name, &sc.config, &warm, 1);
-    let four = replay(topo, &trace, &policy_name, &sc.config, &warm, 4);
+    let tiered = replay(&sc, &warm, 1);
+    let four = replay(&sc, &warm, 4);
     assert_eq!(
         tiered.to_json_string(),
         four.to_json_string(),
@@ -137,8 +111,7 @@ fn main() {
     );
     println!("  -> --jobs 1 vs --jobs 4: byte-identical");
 
-    let base_cfg = baseline_config(&sc);
-    let base = replay(topo, &flat, &policy_name, &base_cfg, &warm, 1);
+    let base = replay(&flat, &warm, 1);
     assert!(base.migration.is_none(), "knob-free baseline must not report migration metrics");
     let mig = tiered.migration.as_ref().expect("priority leg reports migration metrics");
     assert!(mig.preemptions > 0, "the pinned study must actually preempt");
@@ -172,12 +145,12 @@ fn main() {
 
     let base_t = s
         .bench("cluster_priority_baseline", || {
-            black_box(replay(topo, &flat, &policy_name, &base_cfg, &warm, 1).n_jobs)
+            black_box(replay(&flat, &warm, 1).n_jobs)
         })
         .clone();
     let tier_t = s
         .bench("cluster_priority_preempt", || {
-            black_box(replay(topo, &trace, &policy_name, &sc.config, &warm, 1).n_jobs)
+            black_box(replay(&sc, &warm, 1).n_jobs)
         })
         .clone();
 
@@ -187,7 +160,7 @@ fn main() {
     let (preempt_jobs4_speedup, fanout_note) = if cores >= 2 {
         let four_t = s
             .bench("cluster_priority_preempt_jobs4", || {
-                black_box(replay(topo, &trace, &policy_name, &sc.config, &warm, 4).n_jobs)
+                black_box(replay(&sc, &warm, 4).n_jobs)
             })
             .clone();
         let ratio = tier_t.median_ns as f64 / four_t.median_ns as f64;

@@ -2,13 +2,12 @@
 //! mixed workload from `scenarios/pai_magnitude.json` — 10k training
 //! jobs, 48 bursty services, and 12 long-lived high-rate services on the
 //! full 128-GPU rack — replayed under the PR-era event loop semantics
-//! (full conservation audit every event, global fault repricing, every
-//! serving micro-event through the global loop) and under the current
-//! engine (amortized ledger audits, fault-scoped repricing,
-//! epoch-sharded serving with service retirement). Both legs replay the
-//! *same* trace, so the events/sec ratio is exactly the speedup, and the
-//! bench **asserts** it stays >= 5x — the replay-engine work is a pinned
-//! property, not a vibe.
+//! (full conservation audit every event, every serving micro-event
+//! through the global loop) and under the current engine (amortized
+//! ledger audits, epoch-sharded serving with service retirement). Both
+//! legs replay the *same* trace, so the events/sec ratio is exactly the
+//! speedup, and the bench **asserts** it stays >= 5x — the replay-engine
+//! work is a pinned property, not a vibe.
 //!
 //! Also asserted here, before any timing is reported: the optimized
 //! engine is worker-count independent (`--jobs 1` and `--jobs 4` produce
@@ -19,58 +18,35 @@
 //! intra-replay sharding ratio at 4 workers (null, with a note, on
 //! single-core hosts where there is no parallelism to measure).
 
+use bench::scenario;
 use desim::json::Value;
-use scheduler::{
-    policy_by_name, request_times, ClusterSim, MixedTrace, ProbeCache, RackTopology,
-    Scenario, ScheduleReport, SchedulerConfig,
-};
+use scheduler::{request_times, run_scenario, ProbeCache, Scenario, ScheduleReport};
 use testkit::bench::{black_box, BenchOpts, Suite};
 
 /// The asserted floor on the engine speedup. Measured headroom is well
 /// above this on an idle host; the floor leaves room for CI noise.
 const MIN_SPEEDUP: f64 = 5.0;
 
-fn load_pai_magnitude() -> Scenario {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/pai_magnitude.json");
-    let text = std::fs::read_to_string(path).expect("scenarios/pai_magnitude.json is checked in");
-    let sc = Scenario::from_json_str(&text).expect("pai_magnitude parses");
-    sc.validate().expect("pai_magnitude validates");
-    sc
+/// PR-era semantics: exhaustive audit every event, every serving
+/// micro-event through the global loop.
+fn baseline(sc: &Scenario) -> Scenario {
+    let mut base = sc.clone();
+    base.config.audit_every = 1;
+    base.config.shard_serving = false;
+    base
 }
 
-/// PR-era semantics: exhaustive audit every event, global fault
-/// repricing, every serving micro-event through the global loop.
-fn baseline_config(sc: &Scenario) -> SchedulerConfig {
-    SchedulerConfig {
-        audit_every: 1,
-        incremental_reprice: false,
-        shard_serving: false,
-        ..sc.config.clone()
-    }
-}
-
-fn replay(
-    topo: RackTopology,
-    mix: &MixedTrace,
-    cfg: &SchedulerConfig,
-    warm: &str,
-    workers: usize,
-) -> ScheduleReport {
-    let cache = ProbeCache::load_str_for(warm, cfg.probe_iters, topo);
-    let policy = policy_by_name("slo-aware-pack").expect("slo-aware-pack is registered");
-    ClusterSim::with_probe_cache_mixed_on(topo, mix.clone(), policy, cfg.clone(), cache)
-        .expect("pai-magnitude trace admits")
-        .with_workers(workers)
-        .run()
-        .expect("pai-magnitude trace drains")
+/// One replay of `sc` at `workers` on a copy of the `warm` probe cache.
+fn replay(sc: &Scenario, warm: &str, workers: usize) -> ScheduleReport {
+    let mut cache = ProbeCache::load_str_for(warm, sc.config.probe_iters, sc.topology.rack());
+    run_scenario(sc, workers, &mut cache).expect("pai-magnitude trace drains").reports.remove(0)
 }
 
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut s = Suite::with_opts("replay_scale", BenchOpts { warmup_iters: 1, iters: 3 });
 
-    let sc = load_pai_magnitude();
-    let topo = sc.topology.rack();
+    let sc = scenario("pai_magnitude.json");
     let (mix, plan) = sc.materialize();
     assert!(plan.is_empty(), "pai_magnitude is fault-free; wire the plan in if that changes");
     // The workload's event count: one arrival + one finish per training
@@ -88,38 +64,26 @@ fn main() {
     // Warm the probe cache once (probing is deterministic and identical
     // for both legs; the bench times the replay, not the probes).
     let warm = {
-        let cache = ProbeCache::new_for(sc.config.probe_iters, topo);
-        let policy = policy_by_name("slo-aware-pack").expect("slo-aware-pack is registered");
-        let (_, cache) = ClusterSim::with_probe_cache_mixed_on(
-            topo,
-            mix.clone(),
-            policy,
-            sc.config.clone(),
-            cache,
-        )
-        .expect("warm-up replay admits")
-        .run_report()
-        .expect("warm-up replay drains");
+        let mut cache = ProbeCache::new_for(sc.config.probe_iters, sc.topology.rack());
+        run_scenario(&sc, 1, &mut cache).expect("warm-up replay drains");
         cache.save_json()
     };
 
     // Worker-count independence, asserted before any timing: the epoch-
     // sharded serving engine must not let the fan-out change a byte.
-    let one = replay(topo, &mix, &sc.config, &warm, 1).to_json_string();
-    let four = replay(topo, &mix, &sc.config, &warm, 4).to_json_string();
+    let one = replay(&sc, &warm, 1).to_json_string();
+    let four = replay(&sc, &warm, 4).to_json_string();
     assert_eq!(one, four, "sharded replay must be byte-identical at --jobs 1 and --jobs 4");
     println!("  -> --jobs 1 vs --jobs 4: byte-identical");
 
-    let base_cfg = baseline_config(&sc);
+    let base_sc = baseline(&sc);
     let base = s
         .bench("pai_magnitude_baseline_semantics", || {
-            black_box(replay(topo, &mix, &base_cfg, &warm, 1).n_jobs)
+            black_box(replay(&base_sc, &warm, 1).n_jobs)
         })
         .clone();
     let opt = s
-        .bench("pai_magnitude_optimized", || {
-            black_box(replay(topo, &mix, &sc.config, &warm, 1).n_jobs)
-        })
+        .bench("pai_magnitude_optimized", || black_box(replay(&sc, &warm, 1).n_jobs))
         .clone();
 
     let eps = |median_ns: u128| trace_events as f64 / (median_ns as f64 / 1e9);
@@ -142,7 +106,7 @@ fn main() {
     let (shard4, shard_note) = if cores >= 2 {
         let four = s
             .bench("pai_magnitude_optimized_jobs4", || {
-                black_box(replay(topo, &mix, &sc.config, &warm, 4).n_jobs)
+                black_box(replay(&sc, &warm, 4).n_jobs)
             })
             .clone();
         let ratio = opt.median_ns as f64 / four.median_ns as f64;
@@ -178,8 +142,8 @@ fn main() {
             "note",
             Value::str(
                 "pai-magnitude mixed workload (10k jobs + 60 services, 128 GPUs) replayed \
-                 under PR-era semantics (audit every event, global repricing, unsharded \
-                 serving) vs the current engine; >= 5x events/sec and --jobs 1 == --jobs 4 \
+                 under PR-era semantics (audit every event, unsharded serving) vs the \
+                 current engine; >= 5x events/sec and --jobs 1 == --jobs 4 \
                  bytes are asserted, not just recorded",
             ),
         ),

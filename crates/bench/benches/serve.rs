@@ -10,29 +10,10 @@
 //! Results are also written to `BENCH_serve.json` at the workspace root —
 //! the checked-in perf + quality baseline the README serving table cites.
 
+use bench::{replay_fresh, scenario};
 use desim::json::Value;
-use scheduler::{
-    seeded_pai_mix, serving_policies, ProbeCache, ScheduleReport, SchedulerConfig,
-};
+use scheduler::{ScheduleReport, TraceSpec};
 use testkit::bench::{black_box, BenchOpts, Suite};
-
-const N_JOBS: usize = 16;
-const N_SERVICES: usize = 8;
-const SEED: u64 = 0xC10D;
-
-fn replay_portfolio(jobs: usize) -> Vec<ScheduleReport> {
-    // A fresh cache each call: the bench measures probing + replay, not
-    // cache hits.
-    let mut cache = ProbeCache::new(SchedulerConfig::default().probe_iters);
-    scheduler::compare_policies_mixed(
-        &seeded_pai_mix(N_JOBS, N_SERVICES, SEED),
-        serving_policies(),
-        &SchedulerConfig::default(),
-        jobs,
-        &mut cache,
-    )
-    .expect("mixed trace drains under every policy")
-}
 
 fn by_policy<'a>(reports: &'a [ScheduleReport], name: &str) -> &'a ScheduleReport {
     reports
@@ -51,6 +32,12 @@ fn main() {
         },
     );
 
+    // The pinned 16-job + 8-service mix under all five policies.
+    let portfolio = scenario("serve_policies.json");
+    let TraceSpec::PaiMix { n_jobs, n_services, seed } = portfolio.trace else {
+        panic!("serve_policies is a pai-mix study");
+    };
+    let replay_portfolio = |jobs| replay_fresh(&portfolio, jobs);
     // Byte-identity across worker counts is asserted once up front so a
     // regression fails loudly before any timing is reported.
     let serial: Vec<String> = replay_portfolio(1).iter().map(|r| r.to_json_string()).collect();
@@ -114,7 +101,7 @@ fn main() {
     let baseline = Value::obj(vec![
         ("suite", Value::str("serve")),
         ("host_parallelism", Value::from_u64(cores as u64)),
-        ("mix", Value::str(format!("pai-mix-{N_JOBS}j{N_SERVICES}s-{SEED:#x}"))),
+        ("mix", Value::str(format!("pai-mix-{n_jobs}j{n_services}s-{seed:#x}"))),
         ("requests_per_portfolio", Value::from_u64(requests)),
         ("slo_aware_pack_attainment", Value::Num((pack_s.attainment * 1e4).round() / 1e4)),
         ("fifo_first_fit_attainment", Value::Num((fifo_s.attainment * 1e4).round() / 1e4)),

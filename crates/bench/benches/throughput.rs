@@ -17,9 +17,8 @@ use composable_core::{sweep_jobs, ExperimentOpts, HostConfig};
 use desim::json::Value;
 use desim::{Dur, Sim};
 use dlmodels::Benchmark;
-use scheduler::{
-    all_policies, compare_policies_cached, trace, ProbeCache, ScheduleReport, SchedulerConfig,
-};
+use bench::{replay_fresh, scenario};
+use scheduler::Scenario;
 use testkit::bench::{black_box, BenchOpts, Suite};
 
 const DESIM_EVENTS: u64 = 100_000;
@@ -40,20 +39,6 @@ fn desim_event_chain() -> u64 {
     sim.run(&mut remaining);
     assert_eq!(remaining, 0);
     sim.events_executed()
-}
-
-fn replay_portfolio(jobs: usize) -> Vec<ScheduleReport> {
-    // A fresh cache each call: the bench measures probing + replay, not
-    // cache hits.
-    let mut cache = ProbeCache::new(SchedulerConfig::default().probe_iters);
-    compare_policies_cached(
-        &trace::seeded_two_tenant(20, 0xC10D),
-        all_policies(),
-        &SchedulerConfig::default(),
-        jobs,
-        &mut cache,
-    )
-    .expect("trace drains under every policy")
 }
 
 fn grid_cells() -> Vec<(Benchmark, HostConfig)> {
@@ -93,6 +78,9 @@ fn main() {
     let events_per_sec = DESIM_EVENTS as f64 / (desim_stats.median_ns as f64 / 1e9);
     println!("  -> {events_per_sec:.0} events/sec (median)");
 
+    // The seeded 20-job trace under the four training policies.
+    let portfolio: Scenario = scenario("cluster_policies.json");
+    let replay_portfolio = |jobs| replay_fresh(&portfolio, jobs);
     // Byte-identity across worker counts is asserted once up front so a
     // regression fails loudly before any timing is reported.
     let serial: Vec<String> = replay_portfolio(1).iter().map(|r| r.to_json_string()).collect();
@@ -156,7 +144,7 @@ fn main() {
             testkit::bench::suppressed_speedup_note("speedups")
         )
     };
-    let n_policies = all_policies().len();
+    let n_policies = portfolio.policies.len();
     let baseline = Value::obj(vec![
         ("suite", Value::str("parsweep-throughput")),
         ("host_parallelism", Value::from_u64(cores as u64)),

@@ -5,6 +5,8 @@
 //! cargo run --release -p bench --bin repro -- fig11    # one experiment
 //! cargo run --release -p bench --bin repro -- --quick  # fast smoke pass
 //! cargo run --release -p bench --bin repro -- --jobs 4 # 4 sweep workers
+//! cargo run --release -p bench --bin repro -- scenario scenarios/cluster_fifo.json
+//! cargo run --release -p bench --bin repro -- scenario-matrix scenarios
 //! ```
 //!
 //! Output pairs each measured quantity with the paper's published value
@@ -12,12 +14,19 @@
 //! the shapes — who wins, by what factor, where the crossovers are — are
 //! the reproduction targets.
 //!
+//! Cluster studies are scenario files replayed through
+//! `scheduler::run_scenario`: `scenario <file>` prints one canonical
+//! report, `scenario-matrix <dir|files>` a comparison table per scenario.
+//! `cluster`, `faults` and `serve` are aliases for `scenario-matrix` over
+//! `scenarios/{cluster,faults,serve}_policies.json`, embedded in the
+//! binary so they run from any directory.
+//!
 //! `--jobs N` sets the parsweep worker count for every sweep (grids,
 //! recommendation, policy replays); the default is available parallelism.
 //! Thread count never changes a byte of output — only wall-clock (see
-//! DESIGN §9). The cluster experiment persists its probe cache to
-//! `$PROBE_CACHE` (default `target/probe_cache.json`), so a second run
-//! prices every placement without re-running probe simulations.
+//! DESIGN §9). Scenario runs persist their probe cache to `$PROBE_CACHE`
+//! (default `target/probe_cache.json`), so a second run prices every
+//! placement without re-running probe simulations.
 
 use bench::experiments::{self, Scale};
 use bench::paper;
@@ -26,11 +35,18 @@ use composable_core::HostConfig;
 use dlmodels::Benchmark;
 use fabric::link::comms_requirements;
 use scheduler::{
-    all_policies, comparison_table, compare_policies_cached, compare_policies_faulty,
-    compare_policies_mixed, paper_fault_plan, run_matrix, run_scenario, seeded_pai_mix,
-    serve_comparison_table, serving_policies, trace, ProbeCache, Scenario, SchedulerConfig,
+    comparison_table, recovery_comparison_table, run_matrix, run_scenario,
+    serve_comparison_table, ProbeCache, Scenario, SchedulerConfig,
 };
 use std::path::{Path, PathBuf};
+
+/// The per-feature studies: `repro <name>` is `scenario-matrix` over the
+/// embedded scenario file.
+const STUDIES: [(&str, &str); 3] = [
+    ("cluster", include_str!("../../../../scenarios/cluster_policies.json")),
+    ("faults", include_str!("../../../../scenarios/faults_policies.json")),
+    ("serve", include_str!("../../../../scenarios/serve_policies.json")),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -109,14 +125,12 @@ fn main() {
     if want("fig16") {
         fig16(scale);
     }
-    if want("cluster") {
-        cluster(quick);
-    }
-    if want("faults") {
-        faults(quick);
-    }
-    if want("serve") {
-        serve(quick);
+    for (study, spec) in STUDIES {
+        if want(study) {
+            let sc = Scenario::from_json_str(spec)
+                .unwrap_or_else(|e| die(format!("embedded {study} study: {e}")));
+            scenario_matrix(vec![sc]);
+        }
     }
 }
 
@@ -407,197 +421,6 @@ fn fig16(scale: Scale) {
     }
 }
 
-fn cluster(quick: bool) {
-    heading("CLUSTER — multi-job trace replay on the shared Falcon test bed");
-    let n_jobs = if quick { 8 } else { 20 };
-    let trace = trace::seeded_two_tenant(n_jobs, 0xC10D);
-    println!(
-        "trace {}: {} jobs, {} tenants, 16 pooled V100s (2 drawers x 8 slots, advanced mode)\n",
-        trace.name,
-        trace.jobs.len(),
-        trace.n_tenants()
-    );
-    let cfg = SchedulerConfig::default();
-    let cache_path: PathBuf = std::env::var_os("PROBE_CACHE")
-        .map_or_else(|| PathBuf::from("target/probe_cache.json"), PathBuf::from);
-    let mut cache = ProbeCache::load_file(&cache_path, cfg.probe_iters);
-    let loaded = cache.len();
-    let reports =
-        compare_policies_cached(&trace, all_policies(), &cfg, parsweep::default_jobs(), &mut cache)
-            .expect("trace drains under every policy");
-    println!(
-        "probe cache {}: {} entries loaded, {} probe simulations run, {} entries saved",
-        cache_path.display(),
-        loaded,
-        cache.probes_run(),
-        cache.len()
-    );
-    match cache.save_file(&cache_path) {
-        Ok(()) => {}
-        Err(e) => eprintln!("[cluster] probe cache not saved ({e}); runs stay correct without it"),
-    }
-    println!("{}", comparison_table(&reports));
-    let fifo = reports
-        .iter()
-        .find(|r| r.policy == "fifo-first-fit")
-        .expect("baseline present");
-    let best = reports
-        .iter()
-        .min_by_key(|r| r.mean_jct)
-        .expect("nonempty comparison");
-    println!(
-        "\nbest mean JCT: {} at {:.1}s ({} vs fifo-first-fit); every placement was an",
-        best.policy,
-        best.mean_jct.as_secs_f64(),
-        pct(
-            (best.mean_jct.as_secs_f64() / fifo.mean_jct.as_secs_f64() - 1.0) * 100.0
-        )
-    );
-    println!(
-        "MCS-audited recomposition ({} audit entries under {}).",
-        fifo.audit_entries, fifo.policy
-    );
-}
-
-fn faults(quick: bool) {
-    heading("FAULTS — failure injection and MCS-driven recovery, per policy");
-    let n_jobs = if quick { 8 } else { 20 };
-    let trace = trace::seeded_two_tenant(n_jobs, 0xC10D);
-    let plan = paper_fault_plan();
-    println!(
-        "trace {}: {} jobs; fault plan {}: {} events (drawer outage, link degrade, thermal trip)\n",
-        trace.name,
-        trace.jobs.len(),
-        plan.name,
-        plan.events.len()
-    );
-    let cfg = SchedulerConfig::default();
-    let cache_path: PathBuf = std::env::var_os("PROBE_CACHE")
-        .map_or_else(|| PathBuf::from("target/probe_cache.json"), PathBuf::from);
-    let mut cache = ProbeCache::load_file(&cache_path, cfg.probe_iters);
-    let pairs = compare_policies_faulty(
-        &trace,
-        all_policies(),
-        &plan,
-        &cfg,
-        parsweep::default_jobs(),
-        &mut cache,
-    )
-    .expect("faulty trace drains under every policy");
-    match cache.save_file(&cache_path) {
-        Ok(()) => {}
-        Err(e) => eprintln!("[faults] probe cache not saved ({e}); runs stay correct without it"),
-    }
-    let rows: Vec<Vec<String>> = pairs
-        .iter()
-        .map(|(base, faulty)| {
-            let r = faulty
-                .recovery
-                .as_ref()
-                .expect("faulty replay carries a recovery block");
-            vec![
-                faulty.policy.clone(),
-                format!("{:.1}s", base.mean_jct.as_secs_f64()),
-                format!("{:.1}s", faulty.mean_jct.as_secs_f64()),
-                format!("{:.2}x", r.jct_inflation),
-                r.evacuations.to_string(),
-                format!("{:.1}s", r.mean_recovery.as_secs_f64()),
-                format!("{:.1}s", r.p95_recovery.as_secs_f64()),
-                format!("{:.0}", r.work_lost_gpu_secs),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "policy",
-                "JCT fault-free",
-                "JCT faulty",
-                "inflation",
-                "evacuations",
-                "mean recovery",
-                "p95 recovery",
-                "work lost (GPU-s)",
-            ],
-            &rows
-        )
-    );
-    // The smoke contract (scripts/ci.sh): a clean exit certifies that every
-    // policy absorbed the fault plan with real recoveries on the clock.
-    for (_, faulty) in &pairs {
-        let r = faulty.recovery.as_ref().expect("recovery block present");
-        assert!(r.fault_events > 0, "{}: no fault events applied", faulty.policy);
-        assert!(r.evacuations > 0, "{}: no evacuations recorded", faulty.policy);
-        assert!(
-            !r.mean_recovery.is_zero(),
-            "{}: zero mean recovery time",
-            faulty.policy
-        );
-        assert!(r.jct_inflation >= 1.0, "{}: faults sped the trace up", faulty.policy);
-    }
-    println!("recovery metrics sane under every policy (evacuations > 0, recovery clock > 0).");
-}
-
-fn serve(quick: bool) {
-    heading("SERVE — latency-SLO inference co-scheduled with training");
-    let (n_jobs, n_services) = if quick { (8, 4) } else { (16, 8) };
-    let mix = seeded_pai_mix(n_jobs, n_services, 0xC10D);
-    println!(
-        "mix {}: {} training jobs + {} services (MIG-style 1/7..7/7 slices,",
-        mix.name,
-        mix.jobs.len(),
-        mix.services.len()
-    );
-    println!("Poisson/diurnal arrivals, per-service p99 SLOs) on the 16-GPU test bed\n");
-    let cfg = SchedulerConfig::default();
-    let cache_path: PathBuf = std::env::var_os("PROBE_CACHE")
-        .map_or_else(|| PathBuf::from("target/probe_cache.json"), PathBuf::from);
-    let mut cache = ProbeCache::load_file(&cache_path, cfg.probe_iters);
-    let reports = compare_policies_mixed(
-        &mix,
-        serving_policies(),
-        &cfg,
-        parsweep::default_jobs(),
-        &mut cache,
-    )
-    .expect("mixed trace drains under every policy");
-    match cache.save_file(&cache_path) {
-        Ok(()) => {}
-        Err(e) => eprintln!("[serve] probe cache not saved ({e}); runs stay correct without it"),
-    }
-    println!("{}", serve_comparison_table(&reports));
-    let get = |name: &str| {
-        reports
-            .iter()
-            .find(|r| r.policy == name)
-            .expect("policy present in comparison")
-    };
-    let fifo = get("fifo-first-fit");
-    let pack = get("slo-aware-pack");
-    let att = |r: &scheduler::ScheduleReport| r.serve.as_ref().expect("serving block").attainment;
-    println!(
-        "\nslo-aware-pack attainment {:.4} vs fifo-first-fit {:.4}; training mean JCT {:.1}s vs {:.1}s",
-        att(pack),
-        att(fifo),
-        pack.mean_jct.as_secs_f64(),
-        fifo.mean_jct.as_secs_f64()
-    );
-    // The smoke contract (scripts/ci.sh): request conservation under every
-    // policy; in the standard mix the SLO-aware packer must clear 95%
-    // attainment where the training-first baseline does not.
-    for r in &reports {
-        let s = r.serve.as_ref().expect("serving block present");
-        assert_eq!(s.generated, s.completed + s.dropped, "{}: leaked requests", r.policy);
-        assert!(s.generated > 0, "{}: services saw no traffic", r.policy);
-    }
-    if !quick {
-        assert!(att(pack) >= 0.95, "slo-aware-pack must clear 95% attainment");
-        assert!(att(fifo) < 0.95, "baseline should violate SLOs under contention");
-    }
-    println!("request conservation holds under every policy (generated = completed + dropped).");
-}
-
 fn probe_cache_path() -> PathBuf {
     std::env::var_os("PROBE_CACHE")
         .map_or_else(|| PathBuf::from("target/probe_cache.json"), PathBuf::from)
@@ -640,8 +463,8 @@ fn collect_scenario_files(args: &[&str]) -> Vec<PathBuf> {
 
 /// `repro scenario <file>`: run one declarative scenario and emit its
 /// canonical report JSON on stdout (a one-policy, full-metrics scenario
-/// emits the bare `ScheduleReport`, byte-identical to the goldens the
-/// legacy subcommands pinned). Progress and probe-cache stats go to
+/// emits the bare `ScheduleReport`, the form the pinned goldens hold).
+/// Progress and probe-cache stats go to
 /// stderr so stdout stays exactly the canonical bytes.
 fn scenario_cmd(files: &[&str]) {
     let [file] = files else {
@@ -707,15 +530,22 @@ fn autotune_cmd(files: &[&str], args: &[String]) {
 }
 
 /// `repro scenario-matrix <dir|files...>`: run every scenario through one
-/// parsweep fan-out and print a comparison table per scenario. Stdout is
-/// a pure function of the reports, so it is byte-identical at any
-/// `--jobs` count — the property `tests/parallel_determinism.rs` pins.
+/// parsweep fan-out and print a comparison table per scenario.
 fn scenario_matrix_cmd(files: &[&str]) {
     let paths = collect_scenario_files(files);
     if paths.is_empty() {
         die("scenario-matrix needs at least one scenario file or directory".into());
     }
-    let scenarios: Vec<Scenario> = paths.iter().map(|p| load_scenario(p)).collect();
+    scenario_matrix(paths.iter().map(|p| load_scenario(p)).collect());
+}
+
+/// Replay `scenarios` as one matrix and print each one's comparison
+/// table: the serving table when its reports carry a `serve` block, the
+/// recovery table when they carry a `recovery` block, the training table
+/// otherwise. Stdout is a pure function of the reports, so it is
+/// byte-identical at any `--jobs` count — the property
+/// `tests/parallel_determinism.rs` pins.
+fn scenario_matrix(scenarios: Vec<Scenario>) {
     let cfg = SchedulerConfig::default();
     let cache_path = probe_cache_path();
     let mut cache = ProbeCache::load_file(&cache_path, cfg.probe_iters);
@@ -734,17 +564,19 @@ fn scenario_matrix_cmd(files: &[&str]) {
         eprintln!("[scenario-matrix] probe cache not saved ({e}); runs stay correct without it");
     }
     for rep in &reports {
-        let serves = rep.reports.iter().any(|r| r.serve.is_some());
         println!(
             "== scenario {} ({} {}) ==",
             rep.scenario,
             rep.reports.len(),
             if rep.reports.len() == 1 { "policy" } else { "policies" }
         );
-        if serves {
-            println!("{}", serve_comparison_table(&rep.reports));
+        let table = if rep.reports.iter().any(|r| r.serve.is_some()) {
+            serve_comparison_table(&rep.reports)
+        } else if rep.reports.iter().any(|r| r.recovery.is_some()) {
+            recovery_comparison_table(&rep.reports)
         } else {
-            println!("{}", comparison_table(&rep.reports));
-        }
+            comparison_table(&rep.reports)
+        };
+        println!("{table}");
     }
 }

@@ -1,6 +1,7 @@
 //! Golden-table regression tests: the paper's headline tables and one
 //! full (scaled) run report are rendered to JSON and compared against
-//! checked-in snapshots under `crates/bench/golden/`.
+//! checked-in snapshots under `crates/bench/golden/`. The cluster
+//! studies' goldens are guarded by `scenario_goldens.rs`.
 //!
 //! The producing pipelines are fully deterministic (fixed seed, discrete
 //! event simulation, no wall-clock), so the snapshots change only when
@@ -16,10 +17,6 @@ use composable_core::runner::{run, ExperimentOpts};
 use composable_core::HostConfig;
 use desim::json::Value;
 use dlmodels::Benchmark;
-use scheduler::policy::FifoFirstFit;
-use scheduler::{
-    paper_fault_plan, seeded_pai_mix, trace, ClusterSim, SchedulerConfig, SloAwarePack,
-};
 use testkit::check_golden;
 
 fn golden(name: &str) -> String {
@@ -58,66 +55,6 @@ fn golden_table4() {
         })
         .collect();
     check_golden(golden("table4.json"), &Value::Arr(rows).emit_pretty());
-}
-
-/// The `repro cluster` trace (20 jobs, two tenants, seed 0xC10D) replayed
-/// under FIFO first-fit: freezes the scheduler's entire report surface —
-/// per-job lifecycles, placement spans, utilization, fairness, audit
-/// volume — against drift in the trace generator, the probe pricing, or
-/// the event loop.
-#[test]
-fn golden_cluster_fifo() {
-    let report = ClusterSim::new(
-        trace::seeded_two_tenant(20, 0xC10D),
-        Box::new(FifoFirstFit),
-        SchedulerConfig::default(),
-    )
-    .expect("valid trace")
-    .run()
-    .expect("trace drains");
-    check_golden(golden("cluster_fifo.json"), &report.to_json_string());
-}
-
-/// The same seeded 20-job trace replayed under FIFO first-fit with the
-/// pinned 3-event `paper_fault_plan` injected: freezes the fault path
-/// end to end — strike/heal ordering, BMC thermal evacuation, displaced
-/// re-placement, checkpoint rollback, degraded probe pricing, and the
-/// serialized recovery-metrics block.
-#[test]
-fn golden_cluster_faults() {
-    let report = ClusterSim::new(
-        trace::seeded_two_tenant(20, 0xC10D),
-        Box::new(FifoFirstFit),
-        SchedulerConfig::default(),
-    )
-    .expect("valid trace")
-    .with_faults(paper_fault_plan())
-    .expect("valid plan")
-    .run()
-    .expect("faulty trace drains");
-    let recovery = report.recovery.as_ref().expect("recovery block present");
-    assert!(recovery.evacuations > 0, "the pinned plan must displace jobs");
-    check_golden(golden("cluster_faults.json"), &report.to_json_string());
-}
-
-/// The `repro serve` mixed trace (16 training jobs + 8 latency-SLO
-/// services, seed 0xC10D) replayed under slo-aware-pack: freezes the
-/// serving subsystem's whole report surface — per-service SLO attainment,
-/// latency percentiles, replica GPU-seconds, autoscale/failover counts —
-/// alongside the training-side metrics it is co-scheduled with.
-#[test]
-fn golden_cluster_serve() {
-    let report = ClusterSim::new_mixed(
-        seeded_pai_mix(16, 8, 0xC10D),
-        Box::new(SloAwarePack),
-        SchedulerConfig::default(),
-    )
-    .expect("valid mixed trace")
-    .run()
-    .expect("mixed trace drains");
-    let serve = report.serve.as_ref().expect("serve block present");
-    assert!(serve.attainment >= 0.95, "pack must meet SLOs on the pinned mix");
-    check_golden(golden("cluster_serve.json"), &report.to_json_string());
 }
 
 /// One full (scaled) MobileNetV2 run on localGPUs under a pinned seed:

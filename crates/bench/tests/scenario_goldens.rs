@@ -1,11 +1,11 @@
 //! Scenario-driven golden regression: every pinned study is a checked-in
-//! `scenarios/*.json` whose canonical report bytes are frozen under
-//! `crates/bench/golden/` — the same files the legacy per-subcommand
-//! golden tests pinned, proving the declarative harness subsumes the old
-//! plumbing. Failures name the *scenario* (via
+//! `scenarios/*.json` whose canonical report bytes, replayed through
+//! `run_scenario`, are frozen under `crates/bench/golden/`. Failures name
+//! the *scenario* (via
 //! [`testkit::check_scenario_golden`]), so a stale golden says which spec
 //! to re-run, not which test binary tripped.
 
+use bench::scenario;
 use scheduler::{run_scenario, ProbeCache, Scenario};
 use std::path::PathBuf;
 use testkit::check_scenario_golden;
@@ -16,14 +16,6 @@ fn scenario_dir() -> PathBuf {
 
 fn golden(name: &str) -> String {
     format!("{}/golden/{name}", env!("CARGO_MANIFEST_DIR"))
-}
-
-fn load(name: &str) -> Scenario {
-    let path = scenario_dir().join(name);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    Scenario::from_json_str(&text)
-        .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()))
 }
 
 /// The pinned studies, each as (scenario file, golden file). One table,
@@ -45,14 +37,11 @@ const PINNED: [(&str, &str); 6] = [
     ("cluster_priority.json", "cluster_priority.json"),
 ];
 
-/// Every pinned scenario's canonical output still matches its golden —
-/// byte-identical to the snapshots the legacy `golden_tables` tests
-/// froze, which is the acceptance bar for the harness subsuming the
-/// per-feature plumbing.
+/// Every pinned scenario's canonical output still matches its golden.
 #[test]
 fn pinned_scenarios_match_their_goldens() {
     for (scenario_file, golden_file) in PINNED {
-        let sc = load(scenario_file);
+        let sc = scenario(scenario_file);
         let mut cache = ProbeCache::new(sc.config.probe_iters);
         let report = run_scenario(&sc, 2, &mut cache)
             .unwrap_or_else(|e| panic!("{scenario_file}: {e}"));

@@ -37,7 +37,7 @@ use crate::fault::{FaultKind, FaultPlan, CHECKPOINT_ITERS, RECOMPOSE_LATENCY};
 use crate::metrics::{JobOutcome, MigrationMetrics, RecoveryMetrics, ScheduleReport};
 use crate::policy::{FreeView, PlacePolicy, RunningView};
 use crate::probe::{degraded_key, ProbeCache};
-use crate::serve::{MixedTrace, ServeState, SLICES_PER_GPU};
+use crate::serve::{MixedTrace, ServeState, ServiceSpec, SLICES_PER_GPU};
 use crate::trace::{JobSpec, Trace};
 use desim::{Dur, SimTime};
 use devices::gpu::GpuSpec;
@@ -84,11 +84,6 @@ pub struct SchedulerConfig {
     /// events; the O(1) ledger check covers the events in between. 1 =
     /// audit every event (the historical behavior).
     pub audit_every: u64,
-    /// Re-price only jobs a link-health change can actually affect
-    /// (touching the degraded chassis, or multi-chassis gangs for a
-    /// rack-tier degrade). Exact: unaffected placements price to the same
-    /// bits either way.
-    pub incremental_reprice: bool,
     /// Absorb per-service serving micro events (arrivals, batch
     /// completions, launches) inside epochs between global events instead
     /// of surfacing each as a global event, sharding services across the
@@ -122,7 +117,6 @@ impl Default for SchedulerConfig {
             probe_iters: 3,
             interference: 0.05,
             audit_every: 1,
-            incremental_reprice: true,
             shard_serving: false,
             preempt: false,
             defrag: false,
@@ -325,76 +319,123 @@ pub struct ClusterSim {
     scratch: LoopScratch,
 }
 
-impl ClusterSim {
-    pub fn new(
-        trace: Trace,
-        policy: Box<dyn PlacePolicy>,
-        cfg: SchedulerConfig,
-    ) -> Result<ClusterSim, SchedulerError> {
-        Self::new_on(RackTopology::SINGLE, trace, policy, cfg)
+/// Admission: every job and service must fit the bed, the two-tenant
+/// model, and the quota before a replay starts — a typed error up front,
+/// never a queue that cannot drain. Service-only workloads are legal; one
+/// with neither jobs nor services is not.
+fn admit(
+    topo: &RackTopology,
+    cfg: &SchedulerConfig,
+    jobs: &[JobSpec],
+    services: &[ServiceSpec],
+) -> Result<(), SchedulerError> {
+    if jobs.is_empty() && services.is_empty() {
+        return Err(SchedulerError::EmptyTrace);
     }
-
-    /// [`ClusterSim::new`] on an explicit rack topology: `topo.chassis`
-    /// Falcon 4016s behind the inter-chassis fabric tier.
-    pub fn new_on(
-        topo: RackTopology,
-        trace: Trace,
-        policy: Box<dyn PlacePolicy>,
-        cfg: SchedulerConfig,
-    ) -> Result<ClusterSim, SchedulerError> {
-        if trace.jobs.is_empty() {
-            return Err(SchedulerError::EmptyTrace);
+    let mut sids: Vec<u64> = services.iter().map(|s| s.id).collect();
+    sids.sort_unstable();
+    if let Some(w) = sids.windows(2).find(|w| w[0] == w[1]) {
+        return Err(SchedulerError::BadService {
+            id: w[0],
+            msg: "service id appears more than once".to_string(),
+        });
+    }
+    for s in services {
+        let bad = |msg: &str| SchedulerError::BadService { id: s.id, msg: msg.to_string() };
+        if s.tenant.0 >= MAX_TENANTS {
+            return Err(bad("tenant outside the two-tenant test bed"));
         }
-        Self::build(topo, trace, policy, cfg)
+        if !matches!(s.slice, 1 | 2 | 4 | 7) {
+            return Err(bad("slice must be 1, 2, 4, or 7 sevenths"));
+        }
+        debug_assert_eq!(SLICES_PER_GPU, 7);
+        if !(s.rate_rps > 0.0 && s.rate_rps.is_finite()) {
+            return Err(bad("rate must be positive and finite"));
+        }
+        if s.duration == Dur::ZERO {
+            return Err(bad("zero-length service window"));
+        }
+        if s.slo == Dur::ZERO {
+            return Err(bad("zero SLO"));
+        }
+        if s.max_batch == 0 {
+            return Err(bad("max_batch must be at least 1"));
+        }
+        if s.min_replicas == 0 || s.min_replicas > s.max_replicas {
+            return Err(bad("replica range must satisfy 1 <= min <= max"));
+        }
     }
+    let mut ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
+    ids.sort_unstable();
+    if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+        return Err(SchedulerError::DuplicateJobId { id: w[0] });
+    }
+    for j in jobs {
+        if j.tenant.0 >= MAX_TENANTS {
+            return Err(SchedulerError::TooManyTenants { job: j.id, tenant: j.tenant.0 });
+        }
+        if j.gpus == 0 || usize::from(j.gpus) > topo.total_gpus() {
+            return Err(SchedulerError::BadDemand {
+                job: j.id,
+                gpus: j.gpus,
+                pool: topo.total_gpus(),
+            });
+        }
+        if usize::from(j.gpus) > cfg.quota_gpus_per_tenant {
+            return Err(SchedulerError::QuotaUnsatisfiable {
+                job: j.id,
+                gpus: j.gpus,
+                quota: cfg.quota_gpus_per_tenant,
+            });
+        }
+        if j.min_gpus == 0 || j.min_gpus > j.gpus {
+            return Err(SchedulerError::BadElasticRange {
+                job: j.id,
+                min_gpus: j.min_gpus,
+                gpus: j.gpus,
+            });
+        }
+        if j.iters == 0 {
+            return Err(SchedulerError::ZeroLength { job: j.id });
+        }
+    }
+    Ok(())
+}
 
-    /// Admission + test-bed construction shared by the training-only and
-    /// mixed entry points (only the latter may have zero jobs).
-    fn build(
+impl ClusterSim {
+    /// Admit a training-only `trace` onto `topo.chassis` Falcon 4016s
+    /// behind the inter-chassis fabric tier, pricing placements from
+    /// `probes` — a fresh, pre-warmed, or persisted cache. Probes are
+    /// deterministic, so seeding the cache can only skip simulations,
+    /// never change the report.
+    pub fn with_probe_cache_on(
         topo: RackTopology,
         trace: Trace,
         policy: Box<dyn PlacePolicy>,
         cfg: SchedulerConfig,
+        probes: ProbeCache,
+    ) -> Result<ClusterSim, SchedulerError> {
+        Self::with_probe_cache_mixed_on(topo, trace.into(), policy, cfg, probes)
+    }
+
+    /// The one builder every replay goes through: admit a mixed workload
+    /// — training jobs plus latency-SLO inference services sharing the
+    /// bed — onto `topo`, pricing placements from `probes` (see
+    /// [`with_probe_cache_on`](Self::with_probe_cache_on)).
+    pub fn with_probe_cache_mixed_on(
+        topo: RackTopology,
+        mixed: MixedTrace,
+        policy: Box<dyn PlacePolicy>,
+        cfg: SchedulerConfig,
+        probes: ProbeCache,
     ) -> Result<ClusterSim, SchedulerError> {
         assert!(
             topo.is_supported(),
             "topology {topo} outside {}",
             rack::supported_envelope()
         );
-        let mut ids: Vec<u64> = trace.jobs.iter().map(|j| j.id).collect();
-        ids.sort_unstable();
-        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(SchedulerError::DuplicateJobId { id: w[0] });
-        }
-        for j in &trace.jobs {
-            if j.tenant.0 >= MAX_TENANTS {
-                return Err(SchedulerError::TooManyTenants { job: j.id, tenant: j.tenant.0 });
-            }
-            if j.gpus == 0 || usize::from(j.gpus) > topo.total_gpus() {
-                return Err(SchedulerError::BadDemand {
-                    job: j.id,
-                    gpus: j.gpus,
-                    pool: topo.total_gpus(),
-                });
-            }
-            if usize::from(j.gpus) > cfg.quota_gpus_per_tenant {
-                return Err(SchedulerError::QuotaUnsatisfiable {
-                    job: j.id,
-                    gpus: j.gpus,
-                    quota: cfg.quota_gpus_per_tenant,
-                });
-            }
-            if j.min_gpus == 0 || j.min_gpus > j.gpus {
-                return Err(SchedulerError::BadElasticRange {
-                    job: j.id,
-                    min_gpus: j.min_gpus,
-                    gpus: j.gpus,
-                });
-            }
-            if j.iters == 0 {
-                return Err(SchedulerError::ZeroLength { job: j.id });
-            }
-        }
+        let MixedTrace { name, jobs, services } = mixed.sorted();
+        admit(&topo, &cfg, &jobs, &services)?;
 
         // The shared test bed: one advanced-mode chassis per rack
         // position, a V100 in every slot, both tenants' hosts cabled into
@@ -437,21 +478,20 @@ impl ClusterSim {
             rack.add_user(tenant_user(t), Role::User);
         }
 
-        let probe_iters = cfg.probe_iters;
         let n_drawers = topo.n_drawers();
         Ok(ClusterSim {
             rack,
             topo,
             policy,
             cfg,
-            trace: trace.sorted(),
-            probes: ProbeCache::new_for(probe_iters, topo),
+            trace: Trace { name, jobs },
+            probes,
             faults: FaultPlan::none(),
             bmc: (0..topo.chassis).map(|_| Bmc::falcon_defaults()).collect(),
             fstate: FaultState::default(),
             mig: MigState::default(),
             suspended: BTreeMap::new(),
-            serve: ServeState::empty_for(n_drawers),
+            serve: ServeState::new_for(services, n_drawers),
             ledger_slots: 0,
             ledger_tenant: vec![0; MAX_TENANTS as usize],
             events_seen: 0,
@@ -468,89 +508,6 @@ impl ClusterSim {
         self
     }
 
-    /// Admit a mixed workload: training jobs plus latency-SLO inference
-    /// services sharing the bed. Service-only traces are legal; a trace
-    /// with neither jobs nor services is not.
-    pub fn new_mixed(
-        mixed: MixedTrace,
-        policy: Box<dyn PlacePolicy>,
-        cfg: SchedulerConfig,
-    ) -> Result<ClusterSim, SchedulerError> {
-        Self::new_mixed_on(RackTopology::SINGLE, mixed, policy, cfg)
-    }
-
-    /// [`ClusterSim::new_mixed`] on an explicit rack topology.
-    pub fn new_mixed_on(
-        topo: RackTopology,
-        mixed: MixedTrace,
-        policy: Box<dyn PlacePolicy>,
-        cfg: SchedulerConfig,
-    ) -> Result<ClusterSim, SchedulerError> {
-        let mixed = mixed.sorted();
-        if mixed.jobs.is_empty() && mixed.services.is_empty() {
-            return Err(SchedulerError::EmptyTrace);
-        }
-        let mut sids: Vec<u64> = mixed.services.iter().map(|s| s.id).collect();
-        sids.sort_unstable();
-        if let Some(w) = sids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(SchedulerError::BadService {
-                id: w[0],
-                msg: "service id appears more than once".to_string(),
-            });
-        }
-        for s in &mixed.services {
-            let bad = |msg: &str| SchedulerError::BadService { id: s.id, msg: msg.to_string() };
-            if s.tenant.0 >= MAX_TENANTS {
-                return Err(bad("tenant outside the two-tenant test bed"));
-            }
-            if !matches!(s.slice, 1 | 2 | 4 | 7) {
-                return Err(bad("slice must be 1, 2, 4, or 7 sevenths"));
-            }
-            debug_assert_eq!(SLICES_PER_GPU, 7);
-            if !(s.rate_rps > 0.0 && s.rate_rps.is_finite()) {
-                return Err(bad("rate must be positive and finite"));
-            }
-            if s.duration == Dur::ZERO {
-                return Err(bad("zero-length service window"));
-            }
-            if s.slo == Dur::ZERO {
-                return Err(bad("zero SLO"));
-            }
-            if s.max_batch == 0 {
-                return Err(bad("max_batch must be at least 1"));
-            }
-            if s.min_replicas == 0 || s.min_replicas > s.max_replicas {
-                return Err(bad("replica range must satisfy 1 <= min <= max"));
-            }
-        }
-        let mut sim = Self::build(topo, mixed.training(), policy, cfg)?;
-        sim.serve = ServeState::new_for(mixed.services, topo.n_drawers());
-        Ok(sim)
-    }
-
-    /// [`ClusterSim::new_mixed`] with a pre-warmed probe cache.
-    pub fn with_probe_cache_mixed(
-        mixed: MixedTrace,
-        policy: Box<dyn PlacePolicy>,
-        cfg: SchedulerConfig,
-        probes: ProbeCache,
-    ) -> Result<ClusterSim, SchedulerError> {
-        Self::with_probe_cache_mixed_on(RackTopology::SINGLE, mixed, policy, cfg, probes)
-    }
-
-    /// [`ClusterSim::new_mixed_on`] with a pre-warmed probe cache.
-    pub fn with_probe_cache_mixed_on(
-        topo: RackTopology,
-        mixed: MixedTrace,
-        policy: Box<dyn PlacePolicy>,
-        cfg: SchedulerConfig,
-        probes: ProbeCache,
-    ) -> Result<ClusterSim, SchedulerError> {
-        let mut sim = ClusterSim::new_mixed_on(topo, mixed, policy, cfg)?;
-        sim.probes = probes;
-        Ok(sim)
-    }
-
     /// Inject `plan` into the replay: its events strike and heal as
     /// first-class events of the loop. Rejects plans outside this rack's
     /// envelope with [`SchedulerError::BadFault`].
@@ -560,39 +517,10 @@ impl ClusterSim {
         Ok(self)
     }
 
-    /// [`ClusterSim::new`] with a pre-warmed (or persisted) probe cache.
-    /// Probes are deterministic, so seeding the cache can only skip
-    /// simulations, never change the report.
-    pub fn with_probe_cache(
-        trace: Trace,
-        policy: Box<dyn PlacePolicy>,
-        cfg: SchedulerConfig,
-        probes: ProbeCache,
-    ) -> Result<ClusterSim, SchedulerError> {
-        Self::with_probe_cache_on(RackTopology::SINGLE, trace, policy, cfg, probes)
-    }
-
-    /// [`ClusterSim::new_on`] with a pre-warmed (or persisted) probe cache.
-    pub fn with_probe_cache_on(
-        topo: RackTopology,
-        trace: Trace,
-        policy: Box<dyn PlacePolicy>,
-        cfg: SchedulerConfig,
-        probes: ProbeCache,
-    ) -> Result<ClusterSim, SchedulerError> {
-        let mut sim = ClusterSim::new_on(topo, trace, policy, cfg)?;
-        sim.probes = probes;
-        Ok(sim)
-    }
-
-    /// Replay the trace to completion. Deterministic: equal traces,
-    /// policies, and configs yield byte-identical reports.
-    pub fn run(self) -> Result<ScheduleReport, SchedulerError> {
-        self.run_report().map(|(report, _)| report)
-    }
-
-    /// [`run`](Self::run), also returning the probe cache so callers can
-    /// [`ProbeCache::absorb`] it into a shared cache or persist it.
+    /// Replay the trace to completion, returning the report and the probe
+    /// cache so callers can [`ProbeCache::absorb`] it into a shared cache
+    /// or persist it. Deterministic: equal traces, policies, and configs
+    /// yield byte-identical reports.
     pub fn run_report(mut self) -> Result<(ScheduleReport, ProbeCache), SchedulerError> {
         let jobs = std::mem::take(&mut self.trace.jobs);
         let trace_name = self.trace.name.clone();
@@ -883,8 +811,7 @@ impl ClusterSim {
         worst * cross_chassis_stretch(parts.len(), self.rack_health())
     }
 
-    /// Re-price running jobs after a link-health change; under
-    /// [`SchedulerConfig::incremental_reprice`], only jobs inside `scope`.
+    /// Re-price the running jobs inside `scope` after a link-health change.
     /// Skipped jobs would have priced to the same bits: prices are pure in
     /// (benchmark, per-chassis shape, that chassis's drawer healths, rack
     /// health), and single-chassis gangs ignore rack health entirely.
@@ -896,13 +823,12 @@ impl ClusterSim {
         for id in ids.drain(..) {
             let (benchmark, slots) = {
                 let r = &running[&id];
-                let affected = !self.cfg.incremental_reprice
-                    || match scope {
-                        RepriceScope::Chassis(c) => r.slots.iter().any(|s| s.chassis == c),
-                        RepriceScope::RackTier => {
-                            r.slots.iter().any(|s| s.chassis != r.slots[0].chassis)
-                        }
-                    };
+                let affected = match scope {
+                    RepriceScope::Chassis(c) => r.slots.iter().any(|s| s.chassis == c),
+                    RepriceScope::RackTier => {
+                        r.slots.iter().any(|s| s.chassis != r.slots[0].chassis)
+                    }
+                };
                 if !affected {
                     continue;
                 }
@@ -1756,212 +1682,45 @@ impl ClusterSim {
     }
 }
 
-/// Replay `trace` under each named policy (see [`crate::policy`]) on a
-/// fresh test bed and return the reports in policy order. Replays run on
-/// [`parsweep::default_jobs`] workers against a throwaway shared cache;
-/// use [`compare_policies_cached`] to control worker count and keep the
-/// cache.
-pub fn compare_policies(
-    trace: &Trace,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    cfg: &SchedulerConfig,
-) -> Result<Vec<ScheduleReport>, SchedulerError> {
-    let mut cache = ProbeCache::new(cfg.probe_iters);
-    compare_policies_cached(trace, policies, cfg, parsweep::default_jobs(), &mut cache)
-}
-
-/// Replay `trace` under each policy on a fresh test bed, fanning the
-/// replays across `jobs` parsweep workers, and return the reports **in
-/// policy order** (never completion order).
-///
-/// Each replay gets a [`ProbeCache::split`] of the shared `cache` —
-/// pre-warmed with [`crate::probe::warm_set_for_trace`], itself priced in
-/// parallel — and its additions are [`ProbeCache::absorb`]ed back in
-/// policy order afterwards. Probes are pure, so every replay prices a
-/// shape identically whether it hits the shared cache or re-simulates:
-/// reports are byte-identical to the serial path for any `jobs`.
-pub fn compare_policies_cached(
-    trace: &Trace,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    cfg: &SchedulerConfig,
-    jobs: usize,
-    cache: &mut ProbeCache,
-) -> Result<Vec<ScheduleReport>, SchedulerError> {
-    compare_policies_cached_on(RackTopology::SINGLE, trace, policies, cfg, jobs, cache)
-}
-
-/// [`compare_policies_cached`] on an explicit rack topology: the same
-/// replay semantics and parallel-determinism guarantee, on `topo.chassis`
-/// chassis behind the rack tier.
-pub fn compare_policies_cached_on(
-    topo: RackTopology,
-    trace: &Trace,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    cfg: &SchedulerConfig,
-    jobs: usize,
-    cache: &mut ProbeCache,
-) -> Result<Vec<ScheduleReport>, SchedulerError> {
-    cache.warm(&crate::probe::warm_set_for_trace(trace), jobs);
-    let replays: Vec<parsweep::Job<'_, Result<(ScheduleReport, ProbeCache), SchedulerError>>> =
-        policies
-            .into_iter()
-            .map(|p| {
-                let split = cache.split();
-                let label = format!("replay {} under {}", trace.name, p.name());
-                parsweep::Job::new(label, move || {
-                    ClusterSim::with_probe_cache_on(topo, trace.clone(), p, cfg.clone(), split)?
-                        .run_report()
-                })
-            })
-            .collect();
-    let mut reports = Vec::new();
-    for outcome in parsweep::run(jobs, replays) {
-        let (report, probes) = outcome?;
-        cache.absorb(probes);
-        reports.push(report);
-    }
-    Ok(reports)
-}
-
-/// Replay a mixed (training + serving) workload under each policy on a
-/// fresh test bed, fanning across `jobs` parsweep workers, and return the
-/// reports **in policy order**. The probe cache is warmed from the
-/// training side only — serving latencies are closed-form, not probed —
-/// so reports are byte-identical to the serial path for any `jobs`.
-pub fn compare_policies_mixed(
-    mixed: &MixedTrace,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    cfg: &SchedulerConfig,
-    jobs: usize,
-    cache: &mut ProbeCache,
-) -> Result<Vec<ScheduleReport>, SchedulerError> {
-    compare_policies_mixed_on(RackTopology::SINGLE, mixed, policies, cfg, jobs, cache)
-}
-
-/// [`compare_policies_mixed`] on an explicit rack topology.
-pub fn compare_policies_mixed_on(
-    topo: RackTopology,
-    mixed: &MixedTrace,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    cfg: &SchedulerConfig,
-    jobs: usize,
-    cache: &mut ProbeCache,
-) -> Result<Vec<ScheduleReport>, SchedulerError> {
-    let training = mixed.training();
-    cache.warm(&crate::probe::warm_set_for_trace(&training), jobs);
-    let replays: Vec<parsweep::Job<'_, Result<(ScheduleReport, ProbeCache), SchedulerError>>> =
-        policies
-            .into_iter()
-            .map(|p| {
-                let split = cache.split();
-                let label = format!("mixed replay {} under {}", mixed.name, p.name());
-                parsweep::Job::new(label, move || {
-                    ClusterSim::with_probe_cache_mixed_on(topo, mixed.clone(), p, cfg.clone(), split)?
-                        .run_report()
-                })
-            })
-            .collect();
-    let mut reports = Vec::new();
-    for outcome in parsweep::run(jobs, replays) {
-        let (report, probes) = outcome?;
-        cache.absorb(probes);
-        reports.push(report);
-    }
-    Ok(reports)
-}
-
-/// Replay `trace` under each policy twice — fault-free, then with `plan`
-/// injected — across `jobs` parsweep workers, returning `(baseline,
-/// faulty)` report pairs **in policy order**. Each faulty report's
-/// [`RecoveryMetrics::jct_inflation`] is filled from its own baseline.
-/// Both replays of a policy run in one worker (the faulty one reuses the
-/// baseline's probe cache), so results are byte-identical for any `jobs`.
-pub fn compare_policies_faulty(
-    trace: &Trace,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    plan: &FaultPlan,
-    cfg: &SchedulerConfig,
-    jobs: usize,
-    cache: &mut ProbeCache,
-) -> Result<Vec<(ScheduleReport, ScheduleReport)>, SchedulerError> {
-    compare_policies_faulty_on(RackTopology::SINGLE, trace, policies, plan, cfg, jobs, cache)
-}
-
-/// [`compare_policies_faulty`] on an explicit rack topology. The plan is
-/// validated against `topo`, so inter-chassis events require a real rack.
-pub fn compare_policies_faulty_on(
-    topo: RackTopology,
-    trace: &Trace,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    plan: &FaultPlan,
-    cfg: &SchedulerConfig,
-    jobs: usize,
-    cache: &mut ProbeCache,
-) -> Result<Vec<(ScheduleReport, ScheduleReport)>, SchedulerError> {
-    plan.validate_for(&topo).map_err(|msg| SchedulerError::BadFault { msg })?;
-    cache.warm(&crate::probe::warm_set_for_trace(trace), jobs);
-    type Pair = (ScheduleReport, ScheduleReport, ProbeCache);
-    let replays: Vec<parsweep::Job<'_, Result<Pair, SchedulerError>>> = policies
-        .into_iter()
-        .map(|p| {
-            let split = cache.split();
-            let name = p.name();
-            let plan = plan.clone();
-            let label = format!("faulty replay {} under {name}", trace.name);
-            parsweep::Job::new(label, move || {
-                let (baseline, probes) =
-                    ClusterSim::with_probe_cache_on(topo, trace.clone(), p, cfg.clone(), split)?
-                        .run_report()?;
-                let faulty_policy =
-                    crate::policy::policy_by_name(name).expect("policy is registered");
-                let (mut faulty, probes) = ClusterSim::with_probe_cache_on(
-                    topo,
-                    trace.clone(),
-                    faulty_policy,
-                    cfg.clone(),
-                    probes,
-                )?
-                .with_faults(plan)?
-                .run_report()?;
-                if let Some(rec) = faulty.recovery.as_mut() {
-                    let base_jct = baseline.mean_jct.as_secs_f64();
-                    if base_jct > 0.0 {
-                        let inflation = faulty.mean_jct.as_secs_f64() / base_jct;
-                        rec.jct_inflation = (inflation * 1e4).round() / 1e4;
-                    }
-                }
-                Ok((baseline, faulty, probes))
-            })
-        })
-        .collect();
-    let mut reports = Vec::new();
-    for outcome in parsweep::run(jobs, replays) {
-        let (baseline, faulty, probes) = outcome?;
-        cache.absorb(probes);
-        reports.push((baseline, faulty));
-    }
-    Ok(reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{all_policies, FifoFirstFit, FragAware};
-    use crate::trace::{seeded_two_tenant, JobSpec, TenantId};
+    use crate::fault::{paper_fault_plan, FaultEvent};
+    use crate::policy::{policy_by_name, POLICY_NAMES};
+    use crate::serve::seeded_pai_mix;
+    use crate::trace::{seeded_two_tenant, TenantId};
     use dlmodels::Benchmark;
 
     fn tiny_trace() -> Trace {
         seeded_two_tenant(6, 11)
     }
 
+    fn tiny_mix() -> MixedTrace {
+        seeded_pai_mix(6, 4, 0x11)
+    }
+
+    /// Every test replays through the one builder: `work` under the named
+    /// policy on one chassis with a cold probe cache and `plan` injected.
+    fn replay(
+        work: impl Into<MixedTrace>,
+        policy: &str,
+        cfg: SchedulerConfig,
+        plan: FaultPlan,
+    ) -> Result<ScheduleReport, SchedulerError> {
+        let probes = ProbeCache::new(cfg.probe_iters);
+        let policy = policy_by_name(policy).expect("registered policy");
+        ClusterSim::with_probe_cache_mixed_on(RackTopology::SINGLE, work.into(), policy, cfg, probes)?
+            .with_faults(plan)?
+            .run_report()
+            .map(|(report, _)| report)
+    }
+
     #[test]
     fn replay_completes_every_job() {
         let trace = tiny_trace();
         let n = trace.jobs.len() as u32;
-        let report = ClusterSim::new(trace, Box::new(FifoFirstFit), SchedulerConfig::default())
-            .unwrap()
-            .run()
-            .unwrap();
+        let report =
+            replay(trace, "fifo-first-fit", SchedulerConfig::default(), FaultPlan::none()).unwrap();
         assert_eq!(report.n_jobs, n);
         assert!(report.makespan > Dur::ZERO);
         assert!(report.gpu_util > 0.0 && report.gpu_util <= 1.0);
@@ -1975,35 +1734,34 @@ mod tests {
 
     #[test]
     fn replay_is_deterministic() {
-        let cfg = SchedulerConfig::default();
-        let a = ClusterSim::new(tiny_trace(), Box::new(FragAware), cfg.clone())
-            .unwrap()
-            .run()
-            .unwrap();
-        let b = ClusterSim::new(tiny_trace(), Box::new(FragAware), cfg)
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(a.to_json_string(), b.to_json_string());
+        let run = || {
+            replay(tiny_trace(), "frag-aware", SchedulerConfig::default(), FaultPlan::none())
+                .unwrap()
+                .to_json_string()
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn admission_rejects_bad_specs() {
+        let admit =
+            |t: Trace| replay(t, "fifo-first-fit", SchedulerConfig::default(), FaultPlan::none());
         let mut t = tiny_trace();
         t.jobs[0].gpus = 0;
-        let r = ClusterSim::new(t, Box::new(FifoFirstFit), SchedulerConfig::default());
-        assert!(matches!(r, Err(SchedulerError::BadDemand { .. })));
+        assert!(matches!(admit(t), Err(SchedulerError::BadDemand { .. })));
 
         let mut t = tiny_trace();
         t.jobs[0].tenant = TenantId(5);
-        let r = ClusterSim::new(t, Box::new(FifoFirstFit), SchedulerConfig::default());
-        assert!(matches!(r, Err(SchedulerError::TooManyTenants { .. })));
+        assert!(matches!(admit(t), Err(SchedulerError::TooManyTenants { .. })));
 
         let mut t = tiny_trace();
         t.jobs[0].gpus = 14;
         t.jobs[0].min_gpus = 14;
-        let r = ClusterSim::new(t, Box::new(FifoFirstFit), SchedulerConfig::default());
-        assert!(matches!(r, Err(SchedulerError::QuotaUnsatisfiable { .. })));
+        assert!(matches!(admit(t), Err(SchedulerError::QuotaUnsatisfiable { .. })));
+
+        let mut t = tiny_trace();
+        t.jobs[1].id = t.jobs[0].id;
+        assert!(matches!(admit(t), Err(SchedulerError::DuplicateJobId { .. })));
     }
 
     #[test]
@@ -2024,10 +1782,7 @@ mod tests {
             .collect();
         let trace = Trace { name: "flood".into(), jobs };
         let cfg = SchedulerConfig { quota_gpus_per_tenant: 8, ..SchedulerConfig::default() };
-        let report = ClusterSim::new(trace, Box::new(FifoFirstFit), cfg)
-            .unwrap()
-            .run()
-            .unwrap();
+        let report = replay(trace, "fifo-first-fit", cfg, FaultPlan::none()).unwrap();
         assert_eq!(report.n_jobs, 4);
         // With an 8-GPU cap only two 4-GPU jobs run at once: the last two
         // must start strictly after the first two.
@@ -2063,10 +1818,8 @@ mod tests {
             });
         }
         let trace = Trace { name: "pressure".into(), jobs };
-        let report = ClusterSim::new(trace, Box::new(FifoFirstFit), SchedulerConfig::default())
-            .unwrap()
-            .run()
-            .unwrap();
+        let report =
+            replay(trace, "fifo-first-fit", SchedulerConfig::default(), FaultPlan::none()).unwrap();
         let big = report.jobs.iter().find(|o| o.id == 0).unwrap();
         assert!(big.shrunk, "the elastic job should have been clawed back");
         assert_eq!(big.final_gpus, 4);
@@ -2075,25 +1828,13 @@ mod tests {
 
     #[test]
     fn all_policies_drain_the_same_trace() {
-        let reports =
-            compare_policies(&tiny_trace(), all_policies(), &SchedulerConfig::default()).unwrap();
-        assert_eq!(reports.len(), 4);
         let n = tiny_trace().jobs.len() as u32;
-        for r in &reports {
-            assert_eq!(r.n_jobs, n, "{} lost jobs", r.policy);
+        for name in &POLICY_NAMES[..4] {
+            let r = replay(tiny_trace(), name, SchedulerConfig::default(), FaultPlan::none())
+                .unwrap();
+            assert_eq!(r.n_jobs, n, "{name} lost jobs");
             assert!((0.0..=1.0).contains(&r.fairness));
         }
-    }
-
-    use crate::fault::{paper_fault_plan, FaultEvent, FaultKind, FaultPlan};
-
-    fn faulty_report(trace: Trace, plan: FaultPlan) -> ScheduleReport {
-        ClusterSim::new(trace, Box::new(FifoFirstFit), SchedulerConfig::default())
-            .unwrap()
-            .with_faults(plan)
-            .unwrap()
-            .run()
-            .unwrap()
     }
 
     #[test]
@@ -2122,7 +1863,7 @@ mod tests {
                 duration: Dur::from_secs(5),
             }],
         };
-        let report = faulty_report(trace(), plan);
+        let report = replay(trace(), "fifo-first-fit", SchedulerConfig::default(), plan).unwrap();
         assert_eq!(report.n_jobs, 1, "the job survives the outage");
         let rec = report.recovery.expect("faulty replay reports recovery");
         assert_eq!(rec.fault_events, 1);
@@ -2134,9 +1875,7 @@ mod tests {
         assert!(rec.work_lost_gpu_secs > 0.0);
         // The faulty JCT strictly exceeds the fault-free one.
         let baseline =
-            ClusterSim::new(trace(), Box::new(FifoFirstFit), SchedulerConfig::default())
-                .unwrap()
-                .run()
+            replay(trace(), "fifo-first-fit", SchedulerConfig::default(), FaultPlan::none())
                 .unwrap();
         assert!(report.mean_jct > baseline.mean_jct);
     }
@@ -2165,7 +1904,10 @@ mod tests {
                 duration: Dur::from_secs(3),
             }],
         };
-        let rec = faulty_report(trace, plan).recovery.unwrap();
+        let rec = replay(trace, "fifo-first-fit", SchedulerConfig::default(), plan)
+            .unwrap()
+            .recovery
+            .unwrap();
         assert_eq!(rec.thermal_trips, 1, "the BMC critical event must fire");
         assert_eq!(rec.evacuations, 1);
     }
@@ -2185,14 +1927,9 @@ mod tests {
                 iters: 32,
             }],
         };
-        let clean = ClusterSim::new(
-            trace.clone(),
-            Box::new(FifoFirstFit),
-            SchedulerConfig::default(),
-        )
-        .unwrap()
-        .run()
-        .unwrap();
+        let clean =
+            replay(trace.clone(), "fifo-first-fit", SchedulerConfig::default(), FaultPlan::none())
+                .unwrap();
         let plan = FaultPlan {
             name: "slow-links".into(),
             events: vec![FaultEvent {
@@ -2202,7 +1939,7 @@ mod tests {
                 duration: Dur::from_secs(1_000),
             }],
         };
-        let report = faulty_report(trace, plan);
+        let report = replay(trace, "fifo-first-fit", SchedulerConfig::default(), plan).unwrap();
         let rec = report.recovery.as_ref().unwrap();
         assert_eq!(rec.evacuations, 0, "degrade keeps the placement");
         assert_eq!(rec.mean_recovery, Dur::ZERO);
@@ -2216,31 +1953,14 @@ mod tests {
 
     #[test]
     fn faulty_replay_is_deterministic_and_fault_free_report_is_unchanged() {
-        let cfg = SchedulerConfig::default();
-        let a = ClusterSim::new(tiny_trace(), Box::new(FragAware), cfg.clone())
-            .unwrap()
-            .with_faults(paper_fault_plan())
-            .unwrap()
-            .run()
-            .unwrap();
-        let b = ClusterSim::new(tiny_trace(), Box::new(FragAware), cfg.clone())
-            .unwrap()
-            .with_faults(paper_fault_plan())
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(a.to_json_string(), b.to_json_string());
-        // An empty plan leaves the report byte-identical to no plan at
-        // all: the recovery block only serializes when faults ran.
-        let none = ClusterSim::new(tiny_trace(), Box::new(FragAware), cfg.clone())
-            .unwrap()
-            .with_faults(FaultPlan::none())
-            .unwrap()
-            .run()
-            .unwrap();
-        let plain = ClusterSim::new(tiny_trace(), Box::new(FragAware), cfg).unwrap().run().unwrap();
-        assert_eq!(none.to_json_string(), plain.to_json_string());
-        assert!(!plain.to_json_string().contains("\"recovery\""));
+        let run = |plan: FaultPlan| {
+            replay(tiny_trace(), "frag-aware", SchedulerConfig::default(), plan)
+                .unwrap()
+                .to_json_string()
+        };
+        assert_eq!(run(paper_fault_plan()), run(paper_fault_plan()));
+        // The recovery block only serializes when faults ran.
+        assert!(!run(FaultPlan::none()).contains("\"recovery\""));
     }
 
     #[test]
@@ -2254,17 +1974,8 @@ mod tests {
                 duration: Dur::from_secs(1),
             }],
         };
-        let r = ClusterSim::new(tiny_trace(), Box::new(FifoFirstFit), SchedulerConfig::default())
-            .unwrap()
-            .with_faults(plan);
+        let r = replay(tiny_trace(), "fifo-first-fit", SchedulerConfig::default(), plan);
         assert!(matches!(r, Err(SchedulerError::BadFault { .. })));
-    }
-
-    use crate::policy::{serving_policies, SloAwarePack};
-    use crate::serve::{seeded_pai_mix, MixedTrace, ServiceSpec};
-
-    fn tiny_mix() -> MixedTrace {
-        seeded_pai_mix(6, 4, 0x11)
     }
 
     #[test]
@@ -2272,10 +1983,8 @@ mod tests {
         let mix = tiny_mix();
         let n = mix.jobs.len() as u32;
         let n_svcs = mix.services.len() as u32;
-        let report = ClusterSim::new_mixed(mix, Box::new(SloAwarePack), SchedulerConfig::default())
-            .unwrap()
-            .run()
-            .unwrap();
+        let report =
+            replay(mix, "slo-aware-pack", SchedulerConfig::default(), FaultPlan::none()).unwrap();
         assert_eq!(report.n_jobs, n);
         let serve = report.serve.expect("mixed replay reports serving metrics");
         assert_eq!(serve.n_services, n_svcs);
@@ -2291,69 +2000,42 @@ mod tests {
 
     #[test]
     fn mixed_replay_is_deterministic() {
-        let cfg = SchedulerConfig::default();
-        let a = ClusterSim::new_mixed(tiny_mix(), Box::new(SloAwarePack), cfg.clone())
-            .unwrap()
-            .run()
-            .unwrap();
-        let b = ClusterSim::new_mixed(tiny_mix(), Box::new(SloAwarePack), cfg)
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(a.to_json_string(), b.to_json_string());
+        let run = || {
+            replay(tiny_mix(), "slo-aware-pack", SchedulerConfig::default(), FaultPlan::none())
+                .unwrap()
+                .to_json_string()
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn training_only_replays_never_serialize_a_serve_block() {
-        let report = ClusterSim::new(tiny_trace(), Box::new(FifoFirstFit), SchedulerConfig::default())
-            .unwrap()
-            .run()
-            .unwrap();
+        let report =
+            replay(tiny_trace(), "fifo-first-fit", SchedulerConfig::default(), FaultPlan::none())
+                .unwrap();
         assert!(report.serve.is_none());
         assert!(!report.to_json_string().contains("\"serve\""));
-        // A mixed trace with zero services replays exactly like the plain
-        // trace (the serving engine is a strict no-op when empty).
-        let mix = MixedTrace {
-            name: tiny_trace().name,
-            jobs: tiny_trace().jobs,
-            services: vec![],
-        };
-        let via_mixed =
-            ClusterSim::new_mixed(mix, Box::new(FifoFirstFit), SchedulerConfig::default())
-                .unwrap()
-                .run()
-                .unwrap();
-        assert_eq!(via_mixed.to_json_string(), report.to_json_string());
     }
 
     #[test]
     fn mixed_admission_rejects_bad_specs() {
+        let admit = |m: MixedTrace| {
+            replay(m, "slo-aware-pack", SchedulerConfig::default(), FaultPlan::none())
+        };
         let mut m = tiny_mix();
         m.services[0].slice = 3;
-        let r = ClusterSim::new_mixed(m, Box::new(SloAwarePack), SchedulerConfig::default());
-        assert!(matches!(r, Err(SchedulerError::BadService { .. })));
+        assert!(matches!(admit(m), Err(SchedulerError::BadService { .. })));
 
         let mut m = tiny_mix();
         m.services[1].id = m.services[0].id;
-        let r = ClusterSim::new_mixed(m, Box::new(SloAwarePack), SchedulerConfig::default());
-        assert!(matches!(r, Err(SchedulerError::BadService { .. })));
+        assert!(matches!(admit(m), Err(SchedulerError::BadService { .. })));
 
         let mut m = tiny_mix();
         m.jobs[1].id = m.jobs[0].id;
-        let r = ClusterSim::new_mixed(m, Box::new(SloAwarePack), SchedulerConfig::default());
-        assert!(matches!(r, Err(SchedulerError::DuplicateJobId { .. })));
+        assert!(matches!(admit(m), Err(SchedulerError::DuplicateJobId { .. })));
 
         let empty = MixedTrace { name: "void".into(), jobs: vec![], services: vec![] };
-        let r = ClusterSim::new_mixed(empty, Box::new(SloAwarePack), SchedulerConfig::default());
-        assert!(matches!(r, Err(SchedulerError::EmptyTrace)));
-    }
-
-    #[test]
-    fn duplicate_job_ids_rejected_at_admission() {
-        let mut t = tiny_trace();
-        t.jobs[1].id = t.jobs[0].id;
-        let r = ClusterSim::new(t, Box::new(FifoFirstFit), SchedulerConfig::default());
-        assert!(matches!(r, Err(SchedulerError::DuplicateJobId { .. })));
+        assert!(matches!(admit(empty), Err(SchedulerError::EmptyTrace)));
     }
 
     #[test]
@@ -2390,55 +2072,10 @@ mod tests {
                 duration: Dur::from_secs(4),
             }],
         };
-        let report =
-            ClusterSim::new_mixed(mix, Box::new(SloAwarePack), SchedulerConfig::default())
-                .unwrap()
-                .with_faults(plan)
-                .unwrap()
-                .run()
-                .unwrap();
+        let report = replay(mix, "slo-aware-pack", SchedulerConfig::default(), plan).unwrap();
         let serve = report.serve.expect("serving metrics present");
         assert_eq!(serve.failovers, 1, "the outage must displace the replica");
         assert_eq!(serve.generated, serve.completed + serve.dropped);
         assert!(serve.completed > 0, "service keeps serving on the other drawer");
-    }
-
-    #[test]
-    fn compare_policies_mixed_is_parallel_deterministic() {
-        let mix = tiny_mix();
-        let cfg = SchedulerConfig::default();
-        let mut c1 = ProbeCache::new(cfg.probe_iters);
-        let serial =
-            compare_policies_mixed(&mix, serving_policies(), &cfg, 1, &mut c1).unwrap();
-        let mut c4 = ProbeCache::new(cfg.probe_iters);
-        let parallel =
-            compare_policies_mixed(&mix, serving_policies(), &cfg, 4, &mut c4).unwrap();
-        assert_eq!(serial.len(), 5);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.to_json_string(), p.to_json_string());
-        }
-        assert_eq!(c1.save_json(), c4.save_json());
-    }
-
-    #[test]
-    fn compare_policies_faulty_fills_inflation_and_is_parallel_deterministic() {
-        let trace = tiny_trace();
-        let cfg = SchedulerConfig::default();
-        let plan = paper_fault_plan();
-        let mut c1 = ProbeCache::new(cfg.probe_iters);
-        let serial = compare_policies_faulty(&trace, all_policies(), &plan, &cfg, 1, &mut c1)
-            .unwrap();
-        let mut c4 = ProbeCache::new(cfg.probe_iters);
-        let parallel = compare_policies_faulty(&trace, all_policies(), &plan, &cfg, 4, &mut c4)
-            .unwrap();
-        assert_eq!(serial.len(), 4);
-        for ((sb, sf), (pb, pf)) in serial.iter().zip(&parallel) {
-            assert_eq!(sb.to_json_string(), pb.to_json_string());
-            assert_eq!(sf.to_json_string(), pf.to_json_string());
-            assert!(sb.recovery.is_none());
-            let rec = sf.recovery.as_ref().expect("faulty run reports recovery");
-            assert!(rec.jct_inflation >= 1.0, "{}: {}", sf.policy, rec.jct_inflation);
-        }
-        assert_eq!(c1.save_json(), c4.save_json());
     }
 }

@@ -20,7 +20,14 @@
 //!   best-fit packing, fragmentation-aware, topology-aware (probe-scored
 //!   with [`composable_core::Objective`]).
 //! * [`cluster`] — the event loop: shared-chassis co-simulation,
-//!   MCS-audited recomposition, elastic shrink, per-tenant quotas.
+//!   MCS-audited recomposition, elastic shrink, per-tenant quotas. One
+//!   builder ([`ClusterSim::with_probe_cache_mixed_on`]) admits every
+//!   workload.
+//! * [`scenario`] — declarative studies (topology × trace × faults ×
+//!   services × policies × config) and the one replay path:
+//!   [`run_scenario`] replays every study, [`run_scenario_with_policy`]
+//!   replays one under an unnamed policy, and [`run_matrix`] fans whole
+//!   scenario files across workers.
 //! * [`fault`] — failure injection: seeded `FaultPlan`s of drawer/slot
 //!   outages, link degradation, and BMC thermal trips replayed mid-trace.
 //! * [`serve`] — latency-SLO inference serving: fractional-GPU (MIG-style)
@@ -31,8 +38,8 @@
 //!   tier's cost model, and rack-wide conservation views, so the same
 //!   loop runs 16-GPU single-chassis studies and 32–128-GPU racks.
 //! * [`metrics`] — JCT / queueing / makespan / utilization /
-//!   fragmentation / fairness / SLO-attainment reporting and the
-//!   policy-comparison tables.
+//!   fragmentation / fairness / SLO-attainment / recovery reporting and
+//!   the policy-comparison tables.
 
 pub mod cluster;
 pub mod fault;
@@ -43,11 +50,7 @@ pub mod scenario;
 pub mod serve;
 pub mod trace;
 
-pub use cluster::{
-    compare_policies, compare_policies_cached, compare_policies_cached_on,
-    compare_policies_faulty, compare_policies_faulty_on, compare_policies_mixed,
-    compare_policies_mixed_on, ClusterSim, SchedulerConfig, SchedulerError, POOL_GPUS,
-};
+pub use cluster::{ClusterSim, SchedulerConfig, SchedulerError, POOL_GPUS};
 pub use fault::{
     paper_fault_plan, seeded_fault_plan, seeded_rack_fault_plan, FaultEvent, FaultKind, FaultPlan,
     CHECKPOINT_ITERS, RECOMPOSE_LATENCY,
@@ -56,8 +59,8 @@ pub use rack::{
     cross_chassis_stretch, supported_envelope, Rack, RackAddr, RackTopology, MAX_CHASSIS,
 };
 pub use metrics::{
-    comparison_table, jain_fairness, serve_comparison_table, JobOutcome, MigrationMetrics,
-    RecoveryMetrics, ScheduleReport, ServeMetrics, ServiceOutcome,
+    comparison_table, jain_fairness, recovery_comparison_table, serve_comparison_table,
+    JobOutcome, MigrationMetrics, RecoveryMetrics, ScheduleReport, ServeMetrics, ServiceOutcome,
 };
 pub use policy::{
     all_policies, policy_by_name, policy_names, resolve_policy, serving_policies, FreeView,

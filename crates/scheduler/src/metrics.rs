@@ -93,9 +93,9 @@ pub struct RecoveryMetrics {
     /// GPU-seconds of training redone because evacuation rolled jobs back
     /// to their last checkpoint.
     pub work_lost_gpu_secs: f64,
-    /// Faulty-replay mean JCT over the fault-free baseline's (1.0 = no
-    /// slowdown). Filled by [`crate::cluster::compare_policies_faulty`];
-    /// 0.0 when no baseline was run.
+    /// Faulty-replay mean JCT over a fault-free baseline's (1.0 = no
+    /// slowdown); 0.0 when no baseline was run, which no replay path does
+    /// any more. Still serialized because pinned reports carry it.
     pub jct_inflation: f64,
 }
 
@@ -634,6 +634,39 @@ pub fn serve_comparison_table(reports: &[ScheduleReport]) -> String {
     )
 }
 
+/// Render the `repro faults` policy-comparison table: how each policy
+/// absorbed the scenario's fault plan. (The fault-free JCTs of the same
+/// trace are the `repro cluster` table.)
+pub fn recovery_comparison_table(reports: &[ScheduleReport]) -> String {
+    let rows: Vec<Vec<String>> = reports
+        .iter()
+        .map(|r| {
+            let f = r.recovery.as_ref();
+            vec![
+                r.policy.clone(),
+                format!("{:.1}", r.mean_jct.as_secs_f64()),
+                f.map_or_else(|| "-".into(), |f| format!("{}", f.evacuations)),
+                f.map_or_else(|| "-".into(), |f| format!("{}", f.thermal_trips)),
+                f.map_or_else(|| "-".into(), |f| format!("{:.1}", f.mean_recovery.as_secs_f64())),
+                f.map_or_else(|| "-".into(), |f| format!("{:.1}", f.p95_recovery.as_secs_f64())),
+                f.map_or_else(|| "-".into(), |f| format!("{:.0}", f.work_lost_gpu_secs)),
+            ]
+        })
+        .collect();
+    table(
+        &[
+            "policy",
+            "mean JCT (s)",
+            "evacuations",
+            "thermal trips",
+            "mean recovery (s)",
+            "p95 recovery (s)",
+            "work lost (GPU-s)",
+        ],
+        &rows,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -752,6 +785,8 @@ mod tests {
         let back = ScheduleReport::from_json_str(&faulty.to_json_string()).unwrap();
         assert_eq!(back, faulty);
         assert_eq!(back.recovery.as_ref().unwrap().evacuations, 2);
+        let t = recovery_comparison_table(&[base, faulty]);
+        assert!(t.contains("evacuations") && t.contains("12"), "work lost rounds to GPU-s: {t}");
     }
 
     #[test]

@@ -23,18 +23,19 @@
 //! [`Scenario::validate`] rejects malformed specs with typed
 //! [`ScenarioError`]s (duplicate ids, out-of-range slices, fault events
 //! beyond the trace horizon, unknown policies, unsupported topology).
-//! [`run_scenario`] dispatches into the existing [`ClusterSim`] entry
-//! points and [`run_matrix`] fans whole scenario files across parsweep
-//! workers — both byte-identical at any worker count. A one-policy,
-//! full-metrics scenario's canonical output is the bare
-//! [`ScheduleReport`] JSON, byte-compatible with the pre-scenario
-//! goldens; anything else wraps its reports in a [`ScenarioReport`]
-//! object.
+//! [`run_scenario`] is the repo's one replay path: it and
+//! [`run_scenario_with_policy`] build every replay through
+//! [`ClusterSim::with_probe_cache_mixed_on`], and [`run_matrix`] fans
+//! whole scenario files across parsweep workers — all byte-identical at
+//! any worker count. A one-policy, full-metrics scenario's canonical
+//! output is the bare [`ScheduleReport`] JSON (the form the pinned
+//! goldens hold); anything else wraps its reports in a
+//! [`ScenarioReport`] object.
 
 use crate::cluster::{ClusterSim, SchedulerConfig, SchedulerError};
 use crate::fault::{seeded_fault_plan, seeded_rack_fault_plan, FaultPlan};
 use crate::metrics::ScheduleReport;
-use crate::policy::policy_by_name;
+use crate::policy::{policy_by_name, PlacePolicy};
 use crate::probe::{warm_set_for_trace, ProbeCache};
 use crate::serve::{seeded_pai_mix, MixedTrace, ServiceSpec};
 use crate::trace::{JobSpec, PoissonMix};
@@ -569,12 +570,6 @@ impl ToJson for Scenario {
                 if self.config.audit_every != defaults.audit_every {
                     fields.push(("audit_every", Value::from_u64(self.config.audit_every)));
                 }
-                if self.config.incremental_reprice != defaults.incremental_reprice {
-                    fields.push((
-                        "incremental_reprice",
-                        Value::Bool(self.config.incremental_reprice),
-                    ));
-                }
                 if self.config.shard_serving != defaults.shard_serving {
                     fields.push(("shard_serving", Value::Bool(self.config.shard_serving)));
                 }
@@ -594,56 +589,56 @@ impl ToJson for Scenario {
     }
 }
 
+/// The `config` keys a scenario may set, one per [`SchedulerConfig`]
+/// field.
+const CONFIG_KEYS: [&str; 9] = [
+    "quota_gpus_per_tenant",
+    "elastic",
+    "probe_iters",
+    "interference",
+    "audit_every",
+    "shard_serving",
+    "preempt",
+    "defrag",
+    "relocate_slo",
+];
+
+/// Parse scenario `scenario`'s `config` object. Omitted knobs keep their
+/// defaults; an unknown key is a decode error naming the scenario, the
+/// key, and the valid keys — a typo must not replay as the default.
+fn config_from_json(scenario: &str, c: &Value) -> Result<SchedulerConfig, JsonError> {
+    let mut cfg = SchedulerConfig::default();
+    for (k, x) in c.as_obj()? {
+        match k.as_str() {
+            "quota_gpus_per_tenant" => cfg.quota_gpus_per_tenant = x.as_u64()? as usize,
+            "elastic" => cfg.elastic = x.as_bool()?,
+            "probe_iters" => cfg.probe_iters = x.as_u64()?,
+            "interference" => cfg.interference = x.as_f64()?,
+            "audit_every" => cfg.audit_every = x.as_u64()?,
+            "shard_serving" => cfg.shard_serving = x.as_bool()?,
+            "preempt" => cfg.preempt = x.as_bool()?,
+            "defrag" => cfg.defrag = x.as_bool()?,
+            "relocate_slo" => cfg.relocate_slo = x.as_bool()?,
+            other => {
+                return Err(JsonError::decode(format!(
+                    "{scenario}: config key \"{other}\" is not a scheduler knob (valid: {})",
+                    CONFIG_KEYS.join(", ")
+                )))
+            }
+        }
+    }
+    Ok(cfg)
+}
+
 impl FromJson for Scenario {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let defaults = SchedulerConfig::default();
+        let name = String::from_json(v.get("name")?)?;
         let config = match v.get("config") {
-            Ok(c) => SchedulerConfig {
-                quota_gpus_per_tenant: match c.get("quota_gpus_per_tenant") {
-                    Ok(x) => x.as_u64()? as usize,
-                    Err(_) => defaults.quota_gpus_per_tenant,
-                },
-                elastic: match c.get("elastic") {
-                    Ok(x) => x.as_bool()?,
-                    Err(_) => defaults.elastic,
-                },
-                probe_iters: match c.get("probe_iters") {
-                    Ok(x) => x.as_u64()?,
-                    Err(_) => defaults.probe_iters,
-                },
-                interference: match c.get("interference") {
-                    Ok(x) => x.as_f64()?,
-                    Err(_) => defaults.interference,
-                },
-                audit_every: match c.get("audit_every") {
-                    Ok(x) => x.as_u64()?,
-                    Err(_) => defaults.audit_every,
-                },
-                incremental_reprice: match c.get("incremental_reprice") {
-                    Ok(x) => x.as_bool()?,
-                    Err(_) => defaults.incremental_reprice,
-                },
-                shard_serving: match c.get("shard_serving") {
-                    Ok(x) => x.as_bool()?,
-                    Err(_) => defaults.shard_serving,
-                },
-                preempt: match c.get("preempt") {
-                    Ok(x) => x.as_bool()?,
-                    Err(_) => defaults.preempt,
-                },
-                defrag: match c.get("defrag") {
-                    Ok(x) => x.as_bool()?,
-                    Err(_) => defaults.defrag,
-                },
-                relocate_slo: match c.get("relocate_slo") {
-                    Ok(x) => x.as_bool()?,
-                    Err(_) => defaults.relocate_slo,
-                },
-            },
-            Err(_) => defaults,
+            Ok(c) => config_from_json(&name, c)?,
+            Err(_) => SchedulerConfig::default(),
         };
         Ok(Scenario {
-            name: String::from_json(v.get("name")?)?,
+            name,
             topology: match v.get("topology") {
                 Ok(t) => Topology::from_json(t)?,
                 Err(_) => Topology::default(),
@@ -744,60 +739,23 @@ impl ScenarioReport {
 }
 
 /// Replay `scenario` under each of its policies across `jobs` parsweep
-/// workers (probe cache warmed once, split per replay, absorbed back in
-/// policy order — the [`crate::cluster::compare_policies_cached`]
-/// pattern, so output is byte-identical at any worker count).
+/// workers and return the reports in policy order, byte-identical at any
+/// worker count.
 pub fn run_scenario(
     scenario: &Scenario,
     jobs: usize,
     cache: &mut ProbeCache,
 ) -> Result<ScenarioReport, ScenarioError> {
     scenario.validate()?;
-    let topo = scenario.topology.rack();
-    let (mixed, plan) = scenario.materialize();
-    cache.warm(&warm_set_for_trace(&mixed.training()), jobs);
-    let cfg = &scenario.config;
-    let replays: Vec<parsweep::Job<'_, Result<(ScheduleReport, ProbeCache), SchedulerError>>> =
-        scenario
-            .policies
-            .iter()
-            .map(|name| {
-                let split = cache.split();
-                let policy = policy_by_name(name).expect("validated above");
-                let mixed = mixed.clone();
-                let plan = plan.clone();
-                let label = format!("scenario {} under {name}", scenario.name);
-                parsweep::Job::new(label, move || {
-                    let sim = if mixed.services.is_empty() {
-                        ClusterSim::with_probe_cache_on(
-                            topo,
-                            mixed.training(),
-                            policy,
-                            cfg.clone(),
-                            split,
-                        )?
-                    } else {
-                        ClusterSim::with_probe_cache_mixed_on(topo, mixed, policy, cfg.clone(), split)?
-                    };
-                    let sim = if plan.is_empty() { sim } else { sim.with_faults(plan)? };
-                    // Intra-replay serving shards reuse the sweep's worker
-                    // budget (byte-identical at any count, so over-asking
-                    // while policies also fan out is only a scheduling
-                    // matter, not a correctness one).
-                    sim.with_workers(jobs).run_report()
-                })
-            })
-            .collect();
-    let mut reports = Vec::new();
-    for outcome in parsweep::run(jobs, replays) {
-        let (report, probes) = outcome?;
-        cache.absorb(probes);
-        reports.push(report);
-    }
+    let policies = scenario
+        .policies
+        .iter()
+        .map(|name| policy_by_name(name).expect("validated above"))
+        .collect();
     Ok(ScenarioReport {
         scenario: scenario.name.clone(),
         metrics: scenario.metrics,
-        reports,
+        reports: replay_policies(scenario, policies, jobs, cache)?,
     })
 }
 
@@ -810,24 +768,55 @@ pub fn run_scenario(
 /// [`ScheduleReport`].
 pub fn run_scenario_with_policy(
     scenario: &Scenario,
-    policy: Box<dyn crate::policy::PlacePolicy>,
+    policy: Box<dyn PlacePolicy>,
     cache: &mut ProbeCache,
 ) -> Result<ScheduleReport, ScenarioError> {
     scenario.validate()?;
+    let mut reports = replay_policies(scenario, vec![policy], 1, cache)?;
+    Ok(reports.pop().expect("one policy, one report"))
+}
+
+/// The replay path behind both runners. Materializes the (validated)
+/// spec, warms `cache` for its training side, then replays it once per
+/// policy across `jobs` parsweep workers, each on a
+/// [`ProbeCache::split`] of `cache`. The splits are absorbed back in
+/// policy order; probes are pure, so reports and cache are
+/// byte-identical at any `jobs`.
+fn replay_policies(
+    scenario: &Scenario,
+    policies: Vec<Box<dyn PlacePolicy>>,
+    jobs: usize,
+    cache: &mut ProbeCache,
+) -> Result<Vec<ScheduleReport>, ScenarioError> {
     let topo = scenario.topology.rack();
     let (mixed, plan) = scenario.materialize();
-    cache.warm(&warm_set_for_trace(&mixed.training()), 1);
-    let cfg = &scenario.config;
-    let split = cache.split();
-    let sim = if mixed.services.is_empty() {
-        ClusterSim::with_probe_cache_on(topo, mixed.training(), policy, cfg.clone(), split)?
-    } else {
-        ClusterSim::with_probe_cache_mixed_on(topo, mixed, policy, cfg.clone(), split)?
-    };
-    let sim = if plan.is_empty() { sim } else { sim.with_faults(plan)? };
-    let (report, probes) = sim.with_workers(1).run_report()?;
-    cache.absorb(probes);
-    Ok(report)
+    cache.warm(&warm_set_for_trace(&mixed.training()), jobs);
+    let replays: Vec<parsweep::Job<'_, Result<(ScheduleReport, ProbeCache), SchedulerError>>> =
+        policies
+            .into_iter()
+            .map(|policy| {
+                let label = format!("scenario {} under {}", scenario.name, policy.name());
+                let (split, cfg) = (cache.split(), scenario.config.clone());
+                let (mixed, plan) = (mixed.clone(), plan.clone());
+                parsweep::Job::new(label, move || {
+                    ClusterSim::with_probe_cache_mixed_on(topo, mixed, policy, cfg, split)?
+                        .with_faults(plan)?
+                        // Intra-replay serving shards reuse the sweep's
+                        // worker budget (byte-identical at any count, so
+                        // over-asking while policies also fan out is only
+                        // a scheduling matter, not a correctness one).
+                        .with_workers(jobs)
+                        .run_report()
+                })
+            })
+            .collect();
+    let mut reports = Vec::new();
+    for outcome in parsweep::run(jobs, replays) {
+        let (report, probes) = outcome?;
+        cache.absorb(probes);
+        reports.push(report);
+    }
+    Ok(reports)
 }
 
 /// Run a whole scenario matrix: each scenario is one parsweep job (its
@@ -882,7 +871,7 @@ mod tests {
     use crate::trace::seeded_two_tenant;
     use desim::Dur;
 
-    /// The spec equivalent of `repro cluster`'s pinned study.
+    /// The spec of the pinned `cluster_fifo` study.
     fn fifo_scenario() -> Scenario {
         Scenario::new(
             "cluster_fifo",
@@ -979,22 +968,6 @@ mod tests {
         // The pinned plan sits inside the horizon and passes.
         sc.faults = FaultSpec::Inline(paper_fault_plan());
         assert!(sc.validate().is_ok());
-    }
-
-    #[test]
-    fn one_policy_full_scenario_matches_the_legacy_replay_bytes() {
-        let sc = fifo_scenario();
-        let mut cache = ProbeCache::new(sc.config.probe_iters);
-        let rep = run_scenario(&sc, 2, &mut cache).unwrap();
-        let legacy = ClusterSim::new(
-            seeded_two_tenant(20, 0xC10D),
-            crate::policy::policy_by_name("fifo-first-fit").unwrap(),
-            SchedulerConfig::default(),
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-        assert_eq!(rep.canonical_json_string(), legacy.to_json_string());
     }
 
     #[test]

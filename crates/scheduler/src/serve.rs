@@ -197,6 +197,13 @@ impl MixedTrace {
     }
 }
 
+/// A training-only workload: the trace's jobs and no services.
+impl From<Trace> for MixedTrace {
+    fn from(t: Trace) -> MixedTrace {
+        MixedTrace { name: t.name, jobs: t.jobs, services: Vec::new() }
+    }
+}
+
 impl ToJson for MixedTrace {
     fn to_json(&self) -> Value {
         Value::obj(vec![
@@ -671,21 +678,9 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// The training-only state: no services, no events, no accrual — a
-    /// replay through it is byte-identical to the pre-serving loop.
-    pub fn empty() -> ServeState {
-        ServeState::new(Vec::new())
-    }
-
-    /// Training-only state sized to a rack with `n_drawers` drawers.
-    pub fn empty_for(n_drawers: usize) -> ServeState {
-        ServeState::new_for(Vec::new(), n_drawers)
-    }
-
-    pub fn new(specs: Vec<ServiceSpec>) -> ServeState {
-        ServeState::new_for(specs, 2)
-    }
-
+    /// Serving state for `specs` on a rack with `n_drawers` drawers. With
+    /// no services it is the training-only state: no events, no accrual,
+    /// so a replay through it is byte-identical to the pre-serving loop.
     pub fn new_for(specs: Vec<ServiceSpec>, n_drawers: usize) -> ServeState {
         let svcs: Vec<SvcState> = specs.into_iter().map(SvcState::new).collect();
         ServeState {

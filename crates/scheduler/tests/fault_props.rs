@@ -117,7 +117,8 @@ property! {
         let n = trace.jobs.len();
         let n_events = plan.events.len();
         let probes = shared_cache().lock().unwrap().split();
-        let sim = ClusterSim::with_probe_cache(
+        let sim = ClusterSim::with_probe_cache_on(
+            RackTopology::SINGLE,
             trace,
             all_policies().remove(usize::from(pol)),
             SchedulerConfig::default(),

@@ -8,16 +8,13 @@
 //!   between full audits) yields byte-identical reports at cadence 1
 //!   (the exhaustive legacy behavior) and cadence 7, and the ledger
 //!   itself survives every full audit's cross-check en route;
-//! * `incremental_reprice` — fault-scoped repricing (only jobs touching
-//!   the degraded chassis / rack tier) matches a full recompute of every
-//!   running job, byte-for-byte;
 //! * `shard_serving` — the epoch-sharded serving engine is worker-count
 //!   independent: `--jobs 1` and `--jobs 4` produce identical bytes.
 //!
 //! Scenarios are PAI-mix based (training jobs + autoscaling services)
 //! with seeded fault plans, so all five ledger book/unbook sites —
-//! start, finish, evacuation, re-placement, elastic shrink — and both
-//! fault reprice scopes are exercised.
+//! start, finish, evacuation, re-placement, elastic shrink — are
+//! exercised.
 
 use desim::Dur;
 use scheduler::{run_scenario, FaultSpec, ProbeCache, Scenario, Topology, TraceSpec};
@@ -76,23 +73,6 @@ property! {
         let mut amortized = every.clone();
         amortized.config.audit_every = 7;
         prop_assert_eq!(bytes(&every, 1), bytes(&amortized, 1), "audit cadence changed the report");
-    }
-
-    /// Fault-scoped repricing matches a full recompute of every running
-    /// job: prices are pure in (shape, drawer healths, rack health), so
-    /// skipping unaffected jobs must not move a byte.
-    #[cases(64)]
-    fn incremental_reprice_matches_full_recompute(s in shape()) {
-        let (seed, n_jobs, n_services, chassis, _) = s;
-        // Always faulty — without faults there is nothing to reprice.
-        let incremental = build(seed, n_jobs, n_services, chassis, true);
-        let mut full = incremental.clone();
-        full.config.incremental_reprice = false;
-        prop_assert_eq!(
-            bytes(&incremental, 1),
-            bytes(&full, 1),
-            "fault-scoped repricing diverged from the global recompute"
-        );
     }
 
     /// The epoch-sharded serving engine is chunking-independent: each

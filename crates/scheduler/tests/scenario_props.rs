@@ -8,7 +8,8 @@
 //!   service ids, out-of-range MIG slices, fault events beyond the trace
 //!   horizon, unknown/duplicate/empty policy lists, unsupported
 //!   topologies — is rejected by `validate()` with the matching *typed*
-//!   [`ScenarioError`], never a panic or a silently-accepted spec.
+//!   [`ScenarioError`], never a panic or a silently-accepted spec, and an
+//!   unknown `config` key is a parse error naming scenario and key.
 //!
 //! Scenarios are assembled from plain-integer raw material (the
 //! `fault_props.rs` idiom) so testkit shrinking stays simple, and fault
@@ -237,7 +238,7 @@ property! {
     /// beyond the horizon, policy-list abuse, unsupported topology.
     #[cases(64)]
     fn validate_rejects_each_malformation(
-        mutation in u8_in(0..8),
+        mutation in u8_in(0..9),
         seed in u64_in(0..1_000_000),
         cfg in raw_config(),
         jobs_raw in raw_jobs(),
@@ -315,6 +316,22 @@ property! {
                 prop_assert!(
                     matches!(sc.validate(), Err(ScenarioError::UnsupportedTopology(_))),
                     "out-of-envelope topology -> UnsupportedTopology, got {:?}", sc.validate()
+                );
+            }
+            7 => {
+                // A misspelled or unknown config knob is a parse error
+                // naming the scenario and the key, never a silent default.
+                let key = ["preemt", "audit_evry", "quota"][(seed % 3) as usize];
+                let text = sc.to_json_string().replacen(
+                    "\"config\": {",
+                    &format!("\"config\": {{\n    \"{key}\": true,"),
+                    1,
+                );
+                let err = Scenario::from_json_str(&text).expect_err("unknown config key rejected");
+                let msg = err.to_string();
+                prop_assert!(
+                    msg.contains(&sc.name) && msg.contains(key) && msg.contains("relocate_slo"),
+                    "error names the scenario, the key, and the valid keys: {msg}"
                 );
             }
             _ => {

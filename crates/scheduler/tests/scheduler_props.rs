@@ -13,10 +13,9 @@
 
 use desim::{Dur, SimTime};
 use dlmodels::Benchmark;
-use scheduler::cluster::{ClusterSim, SchedulerConfig};
-use scheduler::policy::all_policies;
+use scheduler::cluster::SchedulerConfig;
 use scheduler::trace::{JobSpec, PoissonMix, TenantId, Trace};
-use scheduler::Shape;
+use scheduler::{run_scenario, ProbeCache, Scenario, ScheduleReport, Shape, TraceSpec, POLICY_NAMES};
 use testkit::{prop_assert, prop_assert_eq, property, tuple2, tuple5, u32_in, u64_in, u8_in, vec_of, Gen};
 
 /// Raw material for one random job: (tenant, benchmark, demand-index,
@@ -49,6 +48,16 @@ fn build_trace(raw: &[(u8, u8, u8, u32, u8)]) -> Trace {
     Trace { name: "prop".into(), jobs }.sorted()
 }
 
+/// Replay `trace` under the `pol`-th training policy as a one-policy
+/// scenario.
+fn replay(trace: Trace, pol: u8, cfg: SchedulerConfig) -> ScheduleReport {
+    let jobs = TraceSpec::Jobs { name: trace.name, jobs: trace.jobs };
+    let mut sc = Scenario::new("prop", jobs, vec![POLICY_NAMES[usize::from(pol)].to_string()]);
+    sc.config = cfg;
+    let mut cache = ProbeCache::new(sc.config.probe_iters);
+    run_scenario(&sc, 1, &mut cache).expect("replay drains").reports.remove(0)
+}
+
 property! {
     /// Every admitted job completes under every policy, with a coherent
     /// lifecycle (arrival <= start < finish) and conserved identity.
@@ -57,11 +66,7 @@ property! {
         let (raw, pol) = input;
         let trace = build_trace(&raw);
         let n = trace.jobs.len();
-        let policy = all_policies().remove(usize::from(pol));
-        let report = ClusterSim::new(trace, policy, SchedulerConfig::default())
-            .expect("valid trace")
-            .run()
-            .expect("replay drains");
+        let report = replay(trace, pol, SchedulerConfig::default());
         prop_assert_eq!(report.jobs.len(), n);
         let mut seen: Vec<u64> = report.jobs.iter().map(|o| o.id).collect();
         seen.sort_unstable();
@@ -83,10 +88,7 @@ property! {
     fn gpu_seconds_are_conserved(raw in raw_jobs()) {
         let trace = build_trace(&raw);
         let cfg = SchedulerConfig::default();
-        let report = ClusterSim::new(trace, all_policies().remove(0), cfg.clone())
-            .expect("valid trace")
-            .run()
-            .expect("replay drains");
+        let report = replay(trace, 0, cfg.clone());
         let span = report.makespan.as_secs_f64();
         let busy = report.gpu_util * report.pool_gpus as f64 * span;
         let by_tenant: f64 = report.tenant_gpu_secs.iter().sum();
@@ -124,17 +126,7 @@ property! {
     #[cases(4)]
     fn replay_is_byte_deterministic(input in tuple2(raw_jobs(), u8_in(0..4))) {
         let (raw, pol) = input;
-        let run = || {
-            ClusterSim::new(
-                build_trace(&raw),
-                all_policies().remove(usize::from(pol)),
-                SchedulerConfig::default(),
-            )
-            .expect("valid trace")
-            .run()
-            .expect("replay drains")
-            .to_json_string()
-        };
+        let run = || replay(build_trace(&raw), pol, SchedulerConfig::default()).to_json_string();
         prop_assert_eq!(run(), run());
     }
 }

@@ -11,12 +11,11 @@
 
 use desim::{Dur, SimTime};
 use dlmodels::{Benchmark, InferenceProfile};
-use scheduler::cluster::{ClusterSim, SchedulerConfig};
-use scheduler::policy::serving_policies;
 use scheduler::serve::{
     batch_latency, request_times, seeded_pai_mix, ArrivalKind, MixedTrace, ServiceSpec,
 };
 use scheduler::trace::TenantId;
+use scheduler::{run_scenario, ProbeCache, Scenario, TraceSpec, POLICY_NAMES};
 use testkit::{prop_assert, prop_assert_eq, property, tuple2, tuple4, u32_in, u64_in, u8_in};
 
 /// Build one arbitrary (but always admissible) service from raw integers.
@@ -107,16 +106,14 @@ property! {
         input in tuple2(u64_in(0..100_000), u8_in(0..5))
     ) {
         let (seed, pol) = input;
-        let mix = seeded_pai_mix(4, 3, seed);
+        let sc = Scenario::new(
+            "serve-prop",
+            TraceSpec::PaiMix { n_jobs: 4, n_services: 3, seed },
+            vec![POLICY_NAMES[usize::from(pol)].to_string()],
+        );
         let run = || {
-            ClusterSim::new_mixed(
-                mix.clone(),
-                serving_policies().remove(usize::from(pol)),
-                SchedulerConfig::default(),
-            )
-            .expect("valid mixed trace")
-            .run()
-            .expect("mixed replay drains")
+            let mut cache = ProbeCache::new(sc.config.probe_iters);
+            run_scenario(&sc, 1, &mut cache).expect("mixed replay drains").reports.remove(0)
         };
         let report = run();
         let serve = report.serve.as_ref().expect("serve block present");

@@ -1,16 +1,16 @@
 //! Cluster scheduling on the composable test bed: two tenants share the
 //! 16 pooled V100s of one Falcon 4016 (2 drawers x 8 slots, advanced
 //! mode), and a trace of training jobs is replayed under four placement
-//! policies. Every placement is an MCS-audited grant/attach; completions
-//! detach; big elastic jobs shrink 8→4 GPUs under pressure.
+//! policies as one in-code scenario. Every placement is an MCS-audited
+//! grant/attach; completions detach; big elastic jobs shrink 8→4 GPUs
+//! under pressure.
 //!
 //! ```text
 //! cargo run --release --example cluster_schedule
 //! ```
 
 use scheduler::{
-    all_policies, compare_policies, comparison_table, policy_by_name, trace, ClusterSim,
-    SchedulerConfig, Trace,
+    comparison_table, run_scenario, trace, ProbeCache, Scenario, Trace, TraceSpec, POLICY_NAMES,
 };
 
 fn main() {
@@ -38,16 +38,17 @@ fn main() {
     let back = Trace::from_json_str(&t.to_json_string()).unwrap();
     assert_eq!(back, t);
 
+    // The scenario: the trace inline, every training policy, the default
+    // bed and scheduler knobs. One replay per policy, in policy order.
+    let jobs = TraceSpec::Jobs { name: t.name.clone(), jobs: t.jobs.clone() };
+    let policies = POLICY_NAMES[..4].iter().map(|p| p.to_string()).collect();
+    let sc = Scenario::new("cluster_schedule", jobs, policies);
+    let mut cache = ProbeCache::new(sc.config.probe_iters);
+    let reports = run_scenario(&sc, parsweep::default_jobs(), &mut cache).unwrap().reports;
+
     // One policy in detail: per-job lifecycle under frag-aware placement
     // (keeps every job inside a single drawer — zero cross-drawer splits).
-    let report = ClusterSim::new(
-        t.clone(),
-        policy_by_name("frag-aware").unwrap(),
-        SchedulerConfig::default(),
-    )
-    .unwrap()
-    .run()
-    .unwrap();
+    let report = reports.iter().find(|r| r.policy == "frag-aware").unwrap();
     println!("\nfrag-aware replay, per-job outcomes:");
     for o in &report.jobs {
         println!(
@@ -73,6 +74,5 @@ fn main() {
 
     // All four policies on the same trace: the comparison the paper's
     // composability story motivates — topology-respecting placement wins.
-    let reports = compare_policies(&t, all_policies(), &SchedulerConfig::default()).unwrap();
     println!("\n{}", comparison_table(&reports));
 }

@@ -23,6 +23,13 @@ fi
 echo "== tier-1: release build =="
 cargo build --release --offline
 
+# perfbench is a standalone package (its own workspace) compiled against
+# the scheduler's public API; building it here makes an API change that
+# breaks the benchmark fail CI instead of the next perf run. Its tests are
+# not run here (see perfbench/README.md).
+echo "== benchmark harness builds against the current API =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1: tests =="
 cargo test -q --offline
 
@@ -36,12 +43,12 @@ echo "== benches compile (smoke run, 1 iteration; refreshes BENCH_*.json) =="
 # --jobs 1 vs --jobs 4 byte identity even at smoke iteration counts.
 TESTKIT_BENCH_ITERS=1 TESTKIT_BENCH_WARMUP=0 cargo bench --offline -p bench
 
-# The per-feature smokes (repro cluster/faults/serve) and per-golden
-# guard invocations are subsumed by the scenario harness: one matrix
-# pass runs every checked-in scenario — training, faults, serving, and
-# the multi-chassis scale-out specs (cluster_scale32/64/128, up to 8
-# chassis / 128 GPUs) — and one test binary guards every pinned golden
-# (including cluster_scale32) through testkit::check_scenario_golden.
+# One matrix pass runs every checked-in scenario — training, faults,
+# serving, and the multi-chassis scale-out specs (cluster_scale32/64/128,
+# up to 8 chassis / 128 GPUs). `repro cluster|faults|serve` are aliases
+# for this same path over the *_policies.json files it already covers,
+# and one test binary guards every pinned golden through
+# testkit::check_scenario_golden.
 echo "== scenario-matrix smoke (every scenarios/*.json, 2 parallel workers) =="
 cargo run --release --offline -p bench --bin repro -- scenario-matrix scenarios --jobs 2
 

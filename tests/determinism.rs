@@ -4,9 +4,9 @@
 
 use composable_core::runner::{run, ExperimentOpts};
 use composable_core::HostConfig;
-use desim::SimRng;
+use desim::{Dur, SimRng};
 use dlmodels::Benchmark;
-use scheduler::{all_policies, compare_policies, trace, SchedulerConfig};
+use scheduler::{run_scenario, ProbeCache, Scenario, TraceSpec, POLICY_NAMES};
 
 /// The same (benchmark, config, opts, seed) twice produces byte-identical
 /// RunReport JSON — every field, including the utilization traces.
@@ -43,24 +43,29 @@ fn different_seeds_differ() {
 /// and the metrics rollup are all pure functions of their inputs.
 #[test]
 fn cluster_replay_is_byte_identical_under_equal_seeds() {
-    let mk = || {
-        let t = trace::seeded_two_tenant(12, 0xBEEF);
-        compare_policies(&t, all_policies(), &SchedulerConfig::default())
+    let mk = |seed: u64| {
+        // One trace name for every seed, so only the schedule can differ.
+        let trace = TraceSpec::Poisson {
+            seed,
+            n_jobs: 12,
+            tenants: 2,
+            mean_interarrival: Dur::from_millis(1500),
+            name: Some("determinism".into()),
+        };
+        let policies = POLICY_NAMES[..4].iter().map(|p| p.to_string()).collect();
+        let sc = Scenario::new("determinism", trace, policies);
+        let mut cache = ProbeCache::new(sc.config.probe_iters);
+        run_scenario(&sc, 2, &mut cache)
             .unwrap()
-            .into_iter()
+            .reports
+            .iter()
             .map(|r| r.to_json_string())
             .collect::<Vec<_>>()
     };
-    assert_eq!(mk(), mk(), "cluster replay must be byte-identical");
+    assert_eq!(mk(0xBEEF), mk(0xBEEF), "cluster replay must be byte-identical");
 
     // And a different seed genuinely changes the schedule.
-    let other = compare_policies(
-        &trace::seeded_two_tenant(12, 0xBEE5),
-        all_policies(),
-        &SchedulerConfig::default(),
-    )
-    .unwrap();
-    assert_ne!(other[0].to_json_string(), mk()[0]);
+    assert_ne!(mk(0xBEE5)[0], mk(0xBEEF)[0]);
 }
 
 /// Forked RNG streams are independent of sibling draw order: how much one

@@ -1,166 +1,111 @@
 //! Parallel execution must never change a byte of output: every sweep in
-//! the workspace (cluster policy replays, recommendation ranking, probe
+//! the workspace (scenario policy replays, recommendation ranking, probe
 //! warming) produces identical results at `--jobs 1` and `--jobs 4`, and
 //! across repeated parallel runs. This is the contract `parsweep` exists
 //! to uphold (DESIGN §9) and what lets the golden tables stay valid while
 //! the harness fans out.
 
 use composable_core::{recommend_jobs, ExperimentOpts, HostConfig, Objective};
+use desim::Dur;
 use dlmodels::Benchmark;
 use scheduler::{
-    all_policies, compare_policies_cached, compare_policies_cached_on, compare_policies_faulty,
-    compare_policies_mixed, paper_fault_plan, run_matrix, run_scenario, seeded_pai_mix,
-    serving_policies, trace, warm_set_for_trace, ProbeCache, RackTopology, Scenario,
-    SchedulerConfig,
+    run_matrix, run_scenario, trace, warm_set_for_trace, ProbeCache, Scenario, ScenarioReport,
+    SchedulerConfig, Topology, TraceSpec, POLICY_NAMES,
 };
 
-fn replay_snapshot(jobs: usize) -> (Vec<String>, String) {
-    let t = trace::seeded_two_tenant(12, 0xBEEF);
-    let cfg = SchedulerConfig::default();
-    let mut cache = ProbeCache::new(cfg.probe_iters);
-    let reports = compare_policies_cached(&t, all_policies(), &cfg, jobs, &mut cache)
-        .expect("trace drains under every policy");
-    let reports: Vec<String> = reports.iter().map(|r| r.to_json_string()).collect();
-    (reports, cache.save_json())
+fn load(file: &str) -> Scenario {
+    let path = format!("{}/scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
+    Scenario::from_json_str(&std::fs::read_to_string(path).unwrap()).unwrap()
 }
 
-/// Cluster `ScheduleReport`s *and* the resulting probe-cache contents are
-/// byte-identical for 1 vs 4 workers, and across two 4-worker runs
-/// (replays race freely; merge order may not depend on the race).
-#[test]
-fn cluster_replay_identical_across_worker_counts() {
-    let serial = replay_snapshot(1);
-    let parallel = replay_snapshot(4);
-    let parallel_again = replay_snapshot(4);
-    assert_eq!(serial.0, parallel.0, "reports must not depend on worker count");
-    assert_eq!(serial.1, parallel.1, "probe cache must not depend on worker count");
-    assert_eq!(parallel, parallel_again, "parallel runs must not race");
-}
-
-fn scale_snapshot(jobs: usize) -> (Vec<String>, String) {
-    let topo = RackTopology::with_chassis(2); // 32 pooled GPUs across the rack fabric
-    let t = trace::seeded_two_tenant(24, 0xBEEF);
-    let cfg = SchedulerConfig { quota_gpus_per_tenant: 20, ..SchedulerConfig::default() };
-    let mut cache = ProbeCache::new_for(cfg.probe_iters, topo);
-    let reports = compare_policies_cached_on(topo, &t, all_policies(), &cfg, jobs, &mut cache)
-        .expect("trace drains under every policy on the 2-chassis rack");
-    let reports: Vec<String> = reports.iter().map(|r| r.to_json_string()).collect();
-    (reports, cache.save_json())
-}
-
-/// The multi-chassis rack keeps the contract: a 32-GPU (2-chassis) study
-/// replayed at `--jobs 1` and `--jobs 4` (and across repeated parallel
-/// runs) yields byte-identical reports — cross-chassis placement pricing
-/// included — and byte-identical probe caches.
-#[test]
-fn rack_scale_replay_identical_across_worker_counts() {
-    let serial = scale_snapshot(1);
-    let parallel = scale_snapshot(4);
-    let parallel_again = scale_snapshot(4);
-    assert_eq!(serial.0, parallel.0, "scale reports must not depend on worker count");
-    assert_eq!(serial.1, parallel.1, "probe cache must not depend on worker count");
-    assert_eq!(parallel, parallel_again, "parallel scale runs must not race");
-    for r in &serial.0 {
-        assert!(r.contains("\"pool_gpus\": 32"), "the rack pools 32 GPUs: {r}");
-    }
-}
-
-fn priority_snapshot(jobs: usize) -> (Vec<String>, String) {
-    let topo = RackTopology::with_chassis(2);
-    let t = trace::seeded_two_tenant(24, 0xBEEF);
-    let cfg = SchedulerConfig {
-        preempt: true,
-        defrag: true,
-        quota_gpus_per_tenant: 20,
-        ..SchedulerConfig::default()
+/// The seeded two-tenant Poisson trace under the four training policies
+/// on `chassis` chassis.
+fn training(chassis: u8, n_jobs: usize, seed: u64, config: SchedulerConfig) -> Scenario {
+    let trace = TraceSpec::Poisson {
+        seed,
+        n_jobs,
+        tenants: 2,
+        mean_interarrival: Dur::from_millis(1500),
+        name: None,
     };
-    let mut cache = ProbeCache::new_for(cfg.probe_iters, topo);
-    let reports = compare_policies_cached_on(topo, &t, all_policies(), &cfg, jobs, &mut cache)
-        .expect("tiered trace drains under every policy with preemption on");
-    let reports: Vec<String> = reports.iter().map(|r| r.to_json_string()).collect();
-    (reports, cache.save_json())
+    let policies = POLICY_NAMES[..4].iter().map(|p| p.to_string()).collect();
+    let mut sc = Scenario::new(format!("training-{chassis}x{n_jobs}"), trace, policies);
+    sc.topology = Topology::with_chassis(chassis);
+    sc.config = config;
+    sc
 }
 
-/// Checkpoint preemption and migration defrag keep the contract: the same
-/// contended 2-chassis study as `scale_snapshot` with the priority knobs
-/// on — so victims are chosen, rolled back, and resumed mid-replay —
-/// yields byte-identical reports (migration ledger included) and probe
-/// caches at `--jobs 1` and `--jobs 4`, and across repeated parallel runs.
-#[test]
-fn priority_replay_identical_across_worker_counts() {
-    let serial = priority_snapshot(1);
-    let parallel = priority_snapshot(4);
-    let parallel_again = priority_snapshot(4);
-    assert_eq!(serial.0, parallel.0, "priority reports must not depend on worker count");
-    assert_eq!(serial.1, parallel.1, "probe cache must not depend on worker count");
-    assert_eq!(parallel, parallel_again, "parallel priority runs must not race");
-    for r in &serial.0 {
-        assert!(r.contains("\"preemptions\""), "every priority report carries the ledger: {r}");
-        assert!(r.contains("\"work_lost_gpu_secs\""));
+/// One `run_scenario` pass at `jobs` workers on a fresh cache: canonical
+/// report bytes, probe-cache bytes, and the reports themselves.
+fn snapshot(sc: &Scenario, jobs: usize) -> (String, String, ScenarioReport) {
+    let mut cache = ProbeCache::new_for(sc.config.probe_iters, sc.topology.rack());
+    let report = run_scenario(sc, jobs, &mut cache).unwrap_or_else(|e| panic!("{}: {e}", sc.name));
+    (report.canonical_json_string(), cache.save_json(), report)
+}
+
+/// The table-driven leg: a multi-policy scenario replayed at `--jobs 1`,
+/// `4`, and `4` again yields byte-identical reports and probe caches
+/// (replays race freely; merge order may not depend on the race). Every
+/// report also carries what its scenario promises: a rack-sized pool, a
+/// migration ledger when preemption or defrag is on, a `recovery` block
+/// with real evacuations and recovery time under faults, and request
+/// conservation under serving.
+fn assert_identical_across_worker_counts(sc: Scenario) {
+    let serial = snapshot(&sc, 1);
+    let parallel = snapshot(&sc, 4);
+    let parallel_again = snapshot(&sc, 4);
+    assert_eq!(serial.0, parallel.0, "{}: reports must not depend on worker count", sc.name);
+    assert_eq!(serial.1, parallel.1, "{}: probe cache must not depend on worker count", sc.name);
+    assert_eq!(parallel, parallel_again, "{}: parallel runs must not race", sc.name);
+
+    let (mixed, plan) = sc.materialize();
+    for r in &serial.2.reports {
+        assert_eq!(r.pool_gpus as usize, sc.topology.rack().total_gpus(), "{}", r.policy);
+        assert_eq!(r.migration.is_some(), sc.config.preempt || sc.config.defrag, "{}", r.policy);
+        if !plan.is_empty() {
+            let rec = r.recovery.as_ref().expect("faulty replay reports recovery");
+            assert!(rec.evacuations > 0, "{}: no evacuations recorded", r.policy);
+            assert!(!rec.mean_recovery.is_zero(), "{}: zero mean recovery time", r.policy);
+        }
+        if !mixed.services.is_empty() {
+            let s = r.serve.as_ref().expect("mixed replay reports serving");
+            assert!(s.generated > 0, "{}: services saw no traffic", r.policy);
+            assert_eq!(s.generated, s.completed + s.dropped, "{}: leaked requests", r.policy);
+        }
     }
 }
 
-fn faulty_snapshot(jobs: usize) -> (Vec<String>, String) {
-    let t = trace::seeded_two_tenant(12, 0xBEEF);
-    let plan = paper_fault_plan();
-    let cfg = SchedulerConfig::default();
-    let mut cache = ProbeCache::new(cfg.probe_iters);
-    let pairs = compare_policies_faulty(&t, all_policies(), &plan, &cfg, jobs, &mut cache)
-        .expect("faulty trace drains under every policy");
-    let reports: Vec<String> = pairs
-        .iter()
-        .flat_map(|(base, faulty)| [base.to_json_string(), faulty.to_json_string()])
-        .collect();
-    (reports, cache.save_json())
+/// One named test per table row, so a failure names its case and rows
+/// run in parallel.
+macro_rules! worker_count_table {
+    ($($name:ident => $scenario:expr;)+) => {$(
+        #[test]
+        fn $name() {
+            assert_identical_across_worker_counts($scenario);
+        }
+    )+};
 }
 
-/// Failure injection keeps the contract: a seeded fault plan replayed at
-/// `--jobs 1` and `--jobs 4` (and across repeated parallel runs) yields
-/// byte-identical baseline and faulty reports — recovery-metrics block
-/// included — and byte-identical probe caches.
-#[test]
-fn faulty_replay_identical_across_worker_counts() {
-    let serial = faulty_snapshot(1);
-    let parallel = faulty_snapshot(4);
-    let parallel_again = faulty_snapshot(4);
-    assert_eq!(serial.0, parallel.0, "faulty reports must not depend on worker count");
-    assert_eq!(serial.1, parallel.1, "probe cache must not depend on worker count");
-    assert_eq!(parallel, parallel_again, "parallel faulty runs must not race");
-    // The determinism we just certified covers the recovery block: every
-    // faulty report carries one, no baseline report does.
-    for pair in serial.0.chunks(2) {
-        assert!(!pair[0].contains("\"recovery\""), "baseline stays fault-free");
-        assert!(pair[1].contains("\"recovery\""), "faulty replay reports recovery");
-        assert!(pair[1].contains("\"mean_recovery_ns\""));
-    }
-}
-
-fn mixed_snapshot(jobs: usize) -> (Vec<String>, String) {
-    let mix = seeded_pai_mix(6, 4, 0xBEEF);
-    let cfg = SchedulerConfig::default();
-    let mut cache = ProbeCache::new(cfg.probe_iters);
-    let reports = compare_policies_mixed(&mix, serving_policies(), &cfg, jobs, &mut cache)
-        .expect("mixed trace drains under every policy");
-    let reports: Vec<String> = reports.iter().map(|r| r.to_json_string()).collect();
-    (reports, cache.save_json())
-}
-
-/// Inference serving keeps the contract: a mixed training + serving trace
-/// replayed at `--jobs 1` and `--jobs 4` (and across repeated parallel
-/// runs) yields byte-identical reports — per-service SLO metrics
-/// included — and byte-identical probe caches.
-#[test]
-fn mixed_serving_replay_identical_across_worker_counts() {
-    let serial = mixed_snapshot(1);
-    let parallel = mixed_snapshot(4);
-    let parallel_again = mixed_snapshot(4);
-    assert_eq!(serial.0, parallel.0, "mixed reports must not depend on worker count");
-    assert_eq!(serial.1, parallel.1, "probe cache must not depend on worker count");
-    assert_eq!(parallel, parallel_again, "parallel mixed runs must not race");
-    for r in &serial.0 {
-        assert!(r.contains("\"serve\""), "every mixed report carries a serve block");
-        assert!(r.contains("\"attainment\""));
-    }
+worker_count_table! {
+    cluster_replay_identical_across_worker_counts =>
+        training(1, 12, 0xBEEF, SchedulerConfig::default());
+    // 32 pooled GPUs: cross-chassis placement pricing included.
+    rack_scale_replay_identical_across_worker_counts =>
+        training(2, 24, 0xBEEF, SchedulerConfig { quota_gpus_per_tenant: 20, ..Default::default() });
+    // Victims chosen, rolled back, and resumed mid-replay.
+    priority_replay_identical_across_worker_counts => training(
+        2,
+        24,
+        0xBEEF,
+        SchedulerConfig { preempt: true, defrag: true, quota_gpus_per_tenant: 20, ..Default::default() },
+    );
+    // The pinned 3-event fault plan under the four training policies.
+    faulty_replay_identical_across_worker_counts => load("faults_policies.json");
+    mixed_serving_replay_identical_across_worker_counts => Scenario::new(
+        "mixed-serving",
+        TraceSpec::PaiMix { n_jobs: 6, n_services: 4, seed: 0xBEEF },
+        POLICY_NAMES.iter().map(|p| p.to_string()).collect(),
+    );
 }
 
 fn scenario_matrix_snapshot(jobs: usize) -> (Vec<String>, String) {
@@ -206,8 +151,7 @@ fn scenario_matrix_identical_across_worker_counts() {
 /// suite where every CI run sees it.
 #[test]
 fn pai_magnitude_replay_identical_across_worker_counts() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/pai_magnitude.json");
-    let sc = Scenario::from_json_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let sc = load("pai_magnitude.json");
     let mut cache = ProbeCache::new(sc.config.probe_iters);
     let serial = run_scenario(&sc, 1, &mut cache).unwrap().canonical_json_string();
     let parallel = run_scenario(&sc, 4, &mut cache).unwrap().canonical_json_string();
@@ -270,24 +214,21 @@ fn recommend_identical_across_worker_counts() {
 /// simulations and byte-identical reports.
 #[test]
 fn persisted_probe_cache_eliminates_second_run_probes() {
-    let t = trace::seeded_two_tenant(10, 0x5EED5);
-    let cfg = SchedulerConfig::default();
+    let sc = training(1, 10, 0x5EED5, SchedulerConfig::default());
 
-    let mut first = ProbeCache::new(cfg.probe_iters);
-    let reports_a = compare_policies_cached(&t, all_policies(), &cfg, 2, &mut first).unwrap();
+    let mut first = ProbeCache::new(sc.config.probe_iters);
+    let a = run_scenario(&sc, 2, &mut first).unwrap().canonical_json_string();
     assert!(first.probes_run() > 0, "the first run must actually probe");
     let persisted = first.save_json();
 
-    let mut second = ProbeCache::load_str(&persisted, cfg.probe_iters);
+    let mut second = ProbeCache::load_str(&persisted, sc.config.probe_iters);
     assert_eq!(second.len(), first.len(), "every entry must round-trip");
-    let reports_b = compare_policies_cached(&t, all_policies(), &cfg, 2, &mut second).unwrap();
+    let b = run_scenario(&sc, 2, &mut second).unwrap().canonical_json_string();
     assert_eq!(
         second.probes_run(),
         0,
         "a warm persisted cache must make the second run probe-free"
     );
-    let a: Vec<String> = reports_a.iter().map(|r| r.to_json_string()).collect();
-    let b: Vec<String> = reports_b.iter().map(|r| r.to_json_string()).collect();
     assert_eq!(a, b, "cached pricing must not change a byte of the reports");
     assert_eq!(second.save_json(), persisted, "save/load/save is a fixpoint");
 }
