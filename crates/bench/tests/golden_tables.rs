@@ -57,14 +57,31 @@ fn golden_table4() {
     check_golden(golden("table4.json"), &Value::Arr(rows).emit_pretty());
 }
 
-/// One full (scaled) MobileNetV2 run on localGPUs under a pinned seed:
-/// freezes the entire report surface — iteration timing, utilizations,
-/// traffic — against accidental model drift.
+/// Full (scaled) training runs under a pinned seed: each freezes the
+/// entire report surface — iteration timing, utilizations, traffic —
+/// against accidental model drift. MobileNetV2 on localGPUs pins the
+/// engine with no Falcon traffic; BERT-large on hybridGPUs puts ring
+/// edges across root complexes, so it also pins the fabric allocator
+/// under contention and the Falcon port trace.
 #[test]
-fn golden_quick_run_mobilenet() {
-    let mut opts = ExperimentOpts::scaled(4).without_checkpoints();
-    opts.seed = 7;
-    let r = run(Benchmark::MobileNetV2, HostConfig::LocalGpus, &opts).unwrap();
-    let pretty = Value::parse(&r.to_json_string()).unwrap().emit_pretty();
-    check_golden(golden("quick_run_mobilenet.json"), &pretty);
+fn golden_quick_runs() {
+    let runs = [
+        (
+            Benchmark::MobileNetV2,
+            HostConfig::LocalGpus,
+            "quick_run_mobilenet.json",
+        ),
+        (
+            Benchmark::BertLarge,
+            HostConfig::HybridGpus,
+            "quick_run_bert_large_hybrid.json",
+        ),
+    ];
+    for (bench, config, file) in runs {
+        let mut opts = ExperimentOpts::scaled(4).without_checkpoints();
+        opts.seed = 7;
+        let r = run(bench, config, &opts).unwrap();
+        let pretty = Value::parse(&r.to_json_string()).unwrap().emit_pretty();
+        check_golden(golden(file), &pretty);
+    }
 }

@@ -231,17 +231,9 @@ impl RateSeries {
     /// Bytes attributed to `[from, to)`.
     pub fn bytes_within(&self, from: SimTime, to: SimTime) -> f64 {
         let mut acc = 0.0;
-        for &(s, e, b) in &self.segments {
-            if s == e {
-                if s >= from && s < to {
-                    acc += b;
-                }
-                continue;
-            }
-            let lo = s.max(from);
-            let hi = e.min(to);
-            if hi > lo {
-                acc += b * (hi.since(lo).as_secs_f64() / e.since(s).as_secs_f64());
+        for &seg in &self.segments {
+            if let Some(share) = segment_share(seg, from, to) {
+                acc += share;
             }
         }
         acc
@@ -258,17 +250,55 @@ impl RateSeries {
     }
 
     /// Per-bucket rates (bytes/s) over `[from, to)` — the Fig 12 series.
+    ///
+    /// One pass over the segments: each finds the first bucket it overlaps
+    /// by binary search and adds its share to every bucket it covers. A
+    /// bucket so sums the same shares, in the same (recording) order, as
+    /// [`RateSeries::bytes_within`] over it, and entry `k` equals
+    /// [`RateSeries::mean_rate`] over bucket `k` bit for bit.
     pub fn trace(&self, from: SimTime, to: SimTime, bucket: Dur) -> Vec<f64> {
         assert!(!bucket.is_zero());
-        let mut out = Vec::new();
+        // Bucket k covers [edges[k], edges[k + 1]).
+        let mut edges = vec![from];
         let mut cursor = from;
         while cursor < to {
-            let end = (cursor + bucket).min(to);
-            out.push(self.mean_rate(cursor, end));
-            cursor = end;
+            cursor = (cursor + bucket).min(to);
+            edges.push(cursor);
         }
-        out
+        let mut bytes = vec![0.0; edges.len() - 1];
+        for &seg in &self.segments {
+            let (s, e, _) = seg;
+            let first = edges[1..].partition_point(|&end| end <= s);
+            for k in first..bytes.len() {
+                // Past the segment (a zero-length one sits in one bucket).
+                if edges[k] >= e && edges[k] > s {
+                    break;
+                }
+                if let Some(share) = segment_share(seg, edges[k], edges[k + 1]) {
+                    bytes[k] += share;
+                }
+            }
+        }
+        // Buckets are never empty (`cursor < to`, `bucket > 0`), so this is
+        // `mean_rate`'s division without its zero-span guard.
+        bytes
+            .iter()
+            .zip(edges.windows(2))
+            .map(|(&b, w)| b / w[1].since(w[0]).as_secs_f64())
+            .collect()
     }
+}
+
+/// Bytes of segment `(start, end, bytes)` attributed to `[from, to)`:
+/// its uniform share of the overlap, or all of it for a zero-length
+/// segment at an instant inside the window. `None` when they are disjoint.
+fn segment_share((s, e, b): (SimTime, SimTime, f64), from: SimTime, to: SimTime) -> Option<f64> {
+    if s == e {
+        return (s >= from && s < to).then_some(b);
+    }
+    let lo = s.max(from);
+    let hi = e.min(to);
+    (hi > lo).then(|| b * (hi.since(lo).as_secs_f64() / e.since(s).as_secs_f64()))
 }
 
 /// A simple collecting histogram with percentile queries.

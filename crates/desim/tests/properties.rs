@@ -4,12 +4,13 @@
 //! identically.
 //!
 //! Invariants covered (testkit, 128 cases for the op-interleaving block,
-//! 64 for the stats block):
+//! 64 for the stats block, 128 for the rate trace):
 //! * events fire at most once, in nondecreasing time order;
 //! * cancelled events never fire; fired ≤ scheduled;
 //! * identical op sequences replay bit-identically;
 //! * `run_until` partitions events cleanly around the horizon;
-//! * `BusyTracker` / `TimeWeightedGauge` agree with brute force.
+//! * `BusyTracker` / `TimeWeightedGauge` agree with brute force;
+//! * every `RateSeries::trace` bucket equals `mean_rate` over it, bit for bit.
 
 use desim::{Sim, SimTime};
 use testkit::{prop_assert, prop_assert_eq, property};
@@ -243,5 +244,45 @@ property! {
         let expected = integral / t as f64;
         prop_assert!((mean - expected).abs() < 1e-9 * expected.max(1.0),
             "mean {} vs {}", mean, expected);
+    }
+
+    /// The one-pass `RateSeries::trace` equals a `mean_rate` query per
+    /// bucket, bit for bit, for segments recorded in any time order,
+    /// zero-length ones, and ones partly or wholly outside the window.
+    #[cases(128)]
+    fn rate_trace_matches_mean_rate_per_bucket(
+        segments in vec_of(
+            testkit::tuple3(
+                u64_in(0..1200),
+                one_of(vec![testkit::just(0u64), u64_in(1..400)]),
+                testkit::f64_in(0.0, 1e6),
+            ),
+            0..40,
+        ),
+        window in testkit::tuple3(u64_in(0..400), u64_in(0..900), u64_in(1..200))
+    ) {
+        use desim::stats::RateSeries;
+        use desim::Dur;
+        let mut series = RateSeries::new();
+        for &(start, len, bytes) in &segments {
+            series.record(SimTime::from_nanos(start), SimTime::from_nanos(start + len), bytes);
+        }
+        let (from, span, bucket) = window;
+        let (from, to) = (SimTime::from_nanos(from), SimTime::from_nanos(from + span));
+        let trace = series.trace(from, to, Dur::from_nanos(bucket));
+        let mut cursor = from;
+        let mut k = 0;
+        while cursor < to {
+            let end = (cursor + Dur::from_nanos(bucket)).min(to);
+            let want = series.mean_rate(cursor, end);
+            prop_assert!(k < trace.len(), "trace has {} buckets, wanted more", trace.len());
+            prop_assert!(
+                trace[k].to_bits() == want.to_bits(),
+                "bucket {}: trace {} vs mean_rate {}", k, trace[k], want
+            );
+            cursor = end;
+            k += 1;
+        }
+        prop_assert_eq!(trace.len(), k);
     }
 }

@@ -85,8 +85,9 @@ pub struct FabricState<S> {
     pub ports: PortStats,
     /// When set (the default), a flow start/finish/abort re-prices only the
     /// connected component of flows sharing links with the change, found
-    /// through [`FabricState::link_flows`]. Clearing it restores the
-    /// PR-7 global recompute on every change — the bench baseline.
+    /// through [`FabricState::link_flows`]. Clearing it re-prices every
+    /// active flow on every change: the oracle the differential tests in
+    /// `tests/incremental_reprice.rs` compare the component path against.
     pub incremental: bool,
     slots: Vec<Option<FlowState<S>>>,
     generations: Vec<u32>,
@@ -94,31 +95,41 @@ pub struct FabricState<S> {
     last_settle: SimTime,
     active_count: usize,
     /// Reverse index: dense directed-link index → slots of *active* flows
-    /// crossing it. Maintained on activate/complete/abort so that
-    /// incremental repricing can walk the link-sharing graph without
-    /// scanning every flow.
-    link_flows: std::collections::HashMap<usize, Vec<u32>>,
+    /// crossing it (in no particular order). Maintained on
+    /// activate/complete/abort so that incremental repricing can walk the
+    /// link-sharing graph without scanning every flow. Grown to
+    /// `2 · topo.link_count()` on demand.
+    link_flows: Vec<Vec<u32>>,
     scratch: Scratch,
 }
 
 /// Reusable buffers for [`FabricState::recompute_and_reschedule`] — the
 /// allocator runs on every flow start/finish/abort (the inner loop of
-/// every probe and replay), so its working vectors and maps are hoisted
-/// here and cleared per call instead of reallocated. Holding stale
-/// contents between calls is fine: every field is rebuilt from scratch
-/// (after `clear`) before it is read.
+/// every probe and replay), so its working vectors are hoisted here
+/// instead of reallocated. The per-flow vectors are cleared per call and
+/// rebuilt before they are read. The dense per-link arrays (indexed by
+/// [`DirLink::dense_index`], grown to `2 · topo.link_count()`) keep
+/// their length: `live` is all zero and `link_seen` all false between
+/// calls, because each user resets the entries it touched, and
+/// `residual` is written on a link's first touch before it is read.
 #[derive(Default)]
 struct Scratch {
     active: Vec<u32>,
     ceiling: Vec<f64>,
     frozen: Vec<bool>,
     rate: Vec<f64>,
-    residual: std::collections::HashMap<usize, (f64, u32)>,
-    users: std::collections::HashMap<usize, Vec<usize>>,
-    /// Component-walk state for incremental repricing.
+    /// Residual capacity of each touched link.
+    residual: Vec<f64>,
+    /// Unfrozen flows crossing each link; 0 on untouched links.
+    live: Vec<u32>,
+    /// The links the filled flows cross, in first-touch order.
+    links: Vec<usize>,
+    /// Component-walk state for incremental repricing: visited flows by
+    /// slot, seen links, and the seen links in discovery order (the
+    /// walk's work list).
     visited: Vec<bool>,
-    link_stack: Vec<usize>,
-    link_seen: std::collections::HashSet<usize>,
+    link_seen: Vec<bool>,
+    walk: Vec<usize>,
 }
 
 impl Scratch {
@@ -127,11 +138,9 @@ impl Scratch {
         self.ceiling.clear();
         self.frozen.clear();
         self.rate.clear();
-        self.residual.clear();
-        self.users.clear();
+        self.links.clear();
         self.visited.clear();
-        self.link_stack.clear();
-        self.link_seen.clear();
+        self.walk.clear();
     }
 }
 
@@ -149,7 +158,7 @@ impl<S: FlowWorld> FabricState<S> {
             free: Vec::new(),
             last_settle: SimTime::ZERO,
             active_count: 0,
-            link_flows: std::collections::HashMap::new(),
+            link_flows: Vec::new(),
             scratch: Scratch::default(),
         }
     }
@@ -244,23 +253,18 @@ impl<S: FlowWorld> FabricState<S> {
 
     /// Register an active flow's links in the reverse index.
     fn index_add(&mut self, slot: u32, route: &Route) {
+        grow(&mut self.link_flows, 2 * self.topo.link_count());
         for dl in &route.hops {
-            self.link_flows
-                .entry(dl.dense_index())
-                .or_default()
-                .push(slot);
+            self.link_flows[dl.dense_index()].push(slot);
         }
     }
 
     /// Remove an active flow's links from the reverse index.
     fn index_remove(&mut self, slot: u32, route: &Route) {
         for dl in &route.hops {
-            let idx = dl.dense_index();
-            if let Some(users) = self.link_flows.get_mut(&idx) {
-                users.retain(|&s| s != slot);
-                if users.is_empty() {
-                    self.link_flows.remove(&idx);
-                }
+            let users = &mut self.link_flows[dl.dense_index()];
+            if let Some(pos) = users.iter().position(|&s| s == slot) {
+                users.swap_remove(pos);
             }
         }
     }
@@ -330,7 +334,7 @@ impl<S: FlowWorld> FabricState<S> {
     ///    a max-min fair allocation).
     pub fn check_invariants(&self) {
         const TOL: f64 = 1.0; // bytes/s
-        let mut load: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
+        let mut load = vec![0.0f64; 2 * self.topo.link_count()];
         let active: Vec<&FlowState<S>> = self
             .slots
             .iter()
@@ -345,12 +349,12 @@ impl<S: FlowWorld> FabricState<S> {
             );
             if st.rate.is_finite() {
                 for &dl in &st.route.hops {
-                    *load.entry(dl.dense_index()).or_insert(0.0) += st.rate;
+                    load[dl.dense_index()] += st.rate;
                 }
             }
         }
-        // Feasibility per loaded directed link.
-        for (&idx, &l) in &load {
+        // Feasibility per directed link.
+        for (idx, &l) in load.iter().enumerate() {
             let link = crate::topology::LinkId((idx / 2) as u32);
             let cap = self.topo.link(link).spec.capacity;
             assert!(
@@ -371,11 +375,11 @@ impl<S: FlowWorld> FabricState<S> {
                 .fold(f64::INFINITY, f64::min);
             let ceiling = bottleneck_cap * st.route.path_efficiency;
             let at_ceiling = st.rate >= ceiling - TOL;
-            let crosses_saturated = st.route.hops.iter().any(|dl| {
-                let cap = self.topo.capacity(*dl);
-                load.get(&dl.dense_index())
-                    .is_some_and(|&l| l >= cap - TOL)
-            });
+            let crosses_saturated = st
+                .route
+                .hops
+                .iter()
+                .any(|&dl| load[dl.dense_index()] >= self.topo.capacity(dl) - TOL);
             assert!(
                 at_ceiling || crosses_saturated,
                 "flow at {} B/s is neither at its ceiling ({ceiling}) nor bottlenecked",
@@ -450,22 +454,23 @@ impl<S: FlowWorld> FabricState<S> {
         let mut sc = std::mem::take(&mut self.scratch);
         sc.clear();
         sc.visited.resize(self.slots.len(), false);
+        grow(&mut sc.link_seen, 2 * self.topo.link_count());
 
         // Breadth-first walk of the link-sharing graph: links seed flows,
         // flows seed their other links. `sc.active` accumulates the
-        // component's member slots.
+        // component's member slots; `sc.walk` lists every link seen, so
+        // the seen flags can be reset afterwards.
         if let Some(slot) = seed_slot {
             sc.visited[slot as usize] = true;
             sc.active.push(slot);
         }
         for dl in seed_hops {
-            let idx = dl.dense_index();
-            if sc.link_seen.insert(idx) {
-                sc.link_stack.push(idx);
-            }
+            see(&mut sc.link_seen, &mut sc.walk, dl.dense_index());
         }
-        while let Some(idx) = sc.link_stack.pop() {
-            let Some(users) = self.link_flows.get(&idx) else {
+        let mut next = 0;
+        while let Some(&idx) = sc.walk.get(next) {
+            next += 1;
+            let Some(users) = self.link_flows.get(idx) else {
                 continue;
             };
             for &slot in users {
@@ -474,13 +479,13 @@ impl<S: FlowWorld> FabricState<S> {
                     sc.active.push(slot);
                     let st = self.slots[slot as usize].as_ref().expect("indexed flow is live");
                     for dl in &st.route.hops {
-                        let li = dl.dense_index();
-                        if sc.link_seen.insert(li) {
-                            sc.link_stack.push(li);
-                        }
+                        see(&mut sc.link_seen, &mut sc.walk, dl.dense_index());
                     }
                 }
             }
+        }
+        for &idx in &sc.walk {
+            sc.link_seen[idx] = false;
         }
 
         if sc.active.is_empty() {
@@ -540,24 +545,43 @@ impl<S: FlowWorld> FabricState<S> {
     /// Progressive-filling core: compute the max-min fair rate for each
     /// flow in `sc.active` (which must list a union of complete
     /// link-sharing components in ascending slot order) into `sc.rate`.
+    ///
+    /// Per-link state lives in dense arrays over the links the flows
+    /// touch; a link's unfrozen-user count drops as its flows freeze. Every
+    /// float operation, and the order of each sum, matches the filling
+    /// described in DESIGN §9, so the rates are bit-identical to a filler
+    /// that recounts each link's unfrozen users every round.
     fn fill_rates(&self, sc: &mut Scratch) {
-        let active = &sc.active;
+        let Scratch {
+            active,
+            ceiling,
+            frozen,
+            rate,
+            residual,
+            live,
+            links,
+            ..
+        } = sc;
+        let dense = 2 * self.topo.link_count();
+        grow(residual, dense);
+        grow(live, dense);
 
-        // Residual capacity per directed link (dense index), counting only
-        // links actually used.
-        let residual = &mut sc.residual;
-        // Per-flow ceiling: bottleneck capacity × path efficiency. Zero-hop
+        // Residual capacity and user count per directed link, and the
+        // per-flow ceiling: bottleneck capacity × path efficiency. Zero-hop
         // flows (src == dst) are unconstrained by links; give them an
         // effectively infinite rate so they complete immediately.
-        let ceiling = &mut sc.ceiling;
-        for &i in active {
+        for &i in active.iter() {
             let st = self.slots[i as usize].as_ref().unwrap();
             let mut bottleneck = f64::INFINITY;
             for &dl in &st.route.hops {
                 let cap = self.topo.capacity(dl);
                 bottleneck = bottleneck.min(cap);
-                let entry = residual.entry(dl.dense_index()).or_insert((cap, 0));
-                entry.1 += 1;
+                let idx = dl.dense_index();
+                if live[idx] == 0 {
+                    residual[idx] = cap;
+                    links.push(idx);
+                }
+                live[idx] += 1;
             }
             ceiling.push(if st.route.hops.is_empty() {
                 f64::INFINITY
@@ -568,28 +592,16 @@ impl<S: FlowWorld> FabricState<S> {
 
         // Progressive filling: all unfrozen flows share one rising level.
         let n = active.len();
-        let frozen = &mut sc.frozen;
         frozen.resize(n, false);
-        let rate = &mut sc.rate;
         rate.resize(n, 0.0f64);
         let mut level = 0.0f64;
         let mut unfrozen = n;
-        // Map dense link index -> list of flow positions using it.
-        let users = &mut sc.users;
-        for (pos, &i) in active.iter().enumerate() {
-            let st = self.slots[i as usize].as_ref().unwrap();
-            for &dl in &st.route.hops {
-                users.entry(dl.dense_index()).or_default().push(pos);
-            }
-        }
-
         while unfrozen > 0 {
             // Smallest headroom across links and flow ceilings.
             let mut inc = f64::INFINITY;
-            for (idx, &(res, _)) in residual.iter() {
-                let live = users[idx].iter().filter(|&&p| !frozen[p]).count() as f64;
-                if live > 0.0 {
-                    inc = inc.min(res / live);
+            for &idx in links.iter() {
+                if live[idx] > 0 {
+                    inc = inc.min(residual[idx] / f64::from(live[idx]));
                 }
             }
             for p in 0..n {
@@ -610,9 +622,8 @@ impl<S: FlowWorld> FabricState<S> {
             let inc = inc.max(0.0);
             level += inc;
             // Consume capacity.
-            for (idx, entry) in residual.iter_mut() {
-                let live = users[idx].iter().filter(|&&p| !frozen[p]).count() as f64;
-                entry.0 = (entry.0 - inc * live).max(0.0);
+            for &idx in links.iter() {
+                residual[idx] = (residual[idx] - inc * f64::from(live[idx])).max(0.0);
             }
             // Freeze flows at saturated links or at their ceiling.
             let mut changed = false;
@@ -620,18 +631,18 @@ impl<S: FlowWorld> FabricState<S> {
                 if frozen[p] {
                     continue;
                 }
-                let st = self.slots[active[p] as usize].as_ref().unwrap();
+                let hops = &self.slots[active[p] as usize].as_ref().unwrap().route.hops;
                 let at_ceiling = level + RATE_EPS >= ceiling[p];
-                let at_saturated_link = st.route.hops.iter().any(|dl| {
-                    residual
-                        .get(&dl.dense_index())
-                        .is_some_and(|&(res, _)| res <= RATE_EPS)
-                });
+                let at_saturated_link =
+                    hops.iter().any(|dl| residual[dl.dense_index()] <= RATE_EPS);
                 if at_ceiling || at_saturated_link {
                     rate[p] = level;
                     frozen[p] = true;
                     unfrozen -= 1;
                     changed = true;
+                    for dl in hops {
+                        live[dl.dense_index()] -= 1;
+                    }
                 }
             }
             if !changed && inc <= RATE_EPS {
@@ -644,6 +655,10 @@ impl<S: FlowWorld> FabricState<S> {
                     }
                 }
             }
+        }
+        // The early exits above leave counts behind; zero every touched link.
+        for &idx in links.iter() {
+            live[idx] = 0;
         }
     }
 
@@ -668,6 +683,21 @@ impl<S: FlowWorld> FabricState<S> {
                 Self::on_complete(world, sim, id);
             });
         }
+    }
+}
+
+/// Grow a dense per-link array to `len` entries (never shrinks).
+fn grow<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+    if v.len() < len {
+        v.resize(len, T::default());
+    }
+}
+
+/// Mark link `idx` seen, queueing it on the walk the first time.
+fn see(seen: &mut [bool], walk: &mut Vec<usize>, idx: usize) {
+    if !seen[idx] {
+        seen[idx] = true;
+        walk.push(idx);
     }
 }
 
@@ -866,6 +896,228 @@ mod tests {
         assert_eq!(w.fabric.flows_in_flight(), 1);
         sim.run(&mut w);
         assert_eq!(w.fabric.flows_in_flight(), 0);
+    }
+
+    /// The hash-map filler the dense `fill_rates` replaced, kept verbatim
+    /// as the reference for `dense_fill_matches_hash_map_fill`: per-link
+    /// residuals and user lists in hash maps rebuilt per call, each link's
+    /// unfrozen users recounted every round.
+    fn reference_fill_rates(fab: &FabricState<World>, active: &[u32]) -> Vec<f64> {
+        use std::collections::HashMap;
+        let mut residual: HashMap<usize, (f64, u32)> = HashMap::new();
+        let mut ceiling = Vec::new();
+        for &i in active {
+            let st = fab.slots[i as usize].as_ref().unwrap();
+            let mut bottleneck = f64::INFINITY;
+            for &dl in &st.route.hops {
+                let cap = fab.topo.capacity(dl);
+                bottleneck = bottleneck.min(cap);
+                let entry = residual.entry(dl.dense_index()).or_insert((cap, 0));
+                entry.1 += 1;
+            }
+            ceiling.push(if st.route.hops.is_empty() {
+                f64::INFINITY
+            } else {
+                bottleneck * st.route.path_efficiency
+            });
+        }
+        let n = active.len();
+        let mut frozen = vec![false; n];
+        let mut rate = vec![0.0f64; n];
+        let mut level = 0.0f64;
+        let mut unfrozen = n;
+        let mut users: HashMap<usize, Vec<usize>> = HashMap::new();
+        for (pos, &i) in active.iter().enumerate() {
+            let st = fab.slots[i as usize].as_ref().unwrap();
+            for &dl in &st.route.hops {
+                users.entry(dl.dense_index()).or_default().push(pos);
+            }
+        }
+        while unfrozen > 0 {
+            let mut inc = f64::INFINITY;
+            for (idx, &(res, _)) in residual.iter() {
+                let live = users[idx].iter().filter(|&&p| !frozen[p]).count() as f64;
+                if live > 0.0 {
+                    inc = inc.min(res / live);
+                }
+            }
+            for p in 0..n {
+                if !frozen[p] && ceiling[p].is_finite() {
+                    inc = inc.min(ceiling[p] - level);
+                }
+            }
+            if !inc.is_finite() {
+                for p in 0..n {
+                    if !frozen[p] {
+                        rate[p] = f64::INFINITY;
+                        frozen[p] = true;
+                    }
+                }
+                break;
+            }
+            let inc = inc.max(0.0);
+            level += inc;
+            for (idx, entry) in residual.iter_mut() {
+                let live = users[idx].iter().filter(|&&p| !frozen[p]).count() as f64;
+                entry.0 = (entry.0 - inc * live).max(0.0);
+            }
+            let mut changed = false;
+            for p in 0..n {
+                if frozen[p] {
+                    continue;
+                }
+                let st = fab.slots[active[p] as usize].as_ref().unwrap();
+                let at_ceiling = level + RATE_EPS >= ceiling[p];
+                let at_saturated_link = st.route.hops.iter().any(|dl| {
+                    residual
+                        .get(&dl.dense_index())
+                        .is_some_and(|&(res, _)| res <= RATE_EPS)
+                });
+                if at_ceiling || at_saturated_link {
+                    rate[p] = level;
+                    frozen[p] = true;
+                    unfrozen -= 1;
+                    changed = true;
+                }
+            }
+            if !changed && inc <= RATE_EPS {
+                for p in 0..n {
+                    if !frozen[p] {
+                        rate[p] = level;
+                        frozen[p] = true;
+                        unfrozen -= 1;
+                    }
+                }
+            }
+        }
+        rate
+    }
+
+    /// A random fabric and flow set for the filler differential: one root
+    /// complex, switches hanging off it by one or two parallel uplinks,
+    /// GPUs on the switches or on the root, and flows between any two
+    /// endpoints (equal endpoints make zero-hop flows).
+    #[derive(Debug, Clone)]
+    struct FillCase {
+        /// Per switch: uplink GB/s, and whether a parallel twin uplink exists.
+        switches: Vec<(f64, bool)>,
+        /// Per GPU: parent pick (a switch, or the root), link GB/s.
+        gpus: Vec<(usize, f64)>,
+        /// Per flow: src pick, dst pick, route over the twin uplinks.
+        flows: Vec<(usize, usize, bool)>,
+        /// Links degraded by `scale_link_capacity`: link pick, factor.
+        degraded: Vec<(usize, f64)>,
+    }
+
+    fn fill_case() -> testkit::Gen<FillCase> {
+        use testkit::{bools, f64_in, one_of, select, tuple2, tuple3, tuple4, usize_in, vec_of};
+        // Round capacities make exact ties (links saturating together).
+        let gbps = || {
+            one_of(vec![
+                select(vec![4.0, 8.0, 12.0, 16.0, 31.5]),
+                f64_in(1.0, 32.0),
+            ])
+        };
+        tuple4(
+            vec_of(tuple2(gbps(), bools()), 1..4),
+            vec_of(tuple2(usize_in(0..8), gbps()), 2..9),
+            vec_of(tuple3(usize_in(0..16), usize_in(0..16), bools()), 1..24),
+            vec_of(tuple2(usize_in(0..64), f64_in(0.05, 1.0)), 0..4),
+        )
+        .map(|(switches, gpus, flows, degraded)| FillCase {
+            switches: switches.clone(),
+            gpus: gpus.clone(),
+            flows: flows.clone(),
+            degraded: degraded.clone(),
+        })
+    }
+
+    /// Build `case`'s fabric with every flow active (slot order = flow
+    /// order). Flows that pick the twin route cross each parallel uplink's
+    /// second link instead of the one routing chose.
+    fn fill_fabric(case: &FillCase) -> FabricState<World> {
+        let mut topo = Topology::new();
+        let root = topo.add_node("root", NodeKind::RootComplex);
+        let spec = |gbps: f64| LinkSpec::of(LinkClass::PcieGen4x16).with_capacity(gbps * GB);
+        let mut twin = std::collections::HashMap::new();
+        let mut switches = Vec::new();
+        for (s, &(gbps, parallel)) in case.switches.iter().enumerate() {
+            let sw = topo.add_node(format!("sw{s}"), NodeKind::PcieSwitch);
+            let first = topo.add_link(sw, root, spec(gbps));
+            if parallel {
+                twin.insert(first, topo.add_link(sw, root, spec(gbps)));
+            }
+            switches.push(sw);
+        }
+        let mut endpoints = vec![root];
+        for (g, &(pick, gbps)) in case.gpus.iter().enumerate() {
+            let gpu = topo.add_node(format!("gpu{g}"), NodeKind::Gpu);
+            let parent = switches
+                .get(pick % (switches.len() + 1))
+                .copied()
+                .unwrap_or(root);
+            topo.add_link(gpu, parent, spec(gbps));
+            endpoints.push(gpu);
+        }
+        for &(pick, factor) in &case.degraded {
+            let link = crate::topology::LinkId((pick % topo.link_count()) as u32);
+            topo.scale_link_capacity(link, factor);
+        }
+        let mut fab = FabricState::new(topo);
+        for &(src, dst, use_twin) in &case.flows {
+            let (src, dst) = (
+                endpoints[src % endpoints.len()],
+                endpoints[dst % endpoints.len()],
+            );
+            let mut route = fab.topo.route(src, dst).unwrap();
+            if use_twin {
+                let mut r = (*route).clone();
+                for hop in &mut r.hops {
+                    if let Some(&t) = twin.get(&hop.link) {
+                        hop.link = t;
+                    }
+                }
+                route = Arc::new(r);
+            }
+            fab.slots.push(Some(FlowState {
+                route,
+                remaining: GB,
+                rate: 0.0,
+                phase: Phase::Active,
+                event: EventHandle::DEAD,
+                on_complete: None,
+                tag: FlowTag::UNTAGGED,
+                generation: 0,
+            }));
+        }
+        fab
+    }
+
+    testkit::property! {
+        /// The dense filler assigns every flow the same rate, bit for bit,
+        /// as the hash-map reference. A subset is filled first, so the
+        /// full fill runs on per-link scratch another call left behind.
+        #[cases(96)]
+        fn dense_fill_matches_hash_map_fill(case in fill_case()) {
+            let fab = fill_fabric(&case);
+            let all: Vec<u32> = (0..fab.slots.len() as u32).collect();
+            let evens: Vec<u32> = all.iter().copied().step_by(2).collect();
+            let mut sc = Scratch::default();
+            for set in [evens, all] {
+                sc.clear();
+                sc.active.extend(&set);
+                fab.fill_rates(&mut sc);
+                let want = reference_fill_rates(&fab, &set);
+                for (p, (got, want)) in sc.rate.iter().zip(&want).enumerate() {
+                    testkit::prop_assert!(
+                        got.to_bits() == want.to_bits(),
+                        "flow {} of {}: dense {} vs reference {}",
+                        p, set.len(), got, want
+                    );
+                }
+                testkit::prop_assert!(sc.live.iter().all(|&c| c == 0), "live counts left behind");
+            }
+        }
     }
 
     #[test]

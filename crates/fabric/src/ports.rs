@@ -63,7 +63,10 @@ impl PortStats {
             .sum()
     }
 
-    /// Per-bucket aggregate rate trace across a set of directed links.
+    /// Per-bucket aggregate rate trace across a set of directed links: one
+    /// entry per bucket, summed in `links` order; empty when `links` is.
+    /// A link that never carried traffic counts as idle (zero in every
+    /// bucket), wherever its index lies.
     pub fn aggregate_trace(
         &self,
         links: &[DirLink],
@@ -71,17 +74,17 @@ impl PortStats {
         to: SimTime,
         bucket: desim::Dur,
     ) -> Vec<f64> {
-        let mut out: Vec<f64> = Vec::new();
-        for dl in links {
-            if let Some(s) = self.series.get(dl.dense_index()) {
-                let trace = s.trace(from, to, bucket);
-                if out.is_empty() {
-                    out = trace;
-                } else {
-                    for (acc, v) in out.iter_mut().zip(trace) {
-                        *acc += v;
-                    }
-                }
+        let idle = RateSeries::new();
+        let mut traces = links.iter().map(|dl| {
+            self.series
+                .get(dl.dense_index())
+                .unwrap_or(&idle)
+                .trace(from, to, bucket)
+        });
+        let mut out = traces.next().unwrap_or_default();
+        for trace in traces {
+            for (acc, v) in out.iter_mut().zip(trace) {
+                *acc += v;
             }
         }
         out
@@ -128,6 +131,29 @@ mod tests {
         assert_eq!(tr.len(), 2);
         assert!(tr[0] > 0.0);
         assert_eq!(tr[1], 0.0);
+    }
+
+    #[test]
+    fn aggregate_trace_length_ignores_which_links_carried_traffic() {
+        // The same two idle links, queried after traffic on a lower- and
+        // then on a higher-indexed link: one zero per bucket both times.
+        let idle = [DirLink::forward(LinkId(1)), DirLink::reverse(LinkId(1))];
+        let mut p = PortStats::new();
+        p.record(DirLink::forward(LinkId(0)), t(0), t(10), 100.0);
+        let below = p.aggregate_trace(&idle, t(0), t(30), Dur::from_micros(10));
+        p.record(DirLink::forward(LinkId(5)), t(0), t(10), 100.0);
+        let above = p.aggregate_trace(&idle, t(0), t(30), Dur::from_micros(10));
+        assert_eq!(below, vec![0.0; 3]);
+        assert_eq!(above, vec![0.0; 3]);
+    }
+
+    #[test]
+    fn aggregate_trace_of_no_links_is_empty() {
+        let mut p = PortStats::new();
+        p.record(DirLink::forward(LinkId(0)), t(0), t(10), 100.0);
+        assert!(p
+            .aggregate_trace(&[], t(0), t(30), Dur::from_micros(10))
+            .is_empty());
     }
 
     #[test]

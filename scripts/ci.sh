@@ -30,6 +30,24 @@ cargo build --release --offline
 echo "== benchmark harness builds against the current API =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# One short paper_sweep run through the benchmark's own correctness
+# gate: every round must reproduce the pinned digest of the 47 training
+# runs behind Table II, the grid, Fig 9, Fig 15, Fig 16 and Table IV —
+# the fabric allocator under contention and the Falcon port series
+# included. The result object is the last stdout line.
+echo "== paper_sweep digest through the benchmark (1 s) =="
+sweep=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload paper_sweep --seconds 1 --trace 0 | tail -n 1)
+echo "$sweep"
+case "$sweep" in
+    *'"correct":true'*) ;;
+    *) echo "ERROR: paper_sweep rounds did not reproduce the pinned digest" >&2; exit 1 ;;
+esac
+case "$sweep" in
+    *'"failed":0'[!0-9]*) ;;
+    *) echo "ERROR: paper_sweep reported failed rounds" >&2; exit 1 ;;
+esac
+
 echo "== tier-1: tests =="
 cargo test -q --offline
 
