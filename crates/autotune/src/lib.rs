@@ -23,7 +23,7 @@
 //!   `params` block, so scenarios can name a tuned artifact wherever
 //!   they name a preset.
 
-use desim::json::Value;
+use desim::json::{ToJson, Value};
 use desim::{Dur, SimRng};
 use scheduler::{
     run_scenario_with_policy, ParamPolicy, ParamsError, PolicyParams, ProbeCache, Scenario,

@@ -19,7 +19,7 @@
 
 use autotune::{objective, tune, Portfolio, SearchSpec};
 use bench::scenario;
-use desim::json::Value;
+use desim::json::{FromJson, Value};
 use scheduler::{
     run_scenario_with_policy, ParamPolicy, PolicyParams, ProbeCache, Scenario, POLICY_NAMES,
 };

@@ -15,12 +15,25 @@
 //!   rejected at emit time (JSON has no spelling for them). Byte-identical
 //!   values emit byte-identical text, which is what the golden-table
 //!   regression layer keys on.
-//! * **Strict parsing.** [`Value::parse`] accepts exactly one JSON value:
-//!   trailing garbage, truncated input, bad escapes, and pathological
-//!   nesting (> [`MAX_DEPTH`]) are errors carrying the byte offset.
+//! * **Strict, linear-time parsing.** [`Value::parse`] accepts exactly one
+//!   JSON value in time linear in the input: trailing garbage, truncated
+//!   input, bad escapes (including signed `\u` digits), numbers that
+//!   overflow `f64`, and pathological nesting (> [`MAX_DEPTH`]) are errors
+//!   carrying the byte offset. Every parsed number is finite, so every
+//!   parsed value re-emits.
 //! * **Integer range.** Numbers are carried as `f64`; integers are exact up
 //!   to 2^53, far beyond any quantity the simulator serializes (the
 //!   longest run is ~10^15 ns). [`Value::from_u64`] debug-asserts this.
+//!
+//! Records map to JSON objects one way. [`json_record!`](crate::json_record)
+//! declares a struct's JSON form once, as a table of `field: "key"` rows,
+//! and generates both [`ToJson`] (keys in table order) and [`FromJson`].
+//! Decoders the macro cannot express — tagged unions, fields that accept
+//! two spellings, range-checked addresses — read their object through
+//! [`Fields`]. Either way every object level is strict: a key that was
+//! not read, or that appears twice, is an error, and a failing field's
+//! error is prefixed with its key, so messages carry a path such as
+//! `faults: events: [0]: unknown key "chasis" (valid: …)`.
 
 use std::fmt;
 
@@ -60,6 +73,12 @@ impl JsonError {
     pub fn decode(msg: impl Into<String>) -> JsonError {
         JsonError::new(msg, 0)
     }
+
+    /// The same error one level down a path: `within("faults")` turns
+    /// `events: [0]: …` into `faults: events: [0]: …`.
+    pub fn within(self, step: impl fmt::Display) -> JsonError {
+        JsonError { msg: format!("{step}: {}", self.msg), at: self.at }
+    }
 }
 
 impl fmt::Display for JsonError {
@@ -77,11 +96,6 @@ impl std::error::Error for JsonError {}
 impl Value {
     pub fn from_u64(n: u64) -> Value {
         debug_assert!(n <= (1u64 << 53), "u64 {n} exceeds exact f64 range");
-        Value::Num(n as f64)
-    }
-
-    pub fn from_i64(n: i64) -> Value {
-        debug_assert!(n.unsigned_abs() <= (1u64 << 53));
         Value::Num(n as f64)
     }
 
@@ -116,19 +130,8 @@ impl Value {
         Ok(n as u64)
     }
 
-    pub fn as_u32(&self) -> Result<u32, JsonError> {
-        let n = self.as_u64()?;
-        u32::try_from(n).map_err(|_| JsonError::decode(format!("{n} does not fit in u32")))
-    }
-
-    pub fn as_u16(&self) -> Result<u16, JsonError> {
-        let n = self.as_u64()?;
-        u16::try_from(n).map_err(|_| JsonError::decode(format!("{n} does not fit in u16")))
-    }
-
     pub fn as_u8(&self) -> Result<u8, JsonError> {
-        let n = self.as_u64()?;
-        u8::try_from(n).map_err(|_| JsonError::decode(format!("{n} does not fit in u8")))
+        u8::from_json(self)
     }
 
     pub fn as_str(&self) -> Result<&str, JsonError> {
@@ -225,6 +228,7 @@ impl Value {
     /// Parse exactly one JSON value; trailing non-whitespace is an error.
     pub fn parse(input: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -295,6 +299,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -438,10 +443,12 @@ impl<'a> Parser<'a> {
                 return Err(JsonError::new("expected exponent digits", self.pos));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|e| JsonError::new(format!("bad number {text}: {e}"), start))
+        let text = &self.text[start..self.pos];
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+            Ok(_) => Err(JsonError::new(format!("number {text} overflows f64"), start)),
+            Err(e) => Err(JsonError::new(format!("bad number {text}: {e}"), start)),
+        }
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -498,25 +505,30 @@ impl<'a> Parser<'a> {
                     return Err(JsonError::new("raw control character in string", self.pos))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::new("invalid UTF-8", self.pos))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next ASCII stop byte at once:
+                    // both ends sit on char boundaries of the valid input.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(JsonError::new("truncated \\u escape", self.pos));
-        }
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| JsonError::new("bad \\u escape", self.pos))?;
-        let v = u32::from_str_radix(text, 16)
-            .map_err(|_| JsonError::new("bad \\u escape", self.pos))?;
+        };
+        // Digit by digit: `u32::from_str_radix` would also take a `+`.
+        let v = digits
+            .iter()
+            .try_fold(0, |v, &b| Some(v * 16 + char::from(b).to_digit(16)?))
+            .ok_or_else(|| JsonError::new("bad \\u escape", self.pos))?;
         self.pos += 4;
         Ok(v)
     }
@@ -530,6 +542,161 @@ pub trait ToJson {
 /// Types that rebuild themselves from a parsed [`Value`].
 pub trait FromJson: Sized {
     fn from_json(v: &Value) -> Result<Self, JsonError>;
+}
+
+/// A strict reader over one JSON object: each field is taken by key with
+/// [`req`](Fields::req) or [`opt`](Fields::opt), and [`end`](Fields::end)
+/// then rejects every key that was not asked for or that appears twice.
+/// A field's decode error comes back prefixed with its key.
+pub struct Fields<'a> {
+    pairs: &'a [(String, Value)],
+    /// Every key asked for so far: the valid keys `end` lists.
+    asked: Vec<&'static str>,
+}
+
+impl<'a> Fields<'a> {
+    pub fn new(v: &'a Value) -> Result<Fields<'a>, JsonError> {
+        Ok(Fields { pairs: v.as_obj()?, asked: Vec::new() })
+    }
+
+    pub fn req<T: FromJson>(&mut self, key: &'static str) -> Result<T, JsonError> {
+        self.opt(key)?.ok_or_else(|| JsonError::decode(format!("missing key \"{key}\"")))
+    }
+
+    pub fn opt<T: FromJson>(&mut self, key: &'static str) -> Result<Option<T>, JsonError> {
+        self.asked.push(key);
+        match self.pairs.iter().find(|(k, _)| k == key) {
+            Some((_, v)) => T::from_json(v).map(Some).map_err(|e| e.within(key)),
+            None => Ok(None),
+        }
+    }
+
+    /// Finish the object: every key must have been asked for, once.
+    pub fn end(self) -> Result<(), JsonError> {
+        for (i, (k, _)) in self.pairs.iter().enumerate() {
+            if !self.asked.contains(&k.as_str()) {
+                return Err(JsonError::decode(format!(
+                    "unknown key \"{k}\" (valid: {})",
+                    self.asked.join(", ")
+                )));
+            }
+            if self.pairs[..i].iter().any(|(seen, _)| seen == k) {
+                return Err(JsonError::decode(format!("key \"{k}\" appears twice")));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Declare a struct's JSON form once, as a table of `field: "key"` rows,
+/// and derive both [`ToJson`] and [`FromJson`] from it. Output keeps table
+/// order; input goes through [`Fields`], so unknown and repeated keys are
+/// rejected and field errors name their key. A row's mode follows its
+/// key:
+///
+/// * none — required;
+/// * `(opt)` — an `Option` field, omitted on output when `None`;
+/// * `(default)` — may be omitted on input, always emitted;
+/// * `(elide)` — may be omitted on input, and omitted on output while it
+///   equals the default.
+///
+/// Defaults are each field type's `Default`, or the fields of a whole
+/// default value when the header names one:
+///
+/// ```
+/// use desim::json::{FromJson, ToJson, Value};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Knobs {
+///     depth: u32,
+///     fast: bool,
+///     tag: Option<String>,
+///     inner: Vec<Knobs>,
+/// }
+///
+/// desim::json_record! {
+///     Knobs, defaults: Knobs { depth: 4, fast: false, tag: None, inner: Vec::new() };
+///     depth: "depth" (default),
+///     fast: "fast" (elide),
+///     tag: "tag" (opt),
+///     inner: "inner",
+/// }
+///
+/// let parse = |text: &str| Knobs::from_json(&Value::parse(text).unwrap());
+/// let k = parse(r#"{"inner": [{"fast": true, "inner": []}]}"#).unwrap();
+/// assert_eq!((k.depth, k.inner[0].fast, &k.tag), (4, true, &None));
+/// let text = r#"{"depth":4,"inner":[{"depth":4,"fast":true,"inner":[]}]}"#;
+/// assert_eq!(k.to_json().emit(), text);
+/// assert_eq!(parse(text).unwrap(), k);
+///
+/// let err = parse(r#"{"inner": [{"fats": true, "inner": []}]}"#).unwrap_err();
+/// assert_eq!(err.msg, r#"inner: [0]: unknown key "fats" (valid: depth, fast, tag, inner)"#);
+/// let err = parse(r#"{"inner": [], "inner": []}"#).unwrap_err();
+/// assert_eq!(err.msg, r#"key "inner" appears twice"#);
+/// assert_eq!(parse("{}").unwrap_err().msg, r#"missing key "inner""#);
+/// assert!(parse(r#"{"depth": -1, "inner": []}"#).unwrap_err().msg.starts_with("depth: "));
+/// ```
+#[macro_export]
+macro_rules! json_record {
+    ($ty:ident $(, defaults: $defaults:expr)?; $($rows:tt)*) => {
+        $crate::json_record!(@record $ty, [$($defaults)?]; $($rows)*);
+    };
+
+    (@record $ty:ident, $d:tt; $($field:ident : $key:literal $(($mode:ident))?),* $(,)?) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::Value {
+                let mut out: ::std::vec::Vec<(::std::string::String, $crate::json::Value)> =
+                    ::std::vec::Vec::with_capacity([$($key),*].len());
+                $( $crate::json_record!(@put out, self, $d, $field, $key, [$($mode)?]); )*
+                $crate::json::Value::Obj(out)
+            }
+        }
+
+        impl $crate::json::FromJson for $ty {
+            fn from_json(
+                v: &$crate::json::Value,
+            ) -> ::std::result::Result<Self, $crate::json::JsonError> {
+                let mut f = $crate::json::Fields::new(v)?;
+                let out = $ty {
+                    $( $field: $crate::json_record!(@get f, $d, $field, $key, [$($mode)?]), )*
+                };
+                f.end()?;
+                Ok(out)
+            }
+        }
+    };
+
+    (@put $out:ident, $s:ident, $d:tt, $field:ident, $key:literal, [opt]) => {
+        if let Some(x) = &$s.$field {
+            $out.push(($key.into(), $crate::json::ToJson::to_json(x)));
+        }
+    };
+    (@put $out:ident, $s:ident, $d:tt, $field:ident, $key:literal, [elide]) => {
+        if $s.$field != $crate::json_record!(@default $d, $field) {
+            $out.push(($key.into(), $crate::json::ToJson::to_json(&$s.$field)));
+        }
+    };
+    (@put $out:ident, $s:ident, $d:tt, $field:ident, $key:literal, [$(default)?]) => {
+        $out.push(($key.into(), $crate::json::ToJson::to_json(&$s.$field)))
+    };
+
+    (@get $f:ident, $d:tt, $field:ident, $key:literal, []) => {
+        $f.req($key)?
+    };
+    (@get $f:ident, $d:tt, $field:ident, $key:literal, [opt]) => {
+        $f.opt($key)?
+    };
+    // `default` and `elide` (`@put` has already rejected any other mode).
+    (@get $f:ident, $d:tt, $field:ident, $key:literal, [$defaulted:ident]) => {
+        $f.opt($key)?.unwrap_or_else(|| $crate::json_record!(@default $d, $field))
+    };
+
+    (@default [], $field:ident) => {
+        ::std::default::Default::default()
+    };
+    (@default [$defaults:expr], $field:ident) => {
+        ($defaults).$field
+    };
 }
 
 impl ToJson for bool {
@@ -552,26 +719,25 @@ impl FromJson for f64 {
         v.as_f64()
     }
 }
-impl ToJson for u64 {
-    fn to_json(&self) -> Value {
-        Value::from_u64(*self)
-    }
+// Unsigned integers: exact up to 2^53 out (`Value::from_u64`), range-checked in.
+macro_rules! unsigned_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Value {
+                Value::from_u64(*self as u64)
+            }
+        }
+        impl FromJson for $t {
+            fn from_json(v: &Value) -> Result<Self, JsonError> {
+                let n = v.as_u64()?;
+                <$t>::try_from(n).map_err(|_| {
+                    JsonError::decode(format!("{n} does not fit in {}", stringify!($t)))
+                })
+            }
+        }
+    )*};
 }
-impl FromJson for u64 {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        v.as_u64()
-    }
-}
-impl ToJson for u32 {
-    fn to_json(&self) -> Value {
-        Value::from_u64(u64::from(*self))
-    }
-}
-impl FromJson for u32 {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        v.as_u32()
-    }
-}
+unsigned_json!(u8, u32, u64, usize);
 impl ToJson for String {
     fn to_json(&self) -> Value {
         Value::Str(self.clone())
@@ -589,23 +755,11 @@ impl<T: ToJson> ToJson for Vec<T> {
 }
 impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        v.as_arr()?.iter().map(T::from_json).collect()
-    }
-}
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Value {
-        match self {
-            Some(t) => t.to_json(),
-            None => Value::Null,
-        }
-    }
-}
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_json(other).map(Some),
-        }
+        v.as_arr()?
+            .iter()
+            .enumerate()
+            .map(|(i, x)| T::from_json(x).map_err(|e| e.within(format_args!("[{i}]"))))
+            .collect()
     }
 }
 // Pairs serialize as two-element arrays (the same shape serde derives
@@ -705,9 +859,28 @@ mod tests {
             "{} {}",
             "[1]]",
             "nan",
+            "1e999",
+            "[0, -1e400]",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
         ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
         }
+        let err = Value::parse("[1, 1e999]").unwrap_err();
+        assert_eq!(err.at, 4, "overflow reported at the number's offset: {err}");
+    }
+
+    #[test]
+    fn string_parsing_is_linear() {
+        // ~1 MB of short strings: the old per-char UTF-8 re-validation of
+        // the whole remaining input took ~15 s here; linear parsing takes
+        // milliseconds even unoptimized.
+        let doc = format!("[{}\"end\"]", "\"k\\u00e9y-\u{e9}\", ".repeat(70_000));
+        assert!(doc.len() > 1_000_000);
+        let start = std::time::Instant::now();
+        let v = Value::parse(&doc).unwrap();
+        assert!(start.elapsed().as_secs_f64() < 5.0, "took {:?}", start.elapsed());
+        assert_eq!(v.as_arr().unwrap()[0].as_str().unwrap(), "k\u{e9}y-\u{e9}");
     }
 
     #[test]

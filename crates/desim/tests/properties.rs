@@ -10,11 +10,38 @@
 //! * identical op sequences replay bit-identically;
 //! * `run_until` partitions events cleanly around the horizon;
 //! * `BusyTracker` / `TimeWeightedGauge` agree with brute force;
-//! * every `RateSeries::trace` bucket equals `mean_rate` over it, bit for bit.
+//! * every `RateSeries::trace` bucket equals `mean_rate` over it, bit for bit;
+//! * `json::Value::parse_bytes` never panics on arbitrary bytes (boundary
+//!   tokens spliced in), and every value it accepts re-emits and parses
+//!   back to itself.
 
+use desim::json::Value;
 use desim::{Sim, SimTime};
 use testkit::{prop_assert, prop_assert_eq, property};
-use testkit::{one_of, u64_in, usize_in, vec_of, Gen};
+use testkit::{one_of, select, u64_in, usize_in, vec_of, Gen};
+
+/// Tokens at the edges of what the JSON parser accepts: overflowing and
+/// underflowing exponents, negative zero, a signed `\u` escape, lone and
+/// paired surrogates, and nesting at and just past `MAX_DEPTH`.
+fn boundary_tokens() -> Vec<String> {
+    let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+    [
+        "1e999", "-1e999", "-0", "1e-400", "0.1", "9007199254740993", "\"\\u+041\"",
+        "\"\\ud800\"", "\"\\udc00\"", "\"\\ud83d\\ude00\"", "\"\u{e9}\"", "{\"k\":[true,null]}",
+    ]
+    .iter()
+    .map(|t| t.to_string())
+    .chain([nest(128), nest(129), nest(130)])
+    .collect()
+}
+
+/// Noise bytes: mostly JSON punctuation, digits and letters, so spliced
+/// tokens often land in a parseable context, plus arbitrary bytes
+/// (invalid UTF-8 included).
+fn noise() -> Gen<Vec<u8>> {
+    let json_ish: Vec<u8> = b" \t\n[]{}:,\"\\-+.0123456789eEtrufalsn".to_vec();
+    vec_of(one_of(vec![select(json_ish), u64_in(0..256).map(|b| *b as u8)]), 0..24)
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -284,5 +311,34 @@ property! {
             k += 1;
         }
         prop_assert_eq!(trace.len(), k);
+    }
+
+    /// Arbitrary bytes with boundary tokens spliced in parse to `Ok` or
+    /// `Err`, never a panic; an accepted value re-emits (every parsed
+    /// number is finite) and parses back to itself. The tokens are also
+    /// parsed alone, in an array, where each is well-formed.
+    #[cases(256)]
+    fn json_parse_never_panics_and_accepted_values_round_trip(
+        bytes in noise(),
+        splices in vec_of(
+            testkit::tuple2(usize_in(0..32), usize_in(0..boundary_tokens().len())),
+            0..4,
+        )
+    ) {
+        let tokens = boundary_tokens();
+        let mut doc = bytes.clone();
+        let mut picked = Vec::new();
+        for &(at, t) in &splices {
+            let at = at.min(doc.len());
+            doc.splice(at..at, tokens[t].bytes());
+            picked.push(tokens[t].as_str());
+        }
+        let alone = format!("[{}]", picked.join(","));
+        for input in [doc, alone.into_bytes()] {
+            if let Ok(v) = Value::parse_bytes(&input) {
+                prop_assert_eq!(Value::parse(&v.emit()), Ok(v.clone()), "re-emit of {:?}", input);
+                prop_assert_eq!(Value::parse(&v.emit_pretty()), Ok(v));
+            }
+        }
     }
 }

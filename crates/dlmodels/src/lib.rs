@@ -32,7 +32,7 @@ pub mod vision;
 pub use data::DatasetSpec;
 pub use inference::InferenceProfile;
 pub use layer::{Layer, LayerKind};
-pub use model::{Benchmark, Domain, ModelDesc};
+pub use model::{benchmark_from_label, Benchmark, Domain, ModelDesc};
 pub use precision::{Precision, OPTIMIZER_BYTES_PER_PARAM_AMP, OPTIMIZER_BYTES_PER_PARAM_FP32};
 
 /// All five paper benchmarks, in Table II order.

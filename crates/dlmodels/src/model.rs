@@ -4,6 +4,7 @@
 use crate::data::DatasetSpec;
 use crate::layer::Layer;
 use crate::precision::{optimizer_bytes_per_param, Precision};
+use desim::json::{FromJson, JsonError, ToJson, Value};
 
 /// Application domain (Table II column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,6 +42,44 @@ impl Benchmark {
             Benchmark::BertBase => "BERT",
             Benchmark::BertLarge => "BERT-L",
         }
+    }
+}
+
+/// Look a benchmark up by its paper label (the form traces serialize).
+///
+/// Matching is case-insensitive and ignores `-`/`_`, so the aliases that
+/// show up in hand-written traces and goldens (`"resnet50"`,
+/// `"resnet-50"`, `"bert_large"`, `"yolov5l"`, …) all resolve.
+pub fn benchmark_from_label(label: &str) -> Option<Benchmark> {
+    fn norm(s: &str) -> String {
+        s.chars()
+            .filter(|c| *c != '-' && *c != '_')
+            .flat_map(char::to_lowercase)
+            .collect()
+    }
+    let wanted = norm(label);
+    Benchmark::all()
+        .into_iter()
+        .find(|b| norm(b.label()) == wanted)
+        .or(match wanted.as_str() {
+            "bertbase" => Some(Benchmark::BertBase),
+            "bertlarge" => Some(Benchmark::BertLarge),
+            _ => None,
+        })
+}
+
+/// Benchmarks serialize as their paper label and parse any alias of [`benchmark_from_label`].
+impl ToJson for Benchmark {
+    fn to_json(&self) -> Value {
+        Value::str(self.label())
+    }
+}
+
+impl FromJson for Benchmark {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let label = v.as_str()?;
+        benchmark_from_label(label)
+            .ok_or_else(|| JsonError::decode(format!("unknown benchmark \"{label}\"")))
     }
 }
 

@@ -11,7 +11,7 @@
 use crate::link::{LinkClass, LinkSpec};
 use crate::topology::{NodeKind, Topology};
 use crate::GB;
-use desim::json::{FromJson, JsonError, ToJson, Value};
+use desim::json::{Fields, FromJson, JsonError, ToJson, Value};
 
 /// A serializable snapshot of a topology.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,10 +117,9 @@ impl FromJson for NodeKind {
 impl ToJson for LinkClass {
     fn to_json(&self) -> Value {
         match self {
-            LinkClass::NvLink2 { lanes } => Value::obj(vec![(
-                "NvLink2",
-                Value::obj(vec![("lanes", Value::from_u64(u64::from(*lanes)))]),
-            )]),
+            LinkClass::NvLink2 { lanes } => {
+                Value::obj(vec![("NvLink2", NvLink2 { lanes: *lanes }.to_json())])
+            }
             LinkClass::PcieGen3x16 => Value::str("PcieGen3x16"),
             LinkClass::PcieGen4x16 => Value::str("PcieGen4x16"),
             LinkClass::PcieGen4x8 => Value::str("PcieGen4x8"),
@@ -152,85 +151,47 @@ impl FromJson for LinkClass {
                 other => Err(JsonError::decode(format!("unknown LinkClass \"{other}\""))),
             };
         }
-        let lanes = v.get("NvLink2")?.get("lanes")?.as_u8()?;
+        let mut f = Fields::new(v)?;
+        let NvLink2 { lanes } = f.req("NvLink2")?;
+        f.end()?;
         Ok(LinkClass::NvLink2 { lanes })
     }
 }
 
-impl ToJson for LinkSpec {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("class", self.class.to_json()),
-            ("capacity", Value::Num(self.capacity)),
-            ("latency", self.latency.to_json()),
-        ])
-    }
+/// The body of the one data-carrying [`LinkClass`] variant.
+struct NvLink2 {
+    lanes: u8,
 }
 
-impl FromJson for LinkSpec {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(LinkSpec {
-            class: LinkClass::from_json(v.get("class")?)?,
-            capacity: v.get("capacity")?.as_f64()?,
-            latency: FromJson::from_json(v.get("latency")?)?,
-        })
-    }
+desim::json_record! {
+    NvLink2;
+    lanes: "lanes",
 }
 
-impl ToJson for NodeSpec {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("name", Value::str(&*self.name)),
-            ("kind", self.kind.to_json()),
-        ])
-    }
+desim::json_record! {
+    LinkSpec;
+    class: "class",
+    capacity: "capacity",
+    latency: "latency",
 }
 
-impl FromJson for NodeSpec {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(NodeSpec {
-            name: String::from_json(v.get("name")?)?,
-            kind: NodeKind::from_json(v.get("kind")?)?,
-        })
-    }
+desim::json_record! {
+    NodeSpec;
+    name: "name",
+    kind: "kind",
 }
 
-impl ToJson for LinkRow {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("a", Value::from_u64(u64::from(self.a))),
-            ("b", Value::from_u64(u64::from(self.b))),
-            ("spec", self.spec.to_json()),
-        ])
-    }
+desim::json_record! {
+    LinkRow;
+    a: "a",
+    b: "b",
+    spec: "spec",
 }
 
-impl FromJson for LinkRow {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(LinkRow {
-            a: v.get("a")?.as_u32()?,
-            b: v.get("b")?.as_u32()?,
-            spec: LinkSpec::from_json(v.get("spec")?)?,
-        })
-    }
-}
-
-impl ToJson for TopologySpec {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("nodes", self.nodes.to_json()),
-            ("links", self.links.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TopologySpec {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(TopologySpec {
-            nodes: FromJson::from_json(v.get("nodes")?)?,
-            links: FromJson::from_json(v.get("links")?)?,
-        })
-    }
+desim::json_record! {
+    TopologySpec;
+    nodes: "nodes",
+    links: "links",
 }
 
 fn shape(kind: NodeKind) -> &'static str {

@@ -3,7 +3,7 @@
 //! **import/export of the resource allocation as a configuration file**.
 
 use crate::chassis::{DrawerId, Falcon4016, HostId, SlotAddr, SlotDevice};
-use desim::json::{FromJson, JsonError, ToJson, Value};
+use desim::json::{Fields, FromJson, JsonError, ToJson, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -117,8 +117,10 @@ impl ToJson for SlotAddr {
 
 impl FromJson for SlotAddr {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let drawer = v.get("drawer")?.as_u8()?;
-        let slot = v.get("slot")?.as_u8()?;
+        let mut f = Fields::new(v)?;
+        let drawer: u8 = f.req("drawer")?;
+        let slot: u8 = f.req("slot")?;
+        f.end()?;
         if drawer >= 2 || slot >= 8 {
             return Err(JsonError::decode(format!(
                 "slot address d{drawer}s{slot} outside the 2x8 chassis"
@@ -139,44 +141,20 @@ impl ToJson for HostId {
 
 impl FromJson for HostId {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(HostId(v.as_u32()?))
+        u32::from_json(v).map(HostId)
     }
 }
 
-impl ToJson for Assignment {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("slot", self.slot.to_json()),
-            ("host", self.host.to_json()),
-        ])
-    }
+desim::json_record! {
+    Assignment;
+    slot: "slot",
+    host: "host",
 }
 
-impl FromJson for Assignment {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(Assignment {
-            slot: SlotAddr::from_json(v.get("slot")?)?,
-            host: HostId::from_json(v.get("host")?)?,
-        })
-    }
-}
-
-impl ToJson for AllocationConfig {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("chassis", Value::str(&*self.chassis)),
-            ("assignments", self.assignments.to_json()),
-        ])
-    }
-}
-
-impl FromJson for AllocationConfig {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(AllocationConfig {
-            chassis: String::from_json(v.get("chassis")?)?,
-            assignments: FromJson::from_json(v.get("assignments")?)?,
-        })
-    }
+desim::json_record! {
+    AllocationConfig;
+    chassis: "chassis",
+    assignments: "assignments",
 }
 
 /// PCI vendor ids used in inventory rows.

@@ -125,6 +125,21 @@ impl Default for SchedulerConfig {
     }
 }
 
+// A scenario's `config` block. The knobs added after the first scenario
+// files are emitted only when set, so those files keep their bytes.
+desim::json_record! {
+    SchedulerConfig, defaults: SchedulerConfig::default();
+    quota_gpus_per_tenant: "quota_gpus_per_tenant" (default),
+    elastic: "elastic" (default),
+    probe_iters: "probe_iters" (default),
+    interference: "interference" (default),
+    audit_every: "audit_every" (elide),
+    shard_serving: "shard_serving" (elide),
+    preempt: "preempt" (elide),
+    defrag: "defrag" (elide),
+    relocate_slo: "relocate_slo" (elide),
+}
+
 /// Typed admission and replay failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedulerError {

@@ -17,7 +17,7 @@
 //! their last checkpoint ([`CHECKPOINT_ITERS`]), and may be elastically
 //! shrunk when the surviving capacity cannot hold their old allocation.
 
-use desim::json::{FromJson, JsonError, ToJson, Value};
+use desim::json::{Fields, FromJson, JsonError, ToJson, Value};
 use desim::{Dur, SimRng, SimTime};
 use rack::RackTopology;
 use std::fmt;
@@ -258,52 +258,30 @@ impl ToJson for FaultEvent {
 
 impl FromJson for FaultEvent {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let chassis = match v.get("chassis") {
-            Ok(c) => c.as_u8()?,
-            Err(_) => 0,
-        };
-        let kind = match v.get("kind")?.as_str()? {
-            "rack-link-degrade" => FaultKind::RackLinkDegrade { pct: v.get("pct")?.as_u8()? },
-            other => {
-                let drawer = v.get("drawer")?.as_u8()?;
-                match other {
-                    "drawer-outage" => FaultKind::DrawerOutage { drawer },
-                    "slot-death" => FaultKind::SlotDeath { drawer, slot: v.get("slot")?.as_u8()? },
-                    "link-degrade" => {
-                        FaultKind::LinkDegrade { drawer, pct: v.get("pct")?.as_u8()? }
-                    }
-                    "thermal-trip" => FaultKind::ThermalTrip { drawer },
-                    other => {
-                        return Err(JsonError::decode(format!("unknown fault kind \"{other}\"")))
-                    }
-                }
+        let mut f = Fields::new(v)?;
+        let at = f.req("at_ns")?;
+        let kind: String = f.req("kind")?;
+        let chassis = f.opt("chassis")?.unwrap_or(0);
+        let kind = match kind.as_str() {
+            "drawer-outage" => FaultKind::DrawerOutage { drawer: f.req("drawer")? },
+            "slot-death" => FaultKind::SlotDeath { drawer: f.req("drawer")?, slot: f.req("slot")? },
+            "link-degrade" => {
+                FaultKind::LinkDegrade { drawer: f.req("drawer")?, pct: f.req("pct")? }
             }
+            "thermal-trip" => FaultKind::ThermalTrip { drawer: f.req("drawer")? },
+            "rack-link-degrade" => FaultKind::RackLinkDegrade { pct: f.req("pct")? },
+            other => return Err(JsonError::decode(format!("unknown fault kind \"{other}\""))),
         };
-        Ok(FaultEvent {
-            at: SimTime::from_json(v.get("at_ns")?)?,
-            chassis,
-            kind,
-            duration: Dur::from_json(v.get("duration_ns")?)?,
-        })
+        let duration = f.req("duration_ns")?;
+        f.end()?;
+        Ok(FaultEvent { at, chassis, kind, duration })
     }
 }
 
-impl ToJson for FaultPlan {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("name", Value::str(self.name.clone())),
-            ("events", self.events.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FaultPlan {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(FaultPlan {
-            name: String::from_json(v.get("name")?)?,
-            events: Vec::<FaultEvent>::from_json(v.get("events")?)?,
-        })
-    }
+desim::json_record! {
+    FaultPlan;
+    name: "name",
+    events: "events",
 }
 
 /// Degrade levels the seeded generator draws from. A small discrete set

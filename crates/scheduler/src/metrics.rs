@@ -37,40 +37,19 @@ impl JobOutcome {
     }
 }
 
-impl ToJson for JobOutcome {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("id", Value::from_u64(self.id)),
-            ("tenant", Value::from_u64(u64::from(self.tenant))),
-            ("benchmark", Value::str(self.benchmark.clone())),
-            ("gpus", Value::from_u64(u64::from(self.gpus))),
-            ("final_gpus", Value::from_u64(u64::from(self.final_gpus))),
-            ("priority", Value::from_u64(u64::from(self.priority))),
-            ("arrival_ns", self.arrival.to_json()),
-            ("start_ns", self.start.to_json()),
-            ("finish_ns", self.finish.to_json()),
-            ("spanned", Value::Bool(self.spanned)),
-            ("shrunk", Value::Bool(self.shrunk)),
-        ])
-    }
-}
-
-impl FromJson for JobOutcome {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(JobOutcome {
-            id: v.get("id")?.as_u64()?,
-            tenant: v.get("tenant")?.as_u32()?,
-            benchmark: String::from_json(v.get("benchmark")?)?,
-            gpus: v.get("gpus")?.as_u8()?,
-            final_gpus: v.get("final_gpus")?.as_u8()?,
-            priority: v.get("priority")?.as_u8()?,
-            arrival: SimTime::from_json(v.get("arrival_ns")?)?,
-            start: SimTime::from_json(v.get("start_ns")?)?,
-            finish: SimTime::from_json(v.get("finish_ns")?)?,
-            spanned: v.get("spanned")?.as_bool()?,
-            shrunk: v.get("shrunk")?.as_bool()?,
-        })
-    }
+desim::json_record! {
+    JobOutcome;
+    id: "id",
+    tenant: "tenant",
+    benchmark: "benchmark",
+    gpus: "gpus",
+    final_gpus: "final_gpus",
+    priority: "priority",
+    arrival: "arrival_ns",
+    start: "start_ns",
+    finish: "finish_ns",
+    spanned: "spanned",
+    shrunk: "shrunk",
 }
 
 /// Fault-recovery accounting for a replay under an injected
@@ -123,32 +102,15 @@ impl RecoveryMetrics {
     }
 }
 
-impl ToJson for RecoveryMetrics {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("fault_events", Value::from_u64(u64::from(self.fault_events))),
-            ("evacuations", Value::from_u64(u64::from(self.evacuations))),
-            ("thermal_trips", Value::from_u64(u64::from(self.thermal_trips))),
-            ("mean_recovery_ns", self.mean_recovery.to_json()),
-            ("p95_recovery_ns", self.p95_recovery.to_json()),
-            ("work_lost_gpu_secs", Value::Num(self.work_lost_gpu_secs)),
-            ("jct_inflation", Value::Num(self.jct_inflation)),
-        ])
-    }
-}
-
-impl FromJson for RecoveryMetrics {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(RecoveryMetrics {
-            fault_events: v.get("fault_events")?.as_u32()?,
-            evacuations: v.get("evacuations")?.as_u32()?,
-            thermal_trips: v.get("thermal_trips")?.as_u32()?,
-            mean_recovery: Dur::from_json(v.get("mean_recovery_ns")?)?,
-            p95_recovery: Dur::from_json(v.get("p95_recovery_ns")?)?,
-            work_lost_gpu_secs: v.get("work_lost_gpu_secs")?.as_f64()?,
-            jct_inflation: v.get("jct_inflation")?.as_f64()?,
-        })
-    }
+desim::json_record! {
+    RecoveryMetrics;
+    fault_events: "fault_events",
+    evacuations: "evacuations",
+    thermal_trips: "thermal_trips",
+    mean_recovery: "mean_recovery_ns",
+    p95_recovery: "p95_recovery_ns",
+    work_lost_gpu_secs: "work_lost_gpu_secs",
+    jct_inflation: "jct_inflation",
 }
 
 /// Preemption/migration accounting for a replay with priority tiers,
@@ -188,26 +150,12 @@ impl MigrationMetrics {
     }
 }
 
-impl ToJson for MigrationMetrics {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("preemptions", Value::from_u64(u64::from(self.preemptions))),
-            ("migrations", Value::from_u64(u64::from(self.migrations))),
-            ("relocations", Value::from_u64(u64::from(self.relocations))),
-            ("work_lost_gpu_secs", Value::Num(self.work_lost_gpu_secs)),
-        ])
-    }
-}
-
-impl FromJson for MigrationMetrics {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(MigrationMetrics {
-            preemptions: v.get("preemptions")?.as_u32()?,
-            migrations: v.get("migrations")?.as_u32()?,
-            relocations: v.get("relocations")?.as_u32()?,
-            work_lost_gpu_secs: v.get("work_lost_gpu_secs")?.as_f64()?,
-        })
-    }
+desim::json_record! {
+    MigrationMetrics;
+    preemptions: "preemptions",
+    migrations: "migrations",
+    relocations: "relocations",
+    work_lost_gpu_secs: "work_lost_gpu_secs",
 }
 
 /// The lifecycle record of one inference service over its whole window.
@@ -237,50 +185,24 @@ pub struct ServiceOutcome {
     pub failovers: u32,
 }
 
-impl ToJson for ServiceOutcome {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("id", Value::from_u64(self.id)),
-            ("tenant", Value::from_u64(u64::from(self.tenant))),
-            ("benchmark", Value::str(self.benchmark.clone())),
-            ("slice", Value::from_u64(u64::from(self.slice))),
-            ("generated", Value::from_u64(self.generated)),
-            ("completed", Value::from_u64(self.completed)),
-            ("dropped", Value::from_u64(self.dropped)),
-            ("within_slo", Value::from_u64(self.within_slo)),
-            ("p50_latency_ns", self.p50_latency.to_json()),
-            ("p99_latency_ns", self.p99_latency.to_json()),
-            ("slo_ns", self.slo.to_json()),
-            ("attainment", Value::Num(self.attainment)),
-            ("goodput_rps", Value::Num(self.goodput_rps)),
-            ("replica_secs", Value::Num(self.replica_secs)),
-            ("peak_replicas", Value::from_u64(u64::from(self.peak_replicas))),
-            ("failovers", Value::from_u64(u64::from(self.failovers))),
-        ])
-    }
-}
-
-impl FromJson for ServiceOutcome {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(ServiceOutcome {
-            id: v.get("id")?.as_u64()?,
-            tenant: v.get("tenant")?.as_u32()?,
-            benchmark: String::from_json(v.get("benchmark")?)?,
-            slice: v.get("slice")?.as_u8()?,
-            generated: v.get("generated")?.as_u64()?,
-            completed: v.get("completed")?.as_u64()?,
-            dropped: v.get("dropped")?.as_u64()?,
-            within_slo: v.get("within_slo")?.as_u64()?,
-            p50_latency: Dur::from_json(v.get("p50_latency_ns")?)?,
-            p99_latency: Dur::from_json(v.get("p99_latency_ns")?)?,
-            slo: Dur::from_json(v.get("slo_ns")?)?,
-            attainment: v.get("attainment")?.as_f64()?,
-            goodput_rps: v.get("goodput_rps")?.as_f64()?,
-            replica_secs: v.get("replica_secs")?.as_f64()?,
-            peak_replicas: v.get("peak_replicas")?.as_u8()?,
-            failovers: v.get("failovers")?.as_u32()?,
-        })
-    }
+desim::json_record! {
+    ServiceOutcome;
+    id: "id",
+    tenant: "tenant",
+    benchmark: "benchmark",
+    slice: "slice",
+    generated: "generated",
+    completed: "completed",
+    dropped: "dropped",
+    within_slo: "within_slo",
+    p50_latency: "p50_latency_ns",
+    p99_latency: "p99_latency_ns",
+    slo: "slo_ns",
+    attainment: "attainment",
+    goodput_rps: "goodput_rps",
+    replica_secs: "replica_secs",
+    peak_replicas: "peak_replicas",
+    failovers: "failovers",
 }
 
 /// Serving-side accounting for a mixed replay. Absent (`None` on
@@ -333,40 +255,19 @@ impl ServeMetrics {
     }
 }
 
-impl ToJson for ServeMetrics {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("n_services", Value::from_u64(u64::from(self.n_services))),
-            ("generated", Value::from_u64(self.generated)),
-            ("completed", Value::from_u64(self.completed)),
-            ("dropped", Value::from_u64(self.dropped)),
-            ("p50_latency_ns", self.p50_latency.to_json()),
-            ("p99_latency_ns", self.p99_latency.to_json()),
-            ("attainment", Value::Num(self.attainment)),
-            ("goodput_rps", Value::Num(self.goodput_rps)),
-            ("replica_secs", Value::Num(self.replica_secs)),
-            ("failovers", Value::from_u64(u64::from(self.failovers))),
-            ("services", self.services.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ServeMetrics {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(ServeMetrics {
-            n_services: v.get("n_services")?.as_u32()?,
-            generated: v.get("generated")?.as_u64()?,
-            completed: v.get("completed")?.as_u64()?,
-            dropped: v.get("dropped")?.as_u64()?,
-            p50_latency: Dur::from_json(v.get("p50_latency_ns")?)?,
-            p99_latency: Dur::from_json(v.get("p99_latency_ns")?)?,
-            attainment: v.get("attainment")?.as_f64()?,
-            goodput_rps: v.get("goodput_rps")?.as_f64()?,
-            replica_secs: v.get("replica_secs")?.as_f64()?,
-            failovers: v.get("failovers")?.as_u32()?,
-            services: Vec::<ServiceOutcome>::from_json(v.get("services")?)?,
-        })
-    }
+desim::json_record! {
+    ServeMetrics;
+    n_services: "n_services",
+    generated: "generated",
+    completed: "completed",
+    dropped: "dropped",
+    p50_latency: "p50_latency_ns",
+    p99_latency: "p99_latency_ns",
+    attainment: "attainment",
+    goodput_rps: "goodput_rps",
+    replica_secs: "replica_secs",
+    failovers: "failovers",
+    services: "services",
 }
 
 /// Jain's fairness index over per-tenant shares: 1.0 when every tenant
@@ -491,79 +392,28 @@ impl ScheduleReport {
     }
 }
 
-impl ToJson for ScheduleReport {
-    fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("policy", Value::str(self.policy.clone())),
-            ("trace", Value::str(self.trace.clone())),
-            ("pool_gpus", Value::from_u64(u64::from(self.pool_gpus))),
-            ("n_jobs", Value::from_u64(u64::from(self.n_jobs))),
-            ("makespan_ns", self.makespan.to_json()),
-            ("mean_jct_ns", self.mean_jct.to_json()),
-            ("p95_jct_ns", self.p95_jct.to_json()),
-            ("mean_queue_delay_ns", self.mean_queue_delay.to_json()),
-            ("gpu_util", Value::Num(self.gpu_util)),
-            ("frag_share", Value::Num(self.frag_share)),
-            ("fairness", Value::Num(self.fairness)),
-            ("shrunk_jobs", Value::from_u64(u64::from(self.shrunk_jobs))),
-            ("audit_entries", Value::from_u64(self.audit_entries)),
-            (
-                "tenant_gpu_secs",
-                Value::Arr(self.tenant_gpu_secs.iter().map(|s| Value::Num(*s)).collect()),
-            ),
-        ];
-        // Serialized only for faulty replays: fault-free reports keep
-        // their pre-fault-model bytes (the cluster_fifo golden).
-        if let Some(r) = &self.recovery {
-            fields.push(("recovery", r.to_json()));
-        }
-        // Same contract for preemption/migration: replays with every knob
-        // off keep their pre-priority-model bytes (all five goldens).
-        if let Some(m) = &self.migration {
-            fields.push(("migration", m.to_json()));
-        }
-        // Same contract for serving: training-only reports (the
-        // cluster_fifo / cluster_faults goldens) keep their bytes.
-        if let Some(s) = &self.serve {
-            fields.push(("serve", s.to_json()));
-        }
-        fields.push(("jobs", self.jobs.to_json()));
-        Value::obj(fields)
-    }
-}
-
-impl FromJson for ScheduleReport {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(ScheduleReport {
-            policy: String::from_json(v.get("policy")?)?,
-            trace: String::from_json(v.get("trace")?)?,
-            pool_gpus: v.get("pool_gpus")?.as_u32()?,
-            n_jobs: v.get("n_jobs")?.as_u32()?,
-            makespan: Dur::from_json(v.get("makespan_ns")?)?,
-            mean_jct: Dur::from_json(v.get("mean_jct_ns")?)?,
-            p95_jct: Dur::from_json(v.get("p95_jct_ns")?)?,
-            mean_queue_delay: Dur::from_json(v.get("mean_queue_delay_ns")?)?,
-            gpu_util: v.get("gpu_util")?.as_f64()?,
-            frag_share: v.get("frag_share")?.as_f64()?,
-            fairness: v.get("fairness")?.as_f64()?,
-            shrunk_jobs: v.get("shrunk_jobs")?.as_u32()?,
-            audit_entries: v.get("audit_entries")?.as_u64()?,
-            tenant_gpu_secs: Vec::<f64>::from_json(v.get("tenant_gpu_secs")?)?,
-            recovery: match v.get("recovery") {
-                Ok(rv) => Some(RecoveryMetrics::from_json(rv)?),
-                Err(_) => None,
-            },
-            migration: match v.get("migration") {
-                Ok(mv) => Some(MigrationMetrics::from_json(mv)?),
-                Err(_) => None,
-            },
-            serve: match v.get("serve") {
-                Ok(sv) => Some(ServeMetrics::from_json(sv)?),
-                Err(_) => None,
-            },
-            jobs: Vec::<JobOutcome>::from_json(v.get("jobs")?)?,
-        })
-    }
+// Optional blocks are emitted only when present, so fault-free, knob-free
+// and training-only replays keep the bytes the pinned goldens hold.
+desim::json_record! {
+    ScheduleReport;
+    policy: "policy",
+    trace: "trace",
+    pool_gpus: "pool_gpus",
+    n_jobs: "n_jobs",
+    makespan: "makespan_ns",
+    mean_jct: "mean_jct_ns",
+    p95_jct: "p95_jct_ns",
+    mean_queue_delay: "mean_queue_delay_ns",
+    gpu_util: "gpu_util",
+    frag_share: "frag_share",
+    fairness: "fairness",
+    shrunk_jobs: "shrunk_jobs",
+    audit_entries: "audit_entries",
+    tenant_gpu_secs: "tenant_gpu_secs",
+    recovery: "recovery" (opt),
+    migration: "migration" (opt),
+    serve: "serve" (opt),
+    jobs: "jobs",
 }
 
 /// Render the `repro cluster` policy-comparison table.

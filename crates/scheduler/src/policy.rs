@@ -25,7 +25,7 @@
 
 use crate::probe::{ProbeCache, Shape};
 use crate::trace::JobSpec;
-use desim::json::Value;
+use desim::json::{FromJson, JsonError, ToJson, Value};
 use falcon::SlotAddr;
 use rack::{cross_chassis_stretch, drawers_spanned, RackAddr};
 use std::cmp::Reverse;
@@ -269,15 +269,10 @@ pub fn resolve_policy(name: &str) -> Result<Box<dyn PlacePolicy>, UnknownPolicy>
         let artifact = |detail: String| UnknownPolicy { name: name.to_string(), detail: Some(detail) };
         let text = std::fs::read_to_string(name).map_err(|e| artifact(e.to_string()))?;
         let v = Value::parse(&text).map_err(|e| artifact(e.to_string()))?;
-        let params_json = match v.as_obj() {
-            Ok(pairs) => pairs
-                .iter()
-                .find(|(k, _)| k == "params")
-                .map(|(_, v)| v.clone())
-                .unwrap_or(v.clone()),
-            Err(_) => v.clone(),
-        };
-        let params = PolicyParams::from_json(&params_json).map_err(|e| artifact(e.to_string()))?;
+        // A tuned artifact carries its knobs under "params"; bare knobs work too.
+        let pairs = v.as_obj().unwrap_or_default();
+        let params_json = pairs.iter().find(|(k, _)| k == "params").map_or(&v, |(_, p)| p);
+        let params = PolicyParams::from_json(params_json).map_err(|e| artifact(e.to_string()))?;
         let p = ParamPolicy::new(params).map_err(|e| artifact(e.to_string()))?;
         return Ok(Box::new(p));
     }
@@ -634,8 +629,8 @@ pub struct PolicyParams {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamsError {
     OutOfBounds { field: &'static str, value: f64, lo: f64, hi: f64 },
-    UnknownField(String),
-    BadField { field: String, msg: String },
+    /// Malformed JSON, a mistyped knob, or a key that is not a knob.
+    Json(JsonError),
 }
 
 impl std::fmt::Display for ParamsError {
@@ -644,12 +639,7 @@ impl std::fmt::Display for ParamsError {
             ParamsError::OutOfBounds { field, value, lo, hi } => {
                 write!(f, "params field \"{field}\" = {value} outside [{lo}, {hi}]")
             }
-            ParamsError::UnknownField(field) => {
-                write!(f, "params field \"{field}\" is not a policy knob")
-            }
-            ParamsError::BadField { field, msg } => {
-                write!(f, "params field \"{field}\": {msg}")
-            }
+            ParamsError::Json(e) => write!(f, "params: {e}"),
         }
     }
 }
@@ -753,71 +743,33 @@ impl PolicyParams {
         Ok(())
     }
 
-    pub fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("whole_drawer", Value::Num(self.whole_drawer)),
-            ("tie_tight", Value::Num(self.tie_tight)),
-            ("frag_patience", Value::Num(self.frag_patience)),
-            ("spill_pack", Value::Num(self.spill_pack)),
-            ("probe_bias", Value::Num(self.probe_bias)),
-            ("replica_pack", Value::Num(self.replica_pack)),
-            ("evict_for_slo", Value::Bool(self.evict_for_slo)),
-            ("shrink_aggr", Value::Num(self.shrink_aggr)),
-            ("slo_claw_band", Value::Num(self.slo_claw_band)),
-            ("preempt_margin", Value::Num(self.preempt_margin)),
-            ("defrag_margin", Value::Num(self.defrag_margin)),
-        ])
-    }
-
     pub fn to_json_string(&self) -> String {
         self.to_json().emit_pretty()
     }
 
-    /// Parse a params object. Missing knobs keep their
-    /// [`PolicyParams::fifo_first_fit`] defaults; unknown keys are
-    /// rejected by name. Bounds are *not* checked here — [`ParamPolicy::new`]
-    /// (and [`PolicyParams::validate`]) own that, so parse errors and
-    /// bounds errors stay distinguishable.
-    pub fn from_json(v: &Value) -> Result<PolicyParams, ParamsError> {
-        let pairs = v.as_obj().map_err(|e| ParamsError::BadField {
-            field: "<root>".into(),
-            msg: e.to_string(),
-        })?;
-        let mut p = PolicyParams::fifo_first_fit();
-        for (k, v) in pairs {
-            let num = |v: &Value| {
-                v.as_f64().map_err(|e| ParamsError::BadField { field: k.clone(), msg: e.to_string() })
-            };
-            match k.as_str() {
-                "whole_drawer" => p.whole_drawer = num(v)?,
-                "tie_tight" => p.tie_tight = num(v)?,
-                "frag_patience" => p.frag_patience = num(v)?,
-                "spill_pack" => p.spill_pack = num(v)?,
-                "probe_bias" => p.probe_bias = num(v)?,
-                "replica_pack" => p.replica_pack = num(v)?,
-                "evict_for_slo" => {
-                    p.evict_for_slo = v.as_bool().map_err(|e| ParamsError::BadField {
-                        field: k.clone(),
-                        msg: e.to_string(),
-                    })?
-                }
-                "shrink_aggr" => p.shrink_aggr = num(v)?,
-                "slo_claw_band" => p.slo_claw_band = num(v)?,
-                "preempt_margin" => p.preempt_margin = num(v)?,
-                "defrag_margin" => p.defrag_margin = num(v)?,
-                other => return Err(ParamsError::UnknownField(other.to_string())),
-            }
-        }
-        Ok(p)
-    }
-
+    /// Parse a params object (see the [`FromJson`] impl below).
     pub fn from_json_str(s: &str) -> Result<PolicyParams, ParamsError> {
-        let v = Value::parse(s).map_err(|e| ParamsError::BadField {
-            field: "<root>".into(),
-            msg: e.to_string(),
-        })?;
-        PolicyParams::from_json(&v)
+        Value::parse(s).and_then(|v| PolicyParams::from_json(&v)).map_err(ParamsError::Json)
     }
+}
+
+// Missing knobs keep their `PolicyParams::fifo_first_fit` defaults and
+// unknown keys are rejected by name. Bounds are *not* checked here —
+// `ParamPolicy::new` (and `PolicyParams::validate`) own that, so parse
+// errors and bounds errors stay distinguishable.
+desim::json_record! {
+    PolicyParams, defaults: PolicyParams::default();
+    whole_drawer: "whole_drawer" (default),
+    tie_tight: "tie_tight" (default),
+    frag_patience: "frag_patience" (default),
+    spill_pack: "spill_pack" (default),
+    probe_bias: "probe_bias" (default),
+    replica_pack: "replica_pack" (default),
+    evict_for_slo: "evict_for_slo" (default),
+    shrink_aggr: "shrink_aggr" (default),
+    slo_claw_band: "slo_claw_band" (default),
+    preempt_margin: "preempt_margin" (default),
+    defrag_margin: "defrag_margin" (default),
 }
 
 /// The parametric policy: one [`place`](PlacePolicy::place) algorithm
@@ -1329,7 +1281,7 @@ mod tests {
     #[test]
     fn params_reject_unknown_fields() {
         let err = PolicyParams::from_json_str("{\"spill_pack\": 1, \"warp\": 9}").unwrap_err();
-        assert!(matches!(err, ParamsError::UnknownField(f) if f == "warp"));
+        assert!(matches!(&err, ParamsError::Json(e) if e.msg.contains("\"warp\"")), "{err}");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::fault::{CHECKPOINT_ITERS, FAULT_MODEL_VERSION, RECOMPOSE_LATENCY};
 use crate::trace::{benchmark_from_label, Trace};
 use composable_core::recommend::Objective;
 use composable_core::system::build_falcon_slots;
-use desim::json::Value;
+use desim::json::{FromJson, ToJson, Value};
 use desim::Dur;
 use devices::gpu::GpuSpec;
 use dlmodels::Benchmark;
@@ -295,27 +295,25 @@ impl ProbeCache {
     /// model_hash)` stamp, so a cache from different model definitions or
     /// probe settings is rejected at load instead of silently reused.
     pub fn save_json(&self) -> String {
-        let entries: Vec<Value> = self
-            .map
-            .iter()
-            .map(|(&(label, shape, health), probe)| {
-                Value::obj(vec![
-                    ("benchmark", Value::str(label)),
-                    ("d0", Value::from_u64(u64::from(shape.d0))),
-                    ("d1", Value::from_u64(u64::from(shape.d1))),
-                    ("h0", Value::from_u64(u64::from(health.h0))),
-                    ("h1", Value::from_u64(u64::from(health.h1))),
-                    ("mean_iter_ns", Value::from_u64(probe.mean_iter.as_nanos())),
-                    ("score", Value::Num(probe.score)),
-                ])
-            })
-            .collect();
-        Value::obj(vec![
-            ("version", Value::from_u64(CACHE_FORMAT_VERSION)),
-            ("probe_iters", Value::from_u64(self.probe_iters)),
-            ("model_hash", Value::str(model_hash_for(&self.topo))),
-            ("entries", Value::Arr(entries)),
-        ])
+        CacheFile {
+            version: CACHE_FORMAT_VERSION,
+            probe_iters: self.probe_iters,
+            model_hash: model_hash_for(&self.topo),
+            entries: self
+                .map
+                .iter()
+                .map(|(&(label, shape, health), probe)| CacheEntry {
+                    benchmark: label.to_string(),
+                    d0: shape.d0,
+                    d1: shape.d1,
+                    h0: health.h0,
+                    h1: health.h1,
+                    mean_iter: probe.mean_iter,
+                    score: probe.score,
+                })
+                .collect(),
+        }
+        .to_json()
         .emit_pretty()
     }
 
@@ -333,40 +331,21 @@ impl ProbeCache {
     /// for a 4-chassis run instead of mispricing placements.
     pub fn load_str_for(s: &str, probe_iters: u64, topo: RackTopology) -> ProbeCache {
         let mut cache = ProbeCache::new_for(probe_iters, topo);
-        let Ok(v) = Value::parse(s) else { return cache };
-        let stamp_ok = v.get("version").and_then(|x| x.as_u64()) == Ok(CACHE_FORMAT_VERSION)
-            && v.get("probe_iters").and_then(|x| x.as_u64()) == Ok(cache.probe_iters)
-            && v.get("model_hash").and_then(|x| x.as_str().map(str::to_string))
-                == Ok(model_hash_for(&topo));
-        if !stamp_ok {
-            return cache;
-        }
-        let Ok(entries) = v.get("entries").and_then(|e| e.as_arr().map(<[Value]>::to_vec))
-        else {
+        let Ok(file) = Value::parse(s).and_then(|v| CacheFile::from_json(&v)) else {
             return cache;
         };
-        for e in &entries {
-            let decoded = (|| {
-                let label = e.get("benchmark")?.as_str()?;
-                let b = benchmark_from_label(label)
-                    .ok_or_else(|| desim::json::JsonError::decode("unknown benchmark"))?;
-                let shape = Shape::new(e.get("d0")?.as_u8()?, e.get("d1")?.as_u8()?);
-                let health = LinkHealth {
-                    h0: e.get("h0")?.as_u8()?,
-                    h1: e.get("h1")?.as_u8()?,
-                };
-                let probe = Probe {
-                    mean_iter: Dur::from_nanos(e.get("mean_iter_ns")?.as_u64()?),
-                    score: e.get("score")?.as_f64()?,
-                };
-                Ok::<_, desim::json::JsonError>((b.label(), shape, health, probe))
-            })();
-            match decoded {
-                Ok((label, shape, health, probe)) => {
-                    cache.map.insert((label, shape, health), probe);
-                }
-                Err(_) => return ProbeCache::new_for(probe_iters, topo),
-            }
+        if file.version != CACHE_FORMAT_VERSION
+            || file.probe_iters != probe_iters
+            || file.model_hash != model_hash_for(&topo)
+        {
+            return cache;
+        }
+        for e in file.entries {
+            let Some(b) = benchmark_from_label(&e.benchmark) else {
+                return ProbeCache::new_for(probe_iters, topo);
+            };
+            let key = (b.label(), Shape::new(e.d0, e.d1), LinkHealth { h0: e.h0, h1: e.h1 });
+            cache.map.insert(key, Probe { mean_iter: e.mean_iter, score: e.score });
         }
         cache
     }
@@ -390,6 +369,44 @@ impl ProbeCache {
             Err(_) => ProbeCache::new_for(probe_iters, topo),
         }
     }
+}
+
+/// The persisted cache file ([`ProbeCache::save_json`]).
+struct CacheFile {
+    version: u64,
+    probe_iters: u64,
+    model_hash: String,
+    entries: Vec<CacheEntry>,
+}
+
+desim::json_record! {
+    CacheFile;
+    version: "version",
+    probe_iters: "probe_iters",
+    model_hash: "model_hash",
+    entries: "entries",
+}
+
+/// One persisted probe price, keyed by benchmark label, shape and health.
+struct CacheEntry {
+    benchmark: String,
+    d0: u8,
+    d1: u8,
+    h0: u8,
+    h1: u8,
+    mean_iter: Dur,
+    score: f64,
+}
+
+desim::json_record! {
+    CacheEntry;
+    benchmark: "benchmark",
+    d0: "d0",
+    d1: "d1",
+    h0: "h0",
+    h1: "h1",
+    mean_iter: "mean_iter_ns",
+    score: "score",
 }
 
 /// Fingerprint of everything a probe's answer depends on besides its key:

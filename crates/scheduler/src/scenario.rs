@@ -39,7 +39,7 @@ use crate::policy::{policy_by_name, PlacePolicy};
 use crate::probe::{warm_set_for_trace, ProbeCache};
 use crate::serve::{seeded_pai_mix, MixedTrace, ServiceSpec};
 use crate::trace::{JobSpec, PoissonMix};
-use desim::json::{FromJson, JsonError, ToJson, Value};
+use desim::json::{Fields, FromJson, JsonError, ToJson, Value};
 use desim::{Dur, SimTime};
 use rack::RackTopology;
 use std::fmt;
@@ -79,25 +79,11 @@ impl Topology {
     }
 }
 
-impl ToJson for Topology {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("chassis", Value::from_u64(u64::from(self.chassis))),
-            ("drawers", Value::from_u64(u64::from(self.drawers))),
-            ("slots_per_drawer", Value::from_u64(u64::from(self.slots_per_drawer))),
-        ])
-    }
-}
-
-impl FromJson for Topology {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let d = Topology::default();
-        Ok(Topology {
-            chassis: opt_u8(v, "chassis", d.chassis)?,
-            drawers: opt_u8(v, "drawers", d.drawers)?,
-            slots_per_drawer: opt_u8(v, "slots_per_drawer", d.slots_per_drawer)?,
-        })
-    }
+desim::json_record! {
+    Topology, defaults: Topology::default();
+    chassis: "chassis" (default),
+    drawers: "drawers" (default),
+    slots_per_drawer: "slots_per_drawer" (default),
 }
 
 /// Where a scenario's workload comes from.
@@ -154,28 +140,26 @@ impl ToJson for TraceSpec {
 
 impl FromJson for TraceSpec {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v.get("kind")?.as_str()? {
-            "jobs" => Ok(TraceSpec::Jobs {
-                name: String::from_json(v.get("name")?)?,
-                jobs: Vec::<JobSpec>::from_json(v.get("jobs")?)?,
-            }),
-            "poisson" => Ok(TraceSpec::Poisson {
-                seed: v.get("seed")?.as_u64()?,
-                n_jobs: v.get("n_jobs")?.as_u64()? as usize,
-                tenants: v.get("tenants")?.as_u32()?,
-                mean_interarrival: Dur::from_json(v.get("mean_interarrival_ns")?)?,
-                name: match v.get("name") {
-                    Ok(n) => Some(String::from_json(n)?),
-                    Err(_) => None,
-                },
-            }),
-            "pai-mix" => Ok(TraceSpec::PaiMix {
-                n_jobs: v.get("n_jobs")?.as_u64()? as usize,
-                n_services: v.get("n_services")?.as_u64()? as usize,
-                seed: v.get("seed")?.as_u64()?,
-            }),
-            other => Err(JsonError::decode(format!("unknown trace kind \"{other}\""))),
-        }
+        let mut f = Fields::new(v)?;
+        let kind: String = f.req("kind")?;
+        let spec = match kind.as_str() {
+            "jobs" => TraceSpec::Jobs { name: f.req("name")?, jobs: f.req("jobs")? },
+            "poisson" => TraceSpec::Poisson {
+                seed: f.req("seed")?,
+                n_jobs: f.req("n_jobs")?,
+                tenants: f.req("tenants")?,
+                mean_interarrival: f.req("mean_interarrival_ns")?,
+                name: f.opt("name")?,
+            },
+            "pai-mix" => TraceSpec::PaiMix {
+                n_jobs: f.req("n_jobs")?,
+                n_services: f.req("n_services")?,
+                seed: f.req("seed")?,
+            },
+            other => return Err(JsonError::decode(format!("unknown trace kind \"{other}\""))),
+        };
+        f.end()?;
+        Ok(spec)
     }
 }
 
@@ -212,19 +196,22 @@ impl ToJson for FaultSpec {
 
 impl FromJson for FaultSpec {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v.get("kind")?.as_str()? {
-            "none" => Ok(FaultSpec::None),
-            "inline" => Ok(FaultSpec::Inline(FaultPlan {
-                name: String::from_json(v.get("name")?)?,
-                events: Vec::from_json(v.get("events")?)?,
-            })),
-            "seeded" => Ok(FaultSpec::Seeded {
-                n_events: v.get("n_events")?.as_u64()? as usize,
-                horizon: Dur::from_json(v.get("horizon_ns")?)?,
-                seed: v.get("seed")?.as_u64()?,
-            }),
-            other => Err(JsonError::decode(format!("unknown fault kind \"{other}\""))),
-        }
+        let mut f = Fields::new(v)?;
+        let kind: String = f.req("kind")?;
+        let spec = match kind.as_str() {
+            "none" => FaultSpec::None,
+            "inline" => {
+                FaultSpec::Inline(FaultPlan { name: f.req("name")?, events: f.req("events")? })
+            }
+            "seeded" => FaultSpec::Seeded {
+                n_events: f.req("n_events")?,
+                horizon: f.req("horizon_ns")?,
+                seed: f.req("seed")?,
+            },
+            other => return Err(JsonError::decode(format!("unknown fault kind \"{other}\""))),
+        };
+        f.end()?;
+        Ok(spec)
     }
 }
 
@@ -241,19 +228,21 @@ pub enum MetricLevel {
     Summary,
 }
 
-impl MetricLevel {
-    fn as_str(self) -> &'static str {
-        match self {
+impl ToJson for MetricLevel {
+    fn to_json(&self) -> Value {
+        Value::str(match self {
             MetricLevel::Full => "full",
             MetricLevel::Summary => "summary",
-        }
+        })
     }
+}
 
-    fn from_str(s: &str) -> Option<MetricLevel> {
-        match s {
-            "full" => Some(MetricLevel::Full),
-            "summary" => Some(MetricLevel::Summary),
-            _ => None,
+impl FromJson for MetricLevel {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.as_str()? {
+            "full" => Ok(MetricLevel::Full),
+            "summary" => Ok(MetricLevel::Summary),
+            other => Err(JsonError::decode(format!("unknown metric level \"{other}\""))),
         }
     }
 }
@@ -359,13 +348,6 @@ impl From<JsonError> for ScenarioError {
 impl From<SchedulerError> for ScenarioError {
     fn from(e: SchedulerError) -> Self {
         ScenarioError::Scheduler(e)
-    }
-}
-
-fn opt_u8(v: &Value, key: &str, default: u8) -> Result<u8, JsonError> {
-    match v.get(key) {
-        Ok(x) => x.as_u8(),
-        Err(_) => Ok(default),
     }
 }
 
@@ -537,139 +519,28 @@ impl Scenario {
         self.to_json().emit_pretty()
     }
 
+    /// Parse a scenario. A decode error is prefixed with the scenario's
+    /// name when the name itself decodes.
     pub fn from_json_str(s: &str) -> Result<Scenario, JsonError> {
-        Scenario::from_json(&Value::parse(s)?)
-    }
-}
-
-impl ToJson for Scenario {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("name", Value::str(self.name.clone())),
-            ("topology", self.topology.to_json()),
-            ("trace", self.trace.to_json()),
-            ("faults", self.faults.to_json()),
-            ("services", self.services.to_json()),
-            (
-                "policies",
-                Value::Arr(self.policies.iter().map(|p| Value::str(p.clone())).collect()),
-            ),
-            ("config", {
-                let mut fields = vec![
-                    (
-                        "quota_gpus_per_tenant",
-                        Value::from_u64(self.config.quota_gpus_per_tenant as u64),
-                    ),
-                    ("elastic", Value::Bool(self.config.elastic)),
-                    ("probe_iters", Value::from_u64(self.config.probe_iters)),
-                    ("interference", Value::Num(self.config.interference)),
-                ];
-                // Performance knobs are emitted only when non-default, so
-                // pre-existing scenario files round-trip byte-identically.
-                let defaults = SchedulerConfig::default();
-                if self.config.audit_every != defaults.audit_every {
-                    fields.push(("audit_every", Value::from_u64(self.config.audit_every)));
-                }
-                if self.config.shard_serving != defaults.shard_serving {
-                    fields.push(("shard_serving", Value::Bool(self.config.shard_serving)));
-                }
-                if self.config.preempt != defaults.preempt {
-                    fields.push(("preempt", Value::Bool(self.config.preempt)));
-                }
-                if self.config.defrag != defaults.defrag {
-                    fields.push(("defrag", Value::Bool(self.config.defrag)));
-                }
-                if self.config.relocate_slo != defaults.relocate_slo {
-                    fields.push(("relocate_slo", Value::Bool(self.config.relocate_slo)));
-                }
-                Value::obj(fields)
-            }),
-            ("metrics", Value::str(self.metrics.as_str())),
-        ])
-    }
-}
-
-/// The `config` keys a scenario may set, one per [`SchedulerConfig`]
-/// field.
-const CONFIG_KEYS: [&str; 9] = [
-    "quota_gpus_per_tenant",
-    "elastic",
-    "probe_iters",
-    "interference",
-    "audit_every",
-    "shard_serving",
-    "preempt",
-    "defrag",
-    "relocate_slo",
-];
-
-/// Parse scenario `scenario`'s `config` object. Omitted knobs keep their
-/// defaults; an unknown key is a decode error naming the scenario, the
-/// key, and the valid keys — a typo must not replay as the default.
-fn config_from_json(scenario: &str, c: &Value) -> Result<SchedulerConfig, JsonError> {
-    let mut cfg = SchedulerConfig::default();
-    for (k, x) in c.as_obj()? {
-        match k.as_str() {
-            "quota_gpus_per_tenant" => cfg.quota_gpus_per_tenant = x.as_u64()? as usize,
-            "elastic" => cfg.elastic = x.as_bool()?,
-            "probe_iters" => cfg.probe_iters = x.as_u64()?,
-            "interference" => cfg.interference = x.as_f64()?,
-            "audit_every" => cfg.audit_every = x.as_u64()?,
-            "shard_serving" => cfg.shard_serving = x.as_bool()?,
-            "preempt" => cfg.preempt = x.as_bool()?,
-            "defrag" => cfg.defrag = x.as_bool()?,
-            "relocate_slo" => cfg.relocate_slo = x.as_bool()?,
-            other => {
-                return Err(JsonError::decode(format!(
-                    "{scenario}: config key \"{other}\" is not a scheduler knob (valid: {})",
-                    CONFIG_KEYS.join(", ")
-                )))
-            }
-        }
-    }
-    Ok(cfg)
-}
-
-impl FromJson for Scenario {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let name = String::from_json(v.get("name")?)?;
-        let config = match v.get("config") {
-            Ok(c) => config_from_json(&name, c)?,
-            Err(_) => SchedulerConfig::default(),
-        };
-        Ok(Scenario {
-            name,
-            topology: match v.get("topology") {
-                Ok(t) => Topology::from_json(t)?,
-                Err(_) => Topology::default(),
-            },
-            trace: TraceSpec::from_json(v.get("trace")?)?,
-            faults: match v.get("faults") {
-                Ok(fs) => FaultSpec::from_json(fs)?,
-                Err(_) => FaultSpec::None,
-            },
-            services: match v.get("services") {
-                Ok(s) => Vec::<ServiceSpec>::from_json(s)?,
-                Err(_) => Vec::new(),
-            },
-            policies: match v.get("policies")?.as_arr() {
-                Ok(items) => items
-                    .iter()
-                    .map(|p| Ok(p.as_str()?.to_string()))
-                    .collect::<Result<Vec<String>, JsonError>>()?,
-                Err(e) => return Err(e),
-            },
-            config,
-            metrics: match v.get("metrics") {
-                Ok(m) => {
-                    let s = m.as_str()?;
-                    MetricLevel::from_str(s)
-                        .ok_or_else(|| JsonError::decode(format!("unknown metric level \"{s}\"")))?
-                }
-                Err(_) => MetricLevel::Full,
-            },
+        let v = Value::parse(s)?;
+        let name = Fields::new(&v).and_then(|mut f| f.req::<String>("name"));
+        Scenario::from_json(&v).map_err(|e| match name {
+            Ok(name) => e.within(name),
+            Err(_) => e,
         })
     }
+}
+
+desim::json_record! {
+    Scenario;
+    name: "name",
+    topology: "topology" (default),
+    trace: "trace",
+    faults: "faults" (default),
+    services: "services" (default),
+    policies: "policies",
+    config: "config" (default),
+    metrics: "metrics" (default),
 }
 
 /// The canonical result of one scenario: one [`ScheduleReport`] per
@@ -717,7 +588,7 @@ impl ScenarioReport {
     pub fn to_json(&self) -> Value {
         Value::obj(vec![
             ("scenario", Value::str(self.scenario.clone())),
-            ("metrics", Value::str(self.metrics.as_str())),
+            ("metrics", self.metrics.to_json()),
             (
                 "reports",
                 Value::Arr(self.reports.iter().map(|r| self.report_json(r)).collect()),

@@ -22,7 +22,7 @@
 use crate::cluster::{tenant_user, ADMIN, MAX_TENANTS};
 use crate::metrics::{percentile_dur, round4, ServeMetrics, ServiceOutcome};
 use crate::policy::{SliceSlot, SliceView};
-use crate::trace::{benchmark_from_label, JobSpec, PoissonMix, TenantId, Trace};
+use crate::trace::{JobSpec, PoissonMix, TenantId, Trace};
 use desim::json::{FromJson, JsonError, ToJson, Value};
 use desim::{Dur, SimRng, SimTime};
 use devices::gpu::GpuSpec;
@@ -59,19 +59,21 @@ pub enum ArrivalKind {
     Diurnal,
 }
 
-impl ArrivalKind {
-    fn as_str(self) -> &'static str {
-        match self {
+impl ToJson for ArrivalKind {
+    fn to_json(&self) -> Value {
+        Value::str(match self {
             ArrivalKind::Poisson => "poisson",
             ArrivalKind::Diurnal => "diurnal",
-        }
+        })
     }
+}
 
-    fn from_str(s: &str) -> Option<ArrivalKind> {
-        match s {
-            "poisson" => Some(ArrivalKind::Poisson),
-            "diurnal" => Some(ArrivalKind::Diurnal),
-            _ => None,
+impl FromJson for ArrivalKind {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        match v.as_str()? {
+            "poisson" => Ok(ArrivalKind::Poisson),
+            "diurnal" => Ok(ArrivalKind::Diurnal),
+            other => Err(JsonError::decode(format!("unknown arrivals \"{other}\""))),
         }
     }
 }
@@ -107,50 +109,21 @@ impl ServiceSpec {
     }
 }
 
-impl ToJson for ServiceSpec {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("id", Value::from_u64(self.id)),
-            ("tenant", Value::from_u64(u64::from(self.tenant.0))),
-            ("benchmark", Value::str(self.benchmark.label())),
-            ("slice", Value::from_u64(u64::from(self.slice))),
-            ("slo_ns", self.slo.to_json()),
-            ("rate_rps", Value::Num(self.rate_rps)),
-            ("arrivals", Value::str(self.arrivals.as_str())),
-            ("start_ns", self.start.to_json()),
-            ("duration_ns", self.duration.to_json()),
-            ("max_batch", Value::from_u64(u64::from(self.max_batch))),
-            ("max_wait_ns", self.max_wait.to_json()),
-            ("min_replicas", Value::from_u64(u64::from(self.min_replicas))),
-            ("max_replicas", Value::from_u64(u64::from(self.max_replicas))),
-        ])
-    }
-}
-
-impl FromJson for ServiceSpec {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let label = v.get("benchmark")?.as_str()?;
-        let benchmark = benchmark_from_label(label)
-            .ok_or_else(|| JsonError::decode(format!("unknown benchmark \"{label}\"")))?;
-        let arrivals_str = v.get("arrivals")?.as_str()?;
-        let arrivals = ArrivalKind::from_str(arrivals_str)
-            .ok_or_else(|| JsonError::decode(format!("unknown arrivals \"{arrivals_str}\"")))?;
-        Ok(ServiceSpec {
-            id: v.get("id")?.as_u64()?,
-            tenant: TenantId(v.get("tenant")?.as_u32()?),
-            benchmark,
-            slice: v.get("slice")?.as_u8()?,
-            slo: Dur::from_json(v.get("slo_ns")?)?,
-            rate_rps: v.get("rate_rps")?.as_f64()?,
-            arrivals,
-            start: SimTime::from_json(v.get("start_ns")?)?,
-            duration: Dur::from_json(v.get("duration_ns")?)?,
-            max_batch: v.get("max_batch")?.as_u32()?,
-            max_wait: Dur::from_json(v.get("max_wait_ns")?)?,
-            min_replicas: v.get("min_replicas")?.as_u8()?,
-            max_replicas: v.get("max_replicas")?.as_u8()?,
-        })
-    }
+desim::json_record! {
+    ServiceSpec;
+    id: "id",
+    tenant: "tenant",
+    benchmark: "benchmark",
+    slice: "slice",
+    slo: "slo_ns",
+    rate_rps: "rate_rps",
+    arrivals: "arrivals",
+    start: "start_ns",
+    duration: "duration_ns",
+    max_batch: "max_batch",
+    max_wait: "max_wait_ns",
+    min_replicas: "min_replicas",
+    max_replicas: "max_replicas",
 }
 
 /// A workload of training jobs and inference services sharing the bed.
@@ -204,24 +177,11 @@ impl From<Trace> for MixedTrace {
     }
 }
 
-impl ToJson for MixedTrace {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("name", Value::str(self.name.clone())),
-            ("jobs", self.jobs.to_json()),
-            ("services", self.services.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MixedTrace {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(MixedTrace {
-            name: String::from_json(v.get("name")?)?,
-            jobs: Vec::<JobSpec>::from_json(v.get("jobs")?)?,
-            services: Vec::<ServiceSpec>::from_json(v.get("services")?)?,
-        })
-    }
+desim::json_record! {
+    MixedTrace;
+    name: "name",
+    jobs: "jobs",
+    services: "services",
 }
 
 /// The seeded PAI-style mixed workload `repro serve` replays: the

@@ -9,7 +9,7 @@
 //! benchmarks, and every draw comes from a seeded [`SimRng`], so a trace
 //! is a pure function of its generator parameters.
 
-use desim::json::{FromJson, JsonError, ToJson, Value};
+use desim::json::{Fields, FromJson, JsonError, ToJson, Value};
 use desim::{Dur, SimRng, SimTime};
 use dlmodels::Benchmark;
 use std::fmt;
@@ -46,28 +46,7 @@ pub fn priority_tier_label(tier: u8) -> Option<&'static str> {
     PRIORITY_TIERS.iter().find(|&&(_, t)| t == tier).map(|&(name, _)| name)
 }
 
-/// Look a benchmark up by its paper label (the form traces serialize).
-///
-/// Matching is case-insensitive and ignores `-`/`_`, so the aliases that
-/// show up in hand-written traces and goldens (`"resnet50"`,
-/// `"resnet-50"`, `"bert_large"`, `"yolov5l"`, …) all resolve.
-pub fn benchmark_from_label(label: &str) -> Option<Benchmark> {
-    fn norm(s: &str) -> String {
-        s.chars()
-            .filter(|c| *c != '-' && *c != '_')
-            .flat_map(char::to_lowercase)
-            .collect()
-    }
-    let wanted = norm(label);
-    Benchmark::all()
-        .into_iter()
-        .find(|b| norm(b.label()) == wanted)
-        .or(match wanted.as_str() {
-            "bertbase" => Some(Benchmark::BertBase),
-            "bertlarge" => Some(Benchmark::BertLarge),
-            _ => None,
-        })
-}
+pub use dlmodels::benchmark_from_label;
 
 /// One training job in a cluster trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,6 +74,18 @@ impl JobSpec {
     }
 }
 
+impl ToJson for TenantId {
+    fn to_json(&self) -> Value {
+        self.0.to_json()
+    }
+}
+
+impl FromJson for TenantId {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        u32::from_json(v).map(TenantId)
+    }
+}
+
 impl ToJson for JobSpec {
     fn to_json(&self) -> Value {
         Value::obj(vec![
@@ -110,38 +101,41 @@ impl ToJson for JobSpec {
     }
 }
 
+/// A priority tier as JSON spells it: a number, or one of the labels in
+/// [`PRIORITY_TIERS`].
+struct Tier(u8);
+
+impl FromJson for Tier {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        if let Ok(n) = v.as_u8() {
+            return Ok(Tier(n));
+        }
+        let label = v.as_str()?;
+        priority_tier_from_label(label).map(Tier).ok_or_else(|| {
+            JsonError::decode(format!(
+                "unknown priority tier \"{label}\" (tiers: low=1, high=2, urgent=3)"
+            ))
+        })
+    }
+}
+
 impl FromJson for JobSpec {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let label = v.get("benchmark")?.as_str()?;
-        let benchmark = benchmark_from_label(label)
-            .ok_or_else(|| JsonError::decode(format!("unknown benchmark \"{label}\"")))?;
-        // `priority` is optional (legacy traces predate tiers and parse to
-        // the default low tier) and accepts either a numeric tier or one of
-        // the named tiers from [`PRIORITY_TIERS`].
-        let priority = match v.get("priority") {
-            Err(_) => 1,
-            Ok(pv) => match pv.as_u8() {
-                Ok(n) => n,
-                Err(_) => {
-                    let tier = pv.as_str()?;
-                    priority_tier_from_label(tier).ok_or_else(|| {
-                        JsonError::decode(format!(
-                            "unknown priority tier \"{tier}\" (tiers: low=1, high=2, urgent=3)"
-                        ))
-                    })?
-                }
-            },
+        let mut f = Fields::new(v)?;
+        let job = JobSpec {
+            id: f.req("id")?,
+            tenant: f.req("tenant")?,
+            benchmark: f.req("benchmark")?,
+            gpus: f.req("gpus")?,
+            min_gpus: f.req("min_gpus")?,
+            // Optional: legacy traces predate tiers and parse to the
+            // default low tier.
+            priority: f.opt::<Tier>("priority")?.map_or(1, |t| t.0),
+            arrival: f.req("arrival_ns")?,
+            iters: f.req("iters")?,
         };
-        Ok(JobSpec {
-            id: v.get("id")?.as_u64()?,
-            tenant: TenantId(v.get("tenant")?.as_u32()?),
-            benchmark,
-            gpus: v.get("gpus")?.as_u8()?,
-            min_gpus: v.get("min_gpus")?.as_u8()?,
-            priority,
-            arrival: SimTime::from_json(v.get("arrival_ns")?)?,
-            iters: v.get("iters")?.as_u64()?,
-        })
+        f.end()?;
+        Ok(job)
     }
 }
 
@@ -185,22 +179,10 @@ impl Trace {
     }
 }
 
-impl ToJson for Trace {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("name", Value::str(self.name.clone())),
-            ("jobs", self.jobs.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Trace {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(Trace {
-            name: String::from_json(v.get("name")?)?,
-            jobs: Vec::<JobSpec>::from_json(v.get("jobs")?)?,
-        })
-    }
+desim::json_record! {
+    Trace;
+    name: "name",
+    jobs: "jobs",
 }
 
 /// Synthetic-trace generator: Poisson arrivals, heavy-tailed job mix.

@@ -9,15 +9,20 @@
 //!   horizon, unknown/duplicate/empty policy lists, unsupported
 //!   topologies — is rejected by `validate()` with the matching *typed*
 //!   [`ScenarioError`], never a panic or a silently-accepted spec, and an
-//!   unknown `config` key is a parse error naming scenario and key.
+//!   unknown or repeated key at any object level is a parse error naming
+//!   scenario and key;
+//! * byte mutations of every checked-in scenario file parse to an error
+//!   or to a scenario that re-emits canonically, never a panic.
 //!
 //! Scenarios are assembled from plain-integer raw material (the
 //! `fault_props.rs` idiom) so testkit shrinking stays simple, and fault
 //! times are derived from the materialized horizon so the valid cases
 //! are valid *by construction*.
 
+use desim::json::{ToJson, Value};
 use desim::{Dur, SimTime};
 use dlmodels::Benchmark;
+use std::path::{Path, PathBuf};
 use scheduler::serve::{ArrivalKind, ServiceSpec};
 use scheduler::trace::{JobSpec, TenantId};
 use scheduler::{
@@ -25,8 +30,8 @@ use scheduler::{
     SchedulerConfig, Topology, TraceSpec,
 };
 use testkit::{
-    bools, prop_assert, prop_assert_eq, property, tuple3, tuple5, u32_in, u64_in, u8_in, vec_of,
-    Gen,
+    bools, prop_assert, prop_assert_eq, property, tuple3, tuple5, u32_in, u64_in, u8_in, usize_in,
+    vec_of, Gen,
 };
 
 const POLICY_NAMES: [&str; 5] =
@@ -184,6 +189,40 @@ fn build_scenario(
     sc
 }
 
+/// The object at `path` inside `v`: object keys, or array indices.
+fn object_at<'a>(mut v: &'a mut Value, path: &[String]) -> &'a mut Vec<(String, Value)> {
+    for step in path {
+        v = match v {
+            Value::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == step).expect("key").1,
+            Value::Arr(items) => &mut items[step.parse::<usize>().expect("index")],
+            other => panic!("path runs through {other:?}"),
+        };
+    }
+    match v {
+        Value::Obj(pairs) => pairs,
+        other => panic!("path ends at {other:?}"),
+    }
+}
+
+/// Every checked-in scenario file under `dir`, recursively, in path order.
+fn scenario_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("scenarios/ is checked in") {
+        let path = entry.expect("readable entry").path();
+        if path.is_dir() {
+            files.extend(scenario_files(&path));
+        } else if path.extension().is_some_and(|x| x == "json") {
+            files.push(path);
+        }
+    }
+    files.sort();
+    files
+}
+
+/// What a number literal may be swapped for: the JSON number boundaries.
+const NUMBER_TOKENS: [&str; 7] =
+    ["1e999", "-1e999", "-0", "1e-400", "-1", "9007199254740993", "0.5"];
+
 property! {
     /// Any valid random scenario round-trips through JSON bit-exactly:
     /// parse(emit) equals the original struct, re-emission is
@@ -319,19 +358,51 @@ property! {
                 );
             }
             7 => {
-                // A misspelled or unknown config knob is a parse error
-                // naming the scenario and the key, never a silent default.
-                let key = ["preemt", "audit_evry", "quota"][(seed % 3) as usize];
-                let text = sc.to_json_string().replacen(
-                    "\"config\": {",
-                    &format!("\"config\": {{\n    \"{key}\": true,"),
-                    1,
-                );
-                let err = Scenario::from_json_str(&text).expect_err("unknown config key rejected");
+                // A misspelled, unknown or repeated key at any object level
+                // is a parse error naming the scenario and the key (and, for
+                // a stranger, the level's valid keys), never a silent default.
+                let mut sc = build_scenario(0, seed, cfg, 0b11111, &jobs_raw, &services_raw, 1);
+                if sc.services.is_empty() {
+                    sc.services = build_services(&[(0, 0, 0, 100, 4)]);
+                }
+                let TraceSpec::Jobs { jobs, .. } = &sc.trace else { unreachable!() };
+                let FaultSpec::Inline(plan) = &sc.faults else { unreachable!() };
+                let pick = |n: usize| (seed as usize / 16 % n).to_string();
+                let path = |steps: &[&str]| steps.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+                let (job, event) = (pick(jobs.len()), pick(plan.events.len()));
+                let service = pick(sc.services.len());
+                let levels = [
+                    (path(&[]), "policies"),
+                    (path(&["topology"]), "slots_per_drawer"),
+                    (path(&["trace"]), "jobs"),
+                    (path(&["trace", "jobs", &job]), "min_gpus"),
+                    (path(&["faults"]), "events"),
+                    (path(&["faults", "events", &event]), "duration_ns"),
+                    (path(&["services", &service]), "max_wait_ns"),
+                    (path(&["config"]), "relocate_slo"),
+                ];
+                let (steps, valid) = &levels[(seed % 8) as usize];
+                let mut v = sc.to_json();
+                let level = object_at(&mut v, steps);
+                let repeat = seed / 8 % 2 == 1;
+                let key = if repeat {
+                    let first = level[0].clone();
+                    level.push(first.clone());
+                    first.0
+                } else {
+                    let stray = ["chasis", "nmae", "fault", "preemt", "audit_evry"];
+                    let key = stray[(seed / 16 % 5) as usize].to_string();
+                    level.push((key.clone(), Value::Bool(true)));
+                    key
+                };
+                let err = Scenario::from_json_str(&v.emit_pretty())
+                    .expect_err("stray or repeated key rejected");
                 let msg = err.to_string();
                 prop_assert!(
-                    msg.contains(&sc.name) && msg.contains(key) && msg.contains("relocate_slo"),
-                    "error names the scenario, the key, and the valid keys: {msg}"
+                    msg.contains(&sc.name) && msg.contains(&format!("\"{key}\""))
+                        && msg.contains(if repeat { "twice" } else { valid }),
+                    "error names the scenario, the key at {:?}, and {}: {}",
+                    steps, if repeat { "the repeat" } else { "a valid key" }, msg
                 );
             }
             _ => {
@@ -454,6 +525,85 @@ property! {
             );
         } else {
             prop_assert!(sc.validate().is_ok());
+        }
+    }
+
+    /// Byte mutations of every checked-in scenario file (`scenarios/**`):
+    /// a number literal swapped for a boundary token, a token spliced at
+    /// any offset, a byte deleted, overwritten or doubled, a line repeated.
+    /// Each parses to an error or to a scenario whose canonical emission
+    /// parses back to it byte for byte — never a panic. Unmutated files
+    /// are canonical already.
+    #[cases(256)]
+    fn mutated_checked_in_scenarios_fail_cleanly_or_round_trip(
+        file in usize_in(0..64),
+        mutation in u8_in(0..8),
+        at in usize_in(0..1_000_000),
+        token in usize_in(0..NUMBER_TOKENS.len()),
+        byte in u8_in(0x20..0x7f)
+    ) {
+        let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios"));
+        let files = scenario_files(&dir);
+        let text = std::fs::read_to_string(&files[file % files.len()]).expect("readable");
+        let mut bytes = text.clone().into_bytes();
+        let token = NUMBER_TOKENS[token];
+        match mutation {
+            0 | 1 => {
+                // Swap a number literal: mutation 0 draws from the
+                // fractional ones, the float fields an overflow could
+                // reach, mutation 1 from all. (Canonical files hold no
+                // escaped quotes.)
+                let (mut numbers, mut i, mut in_string) = (Vec::new(), 0, false);
+                while i < bytes.len() {
+                    let b = bytes[i];
+                    in_string ^= b == b'"';
+                    if in_string || !(b == b'-' || b.is_ascii_digit()) {
+                        i += 1;
+                        continue;
+                    }
+                    let end = (i + 1..bytes.len())
+                        .find(|&j| !matches!(bytes[j], b'0'..=b'9' | b'.' | b'e' | b'-' | b'+'))
+                        .unwrap_or(bytes.len());
+                    numbers.push(i..end);
+                    i = end;
+                }
+                let fractional: Vec<_> =
+                    numbers.iter().filter(|r| bytes[(*r).clone()].contains(&b'.')).cloned().collect();
+                let pool = if mutation == 0 && !fractional.is_empty() { fractional } else { numbers };
+                let span = pool[at % pool.len()].clone();
+                bytes.splice(span, token.bytes());
+            }
+            2 => {
+                let at = at % (bytes.len() + 1);
+                bytes.splice(at..at, token.bytes());
+            }
+            3 => {
+                bytes.remove(at % bytes.len());
+            }
+            4 => {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+            }
+            5 => {
+                let at = at % bytes.len();
+                bytes.insert(at, bytes[at]);
+            }
+            6 => {
+                let lines: Vec<&str> = text.lines().collect();
+                let k = at % lines.len();
+                let mut out = lines[..=k].to_vec();
+                out.extend_from_slice(&lines[k..]);
+                bytes = out.join("\n").into_bytes();
+            }
+            _ => {}
+        }
+        let mutated = String::from_utf8(bytes).expect("ASCII mutations of ASCII files");
+        if let Ok(sc) = Scenario::from_json_str(&mutated) {
+            let canonical = sc.to_json_string();
+            prop_assert_eq!(Scenario::from_json_str(&canonical).ok(), Some(sc.clone()));
+            if mutated == text {
+                prop_assert_eq!(&canonical, &text, "checked-in files are canonical");
+            }
         }
     }
 }

@@ -125,52 +125,25 @@ impl RunReport {
     }
 }
 
-impl ToJson for RunReport {
-    fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("label", Value::str(&*self.label)),
-            ("benchmark", Value::str(&*self.benchmark)),
-            ("total_time", self.total_time.to_json()),
-            ("iterations", Value::from_u64(self.iterations)),
-            ("mean_iter", self.mean_iter.to_json()),
-            ("throughput", Value::Num(self.throughput)),
-            ("gpu_util", Value::Num(self.gpu_util)),
-            ("gpu_util_trace", self.gpu_util_trace.to_json()),
-            ("gpu_mem_util", Value::Num(self.gpu_mem_util)),
-            ("gpu_mem_access_share", Value::Num(self.gpu_mem_access_share)),
-            ("cpu_util", Value::Num(self.cpu_util)),
-            ("host_mem_util", Value::Num(self.host_mem_util)),
-            ("falcon_pcie_rate", Value::Num(self.falcon_pcie_rate)),
-            ("falcon_pcie_trace", self.falcon_pcie_trace.to_json()),
-            ("input_stall_share", Value::Num(self.input_stall_share)),
-            ("exposed_comm_share", Value::Num(self.exposed_comm_share)),
-            ("phase_totals", self.phase_totals.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RunReport {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(RunReport {
-            label: String::from_json(v.get("label")?)?,
-            benchmark: String::from_json(v.get("benchmark")?)?,
-            total_time: Dur::from_json(v.get("total_time")?)?,
-            iterations: v.get("iterations")?.as_u64()?,
-            mean_iter: Dur::from_json(v.get("mean_iter")?)?,
-            throughput: v.get("throughput")?.as_f64()?,
-            gpu_util: v.get("gpu_util")?.as_f64()?,
-            gpu_util_trace: FromJson::from_json(v.get("gpu_util_trace")?)?,
-            gpu_mem_util: v.get("gpu_mem_util")?.as_f64()?,
-            gpu_mem_access_share: v.get("gpu_mem_access_share")?.as_f64()?,
-            cpu_util: v.get("cpu_util")?.as_f64()?,
-            host_mem_util: v.get("host_mem_util")?.as_f64()?,
-            falcon_pcie_rate: v.get("falcon_pcie_rate")?.as_f64()?,
-            falcon_pcie_trace: FromJson::from_json(v.get("falcon_pcie_trace")?)?,
-            input_stall_share: v.get("input_stall_share")?.as_f64()?,
-            exposed_comm_share: v.get("exposed_comm_share")?.as_f64()?,
-            phase_totals: FromJson::from_json(v.get("phase_totals")?)?,
-        })
-    }
+desim::json_record! {
+    RunReport;
+    label: "label",
+    benchmark: "benchmark",
+    total_time: "total_time",
+    iterations: "iterations",
+    mean_iter: "mean_iter",
+    throughput: "throughput",
+    gpu_util: "gpu_util",
+    gpu_util_trace: "gpu_util_trace",
+    gpu_mem_util: "gpu_mem_util",
+    gpu_mem_access_share: "gpu_mem_access_share",
+    cpu_util: "cpu_util",
+    host_mem_util: "host_mem_util",
+    falcon_pcie_rate: "falcon_pcie_rate",
+    falcon_pcie_trace: "falcon_pcie_trace",
+    input_stall_share: "input_stall_share",
+    exposed_comm_share: "exposed_comm_share",
+    phase_totals: "phase_totals",
 }
 
 #[cfg(test)]

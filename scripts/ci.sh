@@ -70,6 +70,21 @@ TESTKIT_BENCH_ITERS=1 TESTKIT_BENCH_WARMUP=0 cargo bench --offline -p bench
 echo "== scenario-matrix smoke (every scenarios/*.json, 2 parallel workers) =="
 cargo run --release --offline -p bench --bin repro -- scenario-matrix scenarios --jobs 2
 
+# A misspelled key must stop the replay, not replay another experiment:
+# "fault" for "faults" would otherwise run the fault study fault-free.
+echo "== misspelled scenario key is rejected (cluster_faults, \"fault\") =="
+sed 's/"faults":/"fault":/' scenarios/cluster_faults.json > target/typo_scenario.json
+if cargo run --quiet --release --offline -p bench --bin repro -- \
+    scenario target/typo_scenario.json > /dev/null 2> target/typo_scenario.err; then
+    echo "ERROR: a scenario with a misspelled key replayed instead of failing" >&2
+    exit 1
+fi
+cat target/typo_scenario.err
+if ! grep -q '"fault"' target/typo_scenario.err; then
+    echo "ERROR: the rejection does not name the misspelled key" >&2
+    exit 1
+fi
+
 # The preemption study exercised on its own: checkpoint preemption +
 # migration defrag must replay cleanly through the CLI path too, not
 # just inside the matrix fan-out.
