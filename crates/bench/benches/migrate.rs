@@ -58,7 +58,6 @@ fn baseline(sc: &Scenario, trace: &Trace) -> Scenario {
     base.trace = TraceSpec::Jobs { name: trace.name.clone(), jobs };
     base.config.preempt = false;
     base.config.defrag = false;
-    base.config.relocate_slo = false;
     base
 }
 

@@ -134,8 +134,6 @@ fn main() {
     }
 }
 
-/// Parse `--jobs N` / `--jobs=N`. Invalid or missing values are ignored
-/// (the default — available parallelism — applies).
 /// The numeric value of `--flag N` / `--flag=N`, if present.
 fn flag_value(args: &[String], flag: &str) -> Option<u64> {
     let eq = format!("{flag}=");
@@ -150,6 +148,8 @@ fn flag_value(args: &[String], flag: &str) -> Option<u64> {
     None
 }
 
+/// Parse `--jobs N` / `--jobs=N`. Invalid or missing values are ignored
+/// (the default — available parallelism — applies).
 fn jobs_flag(args: &[String]) -> Option<usize> {
     flag_value(args, "--jobs").map(|n| n as usize).filter(|&n| n > 0)
 }

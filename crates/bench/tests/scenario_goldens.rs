@@ -20,7 +20,7 @@ fn golden(name: &str) -> String {
 
 /// The pinned studies, each as (scenario file, golden file). One table,
 /// one guard loop — adding a pinned study is adding a row.
-const PINNED: [(&str, &str); 6] = [
+const PINNED: [(&str, &str); 7] = [
     ("cluster_fifo.json", "cluster_fifo.json"),
     ("cluster_faults.json", "cluster_faults.json"),
     ("cluster_serve.json", "cluster_serve.json"),
@@ -35,6 +35,10 @@ const PINNED: [(&str, &str); 6] = [
     // golden pins the priority engine's decisions — who got preempted,
     // who migrated, and the work-loss ledger.
     ("cluster_priority.json", "cluster_priority.json"),
+    // Every gang mechanism under one policy: preemption, defrag
+    // migration, fault evacuation with thermal trips, elastic shrink
+    // and a serving failover, all on a two-chassis mixed workload.
+    ("cluster_crossed.json", "cluster_crossed.json"),
 ];
 
 /// Every pinned scenario's canonical output still matches its golden.

@@ -186,14 +186,20 @@ impl fmt::Display for RackAddr {
     }
 }
 
+/// The global drawers `slots` touch, one bit per drawer (bit `d` is
+/// global drawer `d`). A supported rack has at most 16 drawers.
+pub fn drawer_mask(slots: impl IntoIterator<Item = RackAddr>) -> u64 {
+    slots.into_iter().fold(0, |m, s| {
+        debug_assert!(s.global_drawer() < 64, "drawer mask overflow");
+        m | 1 << s.global_drawer()
+    })
+}
+
 /// Number of distinct global drawers a slot list touches (1 = the gang
 /// peers over one PCIe switch ASIC; more = it pays root-complex or
 /// rack-tier hops).
 pub fn drawers_spanned(slots: &[RackAddr]) -> usize {
-    let mut ds: Vec<usize> = slots.iter().map(RackAddr::global_drawer).collect();
-    ds.sort_unstable();
-    ds.dedup();
-    ds.len()
+    drawer_mask(slots.iter().copied()).count_ones() as usize
 }
 
 /// Split a slot list into its per-chassis parts, chassis-ascending: the
@@ -395,6 +401,9 @@ mod tests {
         assert_eq!(RackTopology::with_chassis(4).n_drawers(), 8);
         assert_eq!(RackAddr::new(3, 1, 5).global_drawer(), 7);
         assert_eq!(RackAddr::new(3, 1, 5).to_string(), "c3d1s5");
+        let gang = [RackAddr::new(0, 1, 0), RackAddr::new(0, 1, 7), RackAddr::new(7, 1, 2)];
+        assert_eq!(drawer_mask(gang), 1 << 1 | 1 << 15);
+        assert_eq!(drawers_spanned(&gang), 2);
         // Chassis-major ordering groups sorted addresses per chassis.
         let mut v = vec![RackAddr::new(1, 0, 0), RackAddr::new(0, 1, 7)];
         v.sort_unstable();

@@ -13,12 +13,22 @@
 //! chassis that stretch is exactly 1.0 and replays are byte-identical to
 //! the pre-rack code.
 //!
-//! Time advances by discrete events (job arrival, job finish). Running
-//! jobs progress at a rate set by (a) a probe-measured mean iteration
-//! time for their placement *shape* — so drawer-spanning placements are
-//! genuinely slower for communication-bound models — and (b) a
-//! deterministic interference dilation per co-resident job sharing a
-//! drawer's switch ASIC. Rates are piecewise constant between events.
+//! Time advances by discrete events: job arrivals, job finishes, fault
+//! strikes and heals, and serving events (service starts and ends,
+//! request arrivals, batch launches and completions, idle-replica
+//! checks). Running jobs progress at a rate set by (a) a probe-measured
+//! mean iteration time for their placement *shape* — so drawer-spanning
+//! placements are genuinely slower for communication-bound models — and
+//! (b) a deterministic interference dilation per co-resident job sharing
+//! a drawer's switch ASIC. Rates are piecewise constant between events.
+//!
+//! Every gang decision is one function: `start_job` places, `try_shrink`
+//! shrinks, `preempt_for` preempts, `defrag_pass` migrates,
+//! `apply_fault` evacuates and `replace_displaced` re-places the
+//! evacuated. Each changes a gang's slots only through the
+//! `compose`/`release` pair, which drives the MCS and books the ledger;
+//! rolls work back to a checkpoint only through `Running::roll_back`;
+//! and re-seats a moved job only through `seat`.
 //!
 //! When the queue head cannot be placed for lack of capacity, the
 //! scheduler may *shrink* a running elastic job (e.g. 8 → 4 GPUs) through
@@ -45,7 +55,10 @@ use falcon::{
     Bmc, DrawerId, Falcon4016, HostId, HostPort, ManagementCenter, McsError, Mode, Role, Severity,
     SlotAddr, SlotDevice, UserId,
 };
-use rack::{chassis_parts, cross_chassis_stretch, drawers_spanned, Rack, RackAddr, RackTopology};
+use rack::{
+    chassis_parts, cross_chassis_stretch, drawer_mask, drawers_spanned, Rack, RackAddr,
+    RackTopology,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -67,6 +80,13 @@ fn tenant_host(t: u32) -> HostId {
 /// Does this gang pay a root-complex or rack-tier hop?
 fn spans(slots: &[RackAddr]) -> bool {
     drawers_spanned(slots) > 1
+}
+
+/// Slowdown factor of work sharing a drawer's switch ASIC with
+/// `neighbors` co-resident jobs or services — the one interference model
+/// training rates and serving batches both use.
+pub(crate) fn dilation(interference: f64, neighbors: usize) -> f64 {
+    1.0 + interference * neighbors as f64
 }
 
 /// Knobs of the cluster simulation (not of any single policy).
@@ -102,11 +122,6 @@ pub struct SchedulerConfig {
     /// spanning fewer drawers (chosen by [`PlacePolicy::migrate`]),
     /// paying the checkpoint rollback and [`RECOMPOSE_LATENCY`].
     pub defrag: bool,
-    /// SLO clawback relocates training instead of shrinking it in place:
-    /// the victim's gang re-places one GPU smaller through the policy,
-    /// compacting over its own freed slots, instead of merely releasing
-    /// its highest-address slot.
-    pub relocate_slo: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -120,7 +135,6 @@ impl Default for SchedulerConfig {
             shard_serving: false,
             preempt: false,
             defrag: false,
-            relocate_slo: false,
         }
     }
 }
@@ -137,7 +151,6 @@ desim::json_record! {
     shard_serving: "shard_serving" (elide),
     preempt: "preempt" (elide),
     defrag: "defrag" (elide),
-    relocate_slo: "relocate_slo" (elide),
 }
 
 /// Typed admission and replay failures.
@@ -199,7 +212,8 @@ impl From<McsError> for SchedulerError {
     }
 }
 
-/// A job currently holding GPUs.
+/// A job holding GPUs — or, while it waits for re-placement after a fault
+/// evacuation or a preemption, the job as of its last checkpoint.
 struct Running {
     spec: JobSpec,
     slots: Vec<RackAddr>,
@@ -222,30 +236,30 @@ struct Running {
     shrunk: bool,
 }
 
-/// Residual state of a preempted job while it waits in the queue: the
-/// checkpoint-rolled-back remaining work plus the flags its eventual
-/// [`JobOutcome`] must carry. The job itself re-enters `pending` as a
-/// spec sized to its pre-preemption allocation; `start_job` restores this
-/// state (instead of starting fresh) when the queue re-places it.
-struct Suspended {
-    remaining_iters: f64,
-    started: SimTime,
-    /// The originally requested gang size (the re-queued spec's `gpus` is
-    /// the current allocation, which a prior shrink may have reduced).
-    gpus: u8,
-    min_gpus: u8,
-    ever_spanned: bool,
-    shrunk: bool,
+impl Running {
+    /// Iterations run since the last checkpoint on this placement: the
+    /// work a rollback throws away.
+    fn uncheckpointed_iters(&self) -> f64 {
+        self.iters_since_placement % CHECKPOINT_ITERS as f64
+    }
+
+    /// Roll back to the last checkpoint before the job leaves its
+    /// placement (evacuation, preemption, migration), returning the
+    /// GPU-seconds of training it must redo.
+    fn roll_back(&mut self) -> f64 {
+        let lost = self.uncheckpointed_iters();
+        self.remaining_iters += lost;
+        lost * self.base_iter_secs * self.slots.len() as f64
+    }
 }
 
 /// Preemption/migration counters of one replay (reported as
-/// [`MigrationMetrics`] when any of the preempt/defrag/relocate knobs is
-/// on; absent otherwise so legacy reports stay byte-identical).
+/// [`MigrationMetrics`] when the preempt or defrag knob is on; absent
+/// otherwise so legacy reports stay byte-identical).
 #[derive(Default)]
 struct MigState {
     preemptions: u32,
     migrations: u32,
-    relocations: u32,
     work_lost_gpu_secs: f64,
 }
 
@@ -290,6 +304,27 @@ struct LoopScratch {
     reprice_ids: Vec<u64>,
 }
 
+impl LoopScratch {
+    /// Running training jobs touching each of the rack's `n_drawers`
+    /// global drawers — the serving side's interference neighbors.
+    fn training_on_drawer(
+        &mut self,
+        running: &BTreeMap<u64, Running>,
+        n_drawers: usize,
+    ) -> &[usize] {
+        self.tod.clear();
+        self.tod.resize(n_drawers, 0);
+        for r in running.values() {
+            let mut m = drawer_mask(r.slots.iter().copied());
+            while m != 0 {
+                self.tod[m.trailing_zeros() as usize] += 1;
+                m &= m - 1;
+            }
+        }
+        &self.tod
+    }
+}
+
 /// Which running jobs a link-health change can re-price. Skipping the
 /// rest is exact, not approximate: a job's price depends only on the
 /// drawer healths of the chassis it touches, plus the rack-tier stretch —
@@ -316,14 +351,16 @@ pub struct ClusterSim {
     bmc: Vec<Bmc>,
     fstate: FaultState,
     mig: MigState,
-    /// Preempted jobs awaiting re-placement, keyed by job id; every entry
-    /// has a matching spec in the pending queue.
-    suspended: BTreeMap<u64, Suspended>,
+    /// Preempted jobs rolled back to their checkpoint, keyed by job id.
+    /// Each keeps its original spec; the pending queue holds a copy
+    /// sized to the allocation it held, and `start_job` resumes this
+    /// state when the queue re-places it.
+    suspended: BTreeMap<u64, Running>,
     serve: ServeState,
     /// O(1) mirror of the running set's slot holdings (total and per
-    /// tenant), updated at every attach/detach. The cheap between-audit
-    /// conservation check compares it against the rack's attachment
-    /// count; the full audit re-derives and cross-checks it.
+    /// tenant), moved only by `compose` and `release`. The cheap
+    /// between-audit conservation check compares it against the rack's
+    /// attachment count; the full audit re-derives and cross-checks it.
     ledger_slots: usize,
     ledger_tenant: Vec<usize>,
     /// Events replayed so far — drives the `audit_every` cadence.
@@ -570,7 +607,7 @@ impl ClusterSim {
             // Heals are event sources too: a queued or displaced job may be
             // placeable only once capacity returns, so the loop must keep
             // advancing through the timeline even with nothing running.
-            let serve_next = if !self.serve.has_services() || self.serve.idle() {
+            let serve_next = if self.serve.idle() {
                 // No services, or all of them retired: the serving side
                 // can never produce another event.
                 None
@@ -581,12 +618,8 @@ impl ClusterSim {
                 // global events.
                 let cap =
                     [next_arrival_at, next_finish, next_fault_at].into_iter().flatten().min();
-                let mut tod = std::mem::take(&mut self.scratch.tod);
-                self.training_on_drawer_into(&running, &mut tod);
-                let b =
-                    self.serve.run_epoch(now, cap, self.cfg.interference, &tod, self.workers);
-                self.scratch.tod = tod;
-                b
+                let tod = self.scratch.training_on_drawer(&running, self.topo.n_drawers());
+                self.serve.run_epoch(now, cap, self.cfg.interference, tod, self.workers)
             } else {
                 self.serve.next_event()
             };
@@ -633,10 +666,7 @@ impl ClusterSim {
             let mut membership_changed = !finished.is_empty();
             for id in finished.drain(..) {
                 let r = running.remove(&id).expect("id from the running set");
-                for &slot in &r.slots {
-                    self.rack.detach(now, tenant_user(r.spec.tenant.0), slot)?;
-                }
-                self.unbook(r.spec.tenant.0, r.slots.len());
+                self.release(now, r.spec.tenant.0, &r.slots, false)?;
                 makespan = makespan.max(now);
                 outcomes.push(JobOutcome {
                     id: r.spec.id,
@@ -667,11 +697,9 @@ impl ClusterSim {
             // Once every service has retired (`idle`), the serving step
             // and placement pass are guaranteed no-ops — skip them (and
             // the per-drawer training census they would need).
-            if self.serve.has_services() && !self.serve.idle() {
-                let mut tod = std::mem::take(&mut self.scratch.tod);
-                self.training_on_drawer_into(&running, &mut tod);
-                let stepped = self.serve.step(now, &self.rack, self.cfg.interference, &tod)?;
-                self.scratch.tod = tod;
+            if !self.serve.idle() {
+                let tod = self.scratch.training_on_drawer(&running, self.topo.n_drawers());
+                let stepped = self.serve.step(now, &self.rack, self.cfg.interference, tod)?;
                 if stepped {
                     membership_changed = true;
                 }
@@ -737,11 +765,10 @@ impl ClusterSim {
         };
         // The migration block reports only when one of its levers was
         // armed: legacy configs keep their reports byte-identical.
-        let migration = if self.cfg.preempt || self.cfg.defrag || self.cfg.relocate_slo {
+        let migration = if self.cfg.preempt || self.cfg.defrag {
             Some(MigrationMetrics::assemble(
                 self.mig.preemptions,
                 self.mig.migrations,
-                self.mig.relocations,
                 self.mig.work_lost_gpu_secs,
             ))
         } else {
@@ -855,16 +882,64 @@ impl ClusterSim {
         self.scratch.reprice_ids = ids;
     }
 
-    /// Record `n` training slots attached for `tenant` in the O(1) ledger.
-    fn book(&mut self, tenant: u32, n: usize) {
-        self.ledger_slots += n;
-        self.ledger_tenant[tenant as usize] += n;
+    /// Compose `slots` into `tenant`'s host for training — an MCS-audited
+    /// grant and attach per slot — and book them in the O(1) ledger.
+    fn compose(
+        &mut self,
+        now: SimTime,
+        tenant: u32,
+        slots: &[RackAddr],
+    ) -> Result<(), SchedulerError> {
+        let (user, host) = (tenant_user(tenant), tenant_host(tenant));
+        for &slot in slots {
+            self.rack.grant(now, ADMIN, slot, user)?;
+            self.rack.attach(now, user, slot, host)?;
+        }
+        self.ledger_slots += slots.len();
+        self.ledger_tenant[tenant as usize] += slots.len();
+        Ok(())
     }
 
-    /// Record `n` training slots detached for `tenant` in the O(1) ledger.
-    fn unbook(&mut self, tenant: u32, n: usize) {
-        self.ledger_slots -= n;
-        self.ledger_tenant[tenant as usize] -= n;
+    /// Detach `tenant`'s training `slots` through the MCS and unbook them
+    /// from the ledger. A fault evacuation passes `forced`: the admin
+    /// force-detaches slots whose hardware died under the job.
+    fn release(
+        &mut self,
+        now: SimTime,
+        tenant: u32,
+        slots: &[RackAddr],
+        forced: bool,
+    ) -> Result<(), SchedulerError> {
+        for &slot in slots {
+            if forced {
+                self.rack.force_detach(now, ADMIN, slot)?;
+            } else {
+                self.rack.detach(now, tenant_user(tenant), slot)?;
+            }
+        }
+        self.ledger_slots -= slots.len();
+        self.ledger_tenant[tenant as usize] -= slots.len();
+        Ok(())
+    }
+
+    /// Seat `r` on freshly composed `slots`: price the new shape and
+    /// restart its per-placement progress accounting at `now`, with no
+    /// progress before `resume_at`. Rates are rebuilt by the
+    /// `recompute_rates` every seating event triggers.
+    fn seat(&mut self, now: SimTime, r: &mut Running, slots: Vec<RackAddr>, resume_at: SimTime) {
+        r.base_iter_secs = self.price_base(r.spec.benchmark, &slots);
+        r.ever_spanned |= spans(&slots);
+        r.slots = slots;
+        r.resume_at = resume_at;
+        r.iters_since_placement = 0.0;
+        r.last_progress = now;
+    }
+
+    /// GPUs `tenant` holds for training and serving — what its quota
+    /// caps. Training comes from the O(1) ledger, serving from its slot
+    /// counters; the full audit proves both exact.
+    fn tenant_used(&self, tenant: u32) -> usize {
+        self.ledger_tenant[tenant as usize] + self.serve.slots_per_tenant()[tenant as usize]
     }
 
     /// The cheap between-audit conservation check: the training ledger
@@ -959,13 +1034,8 @@ impl ClusterSim {
         let evacuated = !affected.is_empty();
         for id in affected {
             let mut r = running.remove(&id).expect("id from the running set");
-            for &slot in &r.slots {
-                self.rack.force_detach(now, ADMIN, slot)?;
-            }
-            self.unbook(r.spec.tenant.0, r.slots.len());
-            let lost = r.iters_since_placement % CHECKPOINT_ITERS as f64;
-            r.remaining_iters += lost;
-            self.fstate.work_lost_gpu_secs += lost * r.base_iter_secs * r.slots.len() as f64;
+            self.release(now, r.spec.tenant.0, &r.slots, true)?;
+            self.fstate.work_lost_gpu_secs += r.roll_back();
             self.fstate.evacuations += 1;
             self.fstate.displaced.push((now, r));
         }
@@ -1032,14 +1102,8 @@ impl ClusterSim {
         }
         loop {
             let free = self.free_view();
-            // Tenant usage comes from the O(1) ledger (training) plus the
-            // serving slot counters — the full audit proves both exact.
             let head = pending.iter().enumerate().find(|(_, j)| {
-                let t = j.tenant.0 as usize;
-                self.ledger_tenant[t]
-                    + self.serve.slots_per_tenant()[t]
-                    + usize::from(j.gpus)
-                    <= self.cfg.quota_gpus_per_tenant
+                self.tenant_used(j.tenant.0) + usize::from(j.gpus) <= self.cfg.quota_gpus_per_tenant
             });
             let Some((i, job)) = head else { break };
             match self.policy.place(job, &free, &mut self.probes) {
@@ -1102,9 +1166,7 @@ impl ClusterSim {
                     JobSpec { gpus: r.slots.len() as u8, ..r.spec.clone() },
                 )
             };
-            let used = self.ledger_tenant[tenant as usize]
-                + self.serve.slots_per_tenant()[tenant as usize];
-            if used + want > self.cfg.quota_gpus_per_tenant {
+            if self.tenant_used(tenant) + want > self.cfg.quota_gpus_per_tenant {
                 // Pending jobs of this tenant may have filled the quota
                 // while the job was displaced; step over, retry on the
                 // next completion.
@@ -1115,19 +1177,8 @@ impl ClusterSim {
                 Some(slots) => {
                     debug_assert_eq!(slots.len(), want);
                     let (fault_at, mut r) = self.fstate.displaced.remove(i);
-                    let user = tenant_user(tenant);
-                    let host = tenant_host(tenant);
-                    for &slot in &slots {
-                        self.rack.grant(now, ADMIN, slot, user)?;
-                        self.rack.attach(now, user, slot, host)?;
-                    }
-                    self.book(tenant, slots.len());
-                    r.slots = slots;
-                    r.base_iter_secs = self.price_base(r.spec.benchmark, &r.slots);
-                    r.resume_at = now + RECOMPOSE_LATENCY;
-                    r.iters_since_placement = 0.0;
-                    r.last_progress = now;
-                    r.ever_spanned |= spans(&r.slots);
+                    self.compose(now, tenant, &slots)?;
+                    self.seat(now, &mut r, slots, now + RECOMPOSE_LATENCY);
                     self.fstate.recovery_times.push(r.resume_at.since(fault_at));
                     running.insert(r.spec.id, r);
                     changed = true;
@@ -1185,160 +1236,70 @@ impl ClusterSim {
             return Ok(false);
         }
         let mut r = running.remove(&vid).expect("victim is running");
-        for &slot in &r.slots {
-            self.rack.detach(now, tenant_user(r.spec.tenant.0), slot)?;
-        }
-        self.unbook(r.spec.tenant.0, r.slots.len());
-        let lost = r.iters_since_placement % CHECKPOINT_ITERS as f64;
-        r.remaining_iters += lost;
-        self.mig.work_lost_gpu_secs += lost * r.base_iter_secs * r.slots.len() as f64;
+        self.release(now, r.spec.tenant.0, &r.slots, false)?;
+        self.mig.work_lost_gpu_secs += r.roll_back();
         self.mig.preemptions += 1;
-        let held = r.slots.len() as u8;
-        self.suspended.insert(
-            r.spec.id,
-            Suspended {
-                remaining_iters: r.remaining_iters,
-                started: r.started,
-                gpus: r.spec.gpus,
-                min_gpus: r.spec.min_gpus,
-                ever_spanned: r.ever_spanned,
-                shrunk: r.shrunk,
-            },
-        );
         // Re-queue sized to the held allocation (a prior shrink may have
         // reduced it below the original request).
-        let spec = JobSpec { gpus: held, min_gpus: r.spec.min_gpus.min(held), ..r.spec };
+        let held = r.slots.len() as u8;
+        let spec = JobSpec { gpus: held, min_gpus: r.spec.min_gpus.min(held), ..r.spec.clone() };
         Self::enqueue(pending, spec);
+        self.suspended.insert(r.spec.id, r);
         Ok(true)
     }
 
-    /// Live-migrate running job `id` onto `new_slots`: detach the slots it
-    /// leaves, grant/attach the ones it gains (both MCS-audited), roll the
-    /// job back to its last checkpoint, re-price the new shape — paying
-    /// the rack-tier stretch if the new gang spans chassis — and hold
-    /// progress until [`RECOMPOSE_LATENCY`] passes. Slots shared between
-    /// the old and new placements stay attached throughout.
-    fn migrate_job(
-        &mut self,
-        now: SimTime,
-        id: u64,
-        new_slots: Vec<RackAddr>,
-        running: &mut BTreeMap<u64, Running>,
-    ) -> Result<(), SchedulerError> {
-        let (tenant, old_slots) = {
-            let r = &running[&id];
-            (r.spec.tenant.0, r.slots.clone())
-        };
-        let user = tenant_user(tenant);
-        let host = tenant_host(tenant);
-        let keep: BTreeSet<RackAddr> = new_slots.iter().copied().collect();
-        for slot in old_slots.iter().filter(|s| !keep.contains(s)) {
-            self.rack.detach(now, user, *slot)?;
-        }
-        let had: BTreeSet<RackAddr> = old_slots.iter().copied().collect();
-        for slot in new_slots.iter().filter(|s| !had.contains(s)) {
-            self.rack.grant(now, ADMIN, *slot, user)?;
-            self.rack.attach(now, user, *slot, host)?;
-        }
-        self.unbook(tenant, old_slots.len());
-        self.book(tenant, new_slots.len());
-        let r = running.get_mut(&id).expect("migrating a running job");
-        let lost = r.iters_since_placement % CHECKPOINT_ITERS as f64;
-        r.remaining_iters += lost;
-        self.mig.work_lost_gpu_secs += lost * r.base_iter_secs * old_slots.len() as f64;
-        r.slots = new_slots;
-        let (benchmark, slots) = (r.spec.benchmark, r.slots.clone());
-        let base = self.price_base(benchmark, &slots);
-        let r = running.get_mut(&id).expect("migrating a running job");
-        r.base_iter_secs = base;
-        r.resume_at = now + RECOMPOSE_LATENCY;
-        r.iters_since_placement = 0.0;
-        r.last_progress = now;
-        r.ever_spanned |= spans(&r.slots);
-        Ok(())
-    }
-
-    /// Migration-based defragmentation: relocate at most one
+    /// Migration-based defragmentation: live-migrate at most one
     /// drawer-spanning job per event onto the placement
     /// [`PlacePolicy::migrate`] proposes, but only when the move is a net
     /// win — the rolled-back remainder at the new shape, plus the
     /// re-composition latency, beats the remainder at the old shape. The
     /// net-win gate (and the strictly-fewer-drawers requirement) prevents
-    /// relocation thrash.
+    /// relocation thrash. The move detaches the slots the job leaves,
+    /// composes the ones it gains (slots in both placements stay attached
+    /// throughout), rolls the job back to its last checkpoint, and holds
+    /// its progress until [`RECOMPOSE_LATENCY`] passes.
     fn defrag_pass(
         &mut self,
         now: SimTime,
         running: &mut BTreeMap<u64, Running>,
     ) -> Result<bool, SchedulerError> {
         let free = self.free_view();
-        let ids: Vec<u64> = running.keys().copied().collect();
-        for id in ids {
-            let (spec, slots, resume_at, remaining, lost, old_base) = {
-                let r = &running[&id];
-                (
-                    r.spec.clone(),
-                    r.slots.clone(),
-                    r.resume_at,
-                    r.remaining_iters,
-                    r.iters_since_placement % CHECKPOINT_ITERS as f64,
-                    r.base_iter_secs,
-                )
-            };
+        for r in running.values_mut() {
             // Mid-recompose jobs are already paying a relocation; spanning
             // is the only fragmentation this pass exists to reduce.
-            if resume_at > now || drawers_spanned(&slots) <= 1 {
+            if r.resume_at > now || drawers_spanned(&r.slots) <= 1 {
                 continue;
             }
-            let Some(new_slots) = self.policy.migrate(&spec, &slots, &free, &mut self.probes)
+            let Some(new_slots) = self.policy.migrate(&r.spec, &r.slots, &free, &mut self.probes)
             else {
                 continue;
             };
-            if new_slots.len() != slots.len()
-                || drawers_spanned(&new_slots) >= drawers_spanned(&slots)
+            if new_slots.len() != r.slots.len()
+                || drawers_spanned(&new_slots) >= drawers_spanned(&r.slots)
             {
                 continue;
             }
-            let new_base = self.price_base(spec.benchmark, &new_slots);
-            let old_secs = remaining * old_base;
-            let new_secs = (remaining + lost) * new_base + RECOMPOSE_LATENCY.as_secs_f64();
+            let new_base = self.price_base(r.spec.benchmark, &new_slots);
+            let old_secs = r.remaining_iters * r.base_iter_secs;
+            let new_secs = (r.remaining_iters + r.uncheckpointed_iters()) * new_base
+                + RECOMPOSE_LATENCY.as_secs_f64();
             // Tunable policies can demand a migration clear the bar by a
             // margin; 1.0 (every preset) is the exact legacy gate.
-            let margin = self.policy.defrag_margin();
-            if new_secs * margin >= old_secs {
+            if new_secs * self.policy.defrag_margin() >= old_secs {
                 continue;
             }
-            self.migrate_job(now, id, new_slots, running)?;
+            let leaving: Vec<RackAddr> =
+                r.slots.iter().copied().filter(|s| !new_slots.contains(s)).collect();
+            let joining: Vec<RackAddr> =
+                new_slots.iter().copied().filter(|s| !r.slots.contains(s)).collect();
+            self.release(now, r.spec.tenant.0, &leaving, false)?;
+            self.compose(now, r.spec.tenant.0, &joining)?;
+            self.mig.work_lost_gpu_secs += r.roll_back();
+            self.seat(now, r, new_slots, now + RECOMPOSE_LATENCY);
             self.mig.migrations += 1;
             return Ok(true);
         }
         Ok(false)
-    }
-
-    /// Running training jobs touching each global drawer — the serving
-    /// side's interference neighbors.
-    fn training_on_drawer(&self, running: &BTreeMap<u64, Running>) -> Vec<usize> {
-        let mut c = Vec::new();
-        self.training_on_drawer_into(running, &mut c);
-        c
-    }
-
-    /// [`Self::training_on_drawer`] into a reusable buffer, counting via
-    /// per-job drawer bitmasks instead of a fresh bool vector per job.
-    fn training_on_drawer_into(&self, running: &BTreeMap<u64, Running>, out: &mut Vec<usize>) {
-        let nd = self.topo.n_drawers();
-        debug_assert!(nd <= 64, "drawer mask overflow");
-        out.clear();
-        out.resize(nd, 0);
-        for r in running.values() {
-            let mut m = 0u64;
-            for s in &r.slots {
-                m |= 1u64 << s.global_drawer();
-            }
-            while m != 0 {
-                out[m.trailing_zeros() as usize] += 1;
-                m &= m - 1;
-            }
-        }
     }
 
     /// Compose replicas for every service below its replica target. The
@@ -1366,9 +1327,7 @@ impl ClusterSim {
                     for s in free.slots() {
                         free_gpus[s.global_drawer()] += 1;
                     }
-                    let used = self.ledger_tenant[tenant as usize]
-                        + self.serve.slots_per_tenant()[tenant as usize];
-                    let at_quota = used + 1 > self.cfg.quota_gpus_per_tenant;
+                    let at_quota = self.tenant_used(tenant) + 1 > self.cfg.quota_gpus_per_tenant;
                     let view =
                         self.serve.slice_view(tenant, free.slots(), free_gpus, at_quota);
                     match self.policy.place_replica(slice, &view) {
@@ -1395,19 +1354,10 @@ impl ClusterSim {
                             if self.cfg.elastic
                                 && self.policy.evict_for_slo()
                                 && self.serve.under_pressure(i, now, self.policy.slo_claw_band())
+                                && self.try_shrink(now, running, true)?
                             {
-                                // Relocation claws back the same single
-                                // slot but lets the victim re-place as a
-                                // compact gang; in-place shrink is the
-                                // fallback (and the legacy behavior).
-                                if self.cfg.relocate_slo && self.try_relocate(now, running)? {
-                                    changed = true;
-                                    continue;
-                                }
-                                if self.try_shrink(now, running, true)? {
-                                    changed = true;
-                                    continue;
-                                }
+                                changed = true;
+                                continue;
                             }
                             break;
                         }
@@ -1419,12 +1369,16 @@ impl ClusterSim {
             }
         }
         if changed {
-            let tod = self.training_on_drawer(running);
-            self.serve.try_launch_all(now, self.cfg.interference, &tod);
+            let tod = self.scratch.training_on_drawer(running, self.topo.n_drawers());
+            self.serve.try_launch_all(now, self.cfg.interference, tod);
         }
         Ok(changed)
     }
 
+    /// Place `spec` on `slots`: compose the gang and seat the job. A
+    /// preempted job resumes rather than starts: its checkpointed
+    /// remainder, original request, and outcome flags carry over, and it
+    /// pays the re-composition latency before progressing again.
     fn start_job(
         &mut self,
         now: SimTime,
@@ -1432,98 +1386,32 @@ impl ClusterSim {
         slots: Vec<RackAddr>,
         running: &mut BTreeMap<u64, Running>,
     ) -> Result<(), SchedulerError> {
-        let user = tenant_user(spec.tenant.0);
-        let host = tenant_host(spec.tenant.0);
-        for &slot in &slots {
-            self.rack.grant(now, ADMIN, slot, user)?;
-            self.rack.attach(now, user, slot, host)?;
-        }
-        self.book(spec.tenant.0, slots.len());
-        let base = self.price_base(spec.benchmark, &slots);
-        // A preempted job resumes rather than starts: its checkpointed
-        // remainder, original request, and outcome flags carry over, and
-        // it pays the re-composition latency before progressing again.
-        let mut spec = spec;
-        let (remaining, started, resume_at, ever_spanned, shrunk) =
-            match self.suspended.remove(&spec.id) {
-                Some(s) => {
-                    spec.gpus = s.gpus;
-                    spec.min_gpus = s.min_gpus;
-                    (
-                        s.remaining_iters,
-                        s.started,
-                        now + RECOMPOSE_LATENCY,
-                        s.ever_spanned || spans(&slots),
-                        s.shrunk,
-                    )
-                }
-                None => (spec.iters as f64, now, now, spans(&slots), false),
-            };
-        running.insert(
-            spec.id,
-            Running {
-                remaining_iters: remaining,
-                base_iter_secs: base,
-                rate: 1.0 / base,
-                last_progress: now,
-                finish_at: SimTime::MAX, // recompute_rates sets the real value
-                started,
-                resume_at,
-                iters_since_placement: 0.0,
-                ever_spanned,
-                shrunk,
-                slots,
-                spec,
-            },
-        );
+        self.compose(now, spec.tenant.0, &slots)?;
+        let (mut r, resume_at) = match self.suspended.remove(&spec.id) {
+            Some(r) => (r, now + RECOMPOSE_LATENCY),
+            None => {
+                let fresh = Running {
+                    remaining_iters: spec.iters as f64,
+                    spec,
+                    slots: Vec::new(),
+                    started: now,
+                    // `seat` prices the placement; `recompute_rates` sets
+                    // the rate and finish time before either is read.
+                    base_iter_secs: 0.0,
+                    rate: 0.0,
+                    finish_at: SimTime::MAX,
+                    last_progress: now,
+                    resume_at: now,
+                    iters_since_placement: 0.0,
+                    ever_spanned: false,
+                    shrunk: false,
+                };
+                (fresh, now)
+            }
+        };
+        self.seat(now, &mut r, slots, resume_at);
+        running.insert(r.spec.id, r);
         Ok(())
-    }
-
-    /// SLO clawback by relocation: the same victim [`Self::try_shrink`]
-    /// would pick re-places its whole gang one GPU smaller through the
-    /// policy, compacting over the free pool *plus its own slots* — the
-    /// net effect is one freed slot for the pressured replica, but the
-    /// victim keeps a policy-shaped placement instead of a shrink hole.
-    /// Pays the checkpoint rollback and re-composition latency that any
-    /// migration pays.
-    fn try_relocate(
-        &mut self,
-        now: SimTime,
-        running: &mut BTreeMap<u64, Running>,
-    ) -> Result<bool, SchedulerError> {
-        let victim = running
-            .values()
-            .filter(|r| r.slots.len() > usize::from(r.spec.min_gpus) && r.resume_at <= now)
-            .max_by_key(|r| (r.slots.len(), std::cmp::Reverse(r.spec.id)))
-            .map(|r| r.spec.id);
-        let Some(id) = victim else { return Ok(false) };
-        let (spec, old_slots) = {
-            let r = &running[&id];
-            (r.spec.clone(), r.slots.clone())
-        };
-        let old = old_slots.len();
-        let new = old - 1;
-        let free = self.free_view();
-        let mut pool: Vec<RackAddr> = free.slots().to_vec();
-        pool.extend(old_slots.iter().copied());
-        pool.sort();
-        pool.dedup();
-        let view = FreeView::new(pool, self.topo.n_drawers());
-        let probe_spec = JobSpec { gpus: new as u8, ..spec };
-        let Some(new_slots) = self.policy.place(&probe_spec, &view, &mut self.probes) else {
-            return Ok(false);
-        };
-        if new_slots.len() != new {
-            return Ok(false);
-        }
-        // Constant total work in GPU-iterations across the resize, then
-        // the audited re-composition.
-        running.get_mut(&id).expect("victim is running").remaining_iters *=
-            old as f64 / new as f64;
-        self.migrate_job(now, id, new_slots, running)?;
-        running.get_mut(&id).expect("victim is running").shrunk = true;
-        self.mig.relocations += 1;
-        Ok(true)
     }
 
     /// Claw back GPUs from the running elastic job holding the most slots
@@ -1565,18 +1453,11 @@ impl ClusterSim {
         r.slots
             .sort_by_key(|s| (s.global_drawer() != major, s.global_drawer(), s.slot.slot));
         let released = r.slots.split_off(new);
-        let tenant = r.spec.tenant.0;
-        for &slot in &released {
-            self.rack.detach(now, tenant_user(tenant), slot)?;
-        }
-        self.unbook(tenant, released.len());
+        self.release(now, r.spec.tenant.0, &released, false)?;
         // Constant total work in GPU-iterations: fewer GPUs, more
         // remaining iterations at the new (cheaper per-iteration) shape.
         r.remaining_iters *= old as f64 / new as f64;
-        let (benchmark, slots) = (r.spec.benchmark, r.slots.clone());
-        let base = self.price_base(benchmark, &slots);
-        let r = running.get_mut(&id).expect("victim is running");
-        r.base_iter_secs = base;
+        r.base_iter_secs = self.price_base(r.spec.benchmark, &r.slots);
         r.shrunk = true;
         Ok(true)
     }
@@ -1659,19 +1540,12 @@ impl ClusterSim {
     /// placement change re-prices each running job as its alone-on-bed
     /// iteration rate diluted by co-residents sharing a drawer switch.
     fn recompute_rates(&mut self, running: &mut BTreeMap<u64, Running>) {
-        debug_assert!(self.topo.n_drawers() <= 64, "drawer mask overflow");
         // Per-job drawer occupancy as bitmasks in running-set (id) order —
         // neighbor counts are identical to the old bool-vector scan, so
         // dilation floats are bit-identical, with no per-job allocation.
         let mut masks = std::mem::take(&mut self.scratch.job_masks);
         masks.clear();
-        masks.extend(running.values().map(|r| {
-            let mut m = 0u64;
-            for s in &r.slots {
-                m |= 1u64 << s.global_drawer();
-            }
-            m
-        }));
+        masks.extend(running.values().map(|r| drawer_mask(r.slots.iter().copied())));
         // Each live service counts once as a neighbor to training jobs
         // sharing its drawer(s) — co-location costs both sides. Empty for
         // training-only replays, leaving their float math bit-identical.
@@ -1686,8 +1560,7 @@ impl ClusterSim {
                 .filter(|&(k, &m)| k != j && m & mine != 0)
                 .count()
                 + svc_masks.iter().filter(|&&m| m & mine != 0).count();
-            let dilation = 1.0 + self.cfg.interference * neighbors as f64;
-            r.rate = 1.0 / (r.base_iter_secs * dilation);
+            r.rate = 1.0 / (r.base_iter_secs * dilation(self.cfg.interference, neighbors));
             // Progress resumes only after any re-composition window.
             r.finish_at = r.last_progress.max(r.resume_at)
                 + Dur::from_secs_f64(r.remaining_iters / r.rate);
@@ -1701,7 +1574,7 @@ impl ClusterSim {
 mod tests {
     use super::*;
     use crate::fault::{paper_fault_plan, FaultEvent};
-    use crate::policy::{policy_by_name, POLICY_NAMES};
+    use crate::policy::{resolve_policy, POLICY_NAMES};
     use crate::serve::seeded_pai_mix;
     use crate::trace::{seeded_two_tenant, TenantId};
     use dlmodels::Benchmark;
@@ -1723,7 +1596,7 @@ mod tests {
         plan: FaultPlan,
     ) -> Result<ScheduleReport, SchedulerError> {
         let probes = ProbeCache::new(cfg.probe_iters);
-        let policy = policy_by_name(policy).expect("registered policy");
+        let policy = resolve_policy(policy).expect("registered policy");
         ClusterSim::with_probe_cache_mixed_on(RackTopology::SINGLE, work.into(), policy, cfg, probes)?
             .with_faults(plan)?
             .run_report()

@@ -18,7 +18,8 @@
 //! * [`probe`] — cached micro-probes pricing a `(benchmark, shape)` pair.
 //! * [`policy`] — placement policies behind one trait: FIFO first-fit,
 //!   best-fit packing, fragmentation-aware, topology-aware (probe-scored
-//!   with [`composable_core::Objective`]).
+//!   with [`composable_core::Objective`]) and serving-aware SLO packing,
+//!   all presets of one parametric policy.
 //! * [`cluster`] — the event loop: shared-chassis co-simulation,
 //!   MCS-audited recomposition, elastic shrink, per-tenant quotas. One
 //!   builder ([`ClusterSim::with_probe_cache_mixed_on`]) admits every
@@ -63,9 +64,8 @@ pub use metrics::{
     JobOutcome, MigrationMetrics, RecoveryMetrics, ScheduleReport, ServeMetrics, ServiceOutcome,
 };
 pub use policy::{
-    all_policies, policy_by_name, policy_names, resolve_policy, serving_policies, FreeView,
-    ParamPolicy, ParamsError, PlacePolicy, PolicyParams, RunningView, SliceSlot, SliceView,
-    SloAwarePack, UnknownPolicy, POLICY_NAMES,
+    all_policies, resolve_policy, FreeView, ParamPolicy, ParamsError, PlacePolicy, PolicyParams,
+    RunningView, SliceSlot, SliceView, SloAwarePack, UnknownPolicy, POLICY_NAMES,
 };
 pub use probe::{warm_set_for_trace, Probe, ProbeCache, Shape};
 pub use scenario::{

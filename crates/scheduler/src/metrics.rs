@@ -113,10 +113,9 @@ desim::json_record! {
     jct_inflation: "jct_inflation",
 }
 
-/// Preemption/migration accounting for a replay with priority tiers,
-/// defragmentation, or SLO relocation enabled. Absent (`None` on
-/// [`ScheduleReport`]) when none of those knobs are on, so legacy
-/// serialized reports stay byte-identical.
+/// Preemption/migration accounting for a replay with preemption or
+/// defragmentation enabled. Absent (`None` on [`ScheduleReport`]) when
+/// neither knob is on, so legacy serialized reports stay byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationMetrics {
     /// Checkpoint-preempt-resume events: a running low-tier job rolled
@@ -126,8 +125,9 @@ pub struct MigrationMetrics {
     /// Live migrations: a running job detached and re-attached at a new
     /// placement (defragmentation passes).
     pub migrations: u32,
-    /// SLO-clawback relocations: training moved (not shrunk) to free a
-    /// slot for serving.
+    /// SLO-clawback relocations, which no replay path makes any more
+    /// (SLO clawback always shrinks in place): always 0. Still
+    /// serialized because pinned reports carry it.
     pub relocations: u32,
     /// GPU-seconds of training redone because preemption or migration
     /// rolled jobs back to their last checkpoint.
@@ -138,13 +138,12 @@ impl MigrationMetrics {
     pub fn assemble(
         preemptions: u32,
         migrations: u32,
-        relocations: u32,
         work_lost_gpu_secs: f64,
     ) -> MigrationMetrics {
         MigrationMetrics {
             preemptions,
             migrations,
-            relocations,
+            relocations: 0,
             work_lost_gpu_secs: round4(work_lost_gpu_secs),
         }
     }
@@ -305,7 +304,7 @@ pub struct ScheduleReport {
     pub tenant_gpu_secs: Vec<f64>,
     /// Present only when the replay injected faults.
     pub recovery: Option<RecoveryMetrics>,
-    /// Present only when preemption, defrag, or SLO relocation was on.
+    /// Present only when preemption or defrag was on.
     pub migration: Option<MigrationMetrics>,
     /// Present only when the trace carried inference services.
     pub serve: Option<ServeMetrics>,
@@ -659,7 +658,7 @@ mod tests {
             !base.to_json_string().contains("migration"),
             "knob-free reports must keep their pre-priority-model bytes"
         );
-        let mig = MigrationMetrics::assemble(3, 2, 1, 9.876543);
+        let mig = MigrationMetrics::assemble(3, 2, 9.876543);
         assert_eq!(mig.work_lost_gpu_secs, 9.8765, "round4 keeps bytes stable");
         let mut tiered = base.clone();
         tiered.migration = Some(mig);

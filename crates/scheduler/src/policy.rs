@@ -18,6 +18,14 @@
 //!   [`composable_core::Objective::TrainingTime`] score, charging
 //!   [`rack::cross_chassis_stretch`] when a candidate spans the
 //!   inter-chassis tier.
+//! * [`SloAwarePack`] — the serving-aware policy: training places like
+//!   [`BestFit`], serving replicas pack onto fractional capacity training
+//!   cannot use, and SLO pressure may shrink elastic training.
+//!
+//! [`ParamPolicy`] is the one algorithm behind the registry: each of the
+//! five names in [`POLICY_NAMES`] resolves to a [`PolicyParams`] preset
+//! that replays its hand-written policy above bit-for-bit, and
+//! [`resolve_policy`] also loads tuned params from a `.json` file.
 //!
 //! Policies are topology-generic: they see [`FreeView`]'s rack-global
 //! drawer axis and reduce exactly to their single-chassis behavior when
@@ -205,11 +213,6 @@ pub trait PlacePolicy: Send {
 pub const POLICY_NAMES: [&'static str; 5] =
     ["fifo-first-fit", "best-fit", "frag-aware", "topology-aware", "slo-aware-pack"];
 
-/// The canonical policy-name list (see [`POLICY_NAMES`]).
-pub fn policy_names() -> &'static [&'static str] {
-    &POLICY_NAMES
-}
-
 /// A policy name that resolves to nothing, carrying the canonical list of
 /// names that would have (and, for `.json` artifact paths, why the
 /// artifact did not load).
@@ -238,23 +241,16 @@ impl std::fmt::Display for UnknownPolicy {
 impl std::error::Error for UnknownPolicy {}
 
 /// Every built-in training policy, in the order the comparison tables
-/// print them. ([`serving_policies`] appends the serving-aware one.)
-/// Each is the [`ParamPolicy`] preset of that name — the parametric
-/// family replays the hand-written policies bit-for-bit (the pinned
-/// goldens and the differential tests below hold it to that).
+/// print them (the first four of [`POLICY_NAMES`]; the fifth is the
+/// serving-aware one). Each is the [`ParamPolicy`] preset of that name
+/// — the parametric family replays the hand-written policies
+/// bit-for-bit (the pinned goldens and the differential tests below
+/// hold it to that).
 pub fn all_policies() -> Vec<Box<dyn PlacePolicy>> {
     POLICY_NAMES[..4]
         .iter()
         .map(|n| Box::new(ParamPolicy::preset(n).expect("canonical name")) as Box<dyn PlacePolicy>)
         .collect()
-}
-
-/// The policies mixed (training + serving) comparisons run:
-/// [`all_policies`] plus the `slo-aware-pack` preset.
-pub fn serving_policies() -> Vec<Box<dyn PlacePolicy>> {
-    let mut v = all_policies();
-    v.push(Box::new(ParamPolicy::preset("slo-aware-pack").expect("canonical name")));
-    v
 }
 
 /// Resolve a policy name: a canonical preset from [`POLICY_NAMES`], or a
@@ -277,12 +273,6 @@ pub fn resolve_policy(name: &str) -> Result<Box<dyn PlacePolicy>, UnknownPolicy>
         return Ok(Box::new(p));
     }
     Err(UnknownPolicy { name: name.to_string(), detail: None })
-}
-
-/// Look a policy up by its `name()` (searches the serving superset; see
-/// [`resolve_policy`] for the error-carrying form).
-pub fn policy_by_name(name: &str) -> Option<Box<dyn PlacePolicy>> {
-    resolve_policy(name).ok()
 }
 
 /// Free slots grouped by global drawer — the shared first step of every
@@ -1056,9 +1046,9 @@ mod tests {
         for p in all_policies() {
             assert!(p.place(&job(2), &tiny, &mut probes).is_none(), "{}", p.name());
         }
-        assert!(policy_by_name("best-fit").is_some());
-        assert!(policy_by_name("slo-aware-pack").is_some());
-        assert!(policy_by_name("nope").is_none());
+        assert!(resolve_policy("best-fit").is_ok());
+        assert!(resolve_policy("slo-aware-pack").is_ok());
+        assert!(resolve_policy("nope").is_err());
     }
 
     fn slice_view() -> SliceView {
@@ -1137,13 +1127,10 @@ mod tests {
     }
 
     #[test]
-    fn serving_policies_superset() {
-        let names: Vec<&str> = serving_policies().iter().map(|p| p.name()).collect();
-        assert_eq!(
-            names,
-            ["fifo-first-fit", "best-fit", "frag-aware", "topology-aware", "slo-aware-pack"]
-        );
-        assert_eq!(all_policies().len(), 4, "training tables keep their four rows");
+    fn all_policies_are_the_training_presets() {
+        let names: Vec<&str> = all_policies().iter().map(|p| p.name()).collect();
+        assert_eq!(names, ["fifo-first-fit", "best-fit", "frag-aware", "topology-aware"]);
+        assert_eq!(POLICY_NAMES[4], "slo-aware-pack", "the serving-aware policy comes last");
     }
 
     /// A seeded random multi-chassis free view: each of `chassis * 2`

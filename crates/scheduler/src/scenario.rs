@@ -15,14 +15,15 @@
 //! * [`FaultSpec`] — no faults, an inline [`FaultPlan`], or a seeded
 //!   random plan.
 //! * explicit [`ServiceSpec`]s appended to whatever the trace provides.
-//! * a policy list (validated against [`policy_by_name`]).
+//! * a policy list (validated against [`resolve_policy`]).
 //! * [`SchedulerConfig`] knobs, each defaulting when omitted.
 //! * a [`MetricLevel`] — `full` keeps per-job / per-service arrays,
 //!   `summary` strips them for sweep-sized output.
 //!
 //! [`Scenario::validate`] rejects malformed specs with typed
 //! [`ScenarioError`]s (duplicate ids, out-of-range slices, fault events
-//! beyond the trace horizon, unknown policies, unsupported topology).
+//! beyond the trace horizon, unknown policies, unsupported topology,
+//! generators sized past [`MAX_TRACE_JOBS`] and its sibling bounds).
 //! [`run_scenario`] is the repo's one replay path: it and
 //! [`run_scenario_with_policy`] build every replay through
 //! [`ClusterSim::with_probe_cache_mixed_on`], and [`run_matrix`] fans
@@ -35,7 +36,7 @@
 use crate::cluster::{ClusterSim, SchedulerConfig, SchedulerError};
 use crate::fault::{seeded_fault_plan, seeded_rack_fault_plan, FaultPlan};
 use crate::metrics::ScheduleReport;
-use crate::policy::{policy_by_name, PlacePolicy};
+use crate::policy::{resolve_policy, PlacePolicy};
 use crate::probe::{warm_set_for_trace, ProbeCache};
 use crate::serve::{seeded_pai_mix, MixedTrace, ServiceSpec};
 use crate::trace::{JobSpec, PoissonMix};
@@ -43,6 +44,16 @@ use desim::json::{Fields, FromJson, JsonError, ToJson, Value};
 use desim::{Dur, SimTime};
 use rack::RackTopology;
 use std::fmt;
+
+/// Most jobs a trace generator may draw (`trace.n_jobs`). The bounds on
+/// generator sizes are checked before anything is materialized, so an
+/// absurd spec fails with [`ScenarioError::TooLarge`] instead of
+/// exhausting memory; each sits far above every checked-in spec.
+pub const MAX_TRACE_JOBS: usize = 1_000_000;
+/// Most services the PAI-mix generator may draw (`trace.n_services`).
+pub const MAX_TRACE_SERVICES: usize = 1_000;
+/// Most events a seeded fault plan may draw (`faults.n_events`).
+pub const MAX_FAULT_EVENTS: usize = 100_000;
 
 /// The test-bed envelope a scenario asks for: 1..=8 advanced-mode Falcon
 /// 4016 chassis, each 2 drawers × 8 slots, behind the inter-chassis rack
@@ -257,7 +268,7 @@ pub struct Scenario {
     /// Explicit services, appended to whatever the trace kind provides
     /// (ids must not collide with trace-provided services).
     pub services: Vec<ServiceSpec>,
-    /// Policy names, resolved through [`policy_by_name`]. One replay per
+    /// Policy names, resolved through [`resolve_policy`]. One replay per
     /// policy; report order is policy order.
     pub policies: Vec<String>,
     pub config: SchedulerConfig,
@@ -283,6 +294,9 @@ pub enum ScenarioError {
     /// A fault strikes after every job has arrived and every service
     /// window has closed — it could only ever hit an empty bed tail.
     FaultBeyondHorizon { scenario: String, event: usize, at: SimTime, horizon: SimTime },
+    /// A generator asks for more entities than its bound allows
+    /// (`field` is the spec path, e.g. `trace.n_jobs`).
+    TooLarge { scenario: String, field: &'static str, value: usize, max: usize },
     Json(JsonError),
     Scheduler(SchedulerError),
 }
@@ -331,6 +345,9 @@ impl fmt::Display for ScenarioError {
                 at.as_secs_f64(),
                 horizon.as_secs_f64()
             ),
+            ScenarioError::TooLarge { scenario, field, value, max } => {
+                write!(f, "{scenario}: {field} {value} exceeds the bound {max}")
+            }
             ScenarioError::Json(e) => write!(f, "scenario json: {e}"),
             ScenarioError::Scheduler(e) => write!(f, "replay: {e}"),
         }
@@ -433,7 +450,7 @@ impl Scenario {
             return Err(ScenarioError::NoPolicies { scenario: scenario() });
         }
         for (i, p) in self.policies.iter().enumerate() {
-            if let Err(source) = crate::policy::resolve_policy(p) {
+            if let Err(source) = resolve_policy(p) {
                 return Err(ScenarioError::UnknownPolicy { scenario: scenario(), source });
             }
             if self.policies[..i].contains(p) {
@@ -466,6 +483,24 @@ impl Scenario {
                 scenario: scenario(),
                 msg: "audit_every must be at least 1".into(),
             });
+        }
+        let (n_jobs, n_services) = match &self.trace {
+            TraceSpec::Jobs { .. } => (0, 0),
+            TraceSpec::Poisson { n_jobs, .. } => (*n_jobs, 0),
+            TraceSpec::PaiMix { n_jobs, n_services, .. } => (*n_jobs, *n_services),
+        };
+        let n_events = match &self.faults {
+            FaultSpec::Seeded { n_events, .. } => *n_events,
+            FaultSpec::None | FaultSpec::Inline(_) => 0,
+        };
+        for (field, value, max) in [
+            ("trace.n_jobs", n_jobs, MAX_TRACE_JOBS),
+            ("trace.n_services", n_services, MAX_TRACE_SERVICES),
+            ("faults.n_events", n_events, MAX_FAULT_EVENTS),
+        ] {
+            if value > max {
+                return Err(ScenarioError::TooLarge { scenario: scenario(), field, value, max });
+            }
         }
         let (mixed, plan) = self.materialize();
         if mixed.jobs.is_empty() && mixed.services.is_empty() {
@@ -621,7 +656,7 @@ pub fn run_scenario(
     let policies = scenario
         .policies
         .iter()
-        .map(|name| policy_by_name(name).expect("validated above"))
+        .map(|name| resolve_policy(name).expect("validated above"))
         .collect();
     Ok(ScenarioReport {
         scenario: scenario.name.clone(),
@@ -839,6 +874,18 @@ mod tests {
         // The pinned plan sits inside the horizon and passes.
         sc.faults = FaultSpec::Inline(paper_fault_plan());
         assert!(sc.validate().is_ok());
+    }
+
+    #[test]
+    fn retired_relocate_slo_knob_is_an_unknown_key() {
+        let mut v = fifo_scenario().to_json();
+        let Value::Obj(fields) = &mut v else { unreachable!("a scenario is an object") };
+        let (_, config) = fields.iter_mut().find(|(k, _)| k == "config").expect("config block");
+        let Value::Obj(knobs) = config else { unreachable!("config is an object") };
+        knobs.push(("relocate_slo".into(), Value::Bool(true)));
+        let err = Scenario::from_json_str(&v.emit_pretty()).expect_err("retired knob rejected");
+        let msg = err.to_string();
+        assert!(msg.contains("cluster_fifo") && msg.contains("\"relocate_slo\""), "{msg}");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! dilate serving batches and live services dilate training rates via the
 //! same per-drawer interference model.
 
-use crate::cluster::{tenant_user, ADMIN, MAX_TENANTS};
+use crate::cluster::{dilation, tenant_user, ADMIN, MAX_TENANTS};
 use crate::metrics::{percentile_dur, round4, ServeMetrics, ServiceOutcome};
 use crate::policy::{SliceSlot, SliceView};
 use crate::trace::{JobSpec, PoissonMix, TenantId, Trace};
@@ -28,7 +28,7 @@ use desim::{Dur, SimRng, SimTime};
 use devices::gpu::GpuSpec;
 use dlmodels::{Benchmark, InferenceProfile};
 use falcon::McsError;
-use rack::{Rack, RackAddr};
+use rack::{drawer_mask, Rack, RackAddr};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// MIG-style slicing granularity of one GPU slot (V100 stands in for the
@@ -463,12 +463,37 @@ impl SvcState {
         self.replicas.iter().map(|r| r.queue.len()).sum::<usize>() + self.orphans.len()
     }
 
+    /// Scale up when the backlog exceeds the live replicas' batch
+    /// throughput headroom; the placement pass composes the new replica
+    /// (paying the re-composition latency).
     fn scale_up_wanted(&self) -> bool {
         self.started
             && !self.ended
             && self.target < self.spec.max_replicas
             && self.backlog()
                 > SERVE_BACKLOG_SCALE_UP * self.replicas.len().max(1) * self.spec.max_batch as usize
+    }
+
+    /// The first half of every serving step at `t`: complete each batch
+    /// due by `t`, then route each request that arrived by `t`. Returns
+    /// the latest completion (`SimTime::ZERO` when none).
+    fn complete_then_arrive(&mut self, t: SimTime) -> SimTime {
+        let mut last = SimTime::ZERO;
+        for ri in 0..self.replicas.len() {
+            if let Some(done) = self.replicas[ri].busy_until {
+                if done <= t {
+                    self.complete_batch(ri, done, t);
+                    last = last.max(done);
+                }
+            }
+        }
+        while self.cursor < self.arrivals.len() && self.arrivals[self.cursor] <= t {
+            let a = self.arrivals[self.cursor];
+            self.cursor += 1;
+            self.generated += 1;
+            self.dispatch(a);
+        }
+        last
     }
 
     /// Earliest pending micro event of this service: an arrival, a batch
@@ -540,20 +565,7 @@ impl SvcState {
             // Absorb the micro events at `tm`, in the legacy step() order:
             // completions, then arrivals, then reclaim checks, then
             // launches. The scale-up check re-runs at the loop top.
-            for ri in 0..self.replicas.len() {
-                if let Some(done) = self.replicas[ri].busy_until {
-                    if done <= tm {
-                        self.complete_batch(ri, done, tm);
-                        last = last.max(done);
-                    }
-                }
-            }
-            while self.cursor < self.arrivals.len() && self.arrivals[self.cursor] <= tm {
-                let a = self.arrivals[self.cursor];
-                self.cursor += 1;
-                self.generated += 1;
-                self.dispatch(a);
-            }
+            last = last.max(self.complete_then_arrive(tm));
             // A reclaim removes a replica and possibly detaches a slot —
             // that is the global loop's job. A due check on a busy or
             // queued replica just clears, exactly like the legacy branch.
@@ -657,13 +669,10 @@ impl ServeState {
         }
     }
 
-    pub fn has_services(&self) -> bool {
-        !self.svcs.is_empty()
-    }
-
     /// True once no service can ever act again — every one has ended,
-    /// drained its queue, and had all replicas reclaimed. From that point
-    /// the serving side of the event loop is a guaranteed no-op.
+    /// drained its queue, and had all replicas reclaimed — and from the
+    /// start of a replay without services. From that point the serving
+    /// side of the event loop is a guaranteed no-op.
     pub fn idle(&self) -> bool {
         self.active.is_empty()
     }
@@ -686,13 +695,8 @@ impl ServeState {
             if svc.started && !svc.ended {
                 fold(svc.spec.end());
             }
-            if let Some(&a) = svc.arrivals.get(svc.cursor) {
-                fold(a);
-            }
-            for r in &svc.replicas {
-                if let Some(e) = r.next_event(svc.ended, svc.spec.max_batch, svc.spec.max_wait) {
-                    fold(e);
-                }
+            if let Some(m) = svc.next_micro() {
+                fold(m);
             }
         }
         t
@@ -749,33 +753,12 @@ impl ServeState {
         self.slot_use.contains_key(&slot)
     }
 
-    /// Drawer occupancy of each service with ≥1 live replica — each such
-    /// service counts once as an interference neighbor to training jobs
-    /// sharing the drawer.
-    pub fn live_service_drawers(&self) -> Vec<Vec<bool>> {
-        self.svcs
-            .iter()
-            .map(|svc| {
-                let mut d = vec![false; self.n_drawers];
-                for r in &svc.replicas {
-                    d[r.slot.global_drawer()] = true;
-                }
-                d
-            })
-            .filter(|d| d.iter().any(|&x| x))
-            .collect()
-    }
-
-    /// Drawer bitmasks of live services (one bit per global drawer), the
-    /// allocation-free form of [`Self::live_service_drawers`] the hot
-    /// training-rate recompute uses.
+    /// Drawer bitmasks of the services with at least one live replica —
+    /// each counts once as an interference neighbor to training jobs
+    /// sharing a drawer with it.
     pub fn live_service_drawer_masks_into(&self, out: &mut Vec<u64>) {
-        debug_assert!(self.n_drawers <= 64, "drawer mask overflow");
         for svc in self.active.iter().map(|&i| &self.svcs[i]) {
-            let mut m = 0u64;
-            for r in &svc.replicas {
-                m |= 1u64 << r.slot.global_drawer();
-            }
+            let m = drawer_mask(svc.replicas.iter().map(|r| r.slot));
             if m != 0 {
                 out.push(m);
             }
@@ -788,22 +771,32 @@ impl ServeState {
     /// list is exact; scratch buffers make this allocation-free on the
     /// per-event path.
     fn fill_occupancy_scratch(&mut self) {
-        debug_assert!(self.n_drawers <= 64, "drawer mask overflow");
         self.epoch_counts.clear();
         self.epoch_counts.resize(self.n_drawers, 0);
         self.epoch_masks.clear();
         self.epoch_masks.resize(self.svcs.len(), 0);
         for &i in &self.active {
-            let mut m = 0u64;
-            for r in &self.svcs[i].replicas {
-                m |= 1u64 << r.slot.global_drawer();
-            }
+            let mut m = drawer_mask(self.svcs[i].replicas.iter().map(|r| r.slot));
             self.epoch_masks[i] = m;
             while m != 0 {
                 self.epoch_counts[m.trailing_zeros() as usize] += 1;
                 m &= m - 1;
             }
         }
+    }
+
+    /// Interference dilation of service `i`'s work on global drawer `d`:
+    /// training jobs there plus the other live services there, from the
+    /// occupancy scratch.
+    fn dilation_at(
+        &self,
+        i: usize,
+        d: usize,
+        interference: f64,
+        training_on_drawer: &[usize],
+    ) -> f64 {
+        let others = self.epoch_counts[d] - ((self.epoch_masks[i] >> d) & 1) as usize;
+        dilation(interference, training_on_drawer[d] + others)
     }
 
     /// Services wanting a replica placed: `(svc index, tenant, slice,
@@ -946,33 +939,8 @@ impl ServeState {
                 svc.started = true;
                 svc.target = svc.spec.min_replicas;
             }
-            for ri in 0..svc.replicas.len() {
-                if let Some(done) = svc.replicas[ri].busy_until {
-                    if done <= now {
-                        svc.complete_batch(ri, done, now);
-                        last = last.max(done);
-                    }
-                }
-            }
-            while svc.cursor < svc.arrivals.len() && svc.arrivals[svc.cursor] <= now {
-                let a = svc.arrivals[svc.cursor];
-                svc.cursor += 1;
-                svc.generated += 1;
-                svc.dispatch(a);
-            }
-            // Scale up when the backlog exceeds the live replicas' batch
-            // throughput headroom; the placement pass composes the new
-            // replica (paying the re-composition latency).
-            let backlog: usize =
-                svc.replicas.iter().map(|r| r.queue.len()).sum::<usize>() + svc.orphans.len();
-            if svc.started
-                && !svc.ended
-                && svc.target < svc.spec.max_replicas
-                && backlog
-                    > SERVE_BACKLOG_SCALE_UP
-                        * svc.replicas.len().max(1)
-                        * svc.spec.max_batch as usize
-            {
+            last = last.max(svc.complete_then_arrive(now));
+            if svc.scale_up_wanted() {
                 svc.target += 1;
             }
             if svc.started && !svc.ended && svc.spec.end() <= now {
@@ -1061,11 +1029,8 @@ impl ServeState {
         dil.clear();
         dil.resize(self.svcs.len() * nd, 1.0);
         for &i in &self.active {
-            let m = self.epoch_masks[i];
             for d in 0..nd {
-                let neighbors =
-                    training_on_drawer[d] + self.epoch_counts[d] - ((m >> d) & 1) as usize;
-                dil[i * nd + d] = 1.0 + interference * neighbors as f64;
+                dil[i * nd + d] = self.dilation_at(i, d, interference, training_on_drawer);
             }
         }
         let gpu = self.gpu.clone();
@@ -1149,13 +1114,10 @@ impl ServeState {
         let gpu = self.gpu.clone();
         for idx in 0..self.active.len() {
             let i = self.active[idx];
-            let m = self.epoch_masks[i];
             for ri in 0..self.svcs[i].replicas.len() {
                 let d = self.svcs[i].replicas[ri].slot.global_drawer();
-                let neighbors =
-                    training_on_drawer[d] + self.epoch_counts[d] - ((m >> d) & 1) as usize;
-                let dilation = 1.0 + interference * neighbors as f64;
-                self.svcs[i].try_launch(ri, now, dilation, &gpu);
+                let dil = self.dilation_at(i, d, interference, training_on_drawer);
+                self.svcs[i].try_launch(ri, now, dil, &gpu);
             }
         }
     }

@@ -24,7 +24,7 @@ use std::sync::Mutex;
 use desim::{Dur, SimTime};
 use dlmodels::Benchmark;
 use scheduler::cluster::{ClusterSim, SchedulerConfig};
-use scheduler::policy::{all_policies, policy_by_name};
+use scheduler::policy::{all_policies, resolve_policy};
 use scheduler::trace::{JobSpec, TenantId, Trace};
 use scheduler::{
     cross_chassis_stretch, FaultEvent, FaultKind, FaultPlan, ProbeCache, RackTopology,
@@ -59,7 +59,7 @@ fn replay(topo: RackTopology, trace: Trace, policy: &str, cfg: SchedulerConfig, 
     let sim = ClusterSim::with_probe_cache_on(
         topo,
         trace,
-        policy_by_name(policy).expect("registered policy"),
+        resolve_policy(policy).expect("registered policy"),
         cfg,
         probes,
     )

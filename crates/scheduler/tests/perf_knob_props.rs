@@ -12,8 +12,8 @@
 //!   independent: `--jobs 1` and `--jobs 4` produce identical bytes.
 //!
 //! Scenarios are PAI-mix based (training jobs + autoscaling services)
-//! with seeded fault plans, so all five ledger book/unbook sites —
-//! start, finish, evacuation, re-placement, elastic shrink — are
+//! with seeded fault plans, so every `compose`/`release` of the ledger —
+//! start, finish, evacuation, re-placement, elastic shrink — is
 //! exercised.
 
 use desim::Dur;

@@ -7,10 +7,10 @@
 //! * every malformed mutation of a valid scenario — duplicate job or
 //!   service ids, out-of-range MIG slices, fault events beyond the trace
 //!   horizon, unknown/duplicate/empty policy lists, unsupported
-//!   topologies — is rejected by `validate()` with the matching *typed*
-//!   [`ScenarioError`], never a panic or a silently-accepted spec, and an
-//!   unknown or repeated key at any object level is a parse error naming
-//!   scenario and key;
+//!   topologies, oversized generators — is rejected by `validate()` with
+//!   the matching *typed* [`ScenarioError`], never a panic or a
+//!   silently-accepted spec, and an unknown or repeated key at any object
+//!   level is a parse error naming scenario and key;
 //! * byte mutations of every checked-in scenario file parse to an error
 //!   or to a scenario that re-emits canonically, never a panic.
 //!
@@ -25,6 +25,7 @@ use dlmodels::Benchmark;
 use std::path::{Path, PathBuf};
 use scheduler::serve::{ArrivalKind, ServiceSpec};
 use scheduler::trace::{JobSpec, TenantId};
+use scheduler::scenario::{MAX_FAULT_EVENTS, MAX_TRACE_JOBS, MAX_TRACE_SERVICES};
 use scheduler::{
     seeded_fault_plan, FaultEvent, FaultKind, FaultSpec, MetricLevel, Scenario, ScenarioError,
     SchedulerConfig, Topology, TraceSpec,
@@ -154,7 +155,6 @@ fn build_scenario(
         // property covers every emit-only-when-set combination.
         preempt: seed & 1 != 0,
         defrag: seed & 2 != 0,
-        relocate_slo: seed & 4 != 0,
         ..SchedulerConfig::default()
     };
     sc.metrics = if summary { MetricLevel::Summary } else { MetricLevel::Full };
@@ -274,10 +274,11 @@ property! {
 
     /// Every malformed mutation of a valid scenario is rejected with the
     /// matching typed error — duplicate ids, bad slices, fault events
-    /// beyond the horizon, policy-list abuse, unsupported topology.
+    /// beyond the horizon, policy-list abuse, unsupported topology,
+    /// oversized generators.
     #[cases(64)]
     fn validate_rejects_each_malformation(
-        mutation in u8_in(0..9),
+        mutation in u8_in(0..10),
         seed in u64_in(0..1_000_000),
         cfg in raw_config(),
         jobs_raw in raw_jobs(),
@@ -379,7 +380,7 @@ property! {
                     (path(&["faults"]), "events"),
                     (path(&["faults", "events", &event]), "duration_ns"),
                     (path(&["services", &service]), "max_wait_ns"),
-                    (path(&["config"]), "relocate_slo"),
+                    (path(&["config"]), "defrag"),
                 ];
                 let (steps, valid) = &levels[(seed % 8) as usize];
                 let mut v = sc.to_json();
@@ -405,6 +406,48 @@ property! {
                     steps, if repeat { "the repeat" } else { "a valid key" }, msg
                 );
             }
+            8 => {
+                // A generator sized past its bound is rejected before
+                // anything is materialized (10^12 jobs would exhaust
+                // memory), naming the scenario, the field and the bound.
+                let huge = if seed % 2 == 0 { 1_000_000_000_000 } else { 1 + seed as usize };
+                let (field, max) = match seed / 2 % 3 {
+                    0 => {
+                        sc.trace = TraceSpec::Poisson {
+                            seed,
+                            n_jobs: MAX_TRACE_JOBS + huge,
+                            tenants: 2,
+                            mean_interarrival: Dur::from_millis(500),
+                            name: None,
+                        };
+                        ("trace.n_jobs", MAX_TRACE_JOBS)
+                    }
+                    1 => {
+                        sc.trace = TraceSpec::PaiMix {
+                            n_jobs: 4,
+                            n_services: MAX_TRACE_SERVICES + huge,
+                            seed,
+                        };
+                        ("trace.n_services", MAX_TRACE_SERVICES)
+                    }
+                    _ => {
+                        sc.faults = FaultSpec::Seeded {
+                            n_events: MAX_FAULT_EVENTS + huge,
+                            horizon: Dur::from_secs(1),
+                            seed,
+                        };
+                        ("faults.n_events", MAX_FAULT_EVENTS)
+                    }
+                };
+                let err = sc.validate().expect_err("oversized generator rejected");
+                let msg = err.to_string();
+                prop_assert!(
+                    matches!(&err, ScenarioError::TooLarge { field: f, .. } if *f == field)
+                        && msg.contains(&sc.name)
+                        && msg.contains(&max.to_string()),
+                    "{field} past {max} -> TooLarge naming scenario, field and bound, got {msg}"
+                );
+            }
             _ => {
                 // Priority tiers live in 1..=3; zero and anything above
                 // urgent is rejected naming the scenario and the job.
@@ -426,7 +469,7 @@ property! {
     /// their numeric values and re-emit canonically; an unknown tier
     /// label is rejected at parse time with an error naming the bogus
     /// tier; legacy scenarios — no `priority` fields, no
-    /// preempt/defrag/relocate knobs — parse to the low tier with every
+    /// preempt/defrag knobs — parse to the low tier with every
     /// knob off, and the knob-free canonical emission never mentions the
     /// priority machinery (the bytes predate it).
     #[cases(64)]
@@ -480,9 +523,9 @@ property! {
         let old = Scenario::from_json_str(&legacy).expect("legacy scenarios parse");
         let TraceSpec::Jobs { jobs, .. } = &old.trace else { unreachable!() };
         prop_assert!(jobs.iter().all(|j| j.priority == 1), "legacy jobs land on the low tier");
-        prop_assert!(!old.config.preempt && !old.config.defrag && !old.config.relocate_slo);
+        prop_assert!(!old.config.preempt && !old.config.defrag);
         let re = old.to_json_string();
-        for knob in ["\"preempt\"", "\"defrag\"", "\"relocate_slo\""] {
+        for knob in ["\"preempt\"", "\"defrag\""] {
             prop_assert!(!re.contains(knob), "default knobs stay un-emitted: {knob}");
         }
     }

@@ -48,6 +48,22 @@ case "$sweep" in
     *) echo "ERROR: paper_sweep reported failed rounds" >&2; exit 1 ;;
 esac
 
+# The same gate on the cluster loop: every rack_faults round must
+# reproduce the pinned digest of its 4-chassis replay with preemption,
+# defrag and a 40-event fault plan, a shape no workspace golden has.
+echo "== rack_faults digest through the benchmark (1 s) =="
+faults=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload rack_faults --seconds 1 --trace 0 | tail -n 1)
+echo "$faults"
+case "$faults" in
+    *'"correct":true'*) ;;
+    *) echo "ERROR: rack_faults rounds did not reproduce the pinned digest" >&2; exit 1 ;;
+esac
+case "$faults" in
+    *'"failed":0'[!0-9]*) ;;
+    *) echo "ERROR: rack_faults reported failed rounds" >&2; exit 1 ;;
+esac
+
 echo "== tier-1: tests =="
 cargo test -q --offline
 
@@ -131,9 +147,10 @@ if ! cmp -s target/tuned_ci.json crates/bench/golden/tuned_default.json; then
 fi
 
 echo "== byte-determinism guard: pinned scenario goldens still match =="
-# Guards all six frozen goldens, including the pai_magnitude summary
-# report that pins the optimized replay engine's semantics and the
-# cluster_priority report that pins the preemption engine's decisions.
+# Guards all seven frozen goldens, including the pai_magnitude summary
+# report that pins the optimized replay engine's semantics, the
+# cluster_priority report that pins the preemption engine's decisions,
+# and cluster_crossed, which fires every gang mechanism under one policy.
 cargo test -q --offline -p bench --test scenario_goldens
 
 echo "CI OK"
