@@ -494,6 +494,11 @@ impl Falcon4016 {
     pub fn attachments(&self) -> impl Iterator<Item = (SlotAddr, HostId)> + '_ {
         self.attachments.iter().map(|(a, h)| (*a, *h))
     }
+
+    /// How many slots are attached, without walking the table.
+    pub fn n_attachments(&self) -> usize {
+        self.attachments.len()
+    }
 }
 
 #[cfg(test)]
@@ -679,6 +684,27 @@ mod tests {
         assert_eq!(c.failed_slots().count(), 0);
         c.attach(a, h).unwrap();
         c.attach(b, h).unwrap();
+    }
+
+    #[test]
+    fn n_attachments_counts_the_table() {
+        let mut c = chassis(Mode::Advanced);
+        let h = HostId(1);
+        c.connect_host(HostPort::H1, h, DrawerId(0)).unwrap();
+        for s in 0..3 {
+            c.insert_device(SlotAddr::new(0, s), gpu()).unwrap();
+        }
+        assert_eq!(c.n_attachments(), 0);
+        c.attach(SlotAddr::new(0, 0), h).unwrap();
+        c.attach(SlotAddr::new(0, 2), h).unwrap();
+        // A refused attach and a failed slot leave the count alone.
+        assert!(c.attach(SlotAddr::new(0, 2), h).is_err());
+        c.fail_slot(SlotAddr::new(0, 0));
+        assert_eq!(c.n_attachments(), 2);
+        assert_eq!(c.n_attachments(), c.attachments().count());
+        c.detach(SlotAddr::new(0, 0)).unwrap();
+        assert_eq!(c.n_attachments(), 1);
+        assert_eq!(c.n_attachments(), c.attachments().count());
     }
 
     #[test]

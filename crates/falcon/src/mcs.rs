@@ -296,13 +296,27 @@ impl ManagementCenter {
     /// "define event logs for export").
     pub fn export_audit(&self, user: UserId) -> Result<Vec<AuditEntry>, McsError> {
         let st = self.state.read().unwrap();
-        if Self::role_of(&st, user)? != Role::Admin {
+        Self::check_export(&st, user)?;
+        Ok(st.audit.clone())
+    }
+
+    /// How many entries [`export_audit`](Self::export_audit) would
+    /// return, counted without copying the log. Admin-only, like the
+    /// export.
+    pub fn audit_len(&self, user: UserId) -> Result<usize, McsError> {
+        let st = self.state.read().unwrap();
+        Self::check_export(&st, user)?;
+        Ok(st.audit.len())
+    }
+
+    fn check_export(state: &McsState, user: UserId) -> Result<(), McsError> {
+        if Self::role_of(state, user)? != Role::Admin {
             return Err(McsError::PermissionDenied {
                 user,
                 action: "export the audit log",
             });
         }
-        Ok(st.audit.clone())
+        Ok(())
     }
 
     /// Run a read-only closure against the chassis (views, inventory).
@@ -397,6 +411,38 @@ mod tests {
             mcs.export_audit(UserId(1)),
             Err(McsError::PermissionDenied { .. })
         ));
+    }
+
+    #[test]
+    fn audit_len_counts_the_export_and_is_admin_only() {
+        let mcs = setup();
+        assert_eq!(mcs.audit_len(UserId(0)).unwrap(), 0);
+        let slot = SlotAddr::new(0, 5);
+        mcs.grant(t(0), UserId(0), slot, UserId(1)).unwrap();
+        mcs.attach(t(1), UserId(1), slot, HostId(1)).unwrap();
+        let _ = mcs.detach(t(2), UserId(2), slot);
+        let _ = mcs.grant(t(3), UserId(1), slot, UserId(1));
+        assert_eq!(
+            mcs.audit_len(UserId(0)).unwrap(),
+            mcs.export_audit(UserId(0)).unwrap().len()
+        );
+        assert_eq!(mcs.audit_len(UserId(0)).unwrap(), 4);
+        // A non-admin gets the export's own refusal, not a count.
+        assert_eq!(
+            mcs.audit_len(UserId(1)),
+            Err(mcs.export_audit(UserId(1)).unwrap_err())
+        );
+        assert!(matches!(
+            mcs.audit_len(UserId(1)),
+            Err(McsError::PermissionDenied {
+                user: UserId(1),
+                ..
+            })
+        ));
+        assert_eq!(
+            mcs.audit_len(UserId(9)),
+            Err(McsError::UnknownUser(UserId(9)))
+        );
     }
 
     #[test]

@@ -15,14 +15,17 @@
 //!   further when the rack-tier links are unhealthy.
 //! * [`Rack`] — N [`falcon::ManagementCenter`]s routed by chassis index,
 //!   with rack-wide audit/attachment/failure views so conservation
-//!   invariants can span chassis.
+//!   invariants can span chassis, and the free GPU slots kept as a
+//!   128-bit [`slot_set`] so a composition query never walks the chassis
+//!   tables.
 //!
 //! A placement confined to one chassis never touches the rack tier:
 //! [`cross_chassis_stretch`] is exactly `1.0` for a single part, which
 //! keeps every single-chassis replay byte-identical to the pre-rack code.
 
 use desim::SimTime;
-use falcon::{Falcon4016, HostId, ManagementCenter, McsError, SlotAddr, UserId};
+use falcon::{Falcon4016, HostId, ManagementCenter, McsError, SlotAddr, SlotDevice, UserId};
+use std::cell::Cell;
 use std::fmt;
 
 /// Version stamp for the rack fabric model, folded into `model_hash` so
@@ -178,6 +181,20 @@ impl RackAddr {
     pub fn global_drawer(&self) -> usize {
         self.chassis as usize * DRAWERS_PER_CHASSIS as usize + self.slot.drawer.0 as usize
     }
+
+    /// This slot's bit in a [`slot_set`].
+    fn bit(&self) -> u32 {
+        debug_assert!(self.chassis < MAX_CHASSIS, "slot set overflow");
+        self.global_drawer() as u32 * u32::from(SLOTS_PER_DRAWER) + u32::from(self.slot.slot)
+    }
+
+    /// The slot at bit `bit` of a slot set (inverse of [`bit`](Self::bit)).
+    fn from_bit(bit: u32) -> RackAddr {
+        let (slots, drawers) = (u32::from(SLOTS_PER_DRAWER), u32::from(DRAWERS_PER_CHASSIS));
+        let global_drawer = bit / slots;
+        let (chassis, drawer) = (global_drawer / drawers, global_drawer % drawers);
+        RackAddr::new(chassis as u8, drawer as u8, (bit % slots) as u8)
+    }
 }
 
 impl fmt::Display for RackAddr {
@@ -193,6 +210,13 @@ pub fn drawer_mask(slots: impl IntoIterator<Item = RackAddr>) -> u64 {
         debug_assert!(s.global_drawer() < 64, "drawer mask overflow");
         m | 1 << s.global_drawer()
     })
+}
+
+/// The slots as a set, one bit per slot at `chassis·16 + drawer·8 +
+/// slot`: ascending bits follow `RackAddr` order, and the largest
+/// supported rack fills exactly one `u128`.
+pub fn slot_set(slots: impl IntoIterator<Item = RackAddr>) -> u128 {
+    slots.into_iter().fold(0, |m, s| m | 1 << s.bit())
 }
 
 /// Number of distinct global drawers a slot list touches (1 = the gang
@@ -222,26 +246,60 @@ pub fn chassis_parts(slots: &[RackAddr]) -> Vec<(u8, Vec<SlotAddr>)> {
 /// routed to the owning chassis's [`ManagementCenter`]; rack-wide views
 /// (attachments, failed slots, audit volume) aggregate across chassis so
 /// conservation and audit invariants can span the whole rack.
+///
+/// The rack also keeps three [slot sets](slot_set): the slots holding a
+/// GPU (fixed at construction), the attached slots and the failed slots.
+/// The five methods that change a slot's attachment or health update
+/// them right after the MCS call succeeds, and no other path reaches a
+/// chassis mutably, so [`free_gpus`](Self::free_gpus) answers from the
+/// sets alone. A `Rack` is never shared across threads, so `Cell`s
+/// suffice.
 pub struct Rack {
     chassis: Vec<ManagementCenter>,
+    gpus: u128,
+    attached: Cell<u128>,
+    failed: Cell<u128>,
 }
 
 impl Rack {
-    /// Compose pre-built managed chassis (chassis index = position).
+    /// Compose pre-built managed chassis (chassis index = position). The
+    /// slot sets start from the chassis tables as given.
     pub fn new(chassis: Vec<ManagementCenter>) -> Rack {
         assert!(
             !chassis.is_empty() && chassis.len() <= MAX_CHASSIS as usize,
             "rack must hold 1..={MAX_CHASSIS} chassis"
         );
-        Rack { chassis }
+        let (mut gpus, mut attached, mut failed) = (0, 0, 0);
+        for (c, mcs) in chassis.iter().enumerate() {
+            let at = |slot| RackAddr {
+                chassis: c as u8,
+                slot,
+            };
+            mcs.with_chassis(|ch| {
+                gpus |= slot_set(
+                    ch.occupied_slots()
+                        .filter(|(_, d)| matches!(d, SlotDevice::Gpu(_)))
+                        .map(|(s, _)| at(s)),
+                );
+                attached |= slot_set(ch.attachments().map(|(s, _)| at(s)));
+                failed |= slot_set(ch.failed_slots().map(at));
+            });
+        }
+        Rack {
+            chassis,
+            gpus,
+            attached: Cell::new(attached),
+            failed: Cell::new(failed),
+        }
     }
 
     pub fn n_chassis(&self) -> usize {
         self.chassis.len()
     }
 
-    /// The management center of one chassis.
-    pub fn mcs(&self, chassis: u8) -> &ManagementCenter {
+    /// The management center of one chassis. Private: a mutating call
+    /// through it would bypass the slot sets.
+    fn mcs(&self, chassis: u8) -> &ManagementCenter {
         &self.chassis[chassis as usize]
     }
 
@@ -269,11 +327,15 @@ impl Rack {
         addr: RackAddr,
         host: HostId,
     ) -> Result<(), McsError> {
-        self.mcs(addr.chassis).attach(at, user, addr.slot, host)
+        self.mcs(addr.chassis).attach(at, user, addr.slot, host)?;
+        self.attached.update(|m| m | 1 << addr.bit());
+        Ok(())
     }
 
     pub fn detach(&self, at: SimTime, user: UserId, addr: RackAddr) -> Result<HostId, McsError> {
-        self.mcs(addr.chassis).detach(at, user, addr.slot)
+        let host = self.mcs(addr.chassis).detach(at, user, addr.slot)?;
+        self.attached.update(|m| m & !(1 << addr.bit()));
+        Ok(host)
     }
 
     pub fn force_detach(
@@ -282,15 +344,46 @@ impl Rack {
         admin: UserId,
         addr: RackAddr,
     ) -> Result<Option<HostId>, McsError> {
-        self.mcs(addr.chassis).force_detach(at, admin, addr.slot)
+        let host = self.mcs(addr.chassis).force_detach(at, admin, addr.slot)?;
+        self.attached.update(|m| m & !(1 << addr.bit()));
+        Ok(host)
     }
 
     pub fn fail_slot(&self, at: SimTime, admin: UserId, addr: RackAddr) -> Result<(), McsError> {
-        self.mcs(addr.chassis).fail_slot(at, admin, addr.slot)
+        self.mcs(addr.chassis).fail_slot(at, admin, addr.slot)?;
+        self.failed.update(|m| m | 1 << addr.bit());
+        Ok(())
     }
 
     pub fn repair_slot(&self, at: SimTime, admin: UserId, addr: RackAddr) -> Result<(), McsError> {
-        self.mcs(addr.chassis).repair_slot(at, admin, addr.slot)
+        self.mcs(addr.chassis).repair_slot(at, admin, addr.slot)?;
+        self.failed.update(|m| m & !(1 << addr.bit()));
+        Ok(())
+    }
+
+    /// The GPU slots neither attached nor failed, in `RackAddr` order —
+    /// the composition query, answered from the kept slot sets without
+    /// touching a chassis.
+    pub fn free_gpus(&self) -> Vec<RackAddr> {
+        let mut free = self.gpus & !self.attached.get() & !self.failed.get();
+        let mut slots = Vec::with_capacity(free.count_ones() as usize);
+        while free != 0 {
+            slots.push(RackAddr::from_bit(free.trailing_zeros()));
+            free &= free - 1;
+        }
+        slots
+    }
+
+    /// The kept set of attached slots (see [`slot_set`]); audits compare it
+    /// with [`attachments`](Self::attachments).
+    pub fn attached_set(&self) -> u128 {
+        self.attached.get()
+    }
+
+    /// The kept set of failed slots (see [`slot_set`]); audits compare it
+    /// with [`failed_slots`](Self::failed_slots).
+    pub fn failed_set(&self) -> u128 {
+        self.failed.get()
     }
 
     /// Read-only access to one chassis (views, inventory).
@@ -298,12 +391,13 @@ impl Rack {
         self.mcs(chassis).with_chassis(f)
     }
 
-    /// Total attachments across the rack, without materializing the list —
-    /// the cheap side of the scheduler's amortized conservation check.
+    /// Total attachments across the rack, read from each chassis table's
+    /// length — the cheap side of the scheduler's amortized conservation
+    /// check.
     pub fn n_attachments(&self) -> usize {
         self.chassis
             .iter()
-            .map(|mcs| mcs.with_chassis(|ch| ch.attachments().count()))
+            .map(|mcs| mcs.with_chassis(Falcon4016::n_attachments))
             .sum()
     }
 
@@ -335,12 +429,13 @@ impl Rack {
         v
     }
 
-    /// Total audit-log entries across every chassis — the rack-wide audit
-    /// invariant surface (admin-only, like each per-chassis export).
+    /// Total audit-log entries across every chassis, counted without
+    /// copying a log — the rack-wide audit invariant surface (admin-only,
+    /// like each per-chassis export).
     pub fn audit_len(&self, admin: UserId) -> Result<usize, McsError> {
         let mut n = 0;
         for mcs in &self.chassis {
-            n += mcs.export_audit(admin)?.len();
+            n += mcs.audit_len(admin)?;
         }
         Ok(n)
     }
@@ -408,6 +503,36 @@ mod tests {
         let mut v = vec![RackAddr::new(1, 0, 0), RackAddr::new(0, 1, 7)];
         v.sort_unstable();
         assert_eq!(v[0].chassis, 0);
+    }
+
+    #[test]
+    fn slot_set_bits_follow_rack_addr_order() {
+        assert_eq!(RackAddr::new(0, 0, 0).bit(), 0);
+        assert_eq!(RackAddr::new(1, 0, 3).bit(), 19);
+        assert_eq!(RackAddr::new(7, 1, 7).bit(), 127);
+        assert_eq!(RackAddr::from_bit(127), RackAddr::new(7, 1, 7));
+        let all: Vec<RackAddr> = (0..128).map(RackAddr::from_bit).collect();
+        assert!(
+            all.windows(2).all(|w| w[0] < w[1]),
+            "ascending bits are ascending addresses"
+        );
+        assert!(all.iter().enumerate().all(|(i, a)| a.bit() == i as u32));
+        assert_eq!(slot_set(all.iter().rev().copied()), u128::MAX);
+
+        // The rack's free list comes out in RackAddr order, chassis-major.
+        let rack = two_chassis_rack();
+        let mut expect: Vec<RackAddr> = (0..2)
+            .flat_map(|c| (0..8).map(move |s| RackAddr::new(c, 0, s)))
+            .collect();
+        assert_eq!(rack.free_gpus(), expect);
+        let (a, b) = (RackAddr::new(1, 0, 2), RackAddr::new(0, 0, 5));
+        rack.grant(t(0), UserId(0), a, UserId(1)).unwrap();
+        rack.attach(t(0), UserId(1), a, HostId(1)).unwrap();
+        rack.fail_slot(t(0), UserId(0), b).unwrap();
+        expect.retain(|&s| s != a && s != b);
+        assert_eq!(rack.free_gpus(), expect);
+        assert_eq!(rack.attached_set(), 1 << a.bit());
+        assert_eq!(rack.failed_set(), 1 << b.bit());
     }
 
     #[test]

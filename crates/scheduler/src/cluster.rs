@@ -56,7 +56,7 @@ use falcon::{
     SlotAddr, SlotDevice, UserId,
 };
 use rack::{
-    chassis_parts, cross_chassis_stretch, drawer_mask, drawers_spanned, Rack, RackAddr,
+    chassis_parts, cross_chassis_stretch, drawer_mask, drawers_spanned, slot_set, Rack, RackAddr,
     RackTopology,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -800,22 +800,11 @@ impl ClusterSim {
         pending.insert(pos, job);
     }
 
+    /// The composition query: the rack's GPU slots neither attached nor
+    /// failed, read from the slot sets the rack keeps. Callers build it
+    /// only once they hold a job that could place.
     fn free_view(&self) -> FreeView {
-        let mut free: Vec<RackAddr> = Vec::new();
-        for c in 0..self.topo.chassis {
-            self.rack.with_chassis(c, |ch| {
-                free.extend(
-                    ch.occupied_slots()
-                        .filter(|&(a, d)| {
-                            matches!(d, SlotDevice::Gpu(_))
-                                && ch.owner_of(a).is_none()
-                                && !ch.is_failed(a)
-                        })
-                        .map(|(a, _)| RackAddr { chassis: c, slot: a }),
-                );
-            });
-        }
-        FreeView::new(free, self.topo.n_drawers())
+        FreeView::new(self.rack.free_gpus(), self.topo.n_drawers())
     }
 
     /// Effective link health per global drawer under the active
@@ -1101,11 +1090,11 @@ impl ClusterSim {
             return Ok(changed);
         }
         loop {
-            let free = self.free_view();
             let head = pending.iter().enumerate().find(|(_, j)| {
                 self.tenant_used(j.tenant.0) + usize::from(j.gpus) <= self.cfg.quota_gpus_per_tenant
             });
             let Some((i, job)) = head else { break };
+            let free = self.free_view();
             match self.policy.place(job, &free, &mut self.probes) {
                 Some(slots) => {
                     debug_assert_eq!(slots.len(), usize::from(job.gpus));
@@ -1156,7 +1145,6 @@ impl ClusterSim {
             .sort_by_key(|(_, r)| (std::cmp::Reverse(r.spec.priority), r.spec.arrival, r.spec.id));
         let mut i = 0;
         while i < self.fstate.displaced.len() {
-            let free = self.free_view();
             let (want, tenant, min_gpus, probe_spec) = {
                 let (_, r) = &self.fstate.displaced[i];
                 (
@@ -1173,6 +1161,7 @@ impl ClusterSim {
                 i += 1;
                 continue;
             }
+            let free = self.free_view();
             match self.policy.place(&probe_spec, &free, &mut self.probes) {
                 Some(slots) => {
                     debug_assert_eq!(slots.len(), want);
@@ -1263,14 +1252,19 @@ impl ClusterSim {
         now: SimTime,
         running: &mut BTreeMap<u64, Running>,
     ) -> Result<bool, SchedulerError> {
-        let free = self.free_view();
+        // Built at the first candidate: nothing moves before the one
+        // migration this pass makes, so it serves every candidate after.
+        let mut free = None;
         for r in running.values_mut() {
             // Mid-recompose jobs are already paying a relocation; spanning
             // is the only fragmentation this pass exists to reduce.
             if r.resume_at > now || drawers_spanned(&r.slots) <= 1 {
                 continue;
             }
-            let Some(new_slots) = self.policy.migrate(&r.spec, &r.slots, &free, &mut self.probes)
+            let free = free.get_or_insert_with(|| self.free_view());
+            let Some(new_slots) = self
+                .policy
+                .migrate(&r.spec, &r.slots, free, &mut self.probes)
             else {
                 continue;
             };
@@ -1464,9 +1458,10 @@ impl ClusterSim {
 
     /// Resource-conservation invariants, checked at every event: no slot
     /// is double-booked, the scheduler's view matches every chassis's
-    /// attachment table exactly (rack-wide *and* per chassis), the pool is
-    /// never oversubscribed, and no tenant exceeds its quota. Cheap (≤ 128
-    /// attachments), so it runs in release builds too.
+    /// attachment table exactly (rack-wide *and* per chassis), the slot
+    /// sets the rack keeps for the free view match the same tables, the
+    /// pool is never oversubscribed, and no tenant exceeds its quota.
+    /// Cheap (≤ 128 attachments), so it runs in release builds too.
     fn assert_conservation(&self, running: &BTreeMap<u64, Running>) {
         let mut booked = std::collections::BTreeSet::new();
         let mut used = vec![0usize; MAX_TENANTS as usize];
@@ -1513,6 +1508,11 @@ impl ClusterSim {
             booked.len() + serve_slots.len(),
             "scheduler view diverged from rack attachments"
         );
+        assert_eq!(
+            self.rack.attached_set(),
+            slot_set(attached.iter().map(|&(a, _)| a)),
+            "rack's kept attached set diverged from the chassis tables"
+        );
         assert!(attached.iter().all(|(a, _)| booked.contains(a) || serve_slots.contains(a)));
         // The same conservation law holds chassis by chassis: no chassis
         // carries an attachment the scheduler booked on another.
@@ -1525,6 +1525,11 @@ impl ClusterSim {
         // Degraded-state invariants: no job runs on failed hardware, and
         // the rack's failed set matches the fault refcounts exactly.
         let failed = self.rack.failed_slots();
+        assert_eq!(
+            self.rack.failed_set(),
+            slot_set(failed.iter().copied()),
+            "rack's kept failed set diverged from the chassis tables"
+        );
         for slot in &failed {
             assert!(!booked.contains(slot), "job occupies failed slot {slot}");
             assert!(!serve_slots.contains(slot), "replica occupies failed slot {slot}");

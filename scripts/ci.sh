@@ -30,39 +30,40 @@ cargo build --release --offline
 echo "== benchmark harness builds against the current API =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-# One short paper_sweep run through the benchmark's own correctness
-# gate: every round must reproduce the pinned digest of the 47 training
-# runs behind Table II, the grid, Fig 9, Fig 15, Fig 16 and Table IV —
-# the fabric allocator under contention and the Falcon port series
-# included. The result object is the last stdout line.
+# One short run of a benchmark workload through the benchmark's own
+# correctness gate: every round must reproduce the workload's pinned
+# bytes, and none may fail. The result object is the last stdout line.
+bench_gate() {
+    result=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$1" --seconds 1 --trace 0 | tail -n 1)
+    echo "$result"
+    case "$result" in
+        *'"correct":true'*) ;;
+        *) echo "ERROR: $1 rounds did not reproduce their pinned bytes" >&2; exit 1 ;;
+    esac
+    case "$result" in
+        *'"failed":0'[!0-9]*) ;;
+        *) echo "ERROR: $1 reported failed rounds" >&2; exit 1 ;;
+    esac
+}
+
+# The pinned digest of the 47 training runs behind Table II, the grid,
+# Fig 9, Fig 15, Fig 16 and Table IV — the fabric allocator under
+# contention and the Falcon port series included.
 echo "== paper_sweep digest through the benchmark (1 s) =="
-sweep=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload paper_sweep --seconds 1 --trace 0 | tail -n 1)
-echo "$sweep"
-case "$sweep" in
-    *'"correct":true'*) ;;
-    *) echo "ERROR: paper_sweep rounds did not reproduce the pinned digest" >&2; exit 1 ;;
-esac
-case "$sweep" in
-    *'"failed":0'[!0-9]*) ;;
-    *) echo "ERROR: paper_sweep reported failed rounds" >&2; exit 1 ;;
-esac
+bench_gate paper_sweep
 
 # The same gate on the cluster loop: every rack_faults round must
 # reproduce the pinned digest of its 4-chassis replay with preemption,
 # defrag and a 40-event fault plan, a shape no workspace golden has.
 echo "== rack_faults digest through the benchmark (1 s) =="
-faults=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
-    --workload rack_faults --seconds 1 --trace 0 | tail -n 1)
-echo "$faults"
-case "$faults" in
-    *'"correct":true'*) ;;
-    *) echo "ERROR: rack_faults rounds did not reproduce the pinned digest" >&2; exit 1 ;;
-esac
-case "$faults" in
-    *'"failed":0'[!0-9]*) ;;
-    *) echo "ERROR: rack_faults reported failed rounds" >&2; exit 1 ;;
-esac
+bench_gate rack_faults
+
+# And on the 128-GPU PAI-scale replay: every pai_mixed round must
+# reproduce crates/bench/golden/pai_magnitude.json through the
+# benchmark's warm-cache path, not only through `repro scenario`.
+echo "== pai_mixed rounds against the pai_magnitude golden (1 s) =="
+bench_gate pai_mixed
 
 echo "== tier-1: tests =="
 cargo test -q --offline
