@@ -13,14 +13,13 @@
 use desim::json::Value;
 use desim::{Dur, Sim};
 use devices::GpuSpec;
-use dlmodels::Benchmark;
+use dlmodels::{paper_model, Benchmark};
 use bench::replay_fresh;
 use scheduler::{
     cross_chassis_stretch, ProbeCache, RackTopology, Scenario, ScheduleReport, Shape, Topology,
     TraceSpec, POLICY_NAMES,
 };
 use testkit::bench::{black_box, BenchOpts, Suite};
-use training::engine::model_for;
 use training::{max_feasible_batch, JobConfig};
 
 const DESIM_EVENTS: u64 = 100_000;
@@ -75,7 +74,7 @@ fn probe_throughput(bench: Benchmark, n: usize, probes: &mut ProbeCache) -> f64 
     }
     let gpu = GpuSpec::v100_pcie_16gb();
     let cfg = JobConfig::paper_scaled(bench, n, 8);
-    let model = model_for(bench);
+    let model = paper_model(bench);
     let fit = max_feasible_batch(&model, gpu.memory_bytes, cfg.precision, cfg.strategy, n);
     let batch = cfg.per_gpu_batch.min(fit).max(1);
     (n as u64 * batch) as f64 / (iter_ns / 1e9)

@@ -12,8 +12,7 @@
 
 use crate::config::HostConfig;
 use crate::runner::{run, ExperimentOpts};
-use dlmodels::Benchmark;
-use training::engine::model_for;
+use dlmodels::{paper_model, Benchmark};
 
 /// One point of the overhead-vs-size curve.
 #[derive(Debug, Clone)]
@@ -34,7 +33,7 @@ pub fn overhead_curve(config: HostConfig, opts: &ExperimentOpts) -> Vec<Overhead
             let other = run(b, config, opts).expect("config fits");
             OverheadPoint {
                 benchmark: b,
-                params: model_for(b).param_count(),
+                params: paper_model(b).param_count(),
                 overhead_pct: (other.mean_iter.as_secs_f64() / base.mean_iter.as_secs_f64()
                     - 1.0)
                     * 100.0,

@@ -113,7 +113,7 @@ pub fn run(
             .iter()
             .map(|g| g.spec.memory_bytes)
             .fold(f64::INFINITY, f64::min);
-        let model = training::engine::model_for(benchmark);
+        let model = dlmodels::paper_model(benchmark);
         let max = training::max_feasible_batch(
             &model,
             capacity,

@@ -11,7 +11,7 @@
 //! converts it to latency against a concrete GPU roofline.
 
 use crate::model::{Benchmark, ModelDesc};
-use crate::paper_benchmarks;
+use crate::paper_model;
 use crate::precision::Precision;
 
 /// The aggregate forward-pass cost of one benchmark, per sample and per
@@ -52,11 +52,7 @@ impl InferenceProfile {
     /// every deployed V100 service would use: tensor cores, half the
     /// weight traffic).
     pub fn for_benchmark(benchmark: Benchmark) -> InferenceProfile {
-        let model = paper_benchmarks()
-            .into_iter()
-            .find(|m| m.benchmark == benchmark)
-            .expect("every benchmark has a paper model");
-        InferenceProfile::of(&model, Precision::Fp16)
+        InferenceProfile::of(&paper_model(benchmark), Precision::Fp16)
     }
 
     /// Forward FLOPs for a batch.
@@ -73,6 +69,7 @@ impl InferenceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper_benchmarks;
 
     #[test]
     fn profiles_exist_for_all_benchmarks_and_are_positive() {

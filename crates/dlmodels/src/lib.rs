@@ -35,13 +35,19 @@ pub use layer::{Layer, LayerKind};
 pub use model::{benchmark_from_label, Benchmark, Domain, ModelDesc};
 pub use precision::{Precision, OPTIMIZER_BYTES_PER_PARAM_AMP, OPTIMIZER_BYTES_PER_PARAM_FP32};
 
+/// The analytic model of one paper benchmark, at the paper's settings
+/// (BERT at sequence length 384).
+pub fn paper_model(benchmark: Benchmark) -> ModelDesc {
+    match benchmark {
+        Benchmark::MobileNetV2 => vision::mobilenet_v2(),
+        Benchmark::ResNet50 => vision::resnet50(),
+        Benchmark::YoloV5L => vision::yolov5l(),
+        Benchmark::BertBase => nlp::bert_base(384),
+        Benchmark::BertLarge => nlp::bert_large(384),
+    }
+}
+
 /// All five paper benchmarks, in Table II order.
 pub fn paper_benchmarks() -> Vec<ModelDesc> {
-    vec![
-        vision::mobilenet_v2(),
-        vision::resnet50(),
-        vision::yolov5l(),
-        nlp::bert_base(384),
-        nlp::bert_large(384),
-    ]
+    Benchmark::all().into_iter().map(paper_model).collect()
 }

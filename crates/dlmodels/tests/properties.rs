@@ -11,7 +11,7 @@
 //!   superlinearly in sequence length.
 
 use dlmodels::layer::Layer;
-use dlmodels::{paper_benchmarks, Precision};
+use dlmodels::{paper_benchmarks, paper_model, Benchmark, Precision};
 use testkit::{prop_assert, prop_assert_eq, property, u32_in, u64_in};
 
 property! {
@@ -73,6 +73,17 @@ property! {
         prop_assert!(m2.param_count() > 2 * m.param_count());
         let short = dlmodels::nlp::bert(dlmodels::Benchmark::BertBase, "t", layers, hidden, heads, seq / 2);
         prop_assert!(m.flops_fwd_per_sample() > 2.0 * short.flops_fwd_per_sample());
+    }
+}
+
+/// The zoo is `paper_model` over `Benchmark::all`, in that order, and
+/// each model instantiates the benchmark it was built for.
+#[test]
+fn zoo_is_one_model_per_benchmark_in_order() {
+    let order: Vec<Benchmark> = paper_benchmarks().iter().map(|m| m.benchmark).collect();
+    assert_eq!(order, Benchmark::all());
+    for b in Benchmark::all() {
+        assert_eq!(paper_model(b).benchmark, b);
     }
 }
 

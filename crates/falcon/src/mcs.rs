@@ -70,12 +70,48 @@ pub struct AuditEntry {
     pub allowed: bool,
 }
 
+/// What one audited call asked for. The log keeps it typed and formats
+/// it into [`AuditEntry::action`] only when exported.
+#[derive(Clone, Copy)]
+enum AuditOp {
+    Grant(SlotAddr, UserId),
+    Attach(SlotAddr, HostId),
+    Detach(SlotAddr),
+    ForceDetach(SlotAddr),
+    Fail(SlotAddr),
+    Repair(SlotAddr),
+    Reassign(SlotAddr, HostId),
+}
+
+impl fmt::Display for AuditOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            AuditOp::Grant(slot, to) => write!(f, "grant {slot} to user {}", to.0),
+            AuditOp::Attach(slot, host) => write!(f, "attach {slot} to host{}", host.0),
+            AuditOp::Detach(slot) => write!(f, "detach {slot}"),
+            AuditOp::ForceDetach(slot) => write!(f, "force-detach {slot}"),
+            AuditOp::Fail(slot) => write!(f, "fail {slot}"),
+            AuditOp::Repair(slot) => write!(f, "repair {slot}"),
+            AuditOp::Reassign(slot, to) => write!(f, "reassign {slot} to host{}", to.0),
+        }
+    }
+}
+
+/// One stored audit record: an [`AuditEntry`] before its action is
+/// formatted.
+struct AuditRecord {
+    at: SimTime,
+    user: UserId,
+    op: AuditOp,
+    allowed: bool,
+}
+
 struct McsState {
     users: BTreeMap<UserId, Role>,
     /// Which user each slot is granted to (resource ownership).
     grants: BTreeMap<SlotAddr, UserId>,
     chassis: Falcon4016,
-    audit: Vec<AuditEntry>,
+    audit: Vec<AuditRecord>,
 }
 
 /// The Management Center Server.
@@ -107,11 +143,11 @@ impl ManagementCenter {
             .ok_or(McsError::UnknownUser(user))
     }
 
-    fn audit(state: &mut McsState, at: SimTime, user: UserId, action: String, allowed: bool) {
-        state.audit.push(AuditEntry {
+    fn audit(state: &mut McsState, at: SimTime, user: UserId, op: AuditOp, allowed: bool) {
+        state.audit.push(AuditRecord {
             at,
             user,
-            action,
+            op,
             allowed,
         });
     }
@@ -127,7 +163,7 @@ impl ManagementCenter {
         let mut st = self.state.write().unwrap();
         let role = Self::role_of(&st, admin)?;
         let allowed = role == Role::Admin;
-        Self::audit(&mut st, at, admin, format!("grant {slot} to user {}", to.0), allowed);
+        Self::audit(&mut st, at, admin, AuditOp::Grant(slot, to), allowed);
         if !allowed {
             return Err(McsError::PermissionDenied {
                 user: admin,
@@ -163,13 +199,7 @@ impl ManagementCenter {
     ) -> Result<(), McsError> {
         let mut st = self.state.write().unwrap();
         let access = Self::check_slot_access(&st, user, slot);
-        Self::audit(
-            &mut st,
-            at,
-            user,
-            format!("attach {slot} to host{}", host.0),
-            access.is_ok(),
-        );
+        Self::audit(&mut st, at, user, AuditOp::Attach(slot, host), access.is_ok());
         access?;
         st.chassis.attach(slot, host)?;
         Ok(())
@@ -179,7 +209,7 @@ impl ManagementCenter {
     pub fn detach(&self, at: SimTime, user: UserId, slot: SlotAddr) -> Result<HostId, McsError> {
         let mut st = self.state.write().unwrap();
         let access = Self::check_slot_access(&st, user, slot);
-        Self::audit(&mut st, at, user, format!("detach {slot}"), access.is_ok());
+        Self::audit(&mut st, at, user, AuditOp::Detach(slot), access.is_ok());
         access?;
         Ok(st.chassis.detach(slot)?)
     }
@@ -189,7 +219,7 @@ impl ManagementCenter {
     /// any existing attachment so [`force_detach`](Self::force_detach) can
     /// evacuate it.
     pub fn fail_slot(&self, at: SimTime, admin: UserId, slot: SlotAddr) -> Result<(), McsError> {
-        self.admin_slot_op(at, admin, slot, "fail", |c, s| {
+        self.admin_slot_op(at, admin, slot, AuditOp::Fail, |c, s| {
             c.fail_slot(s);
             Ok(())
         })
@@ -197,7 +227,7 @@ impl ManagementCenter {
 
     /// Admin-only: clear a slot's failed state (repair / power-back).
     pub fn repair_slot(&self, at: SimTime, admin: UserId, slot: SlotAddr) -> Result<(), McsError> {
-        self.admin_slot_op(at, admin, slot, "repair", |c, s| {
+        self.admin_slot_op(at, admin, slot, AuditOp::Repair, |c, s| {
             c.repair_slot(s);
             Ok(())
         })
@@ -217,7 +247,7 @@ impl ManagementCenter {
         let mut st = self.state.write().unwrap();
         let role = Self::role_of(&st, admin)?;
         let allowed = role == Role::Admin;
-        Self::audit(&mut st, at, admin, format!("force-detach {slot}"), allowed);
+        Self::audit(&mut st, at, admin, AuditOp::ForceDetach(slot), allowed);
         if !allowed {
             return Err(McsError::PermissionDenied {
                 user: admin,
@@ -236,13 +266,13 @@ impl ManagementCenter {
         at: SimTime,
         admin: UserId,
         slot: SlotAddr,
-        verb: &str,
+        audited: fn(SlotAddr) -> AuditOp,
         op: impl FnOnce(&mut Falcon4016, SlotAddr) -> Result<(), ChassisError>,
     ) -> Result<(), McsError> {
         let mut st = self.state.write().unwrap();
         let role = Self::role_of(&st, admin)?;
         let allowed = role == Role::Admin;
-        Self::audit(&mut st, at, admin, format!("{verb} {slot}"), allowed);
+        Self::audit(&mut st, at, admin, audited(slot), allowed);
         if !allowed {
             return Err(McsError::PermissionDenied {
                 user: admin,
@@ -263,13 +293,7 @@ impl ManagementCenter {
     ) -> Result<HostId, McsError> {
         let mut st = self.state.write().unwrap();
         let access = Self::check_slot_access(&st, user, slot);
-        Self::audit(
-            &mut st,
-            at,
-            user,
-            format!("reassign {slot} to host{}", to.0),
-            access.is_ok(),
-        );
+        Self::audit(&mut st, at, user, AuditOp::Reassign(slot, to), access.is_ok());
         access?;
         Ok(st.chassis.reassign(slot, to)?)
     }
@@ -293,11 +317,20 @@ impl ManagementCenter {
     }
 
     /// Export the audit log (admin feature, mirroring the GUI's
-    /// "define event logs for export").
+    /// "define event logs for export"), formatting each record's action.
     pub fn export_audit(&self, user: UserId) -> Result<Vec<AuditEntry>, McsError> {
         let st = self.state.read().unwrap();
         Self::check_export(&st, user)?;
-        Ok(st.audit.clone())
+        Ok(st
+            .audit
+            .iter()
+            .map(|r| AuditEntry {
+                at: r.at,
+                user: r.user,
+                action: r.op.to_string(),
+                allowed: r.allowed,
+            })
+            .collect())
     }
 
     /// How many entries [`export_audit`](Self::export_audit) would
@@ -443,6 +476,52 @@ mod tests {
             mcs.audit_len(UserId(9)),
             Err(McsError::UnknownUser(UserId(9)))
         );
+    }
+
+    #[test]
+    fn audit_export_spells_out_every_op_allowed_and_denied() {
+        let mcs = setup();
+        let slot = SlotAddr::new(0, 6);
+        // Denied: user 1 is no admin, user 2 holds no grant.
+        let _ = mcs.grant(t(0), UserId(1), slot, UserId(2));
+        let _ = mcs.attach(t(1), UserId(2), slot, HostId(1));
+        let _ = mcs.reassign(t(2), UserId(2), slot, HostId(2));
+        let _ = mcs.detach(t(3), UserId(2), slot);
+        let _ = mcs.fail_slot(t(4), UserId(1), slot);
+        let _ = mcs.force_detach(t(5), UserId(1), slot);
+        let _ = mcs.repair_slot(t(6), UserId(1), slot);
+        // Allowed.
+        mcs.grant(t(7), UserId(0), slot, UserId(1)).unwrap();
+        mcs.attach(t(8), UserId(1), slot, HostId(1)).unwrap();
+        mcs.reassign(t(9), UserId(1), slot, HostId(2)).unwrap();
+        mcs.detach(t(10), UserId(1), slot).unwrap();
+        mcs.fail_slot(t(11), UserId(0), slot).unwrap();
+        mcs.force_detach(t(12), UserId(0), slot).unwrap();
+        mcs.repair_slot(t(13), UserId(0), slot).unwrap();
+        let entry = |s: u64, user: u32, action: &str, allowed: bool| AuditEntry {
+            at: t(s),
+            user: UserId(user),
+            action: action.to_string(),
+            allowed,
+        };
+        let want = vec![
+            entry(0, 1, "grant d0s6 to user 2", false),
+            entry(1, 2, "attach d0s6 to host1", false),
+            entry(2, 2, "reassign d0s6 to host2", false),
+            entry(3, 2, "detach d0s6", false),
+            entry(4, 1, "fail d0s6", false),
+            entry(5, 1, "force-detach d0s6", false),
+            entry(6, 1, "repair d0s6", false),
+            entry(7, 0, "grant d0s6 to user 1", true),
+            entry(8, 1, "attach d0s6 to host1", true),
+            entry(9, 1, "reassign d0s6 to host2", true),
+            entry(10, 1, "detach d0s6", true),
+            entry(11, 0, "fail d0s6", true),
+            entry(12, 0, "force-detach d0s6", true),
+            entry(13, 0, "repair d0s6", true),
+        ];
+        assert_eq!(mcs.export_audit(UserId(0)).unwrap(), want);
+        assert_eq!(mcs.audit_len(UserId(0)).unwrap(), want.len());
     }
 
     #[test]

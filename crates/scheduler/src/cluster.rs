@@ -89,6 +89,48 @@ pub(crate) fn dilation(interference: f64, neighbors: usize) -> f64 {
     1.0 + interference * neighbors as f64
 }
 
+/// Count drawer masks per global drawer: `out[d]` is how many of `masks`
+/// hold bit `d`.
+fn tally_drawers(masks: impl IntoIterator<Item = u64>, n_drawers: usize, out: &mut Vec<usize>) {
+    out.clear();
+    out.resize(n_drawers, 0);
+    for mut m in masks {
+        while m != 0 {
+            out[m.trailing_zeros() as usize] += 1;
+            m &= m - 1;
+        }
+    }
+}
+
+/// Interference neighbors of job `j`: the other jobs and the live
+/// services that share at least one drawer with it, each counted once.
+/// A one-drawer job reads the per-drawer tallies of `job_masks`
+/// (`jobs_on`, itself included) and `svc_masks` (`svcs_on`). A
+/// drawer-spanning gang scans pairwise, so a neighbor it meets on two
+/// drawers still counts once.
+fn neighbors(
+    j: usize,
+    job_masks: &[u64],
+    svc_masks: &[u64],
+    jobs_on: &[usize],
+    svcs_on: &[usize],
+) -> usize {
+    let mine = job_masks[j];
+    if mine.is_power_of_two() {
+        let d = mine.trailing_zeros() as usize;
+        return jobs_on[d] - 1 + svcs_on[d];
+    }
+    pairwise_neighbors(j, job_masks, svc_masks)
+}
+
+/// The defining scan behind [`neighbors`]: every other job and every
+/// service whose mask meets job `j`'s.
+fn pairwise_neighbors(j: usize, job_masks: &[u64], svc_masks: &[u64]) -> usize {
+    let mine = job_masks[j];
+    job_masks.iter().enumerate().filter(|&(k, &m)| k != j && m & mine != 0).count()
+        + svc_masks.iter().filter(|&&m| m & mine != 0).count()
+}
+
 /// Knobs of the cluster simulation (not of any single policy).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerConfig {
@@ -217,6 +259,10 @@ impl From<McsError> for SchedulerError {
 struct Running {
     spec: JobSpec,
     slots: Vec<RackAddr>,
+    /// The global drawers `slots` touch. `seat` and `try_shrink` are the
+    /// only places a running job's slots change, so they keep it; the
+    /// full audit checks it against `slots`.
+    drawer_mask: u64,
     started: SimTime,
     remaining_iters: f64,
     /// Alone-on-the-bed mean iteration time for the current shape (s).
@@ -299,6 +345,7 @@ struct FaultState {
 struct LoopScratch {
     finished: Vec<u64>,
     tod: Vec<usize>,
+    svc_on: Vec<usize>,
     job_masks: Vec<u64>,
     svc_masks: Vec<u64>,
     reprice_ids: Vec<u64>,
@@ -312,15 +359,7 @@ impl LoopScratch {
         running: &BTreeMap<u64, Running>,
         n_drawers: usize,
     ) -> &[usize] {
-        self.tod.clear();
-        self.tod.resize(n_drawers, 0);
-        for r in running.values() {
-            let mut m = drawer_mask(r.slots.iter().copied());
-            while m != 0 {
-                self.tod[m.trailing_zeros() as usize] += 1;
-                m &= m - 1;
-            }
-        }
+        tally_drawers(running.values().map(|r| r.drawer_mask), n_drawers, &mut self.tod);
         &self.tod
     }
 }
@@ -918,6 +957,7 @@ impl ClusterSim {
     fn seat(&mut self, now: SimTime, r: &mut Running, slots: Vec<RackAddr>, resume_at: SimTime) {
         r.base_iter_secs = self.price_base(r.spec.benchmark, &slots);
         r.ever_spanned |= spans(&slots);
+        r.drawer_mask = drawer_mask(slots.iter().copied());
         r.slots = slots;
         r.resume_at = resume_at;
         r.iters_since_placement = 0.0;
@@ -1388,6 +1428,7 @@ impl ClusterSim {
                     remaining_iters: spec.iters as f64,
                     spec,
                     slots: Vec::new(),
+                    drawer_mask: 0,
                     started: now,
                     // `seat` prices the placement; `recompute_rates` sets
                     // the rate and finish time before either is read.
@@ -1447,6 +1488,7 @@ impl ClusterSim {
         r.slots
             .sort_by_key(|s| (s.global_drawer() != major, s.global_drawer(), s.slot.slot));
         let released = r.slots.split_off(new);
+        r.drawer_mask = drawer_mask(r.slots.iter().copied());
         self.release(now, r.spec.tenant.0, &released, false)?;
         // Constant total work in GPU-iterations: fewer GPUs, more
         // remaining iterations at the new (cheaper per-iteration) shape.
@@ -1470,6 +1512,12 @@ impl ClusterSim {
                 assert!(booked.insert(slot), "slot {slot} double-booked");
             }
             used[r.spec.tenant.0 as usize] += r.slots.len();
+            assert_eq!(
+                r.drawer_mask,
+                drawer_mask(r.slots.iter().copied()),
+                "job {} kept drawer mask diverged from its slots",
+                r.spec.id
+            );
         }
         // Serving slots are disjoint from training slots and count toward
         // the holding tenant's quota (a sliced slot occupies the whole
@@ -1545,33 +1593,27 @@ impl ClusterSim {
     /// placement change re-prices each running job as its alone-on-bed
     /// iteration rate diluted by co-residents sharing a drawer switch.
     fn recompute_rates(&mut self, running: &mut BTreeMap<u64, Running>) {
-        // Per-job drawer occupancy as bitmasks in running-set (id) order —
-        // neighbor counts are identical to the old bool-vector scan, so
-        // dilation floats are bit-identical, with no per-job allocation.
-        let mut masks = std::mem::take(&mut self.scratch.job_masks);
-        masks.clear();
-        masks.extend(running.values().map(|r| drawer_mask(r.slots.iter().copied())));
+        // Kept drawer masks in running-set (id) order, tallied per drawer
+        // once per call. Neighbor counts are integers, so the dilation
+        // floats come from the same numbers as a pairwise scan.
+        let sc = &mut self.scratch;
+        sc.job_masks.clear();
+        sc.job_masks.extend(running.values().map(|r| r.drawer_mask));
         // Each live service counts once as a neighbor to training jobs
         // sharing its drawer(s) — co-location costs both sides. Empty for
         // training-only replays, leaving their float math bit-identical.
-        let mut svc_masks = std::mem::take(&mut self.scratch.svc_masks);
-        svc_masks.clear();
-        self.serve.live_service_drawer_masks_into(&mut svc_masks);
+        sc.svc_masks.clear();
+        self.serve.live_service_drawer_masks_into(&mut sc.svc_masks);
+        let nd = self.topo.n_drawers();
+        tally_drawers(sc.job_masks.iter().copied(), nd, &mut sc.tod);
+        tally_drawers(sc.svc_masks.iter().copied(), nd, &mut sc.svc_on);
         for (j, r) in running.values_mut().enumerate() {
-            let mine = masks[j];
-            let neighbors = masks
-                .iter()
-                .enumerate()
-                .filter(|&(k, &m)| k != j && m & mine != 0)
-                .count()
-                + svc_masks.iter().filter(|&&m| m & mine != 0).count();
-            r.rate = 1.0 / (r.base_iter_secs * dilation(self.cfg.interference, neighbors));
+            let n = neighbors(j, &sc.job_masks, &sc.svc_masks, &sc.tod, &sc.svc_on);
+            r.rate = 1.0 / (r.base_iter_secs * dilation(self.cfg.interference, n));
             // Progress resumes only after any re-composition window.
             r.finish_at = r.last_progress.max(r.resume_at)
                 + Dur::from_secs_f64(r.remaining_iters / r.rate);
         }
-        self.scratch.job_masks = masks;
-        self.scratch.svc_masks = svc_masks;
     }
 }
 
@@ -1929,6 +1971,45 @@ mod tests {
 
         let empty = MixedTrace { name: "void".into(), jobs: vec![], services: vec![] };
         assert!(matches!(admit(empty), Err(SchedulerError::EmptyTrace)));
+    }
+
+    /// One drawer mask's raw draw: a drawer, whether the mask spans, and
+    /// the extra bits a spanning mask adds.
+    fn raw_mask() -> testkit::Gen<(u8, bool, u64)> {
+        testkit::tuple3(testkit::u8_in(0..16), testkit::bools(), testkit::u64_in(0..u64::MAX))
+    }
+
+    /// Drawer masks on `n_drawers` drawers: each holds its drawn drawer,
+    /// and a spanning one adds its extra bits inside the rack.
+    fn masks(n_drawers: u8, raw: &[(u8, bool, u64)]) -> Vec<u64> {
+        let all = (1u64 << n_drawers) - 1;
+        raw.iter()
+            .map(|&(d, spans, extra)| 1 << (d % n_drawers) | if spans { extra & all } else { 0 })
+            .collect()
+    }
+
+    testkit::property! {
+        /// Tallied neighbors equal the pairwise scan for every job, on
+        /// random job and service masks over 1–16 drawers, spanning
+        /// gangs and services included.
+        #[cases(256)]
+        fn tallied_neighbors_match_the_pairwise_scan(
+            nd in testkit::u8_in(1..17),
+            jobs in testkit::vec_of(raw_mask(), 1..24),
+            svcs in testkit::vec_of(raw_mask(), 0..12)
+        ) {
+            let (job_masks, svc_masks) = (masks(nd, &jobs), masks(nd, &svcs));
+            let (mut jobs_on, mut svcs_on) = (Vec::new(), Vec::new());
+            tally_drawers(job_masks.iter().copied(), usize::from(nd), &mut jobs_on);
+            tally_drawers(svc_masks.iter().copied(), usize::from(nd), &mut svcs_on);
+            for j in 0..job_masks.len() {
+                testkit::prop_assert_eq!(
+                    neighbors(j, &job_masks, &svc_masks, &jobs_on, &svcs_on),
+                    pairwise_neighbors(j, &job_masks, &svc_masks),
+                    "job {j} of masks {job_masks:?}, services {svc_masks:?}"
+                );
+            }
+        }
     }
 
     #[test]

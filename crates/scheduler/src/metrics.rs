@@ -320,13 +320,16 @@ pub(crate) fn mean_dur(ds: impl Iterator<Item = Dur>) -> Dur {
     Dur::from_nanos(total / v.len() as u64)
 }
 
+/// The nearest-rank `p` percentile: the `⌈p·n⌉`-th smallest sample
+/// (at least the first). Selection finds the element a full sort would
+/// put at that rank, in linear time.
 pub(crate) fn percentile_dur(mut ns: Vec<u64>, p: f64) -> Dur {
     if ns.is_empty() {
         return Dur::ZERO;
     }
-    ns.sort_unstable();
     let rank = ((p * ns.len() as f64).ceil() as usize).clamp(1, ns.len());
-    Dur::from_nanos(ns[rank - 1])
+    let (_, &mut at, _) = ns.select_nth_unstable(rank - 1);
+    Dur::from_nanos(at)
 }
 
 /// Round a share/ratio to a stable number of decimals so reports (and the
@@ -533,6 +536,27 @@ mod tests {
             finish: SimTime::from_secs(finish_s),
             spanned: id == 1,
             shrunk: false,
+        }
+    }
+
+    testkit::property! {
+        /// Selection returns the sorted definition's element: the
+        /// `⌈p·n⌉`-th smallest of 1–200 samples drawn from a narrow
+        /// range, so ranks land inside runs of duplicates.
+        #[cases(256)]
+        fn percentile_selects_the_sorted_rank(
+            ns in testkit::vec_of(testkit::u64_in(0..40), 1..201)
+        ) {
+            let mut sorted = ns.clone();
+            sorted.sort_unstable();
+            for p in [0.5, 0.95, 0.99, 1.0] {
+                let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+                testkit::prop_assert_eq!(
+                    percentile_dur(ns.clone(), p),
+                    Dur::from_nanos(sorted[rank - 1]),
+                    "p {p} of {} samples", ns.len()
+                );
+            }
         }
     }
 

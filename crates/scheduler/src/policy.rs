@@ -45,12 +45,18 @@ use std::cmp::Reverse;
 pub struct FreeView {
     free: Vec<RackAddr>,
     n_drawers: usize,
+    /// Where each global drawer's run starts in `free`: drawer `d` holds
+    /// `free[runs[d]..runs[d + 1]]` (`n_drawers + 1` entries). Sorted
+    /// chassis-major order keeps each drawer's slots contiguous.
+    runs: Vec<usize>,
 }
 
 impl FreeView {
     pub fn new(mut free: Vec<RackAddr>, n_drawers: usize) -> FreeView {
         free.sort_unstable();
-        FreeView { free, n_drawers }
+        let runs =
+            (0..=n_drawers).map(|d| free.partition_point(|s| s.global_drawer() < d)).collect();
+        FreeView { free, n_drawers, runs }
     }
 
     /// The paper's single-chassis view (chassis 0, 2 drawers).
@@ -73,11 +79,15 @@ impl FreeView {
 
     /// Free slots inside one global drawer, ascending.
     pub fn in_drawer(&self, drawer: usize) -> Vec<RackAddr> {
-        self.free
-            .iter()
-            .copied()
-            .filter(|s| s.global_drawer() == drawer)
-            .collect()
+        self.run(drawer).to_vec()
+    }
+
+    /// One global drawer's free run, ascending; empty outside the view.
+    fn run(&self, drawer: usize) -> &[RackAddr] {
+        if drawer >= self.n_drawers {
+            return &[];
+        }
+        &self.free[self.runs[drawer]..self.runs[drawer + 1]]
     }
 }
 
@@ -171,12 +181,8 @@ pub trait PlacePolicy: Send {
             return None;
         }
         let k = current.len();
-        (0..free.n_drawers()).map(|d| free.in_drawer(d)).find(|slots| slots.len() >= k).map(
-            |mut slots| {
-                slots.truncate(k);
-                slots
-            },
-        )
+        let run = (0..free.n_drawers()).map(|d| free.run(d)).find(|run| run.len() >= k)?;
+        Some(run[..k].to_vec())
     }
 
     /// The slot floor an elastic shrink may take a job holding `held`
@@ -276,27 +282,28 @@ pub fn resolve_policy(name: &str) -> Result<Box<dyn PlacePolicy>, UnknownPolicy>
 }
 
 /// Free slots grouped by global drawer — the shared first step of every
-/// drawer-shaped selection below.
-fn per_drawer(free: &FreeView) -> Vec<Vec<RackAddr>> {
-    (0..free.n_drawers()).map(|d| free.in_drawer(d)).collect()
+/// drawer-shaped selection below. Each group is a slice of the view's
+/// own sorted list, found through the run starts `FreeView::new` kept.
+fn per_drawer(free: &FreeView) -> Vec<&[RackAddr]> {
+    (0..free.n_drawers()).map(|d| free.run(d)).collect()
 }
 
 /// The first drawer (lowest global index) whose free run fits `k`.
-fn first_fitting_drawer(per: &[Vec<RackAddr>], k: usize) -> Option<usize> {
+fn first_fitting_drawer(per: &[&[RackAddr]], k: usize) -> Option<usize> {
     (0..per.len()).find(|&d| per[d].len() >= k)
 }
 
 /// The tightest drawer that fits `k` (fewest free slots; ties to the
 /// lowest global drawer) — an exact fit is necessarily tightest, so
 /// large contiguous holes stay whole for the jobs that need them.
-fn tightest_fitting_drawer(per: &[Vec<RackAddr>], k: usize) -> Option<usize> {
+fn tightest_fitting_drawer(per: &[&[RackAddr]], k: usize) -> Option<usize> {
     (0..per.len()).filter(|&d| per[d].len() >= k).min_by_key(|&d| (per[d].len(), d))
 }
 
 /// Drain drawers fullest-first (ties toward the lower global drawer),
 /// spilling across drawers — and chassis — as the remainder demands.
 /// Caller guarantees `free.total() >= k`.
-fn drain_fullest_first(per: &[Vec<RackAddr>], k: usize) -> Vec<RackAddr> {
+fn drain_fullest_first(per: &[&[RackAddr]], k: usize) -> Vec<RackAddr> {
     let mut order: Vec<usize> = (0..per.len()).collect();
     order.sort_by_key(|&d| (Reverse(per[d].len()), d));
     let mut slots: Vec<RackAddr> = Vec::with_capacity(k);
@@ -384,7 +391,7 @@ fn score_spanning(probes: &mut ProbeCache, job: &JobSpec, parts: &[Shape]) -> f6
 fn priced_spill(
     job: &JobSpec,
     k: usize,
-    per: &[Vec<RackAddr>],
+    per: &[&[RackAddr]],
     probes: &mut ProbeCache,
 ) -> Option<Vec<RackAddr>> {
     let nd = per.len();
@@ -1269,6 +1276,41 @@ mod tests {
     fn params_reject_unknown_fields() {
         let err = PolicyParams::from_json_str("{\"spill_pack\": 1, \"warp\": 9}").unwrap_err();
         assert!(matches!(&err, ParamsError::Json(e) if e.msg.contains("\"warp\"")), "{err}");
+    }
+
+    /// A free list on `chassis` chassis in the order drawn: slot bits
+    /// wrap into the rack, so the list is unsorted and may repeat.
+    fn free_list(chassis: u8, bits: &[u8]) -> Vec<RackAddr> {
+        let span = u16::from(chassis) * 16;
+        bits.iter()
+            .map(|&b| {
+                let b = (u16::from(b) % span) as u8;
+                RackAddr::new(b / 16, (b / 8) % 2, b % 8)
+            })
+            .collect()
+    }
+
+    testkit::property! {
+        /// The kept run starts find each drawer's slots exactly: on every
+        /// drawer of a random 1–8 chassis view built from an unsorted
+        /// list, `in_drawer` is `slots()` filtered to that drawer, and
+        /// the drawers past the view's last are empty.
+        #[cases(256)]
+        fn in_drawer_is_the_slots_of_that_drawer(
+            chassis in testkit::u8_in(1..9),
+            bits in testkit::vec_of(testkit::u8_in(0..128), 0..96)
+        ) {
+            let free = FreeView::new(free_list(chassis, &bits), usize::from(chassis) * 2);
+            testkit::prop_assert!(free.slots().windows(2).all(|w| w[0] <= w[1]), "view unsorted");
+            for d in 0..free.n_drawers() {
+                let want: Vec<RackAddr> =
+                    free.slots().iter().copied().filter(|s| s.global_drawer() == d).collect();
+                testkit::prop_assert_eq!(free.in_drawer(d), want, "drawer {d}");
+            }
+            for d in free.n_drawers()..free.n_drawers() + 2 {
+                testkit::prop_assert!(free.in_drawer(d).is_empty(), "drawer {d} outside the view");
+            }
+        }
     }
 
     #[test]

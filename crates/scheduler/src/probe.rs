@@ -25,7 +25,7 @@ use falcon::SlotAddr;
 use rack::RackTopology;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use training::engine::{model_for, run_job};
+use training::engine::run_job;
 use training::{max_feasible_batch, JobConfig};
 
 /// Version stamp of the persisted cache format; bump on layout changes.
@@ -450,7 +450,7 @@ fn model_hash_with(extra_fingerprint: &[u8]) -> String {
     };
     for b in Benchmark::all() {
         eat(b.label().as_bytes());
-        eat(&model_for(b).param_count().to_le_bytes());
+        eat(&dlmodels::paper_model(b).param_count().to_le_bytes());
     }
     eat(&GpuSpec::v100_pcie_16gb().memory_bytes.to_le_bytes());
     eat(extra_fingerprint);
@@ -529,7 +529,7 @@ fn run_probe(benchmark: Benchmark, shape: Shape, health: LinkHealth, iters: u64)
     // Clamp the paper batch to what fits: the global-batch benchmarks
     // (YOLO, BERT) divide across GPUs, so small placements would OOM a
     // 16 GB card without this (same gate as `runner::run`'s auto-batch).
-    let model = model_for(benchmark);
+    let model = dlmodels::paper_model(benchmark);
     let fit = max_feasible_batch(&model, gpu.memory_bytes, cfg.precision, cfg.strategy, n);
     cfg.per_gpu_batch = cfg.per_gpu_batch.min(fit).max(1);
     let report = run_job(composed.topology, composed.cluster, cfg)

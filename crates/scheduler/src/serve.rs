@@ -518,8 +518,10 @@ impl SvcState {
     /// replica/slot membership or the scale target. Returns the boundary
     /// time (if one falls before `cap`) and the latest completion folded
     /// into activity. Dilation is frozen per epoch (`dil`, one factor per
-    /// global drawer); replica sets and training membership only change at
-    /// global events, so the frozen factors are constant over the epoch.
+    /// global drawer, current only where this service's replicas sit, the
+    /// only entries read here); replica sets and training membership only
+    /// change at global events, so the frozen factors are constant over
+    /// the epoch.
     ///
     /// The per-service evolution is a pure function of (service state,
     /// frozen dilation, cap), so sharding services across workers cannot
@@ -643,9 +645,11 @@ pub struct ServeState {
     n_drawers: usize,
     last_activity: SimTime,
     /// Per-epoch scratch (service-count per drawer, per-service drawer
-    /// masks, frozen dilation rows), hoisted out of the event loop.
+    /// masks), hoisted out of the event loop.
     epoch_counts: Vec<usize>,
     epoch_masks: Vec<u64>,
+    /// Frozen dilation rows, one per service and `n_drawers` wide, sized
+    /// once; `run_epoch` says which entries are current.
     epoch_dil: Vec<f64>,
 }
 
@@ -657,6 +661,7 @@ impl ServeState {
         let svcs: Vec<SvcState> = specs.into_iter().map(SvcState::new).collect();
         ServeState {
             active: (0..svcs.len()).collect(),
+            epoch_dil: vec![1.0; svcs.len() * n_drawers],
             svcs,
             slot_use: BTreeMap::new(),
             tenant_slots: vec![0; MAX_TENANTS as usize],
@@ -665,7 +670,6 @@ impl ServeState {
             last_activity: SimTime::ZERO,
             epoch_counts: Vec::new(),
             epoch_masks: Vec::new(),
-            epoch_dil: Vec::new(),
         }
     }
 
@@ -1021,16 +1025,19 @@ impl ServeState {
         // Freeze the per-(service, drawer) dilation factors for the epoch.
         // Replica sets and training membership only change at global
         // events, so these are constant until the next boundary. Rows are
-        // indexed by absolute service index; only active rows are written
-        // (and only active rows are read).
+        // indexed by absolute service index. `advance_until` reads only
+        // the drawers its replicas sit on, so only those entries of the
+        // active rows are written; the rest keep stale factors no one
+        // reads.
         self.fill_occupancy_scratch();
         let nd = self.n_drawers;
         let mut dil = std::mem::take(&mut self.epoch_dil);
-        dil.clear();
-        dil.resize(self.svcs.len() * nd, 1.0);
         for &i in &self.active {
-            for d in 0..nd {
+            let mut m = self.epoch_masks[i];
+            while m != 0 {
+                let d = m.trailing_zeros() as usize;
                 dil[i * nd + d] = self.dilation_at(i, d, interference, training_on_drawer);
+                m &= m - 1;
             }
         }
         let gpu = self.gpu.clone();

@@ -12,22 +12,33 @@
 //!   independent: `--jobs 1` and `--jobs 4` produce identical bytes.
 //!
 //! Scenarios are PAI-mix based (training jobs + autoscaling services)
-//! with seeded fault plans, so every `compose`/`release` of the ledger —
-//! start, finish, evacuation, re-placement, elastic shrink — is
-//! exercised.
+//! with seeded fault plans on 1–8 chassis under any of the five preset
+//! policies, so every `compose`/`release` of the ledger — start, finish,
+//! evacuation, re-placement, elastic shrink — is exercised, as are
+//! drawer-spanning spill placements and 16-drawer racks.
 
 use desim::Dur;
-use scheduler::{run_scenario, FaultSpec, ProbeCache, Scenario, Topology, TraceSpec};
-use testkit::{bools, property, tuple2, tuple5, u64_in, u8_in, prop_assert_eq, Gen};
+use scheduler::{run_scenario, FaultSpec, ProbeCache, Scenario, Topology, TraceSpec, POLICY_NAMES};
+use testkit::{bools, property, tuple2, tuple5, u64_in, u8_in, usize_in, prop_assert_eq, Gen};
 
-/// Raw scenario shape: (seed, n_jobs, n_services, chassis, faulty).
-fn shape() -> Gen<(u64, u8, u8, u8, bool)> {
-    tuple5(u64_in(0..1_000_000), u8_in(2..14), u8_in(0..5), u8_in(1..5), bools())
+/// Raw scenario shape: (seed, n_jobs, n_services, (chassis, policy),
+/// faulty), the policy an index into [`POLICY_NAMES`].
+type Shape = (u64, u8, u8, (u8, usize), bool);
+
+fn shape() -> Gen<Shape> {
+    tuple5(
+        u64_in(0..1_000_000),
+        u8_in(2..14),
+        u8_in(0..5),
+        tuple2(u8_in(1..9), usize_in(0..POLICY_NAMES.len())),
+        bools(),
+    )
 }
 
 /// A runnable PAI-mix scenario with enough going on to hit every ledger
 /// transition: elastic training, services that scale, seeded faults.
-fn build(seed: u64, n_jobs: u8, n_services: u8, chassis: u8, faulty: bool) -> Scenario {
+fn build(seed: u64, n_jobs: u8, n_services: u8, rack: (u8, usize), faulty: bool) -> Scenario {
+    let (chassis, policy) = rack;
     let mut sc = Scenario::new(
         format!("perf-knobs-{seed:#x}"),
         TraceSpec::PaiMix {
@@ -35,7 +46,7 @@ fn build(seed: u64, n_jobs: u8, n_services: u8, chassis: u8, faulty: bool) -> Sc
             n_services: usize::from(n_services),
             seed,
         },
-        vec!["slo-aware-pack".into()],
+        vec![POLICY_NAMES[policy].into()],
     );
     sc.topology = Topology::with_chassis(chassis);
     sc.config.elastic = true;
@@ -68,8 +79,8 @@ property! {
     /// byte-for-byte, and every full audit's ledger cross-check passes.
     #[cases(64)]
     fn amortized_audit_is_byte_invisible(s in shape()) {
-        let (seed, n_jobs, n_services, chassis, faulty) = s;
-        let every = build(seed, n_jobs, n_services, chassis, faulty);
+        let (seed, n_jobs, n_services, rack, faulty) = s;
+        let every = build(seed, n_jobs, n_services, rack, faulty);
         let mut amortized = every.clone();
         amortized.config.audit_every = 7;
         prop_assert_eq!(bytes(&every, 1), bytes(&amortized, 1), "audit cadence changed the report");
@@ -84,10 +95,10 @@ property! {
         s in shape(),
         extra in tuple2(u8_in(4..9), bools())
     ) {
-        let (seed, n_jobs, _, chassis, faulty) = s;
+        let (seed, n_jobs, _, rack, faulty) = s;
         let (n_services, big_audit) = extra;
         // Always enough services to cross the shard fan-out threshold.
-        let mut sc = build(seed, n_jobs, n_services, chassis, faulty);
+        let mut sc = build(seed, n_jobs, n_services, rack, faulty);
         sc.config.shard_serving = true;
         if big_audit {
             sc.config.audit_every = 64;

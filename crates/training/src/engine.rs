@@ -120,17 +120,6 @@ impl FlowWorld for TrainWorld {
     }
 }
 
-/// Resolve a benchmark to its analytic model.
-pub fn model_for(benchmark: Benchmark) -> ModelDesc {
-    match benchmark {
-        Benchmark::MobileNetV2 => dlmodels::vision::mobilenet_v2(),
-        Benchmark::ResNet50 => dlmodels::vision::resnet50(),
-        Benchmark::YoloV5L => dlmodels::vision::yolov5l(),
-        Benchmark::BertBase => dlmodels::nlp::bert_base(384),
-        Benchmark::BertLarge => dlmodels::nlp::bert_large(384),
-    }
-}
-
 /// Aggregate roofline time of one forward pass of `model` at the job's
 /// batch on the slowest GPU of the cluster.
 fn forward_time(model: &ModelDesc, cluster: &Cluster, cfg: &JobConfig) -> KernelTime {
@@ -169,7 +158,7 @@ pub fn run_job(topo: Topology, cluster: Cluster, cfg: JobConfig) -> Result<RunRe
     if n == 0 {
         return Err(TrainError::NoGpus);
     }
-    let model = model_for(cfg.benchmark);
+    let model = dlmodels::paper_model(cfg.benchmark);
 
     // Memory feasibility (the Fig 16 batch-size gate).
     let budget = gpu_memory_needed(&model, cfg.per_gpu_batch, cfg.precision, cfg.strategy, n);

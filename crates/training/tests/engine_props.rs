@@ -6,7 +6,7 @@
 //! * sharding never needs more memory than DDP at equal batch;
 //! * sharded memory is nonincreasing in replica count.
 
-use dlmodels::{Benchmark, Precision};
+use dlmodels::{paper_model, Benchmark, Precision};
 use testkit::{just, one_of, prop_assert, property, select, f64_in, u64_in, usize_in, Gen};
 use training::{gpu_memory_needed, max_feasible_batch};
 
@@ -31,7 +31,7 @@ property! {
     #[cases(64)]
     fn memory_monotone_in_batch(b in any_benchmark(), s in any_strategy(),
                                 p in any_precision(), batch in u64_in(1..32)) {
-        let m = training::engine::model_for(b);
+        let m = paper_model(b);
         let small = gpu_memory_needed(&m, batch, p, s, 8).total();
         let large = gpu_memory_needed(&m, batch + 1, p, s, 8).total();
         prop_assert!(large > small);
@@ -41,7 +41,7 @@ property! {
     #[cases(64)]
     fn max_feasible_is_tight(b in any_benchmark(), s in any_strategy(),
                              p in any_precision(), cap_gb in f64_in(8.0, 40.0)) {
-        let m = training::engine::model_for(b);
+        let m = paper_model(b);
         let cap = cap_gb * 1e9;
         let max = max_feasible_batch(&m, cap, p, s, 8);
         if max > 0 {
@@ -54,7 +54,7 @@ property! {
     #[cases(64)]
     fn sharding_never_hurts_memory(b in any_benchmark(), p in any_precision(),
                                    batch in u64_in(1..16), n in usize_in(2..16)) {
-        let m = training::engine::model_for(b);
+        let m = paper_model(b);
         let ddp = gpu_memory_needed(&m, batch, p, training::Strategy::ddp(), n).total();
         let sh = gpu_memory_needed(&m, batch, p, training::Strategy::sharded(), n).total();
         prop_assert!(sh <= ddp);
@@ -64,7 +64,7 @@ property! {
     #[cases(64)]
     fn sharded_memory_shrinks_with_replicas(b in any_benchmark(), batch in u64_in(1..8),
                                             n in usize_in(2..15)) {
-        let m = training::engine::model_for(b);
+        let m = paper_model(b);
         let small = gpu_memory_needed(&m, batch, Precision::Fp16, training::Strategy::sharded(), n).total();
         let large = gpu_memory_needed(&m, batch, Precision::Fp16, training::Strategy::sharded(), n + 1).total();
         prop_assert!(large <= small);
