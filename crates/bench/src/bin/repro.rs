@@ -3,6 +3,7 @@
 //! ```text
 //! cargo run --release -p bench --bin repro             # everything
 //! cargo run --release -p bench --bin repro -- fig11    # one experiment
+//! cargo run --release -p bench --bin repro -- scaling  # strong-scaling table
 //! cargo run --release -p bench --bin repro -- --quick  # fast smoke pass
 //! cargo run --release -p bench --bin repro -- --jobs 4 # 4 sweep workers
 //! cargo run --release -p bench --bin repro -- scenario scenarios/cluster_fifo.json
@@ -124,6 +125,9 @@ fn main() {
     }
     if want("fig16") {
         fig16(scale);
+    }
+    if want("scaling") {
+        scaling();
     }
     for (study, spec) in STUDIES {
         if want(study) {
@@ -419,6 +423,28 @@ fn fig16(scale: Scale) {
             shard
         );
     }
+}
+
+fn scaling() {
+    heading("SCALING — probe-derived strong scaling on the composable rack");
+    println!("(speedup over 1 GPU; 32 GPUs span two chassis and pay the rack-tier stretch)\n");
+    let rows: Vec<Vec<String>> = experiments::strong_scaling()
+        .into_iter()
+        .map(|r| {
+            let mut row = vec![r.benchmark.label().to_string()];
+            row.extend(r.speedups.iter().map(|s| format!("{s:.2}x")));
+            row.push(format!("{:.0}%", r.efficiency_32() * 100.0));
+            row
+        })
+        .collect();
+    let gpus: Vec<String> = experiments::SCALING_GPUS
+        .iter()
+        .map(|&n| format!("{n} GPU{}", if n == 1 { "" } else { "s" }))
+        .collect();
+    let mut header: Vec<&str> = vec!["benchmark"];
+    header.extend(gpus.iter().map(String::as_str));
+    header.push("efficiency @32");
+    println!("{}", table(&header, &rows));
 }
 
 fn probe_cache_path() -> PathBuf {

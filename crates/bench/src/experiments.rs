@@ -2,9 +2,11 @@
 
 use composable_core::runner::{self, ExperimentOpts};
 use composable_core::HostConfig;
-use dlmodels::{Benchmark, Precision};
+use devices::GpuSpec;
+use dlmodels::{paper_model, Benchmark, Precision};
 use fabric::microbench::{p2p_probe, P2pResult};
-use training::{RunReport, Strategy};
+use scheduler::{cross_chassis_stretch, ProbeCache, SchedulerConfig, Shape};
+use training::{max_feasible_batch, JobConfig, RunReport, Strategy};
 
 /// How much to scale the runs down from the paper's full epochs.
 #[derive(Debug, Clone, Copy)]
@@ -18,7 +20,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Fast runs for tests and Criterion (steady-state behavior only).
+    /// Fast runs for tests and smoke passes (steady-state behavior only).
     pub fn quick() -> Scale {
         Scale {
             iters: 10,
@@ -259,6 +261,78 @@ pub fn fig16(scale: Scale) -> Vec<Fig16Row> {
         }
     }
     rows
+}
+
+/// The GPU counts of the strong-scaling curve: one GPU up to a full
+/// chassis (16), then two chassis (32).
+pub const SCALING_GPUS: [usize; 6] = [1, 2, 4, 8, 16, 32];
+
+/// One benchmark's strong-scaling curve: probe-derived samples/sec at each
+/// of [`SCALING_GPUS`], divided by the one-GPU rate.
+#[derive(Debug, Clone)]
+pub struct ScalingRow {
+    pub benchmark: Benchmark,
+    pub speedups: [f64; SCALING_GPUS.len()],
+}
+
+impl ScalingRow {
+    /// Parallel efficiency at 32 GPUs: the speedup there over 32.
+    pub fn efficiency_32(&self) -> f64 {
+        self.speedups[SCALING_GPUS.len() - 1] / 32.0
+    }
+}
+
+/// The probe shape for `n` GPUs: up to 8 fill drawer 0, up to 16 fill
+/// both drawers of one chassis. Beyond 16 each chassis holds a full
+/// 16-GPU part.
+fn scaling_shape(n: usize) -> Shape {
+    let per_chassis = n.min(16);
+    Shape::new(
+        per_chassis.min(8) as u8,
+        per_chassis.saturating_sub(8) as u8,
+    )
+}
+
+/// Probe-derived samples/sec for `bench` on `n` GPUs, using the same
+/// per-GPU batch clamp the probe itself applies. Beyond one chassis the
+/// iteration pays the rack-tier stretch, exactly as the scheduler prices
+/// rack-spanning gangs.
+fn probe_throughput(bench: Benchmark, n: usize, probes: &mut ProbeCache) -> f64 {
+    let mut iter_ns = probes.price(bench, scaling_shape(n)).mean_iter.as_nanos() as f64;
+    if n > 16 {
+        iter_ns *= cross_chassis_stretch(n.div_ceil(16), 100);
+    }
+    let gpu = GpuSpec::v100_pcie_16gb();
+    let cfg = JobConfig::paper_scaled(bench, n, 8);
+    let model = paper_model(bench);
+    let fit = max_feasible_batch(&model, gpu.memory_bytes, cfg.precision, cfg.strategy, n);
+    let batch = cfg.per_gpu_batch.min(fit).max(1);
+    (n as u64 * batch) as f64 / (iter_ns / 1e9)
+}
+
+/// Strong scaling of every benchmark on the composable rack, derived from
+/// the scheduler's placement probes (at its default probe length) rather
+/// than timed: the composable *scaling curve* behind the cluster studies'
+/// pricing. Probes are warmed across the default worker count; the rows
+/// do not depend on it.
+pub fn strong_scaling() -> Vec<ScalingRow> {
+    let mut probes = ProbeCache::new(SchedulerConfig::default().probe_iters);
+    let keys: Vec<(Benchmark, Shape)> = Benchmark::all()
+        .into_iter()
+        .flat_map(|b| SCALING_GPUS.map(|n| (b, scaling_shape(n))))
+        .collect();
+    probes.warm(&keys, parsweep::default_jobs());
+    Benchmark::all()
+        .into_iter()
+        .map(|benchmark| {
+            let base = probe_throughput(benchmark, 1, &mut probes);
+            let speedups = SCALING_GPUS.map(|n| probe_throughput(benchmark, n, &mut probes) / base);
+            ScalingRow {
+                benchmark,
+                speedups,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

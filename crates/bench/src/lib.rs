@@ -2,8 +2,8 @@
 //!
 //! One module per table/figure of the paper's evaluation section. Each
 //! returns structured rows carrying *paper value* and *measured value*
-//! side by side, so the `repro` binary, the Criterion benches, and
-//! EXPERIMENTS.md all consume the same code.
+//! side by side, so the `repro` binary, the golden tests, the `perfbench`
+//! workloads, and EXPERIMENTS.md all consume the same code.
 //!
 //! Scale note: experiments run with capped iterations per epoch
 //! ([`Scale`]); the paper's relative quantities (ratios, percent changes,
@@ -18,9 +18,8 @@ pub use paper::PaperRef;
 
 use scheduler::{run_scenario, ProbeCache, Scenario, ScheduleReport};
 
-/// Load and validate the checked-in `scenarios/<file>` for a bench or
-/// test. Panics naming the file when it cannot be read, parsed, or
-/// validated.
+/// Load and validate the checked-in `scenarios/<file>` for a test.
+/// Panics naming the file when it cannot be read, parsed, or validated.
 pub fn scenario(file: &str) -> Scenario {
     let path = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
     let text =
@@ -30,8 +29,9 @@ pub fn scenario(file: &str) -> Scenario {
     sc
 }
 
-/// Replay `sc` at `jobs` workers on a fresh probe cache, so a bench times
-/// probing plus replay rather than cache hits.
+/// Replay `sc` at `jobs` workers on a fresh probe cache bound to its
+/// topology, returning one report per policy. Panics naming the scenario
+/// when the replay fails.
 pub fn replay_fresh(sc: &Scenario, jobs: usize) -> Vec<ScheduleReport> {
     let mut cache = ProbeCache::new_for(sc.config.probe_iters, sc.topology.rack());
     run_scenario(sc, jobs, &mut cache).unwrap_or_else(|e| panic!("{}: {e}", sc.name)).reports

@@ -12,7 +12,7 @@
 //! git diff crates/bench/golden/   # review, then commit
 //! ```
 
-use bench::experiments::{table2_measured, table4_measured};
+use bench::experiments::{strong_scaling, table2_measured, table4_measured, SCALING_GPUS};
 use composable_core::runner::{run, ExperimentOpts};
 use composable_core::HostConfig;
 use desim::json::Value;
@@ -55,6 +55,39 @@ fn golden_table4() {
         })
         .collect();
     check_golden(golden("table4.json"), &Value::Arr(rows).emit_pretty());
+}
+
+/// The probe-derived strong-scaling curve `repro scaling` prints: each
+/// benchmark's speedup at every point of [`SCALING_GPUS`] and its 32-GPU
+/// efficiency, so a change that moves the curve shows up as a diff.
+#[test]
+fn golden_strong_scaling() {
+    let rows: Vec<Value> = strong_scaling()
+        .into_iter()
+        .map(|r| {
+            Value::obj(vec![
+                ("benchmark", Value::str(r.benchmark.label())),
+                (
+                    "speedup",
+                    Value::Arr(r.speedups.iter().map(|&s| Value::Num(s)).collect()),
+                ),
+                ("efficiency_32", Value::Num(r.efficiency_32())),
+            ])
+        })
+        .collect();
+    let table = Value::obj(vec![
+        (
+            "gpus",
+            Value::Arr(
+                SCALING_GPUS
+                    .iter()
+                    .map(|&n| Value::from_u64(n as u64))
+                    .collect(),
+            ),
+        ),
+        ("rows", Value::Arr(rows)),
+    ]);
+    check_golden(golden("strong_scaling.json"), &table.emit_pretty());
 }
 
 /// Full (scaled) training runs under a pinned seed: each freezes the

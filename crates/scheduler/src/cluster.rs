@@ -148,10 +148,11 @@ pub struct SchedulerConfig {
     pub audit_every: u64,
     /// Absorb per-service serving micro events (arrivals, batch
     /// completions, launches) inside epochs between global events instead
-    /// of surfacing each as a global event, sharding services across the
-    /// replay's workers. Epoch dilation is frozen at epoch start, so this
-    /// is a (deterministic) modeling change — off by default to keep
-    /// existing replays byte-identical.
+    /// of surfacing each as a global event. Each service advances on its
+    /// own up to the next training-side event, serially on the replay's
+    /// thread. Epoch dilation is frozen at epoch start, so this is a
+    /// (deterministic) modeling change — off by default to keep existing
+    /// replays byte-identical.
     pub shard_serving: bool,
     /// Let a capacity-blocked queue head preempt the cheapest
     /// strictly-lower-tier running job (chosen by
@@ -404,9 +405,6 @@ pub struct ClusterSim {
     ledger_tenant: Vec<usize>,
     /// Events replayed so far — drives the `audit_every` cadence.
     events_seen: u64,
-    /// Worker count for intra-replay serving shards (see
-    /// [`SchedulerConfig::shard_serving`]).
-    workers: usize,
     scratch: LoopScratch,
 }
 
@@ -586,16 +584,15 @@ impl ClusterSim {
             ledger_slots: 0,
             ledger_tenant: vec![0; MAX_TENANTS as usize],
             events_seen: 0,
-            workers: 1,
             scratch: LoopScratch::default(),
         })
     }
 
-    /// Set the worker count for intra-replay serving shards. Only takes
-    /// effect under [`SchedulerConfig::shard_serving`]; the replay is
-    /// byte-identical at any worker count.
-    pub fn with_workers(mut self, workers: usize) -> ClusterSim {
-        self.workers = workers.max(1);
+    /// A no-op kept for API compatibility: a replay runs on one thread,
+    /// and `--jobs` parallelism fans out whole replays instead (see
+    /// [`crate::run_scenario`]). Callers should drop the call; it will be
+    /// removed once none remain.
+    pub fn with_workers(self, _workers: usize) -> ClusterSim {
         self
     }
 
@@ -658,7 +655,7 @@ impl ClusterSim {
                 let cap =
                     [next_arrival_at, next_finish, next_fault_at].into_iter().flatten().min();
                 let tod = self.scratch.training_on_drawer(&running, self.topo.n_drawers());
-                self.serve.run_epoch(now, cap, self.cfg.interference, tod, self.workers)
+                self.serve.run_epoch(now, cap, self.cfg.interference, tod)
             } else {
                 self.serve.next_event()
             };

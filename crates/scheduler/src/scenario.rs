@@ -668,10 +668,9 @@ pub fn run_scenario(
 /// Replay `scenario` under one externally supplied `policy` instead of
 /// the scenario's own policy list — the autotuner's evaluation path,
 /// where the candidate under test is a [`crate::policy::ParamPolicy`]
-/// that has no name the scenario file could carry. Runs serially
-/// (callers fan out across *candidates*, one parsweep job each, so the
-/// replay itself must not also claim workers) and returns the single
-/// [`ScheduleReport`].
+/// that has no name the scenario file could carry. Runs on the calling
+/// thread (callers fan out across *candidates*, one parsweep job each)
+/// and returns the single [`ScheduleReport`].
 pub fn run_scenario_with_policy(
     scenario: &Scenario,
     policy: Box<dyn PlacePolicy>,
@@ -685,8 +684,9 @@ pub fn run_scenario_with_policy(
 /// The replay path behind both runners. Materializes the (validated)
 /// spec, warms `cache` for its training side, then replays it once per
 /// policy across `jobs` parsweep workers, each on a
-/// [`ProbeCache::split`] of `cache`. The splits are absorbed back in
-/// policy order; probes are pure, so reports and cache are
+/// [`ProbeCache::split`] of `cache`. Each replay runs whole on one
+/// worker; nothing inside a replay fans out. The splits are absorbed back
+/// in policy order; probes are pure, so reports and cache are
 /// byte-identical at any `jobs`.
 fn replay_policies(
     scenario: &Scenario,
@@ -707,11 +707,6 @@ fn replay_policies(
                 parsweep::Job::new(label, move || {
                     ClusterSim::with_probe_cache_mixed_on(topo, mixed, policy, cfg, split)?
                         .with_faults(plan)?
-                        // Intra-replay serving shards reuse the sweep's
-                        // worker budget (byte-identical at any count, so
-                        // over-asking while policies also fan out is only
-                        // a scheduling matter, not a correctness one).
-                        .with_workers(jobs)
                         .run_report()
                 })
             })

@@ -198,7 +198,7 @@ impl PoissonMix {
     /// The benchmark mix, weighted toward the small vision models with a
     /// heavy tail of BERT jobs (the PAI-style "many small, few huge"
     /// shape). Weights are in tenths.
-    const BENCH_MIX: [(Benchmark, u32); 5] = [
+    const BENCHMARK_MIX: [(Benchmark, u32); 5] = [
         (Benchmark::MobileNetV2, 3),
         (Benchmark::ResNet50, 2),
         (Benchmark::YoloV5L, 2),
@@ -230,7 +230,7 @@ impl PoissonMix {
                 // Poisson process: exponential interarrival times.
                 let gap = -self.mean_interarrival.as_secs_f64() * (1.0 - rng.unit()).ln();
                 at = at + Dur::from_secs_f64(gap);
-                let benchmark = Self::weighted(&mut rng, &Self::BENCH_MIX);
+                let benchmark = Self::weighted(&mut rng, &Self::BENCHMARK_MIX);
                 let gpus = Self::weighted(&mut rng, &Self::GPU_MIX);
                 // Heavy-tailed job length (bounded Pareto over iterations),
                 // sized so the pool stays contended at the default

@@ -9,7 +9,9 @@
 //!   (the exhaustive legacy behavior) and cadence 7, and the ledger
 //!   itself survives every full audit's cross-check en route;
 //! * `shard_serving` — the epoch-sharded serving engine is worker-count
-//!   independent: `--jobs 1` and `--jobs 4` produce identical bytes.
+//!   independent: a 2–5 preset portfolio replayed at `--jobs 1` and
+//!   `--jobs 4` (whole replays fanned across workers) produces identical
+//!   bytes.
 //!
 //! Scenarios are PAI-mix based (training jobs + autoscaling services)
 //! with seeded fault plans on 1–8 chassis under any of the five preset
@@ -19,7 +21,9 @@
 
 use desim::Dur;
 use scheduler::{run_scenario, FaultSpec, ProbeCache, Scenario, Topology, TraceSpec, POLICY_NAMES};
-use testkit::{bools, property, tuple2, tuple5, u64_in, u8_in, usize_in, prop_assert_eq, Gen};
+use testkit::{
+    bools, property, prop_assert_eq, tuple2, tuple3, tuple5, u64_in, u8_in, usize_in, Gen,
+};
 
 /// Raw scenario shape: (seed, n_jobs, n_services, (chassis, policy),
 /// faulty), the policy an index into [`POLICY_NAMES`].
@@ -86,19 +90,20 @@ property! {
         prop_assert_eq!(bytes(&every, 1), bytes(&amortized, 1), "audit cadence changed the report");
     }
 
-    /// The epoch-sharded serving engine is chunking-independent: each
-    /// service's micro-events are priced from per-service state and an
-    /// epoch-frozen dilation snapshot, so fanning services across 4
-    /// workers is byte-identical to a serial pass.
+    /// The epoch-sharded serving engine is worker-count independent: a
+    /// portfolio of 2–5 presets (consecutive from the drawn one) replays
+    /// whole policies across 4 workers, byte-identical to a serial pass.
     #[cases(64)]
     fn sharded_serving_is_worker_count_independent(
         s in shape(),
-        extra in tuple2(u8_in(4..9), bools())
+        extra in tuple3(u8_in(4..9), bools(), usize_in(2..POLICY_NAMES.len() + 1))
     ) {
         let (seed, n_jobs, _, rack, faulty) = s;
-        let (n_services, big_audit) = extra;
-        // Always enough services to cross the shard fan-out threshold.
+        let (n_services, big_audit, n_policies) = extra;
         let mut sc = build(seed, n_jobs, n_services, rack, faulty);
+        sc.policies = (0..n_policies)
+            .map(|k| POLICY_NAMES[(rack.1 + k) % POLICY_NAMES.len()].to_string())
+            .collect();
         sc.config.shard_serving = true;
         if big_audit {
             sc.config.audit_every = 64;

@@ -1,7 +1,7 @@
 //! `testkit` — the workspace's own test toolkit, so the build stays
 //! hermetic (no registry dependencies, dev or otherwise).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`gen`] + [`runner`] + the [`property!`] macro — a property-testing
 //!   mini-framework in the proptest style: generator combinators with
@@ -13,9 +13,9 @@
 //! * [`golden`] — golden-file regression: compare a string against a
 //!   checked-in snapshot, re-bless with `TESTKIT_BLESS=1`, and show a
 //!   unified diff on mismatch.
-//! * [`bench`] — a micro-benchmark harness (warmup + N timed iterations,
-//!   median/p95/min) emitting one JSON line per benchmark, used by the
-//!   `cargo bench` targets in place of criterion.
+//!
+//! Host-time measurement is not here: the standalone `perfbench` package
+//! is the workspace's one timing harness.
 //!
 //! Randomness comes from [`desim::SimRng`], the same deterministic
 //! xoshiro256++ stream the simulator uses, so a property failure replays
@@ -28,9 +28,7 @@
 //! | `TESTKIT_CASES` | override the per-property case count |
 //! | `TESTKIT_SEED` | override the per-property base seed (for replay) |
 //! | `TESTKIT_BLESS=1` | rewrite golden files instead of comparing |
-//! | `TESTKIT_BENCH_ITERS` / `TESTKIT_BENCH_WARMUP` | bench iteration counts |
 
-pub mod bench;
 pub mod gen;
 pub mod golden;
 pub mod runner;

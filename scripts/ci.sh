@@ -71,19 +71,13 @@ cargo test -q --offline
 echo "== workspace tests (all property + golden suites) =="
 cargo test -q --offline --workspace
 
-echo "== benches compile (smoke run, 1 iteration; refreshes BENCH_*.json) =="
-# This pass regenerates every BENCH_*.json baseline, so a stale baseline
-# never outlives the engine change that invalidated it. replay_scale
-# rides along and *asserts* the >= 5x replay-engine speedup and the
-# --jobs 1 vs --jobs 4 byte identity even at smoke iteration counts.
-TESTKIT_BENCH_ITERS=1 TESTKIT_BENCH_WARMUP=0 cargo bench --offline -p bench
-
 # One matrix pass runs every checked-in scenario — training, faults,
 # serving, and the multi-chassis scale-out specs (cluster_scale32/64/128,
 # up to 8 chassis / 128 GPUs). `repro cluster|faults|serve` are aliases
 # for this same path over the *_policies.json files it already covers,
 # and one test binary guards every pinned golden through
-# testkit::check_scenario_golden.
+# testkit::check_scenario_golden. `--jobs 2` runs two whole scenarios at
+# a time and spreads probe warms; no replay fans out inside itself.
 echo "== scenario-matrix smoke (every scenarios/*.json, 2 parallel workers) =="
 cargo run --release --offline -p bench --bin repro -- scenario-matrix scenarios --jobs 2
 
@@ -104,7 +98,8 @@ fi
 
 # The preemption study exercised on its own: checkpoint preemption +
 # migration defrag must replay cleanly through the CLI path too, not
-# just inside the matrix fan-out.
+# just inside the matrix fan-out. It has one policy, so `--jobs 2` only
+# spreads its probe warm.
 echo "== priority-scenario smoke (cluster_priority, 2 workers) =="
 cargo run --release --offline -p bench --bin repro -- scenario scenarios/cluster_priority.json --jobs 2
 
@@ -112,7 +107,8 @@ cargo run --release --offline -p bench --bin repro -- scenario scenarios/cluster
 # events) must stay interactive in release mode: the optimized engine
 # replays it in well under a second, so a 60-second wall-clock budget
 # only trips if the event loop regresses by more than an order of
-# magnitude. POSIX sh, whole seconds — coarse on purpose.
+# magnitude. POSIX sh, whole seconds — coarse on purpose. One policy, so
+# `--jobs 2` only spreads the probe warm; the replay itself is serial.
 echo "== production-scale replay under wall-clock budget (pai_magnitude, 2 workers) =="
 pai_start=$(date +%s)
 cargo run --release --offline -p bench --bin repro -- scenario scenarios/pai_magnitude.json --jobs 2
@@ -120,6 +116,61 @@ pai_elapsed=$(( $(date +%s) - pai_start ))
 echo "pai_magnitude replayed in ${pai_elapsed}s (budget 60s)"
 if [ "$pai_elapsed" -gt 60 ]; then
     echo "ERROR: pai_magnitude replay took ${pai_elapsed}s > 60s budget" >&2
+    exit 1
+fi
+
+# The replay engine's one host-time gate: pai_magnitude must replay at
+# least 5x faster than under the semantics the engine replaced — a full
+# conservation audit every event, and every serving micro-event through
+# the global loop (`shard_serving` off) — with identical stdout. Both
+# legs run the built binary serially on one warm private probe cache,
+# 3 alternating runs each, and the medians are compared in nanoseconds.
+echo "== replay-engine gate: pai_magnitude >= 5x over its baseline semantics =="
+cargo build --quiet --release --offline -p bench --bin repro
+gate=target/replay_gate
+rm -rf "$gate"
+mkdir -p "$gate"
+sed 's/"audit_every": [0-9]*/"audit_every": 1/' scenarios/pai_magnitude.json > "$gate/audit.json"
+sed 's/"shard_serving": true/"shard_serving": false/' "$gate/audit.json" > "$gate/baseline.json"
+if cmp -s scenarios/pai_magnitude.json "$gate/audit.json" ||
+    cmp -s "$gate/audit.json" "$gate/baseline.json"; then
+    echo "ERROR: pai_magnitude.json no longer sets audit_every > 1 and shard_serving true;" >&2
+    echo "the gate's baseline leg would replay the optimized engine" >&2
+    exit 1
+fi
+gate_run() {
+    t0=$(date +%s%N)
+    if ! PROBE_CACHE="$gate/probe_cache.json" target/release/repro scenario "$1" --jobs 1 \
+        > "$2" 2> "$gate/stderr"; then
+        cat "$gate/stderr" >&2
+        exit 1
+    fi
+    t1=$(date +%s%N)
+    echo $((t1 - t0))
+}
+median3() {
+    printf '%s\n' "$@" | sort -n | sed -n 2p
+}
+gate_run scenarios/pai_magnitude.json "$gate/warm.out" > /dev/null
+base_ns=""
+opt_ns=""
+for _ in 1 2 3; do
+    base_ns="$base_ns $(gate_run "$gate/baseline.json" "$gate/baseline.out")"
+    opt_ns="$opt_ns $(gate_run scenarios/pai_magnitude.json "$gate/optimized.out")"
+    if ! cmp -s "$gate/baseline.out" "$gate/optimized.out"; then
+        echo "ERROR: the baseline and optimized legs printed different reports" >&2
+        exit 1
+    fi
+done
+# Unquoted on purpose: each leg's three samples are separate arguments.
+base_med=$(median3 $base_ns)
+opt_med=$(median3 $opt_ns)
+awk -v b="$base_med" -v o="$opt_med" 'BEGIN {
+    printf "pai_magnitude median: baseline %.3fs, optimized %.3fs, ratio %.1fx (gate >= 5x)\n",
+        b / 1e9, o / 1e9, b / o
+}'
+if [ "$base_med" -lt $((5 * opt_med)) ]; then
+    echo "ERROR: the replay engine is less than 5x faster than its baseline semantics" >&2
     exit 1
 fi
 

@@ -146,16 +146,17 @@ fn scenario_matrix_identical_across_worker_counts() {
 /// terms: `scenarios/pai_magnitude.json` (10k training jobs + 60
 /// services on the 128-GPU rack, epoch-sharded serving, amortized
 /// audits) replayed at `--jobs 1` and `--jobs 4` yields byte-identical
-/// canonical reports. This is the same identity `benches/replay_scale.rs`
-/// asserts in release mode; pinning it here keeps it in the plain test
-/// suite where every CI run sees it.
+/// canonical reports. The scenario has one policy and a replay never
+/// fans out inside itself, so today both runs execute the same serial
+/// code; the test stays so that any future intra-replay parallelism has
+/// to keep this identity.
 #[test]
 fn pai_magnitude_replay_identical_across_worker_counts() {
     let sc = load("pai_magnitude.json");
     let mut cache = ProbeCache::new(sc.config.probe_iters);
     let serial = run_scenario(&sc, 1, &mut cache).unwrap().canonical_json_string();
     let parallel = run_scenario(&sc, 4, &mut cache).unwrap().canonical_json_string();
-    assert_eq!(serial, parallel, "epoch-sharded serving must not depend on worker count");
+    assert_eq!(serial, parallel, "the pai_magnitude report must not depend on worker count");
     assert!(serial.contains("\"n_jobs\": 10000"), "the full 10k-job trace ran");
     assert!(serial.contains("\"n_services\": 60"), "all 48 mixed + 12 pinned services ran");
 }
