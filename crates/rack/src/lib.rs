@@ -14,10 +14,11 @@
 //!   [`cross_chassis_stretch`] a gang pays for spanning chassis, degraded
 //!   further when the rack-tier links are unhealthy.
 //! * [`Rack`] — N [`falcon::ManagementCenter`]s routed by chassis index,
-//!   with rack-wide audit/attachment/failure views so conservation
-//!   invariants can span chassis, and the free GPU slots kept as a
-//!   128-bit [`slot_set`] so a composition query never walks the chassis
-//!   tables.
+//!   with its attached, failed and free GPU slots kept as 128-bit
+//!   [`slot_set`]s, so a composition query never walks the chassis
+//!   tables, and one allocation-free walk that re-derives the attached
+//!   and failed sets from those tables for conservation audits that span
+//!   chassis.
 //!
 //! A placement confined to one chassis never touches the rack tier:
 //! [`cross_chassis_stretch`] is exactly `1.0` for a single part, which
@@ -182,6 +183,11 @@ impl RackAddr {
         self.chassis as usize * DRAWERS_PER_CHASSIS as usize + self.slot.drawer.0 as usize
     }
 
+    /// Whether this slot is in `set` (see [`slot_set`]).
+    pub fn in_set(&self, set: u128) -> bool {
+        set & 1 << self.bit() != 0
+    }
+
     /// This slot's bit in a [`slot_set`].
     fn bit(&self) -> u32 {
         debug_assert!(self.chassis < MAX_CHASSIS, "slot set overflow");
@@ -219,6 +225,18 @@ pub fn slot_set(slots: impl IntoIterator<Item = RackAddr>) -> u128 {
     slots.into_iter().fold(0, |m, s| m | 1 << s.bit())
 }
 
+/// The slots of a [`slot_set`], ascending in `RackAddr` order (the
+/// inverse of [`slot_set`]).
+pub fn slots_in(mut set: u128) -> impl Iterator<Item = RackAddr> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let bit = set.trailing_zeros();
+            set &= set - 1;
+            RackAddr::from_bit(bit)
+        })
+    })
+}
+
 /// Number of distinct global drawers a slot list touches (1 = the gang
 /// peers over one PCIe switch ASIC; more = it pays root-complex or
 /// rack-tier hops).
@@ -244,16 +262,18 @@ pub fn chassis_parts(slots: &[RackAddr]) -> Vec<(u8, Vec<SlotAddr>)> {
 
 /// N managed chassis behind the rack switch. Control-plane operations are
 /// routed to the owning chassis's [`ManagementCenter`]; rack-wide views
-/// (attachments, failed slots, audit volume) aggregate across chassis so
-/// conservation and audit invariants can span the whole rack.
+/// (attached and failed slot sets, attachment count, audit volume)
+/// aggregate across chassis so conservation and audit invariants can
+/// span the whole rack.
 ///
 /// The rack also keeps three [slot sets](slot_set): the slots holding a
 /// GPU (fixed at construction), the attached slots and the failed slots.
 /// The five methods that change a slot's attachment or health update
 /// them right after the MCS call succeeds, and no other path reaches a
 /// chassis mutably, so [`free_gpus`](Self::free_gpus) answers from the
-/// sets alone. A `Rack` is never shared across threads, so `Cell`s
-/// suffice.
+/// sets alone, and [`table_sets`](Self::table_sets) re-derives the
+/// attached and failed sets from the chassis tables for audits to
+/// compare. A `Rack` is never shared across threads, so `Cell`s suffice.
 pub struct Rack {
     chassis: Vec<ManagementCenter>,
     gpus: u128,
@@ -269,28 +289,26 @@ impl Rack {
             !chassis.is_empty() && chassis.len() <= MAX_CHASSIS as usize,
             "rack must hold 1..={MAX_CHASSIS} chassis"
         );
-        let (mut gpus, mut attached, mut failed) = (0, 0, 0);
+        let mut gpus = 0;
         for (c, mcs) in chassis.iter().enumerate() {
-            let at = |slot| RackAddr {
-                chassis: c as u8,
-                slot,
-            };
             mcs.with_chassis(|ch| {
                 gpus |= slot_set(
                     ch.occupied_slots()
                         .filter(|(_, d)| matches!(d, SlotDevice::Gpu(_)))
-                        .map(|(s, _)| at(s)),
+                        .map(|(s, _)| RackAddr { chassis: c as u8, slot: s }),
                 );
-                attached |= slot_set(ch.attachments().map(|(s, _)| at(s)));
-                failed |= slot_set(ch.failed_slots().map(at));
             });
         }
-        Rack {
+        let rack = Rack {
             chassis,
             gpus,
-            attached: Cell::new(attached),
-            failed: Cell::new(failed),
-        }
+            attached: Cell::new(0),
+            failed: Cell::new(0),
+        };
+        let (attached, failed) = rack.table_sets();
+        rack.attached.set(attached);
+        rack.failed.set(failed);
+        rack
     }
 
     pub fn n_chassis(&self) -> usize {
@@ -365,25 +383,37 @@ impl Rack {
     /// the composition query, answered from the kept slot sets without
     /// touching a chassis.
     pub fn free_gpus(&self) -> Vec<RackAddr> {
-        let mut free = self.gpus & !self.attached.get() & !self.failed.get();
+        let free = self.gpus & !self.attached.get() & !self.failed.get();
         let mut slots = Vec::with_capacity(free.count_ones() as usize);
-        while free != 0 {
-            slots.push(RackAddr::from_bit(free.trailing_zeros()));
-            free &= free - 1;
-        }
+        slots.extend(slots_in(free));
         slots
     }
 
     /// The kept set of attached slots (see [`slot_set`]); audits compare it
-    /// with [`attachments`](Self::attachments).
+    /// with the first of [`table_sets`](Self::table_sets).
     pub fn attached_set(&self) -> u128 {
         self.attached.get()
     }
 
     /// The kept set of failed slots (see [`slot_set`]); audits compare it
-    /// with [`failed_slots`](Self::failed_slots).
+    /// with the second of [`table_sets`](Self::table_sets).
     pub fn failed_set(&self) -> u128 {
         self.failed.get()
+    }
+
+    /// The attached and failed slot sets re-derived from every chassis
+    /// table in one walk, allocating nothing: the ground truth the kept
+    /// sets mirror, and what conservation audits compare bookings with.
+    pub fn table_sets(&self) -> (u128, u128) {
+        let (mut attached, mut failed) = (0, 0);
+        for (c, mcs) in self.chassis.iter().enumerate() {
+            let at = |slot| RackAddr { chassis: c as u8, slot };
+            mcs.with_chassis(|ch| {
+                attached |= slot_set(ch.attachments().map(|(s, _)| at(s)));
+                failed |= slot_set(ch.failed_slots().map(at));
+            });
+        }
+        (attached, failed)
     }
 
     /// Read-only access to one chassis (views, inventory).
@@ -399,34 +429,6 @@ impl Rack {
             .iter()
             .map(|mcs| mcs.with_chassis(Falcon4016::n_attachments))
             .sum()
-    }
-
-    /// Every attachment in the rack, chassis-major sorted.
-    pub fn attachments(&self) -> Vec<(RackAddr, HostId)> {
-        let mut v: Vec<(RackAddr, HostId)> = Vec::new();
-        for (c, mcs) in self.chassis.iter().enumerate() {
-            mcs.with_chassis(|ch| {
-                v.extend(
-                    ch.attachments()
-                        .map(|(s, h)| (RackAddr { chassis: c as u8, slot: s }, h)),
-                );
-            });
-        }
-        v
-    }
-
-    /// Every failed slot in the rack, chassis-major sorted.
-    pub fn failed_slots(&self) -> Vec<RackAddr> {
-        let mut v: Vec<RackAddr> = Vec::new();
-        for (c, mcs) in self.chassis.iter().enumerate() {
-            mcs.with_chassis(|ch| {
-                v.extend(
-                    ch.failed_slots()
-                        .map(|s| RackAddr { chassis: c as u8, slot: s }),
-                );
-            });
-        }
-        v
     }
 
     /// Total audit-log entries across every chassis, counted without
@@ -518,6 +520,11 @@ mod tests {
         );
         assert!(all.iter().enumerate().all(|(i, a)| a.bit() == i as u32));
         assert_eq!(slot_set(all.iter().rev().copied()), u128::MAX);
+        assert!(slots_in(u128::MAX).eq(all.iter().copied()));
+        let some = [RackAddr::new(0, 1, 2), RackAddr::new(5, 0, 7), RackAddr::new(7, 1, 7)];
+        assert!(slots_in(slot_set(some)).eq(some), "slots_in inverts slot_set");
+        assert_eq!(slots_in(0).count(), 0);
+        assert!(all.iter().all(|a| a.in_set(slot_set(some)) == some.contains(a)));
 
         // The rack's free list comes out in RackAddr order, chassis-major.
         let rack = two_chassis_rack();
@@ -533,6 +540,7 @@ mod tests {
         assert_eq!(rack.free_gpus(), expect);
         assert_eq!(rack.attached_set(), 1 << a.bit());
         assert_eq!(rack.failed_set(), 1 << b.bit());
+        assert_eq!(rack.table_sets(), (1 << a.bit(), 1 << b.bit()));
     }
 
     #[test]
@@ -566,15 +574,14 @@ mod tests {
         rack.attach(t(1), UserId(1), a0, HostId(1)).unwrap();
         rack.attach(t(1), UserId(1), a1, HostId(1)).unwrap();
         // Same local SlotAddr, two distinct global attachments.
-        assert_eq!(rack.attachments().len(), 2);
-        assert_eq!(rack.attachments()[0].0, a0);
-        assert_eq!(rack.attachments()[1].0, a1);
+        assert_eq!(rack.table_sets(), (slot_set([a0, a1]), 0));
+        assert_eq!(rack.n_attachments(), 2);
         // Failure on chassis 1 does not leak into chassis 0's view.
         rack.fail_slot(t(2), UserId(0), a1).unwrap();
-        assert_eq!(rack.failed_slots(), vec![a1]);
+        assert_eq!(rack.table_sets().1, slot_set([a1]));
         rack.with_chassis(0, |c| assert!(!c.is_failed(a1.slot)));
         rack.repair_slot(t(3), UserId(0), a1).unwrap();
-        assert!(rack.failed_slots().is_empty());
+        assert_eq!(rack.table_sets().1, 0);
         // Audit volume aggregates across chassis: grants+attach+fail+repair.
         assert_eq!(rack.audit_len(UserId(0)).unwrap(), 6);
         assert_eq!(rack.detach(t(4), UserId(1), a1).unwrap(), HostId(1));

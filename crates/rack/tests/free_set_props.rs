@@ -1,8 +1,9 @@
 //! Property test on the rack's kept slot sets: after any sequence of
 //! grant, attach, detach, force-detach, fail and repair calls — refused
 //! ones included — on 1–8 chassis, the free list the rack answers from
-//! its sets equals a walk over the chassis tables, and the attached and
-//! failed sets equal the tables they mirror.
+//! its sets equals a walk over the chassis tables, and the kept attached
+//! and failed sets, like the ones `Rack::table_sets` re-derives for
+//! audits, equal a slot-by-slot walk over the tables they mirror.
 //!
 //! The draws are biased toward a few hot slots so that one slot sees
 //! several calls in a row. A coverage tally asserts that the cases
@@ -140,6 +141,27 @@ fn walk_free(rack: &Rack) -> Vec<RackAddr> {
     free
 }
 
+/// The attached and failed slot sets re-derived slot by slot from every
+/// chassis table.
+fn walk_sets(rack: &Rack) -> (u128, u128) {
+    let (mut attached, mut failed) = (0, 0);
+    for c in 0..rack.n_chassis() as u8 {
+        rack.with_chassis(c, |ch| {
+            for i in 0..16u8 {
+                let slot = SlotAddr::new(i / 8, i % 8);
+                let bit = slot_set([RackAddr { chassis: c, slot }]);
+                if ch.owner_of(slot).is_some() {
+                    attached |= bit;
+                }
+                if ch.is_failed(slot) {
+                    failed |= bit;
+                }
+            }
+        });
+    }
+    (attached, failed)
+}
+
 fn names(slots: &[RackAddr]) -> Vec<String> {
     slots.iter().map(RackAddr::to_string).collect()
 }
@@ -150,13 +172,11 @@ fn check(rack: &Rack) -> Result<(), String> {
         names(&walk_free(rack)),
         "free list diverged from the tables"
     );
-    let attached = rack.attachments();
-    prop_assert_eq!(
-        rack.attached_set(),
-        slot_set(attached.iter().map(|&(a, _)| a))
-    );
-    prop_assert_eq!(rack.failed_set(), slot_set(rack.failed_slots()));
-    prop_assert_eq!(rack.n_attachments(), attached.len());
+    let (attached, failed) = walk_sets(rack);
+    prop_assert_eq!(rack.attached_set(), attached, "kept attached set diverged");
+    prop_assert_eq!(rack.failed_set(), failed, "kept failed set diverged");
+    prop_assert_eq!(rack.table_sets(), (attached, failed), "table_sets diverged");
+    prop_assert_eq!(rack.n_attachments(), attached.count_ones() as usize);
     Ok(())
 }
 

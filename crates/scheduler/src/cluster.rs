@@ -56,10 +56,10 @@ use falcon::{
     SlotAddr, SlotDevice, UserId,
 };
 use rack::{
-    chassis_parts, cross_chassis_stretch, drawer_mask, drawers_spanned, slot_set, Rack, RackAddr,
-    RackTopology,
+    chassis_parts, cross_chassis_stretch, drawer_mask, drawers_spanned, slot_set, slots_in, Rack,
+    RackAddr, RackTopology,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// GPUs in the shared pool (2 drawers × 8 slots).
@@ -77,9 +77,10 @@ fn tenant_host(t: u32) -> HostId {
     HostId(t + 1)
 }
 
-/// Does this gang pay a root-complex or rack-tier hop?
-fn spans(slots: &[RackAddr]) -> bool {
-    drawers_spanned(slots) > 1
+/// Does a gang on these drawers (a [`drawer_mask`]) pay a root-complex
+/// or rack-tier hop?
+fn spans(drawers: u64) -> bool {
+    drawers.count_ones() > 1
 }
 
 /// Slowdown factor of work sharing a drawer's switch ASIC with
@@ -376,6 +377,25 @@ enum RepriceScope {
     Chassis(u8),
     /// Multi-chassis gangs only (a rack-tier degrade).
     RackTier,
+}
+
+/// Where a conservation check ran, named in its breach messages: the
+/// number of events replayed so far and the sim-time.
+#[derive(Clone, Copy)]
+struct AuditPoint {
+    event: u64,
+    at: SimTime,
+}
+
+impl fmt::Display for AuditPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "conservation breach at event {} (t = {})", self.event, self.at)
+    }
+}
+
+/// The slots of a [`slot_set`], named for a breach message.
+fn named(set: u128) -> String {
+    slots_in(set).map(|s| s.to_string()).collect::<Vec<_>>().join(" ")
 }
 
 /// One trace replay under one policy on one fresh test bed.
@@ -675,7 +695,7 @@ impl ClusterSim {
                 for r in running.values_mut() {
                     let g = r.slots.len() as f64;
                     busy_gpu_secs += g * dt;
-                    if spans(&r.slots) {
+                    if spans(r.drawer_mask) {
                         span_gpu_secs += g * dt;
                     }
                     tenant_gpu_secs[r.spec.tenant.0 as usize] += g * dt;
@@ -764,13 +784,13 @@ impl ClusterSim {
             // terminal states); the O(1) ledger check covers the rest.
             self.events_seen += 1;
             if self.events_seen % self.cfg.audit_every.max(1) == 0 {
-                self.assert_conservation(&running);
+                self.assert_conservation(now, &running);
             } else {
-                self.check_ledger();
+                self.check_ledger(now);
             }
         }
 
-        self.assert_conservation(&running);
+        self.assert_conservation(now, &running);
         self.serve.assert_drained();
         makespan = makespan.max(self.serve.last_activity());
         if let Some((_, stuck)) = self.fstate.displaced.first() {
@@ -953,8 +973,8 @@ impl ClusterSim {
     /// `recompute_rates` every seating event triggers.
     fn seat(&mut self, now: SimTime, r: &mut Running, slots: Vec<RackAddr>, resume_at: SimTime) {
         r.base_iter_secs = self.price_base(r.spec.benchmark, &slots);
-        r.ever_spanned |= spans(&slots);
         r.drawer_mask = drawer_mask(slots.iter().copied());
+        r.ever_spanned |= spans(r.drawer_mask);
         r.slots = slots;
         r.resume_at = resume_at;
         r.iters_since_placement = 0.0;
@@ -972,19 +992,16 @@ impl ClusterSim {
     /// plus serving's slot count must equal the rack's attachment count
     /// exactly, the pool must not be oversubscribed, and no tenant may
     /// exceed quota. O(chassis count), no allocation.
-    fn check_ledger(&self) {
+    fn check_ledger(&self, now: SimTime) {
+        let p = AuditPoint { event: self.events_seen, at: now };
         let total = self.ledger_slots + self.serve.n_slots();
-        assert_eq!(
-            total,
-            self.rack.n_attachments(),
-            "ledger diverged from rack attachments"
-        );
-        assert!(total <= self.topo.total_gpus(), "pool oversubscribed");
+        assert_eq!(total, self.rack.n_attachments(), "{p}: ledger diverged from rack attachments");
+        assert!(total <= self.topo.total_gpus(), "{p}: pool oversubscribed");
         let serve_used = self.serve.slots_per_tenant();
         for (t, &u) in self.ledger_tenant.iter().enumerate() {
             assert!(
                 u + serve_used[t] <= self.cfg.quota_gpus_per_tenant,
-                "tenant {t} over quota: {u} training + {} serving",
+                "{p}: tenant {t} over quota: {u} training + {} serving",
                 serve_used[t]
             );
         }
@@ -1048,13 +1065,13 @@ impl ClusterSim {
         // Evacuate every running job touching a failed slot: force-detach
         // its whole gang (the collective is dead without the lost ranks),
         // roll back to the last checkpoint, and queue it for re-placement.
-        let failed_now: BTreeSet<RackAddr> = self.rack.failed_slots().into_iter().collect();
+        let failed = self.rack.failed_set();
         // Serving replicas on failed slots fail over: their requests
         // re-queue onto survivors and the placement pass re-composes.
-        let serve_evacuated = self.serve.evacuate_failed(now, &self.rack, &failed_now)?;
+        let serve_evacuated = self.serve.evacuate_failed(now, &self.rack, failed)?;
         let affected: Vec<u64> = running
             .iter()
-            .filter(|(_, r)| r.slots.iter().any(|s| failed_now.contains(s)))
+            .filter(|(_, r)| r.slots.iter().any(|s| s.in_set(failed)))
             .map(|(&id, _)| id)
             .collect();
         let evacuated = !affected.is_empty();
@@ -1252,7 +1269,7 @@ impl ClusterSim {
                 id: r.spec.id,
                 tenant: r.spec.tenant.0,
                 priority: r.spec.priority,
-                slots: r.slots.clone(),
+                slots: &r.slots,
             })
             .collect();
         let Some(vid) = self.policy.choose_victim(head, &views) else { return Ok(false) };
@@ -1295,7 +1312,7 @@ impl ClusterSim {
         for r in running.values_mut() {
             // Mid-recompose jobs are already paying a relocation; spanning
             // is the only fragmentation this pass exists to reduce.
-            if r.resume_at > now || drawers_spanned(&r.slots) <= 1 {
+            if r.resume_at > now || !spans(r.drawer_mask) {
                 continue;
             }
             let free = free.get_or_insert_with(|| self.free_view());
@@ -1306,7 +1323,7 @@ impl ClusterSim {
                 continue;
             };
             if new_slots.len() != r.slots.len()
-                || drawers_spanned(&new_slots) >= drawers_spanned(&r.slots)
+                || drawers_spanned(&new_slots) >= r.drawer_mask.count_ones() as usize
             {
                 continue;
             }
@@ -1495,94 +1512,106 @@ impl ClusterSim {
         Ok(true)
     }
 
-    /// Resource-conservation invariants, checked at every event: no slot
-    /// is double-booked, the scheduler's view matches every chassis's
-    /// attachment table exactly (rack-wide *and* per chassis), the slot
-    /// sets the rack keeps for the free view match the same tables, the
-    /// pool is never oversubscribed, and no tenant exceeds its quota.
-    /// Cheap (≤ 128 attachments), so it runs in release builds too.
-    fn assert_conservation(&self, running: &BTreeMap<u64, Running>) {
-        let mut booked = std::collections::BTreeSet::new();
-        let mut used = vec![0usize; MAX_TENANTS as usize];
+    /// Resource-conservation invariants, checked every `audit_every`
+    /// events and at drain, as algebra over [slot sets](slot_set): no slot
+    /// is double-booked, the rack's attachment tables hold exactly the
+    /// training bookings plus the serving slots, the slot sets the rack
+    /// keeps match the same tables, no job or replica sits on failed
+    /// hardware, the failed slots are exactly the fault refcounts' keys,
+    /// the O(1) ledgers and counters match a recount, and no tenant
+    /// exceeds its quota. Bits encode the chassis, so each set equality
+    /// holds rack-wide and per chassis at once. Allocation-free unless
+    /// it fails, so it runs in release builds too; a breach names the
+    /// event and sim-time.
+    fn assert_conservation(&self, now: SimTime, running: &BTreeMap<u64, Running>) {
+        let p = AuditPoint { event: self.events_seen, at: now };
+        let mut booked = 0u128;
+        let mut used = [0usize; MAX_TENANTS as usize];
         for r in running.values() {
-            for &slot in &r.slots {
-                assert!(booked.insert(slot), "slot {slot} double-booked");
-            }
+            let set = slot_set(r.slots.iter().copied());
+            assert!(
+                set.count_ones() as usize == r.slots.len(),
+                "{p}: job {} double-booked: it lists a slot twice in {}",
+                r.spec.id,
+                named(set)
+            );
+            assert!(
+                set & booked == 0,
+                "{p}: slot {} double-booked by job {} and an earlier job",
+                named(set & booked),
+                r.spec.id
+            );
+            booked |= set;
             used[r.spec.tenant.0 as usize] += r.slots.len();
             assert_eq!(
                 r.drawer_mask,
                 drawer_mask(r.slots.iter().copied()),
-                "job {} kept drawer mask diverged from its slots",
+                "{p}: job {} kept drawer mask diverged from its slots",
                 r.spec.id
             );
         }
         // Serving slots are disjoint from training slots and count toward
         // the holding tenant's quota (a sliced slot occupies the whole
         // slot as far as composition goes).
-        let serve_slots = self.serve.slots();
-        for slot in &serve_slots {
-            assert!(!booked.contains(slot), "slot {slot} booked by training and serving");
-        }
-        let serve_used = self.serve.slots_per_tenant();
+        let serving = self.serve.slot_set();
         assert!(
-            booked.len() + serve_slots.len() <= self.topo.total_gpus(),
-            "pool oversubscribed"
+            booked & serving == 0,
+            "{p}: slot {} booked by training and serving",
+            named(booked & serving)
         );
+        let (n_booked, n_serving) = (booked.count_ones() as usize, serving.count_ones() as usize);
+        let serve_used = self.serve.slots_per_tenant();
+        assert!(n_booked + n_serving <= self.topo.total_gpus(), "{p}: pool oversubscribed");
         for (t, &u) in used.iter().enumerate() {
             assert!(
                 u + serve_used[t] <= self.cfg.quota_gpus_per_tenant,
-                "tenant {t} over quota: {u} training + {} serving",
+                "{p}: tenant {t} over quota: {u} training + {} serving",
                 serve_used[t]
             );
         }
         // The O(1) ledgers the cheap between-audit check leans on must
         // match the ground truth re-derived above.
-        assert_eq!(self.ledger_slots, booked.len(), "training slot ledger diverged");
+        assert_eq!(self.ledger_slots, n_booked, "{p}: training slot ledger diverged");
         for (t, &u) in used.iter().enumerate() {
-            assert_eq!(self.ledger_tenant[t], u, "tenant {t} training ledger diverged");
+            assert_eq!(self.ledger_tenant[t], u, "{p}: tenant {t} training ledger diverged");
         }
         assert_eq!(
-            self.serve.audit_slots_per_tenant().as_slice(),
+            self.serve.audit_slots_per_tenant(),
             serve_used,
-            "serving tenant-slot counters diverged"
+            "{p}: serving tenant-slot counters diverged"
         );
-        assert_eq!(serve_slots.len(), self.serve.n_slots(), "serving slot count diverged");
-        let attached = self.rack.attachments();
-        assert_eq!(
-            attached.len(),
-            booked.len() + serve_slots.len(),
-            "scheduler view diverged from rack attachments"
-        );
+        assert_eq!(n_serving, self.serve.n_slots(), "{p}: serving slot count diverged");
+        // The chassis tables, re-derived in one walk, against the kept
+        // sets and the bookings.
+        let (attached, failed) = self.rack.table_sets();
         assert_eq!(
             self.rack.attached_set(),
-            slot_set(attached.iter().map(|&(a, _)| a)),
-            "rack's kept attached set diverged from the chassis tables"
+            attached,
+            "{p}: rack's kept attached set diverged from the chassis tables"
         );
-        assert!(attached.iter().all(|(a, _)| booked.contains(a) || serve_slots.contains(a)));
-        // The same conservation law holds chassis by chassis: no chassis
-        // carries an attachment the scheduler booked on another.
-        for c in 0..self.topo.chassis {
-            let on_c = attached.iter().filter(|(a, _)| a.chassis == c).count();
-            let expected = booked.iter().filter(|a| a.chassis == c).count()
-                + serve_slots.iter().filter(|a| a.chassis == c).count();
-            assert_eq!(on_c, expected, "chassis {c} attachments diverged from bookings");
-        }
+        assert!(
+            attached == booked | serving,
+            "{p}: scheduler view diverged from rack attachments at {}",
+            named(attached ^ (booked | serving))
+        );
         // Degraded-state invariants: no job runs on failed hardware, and
         // the rack's failed set matches the fault refcounts exactly.
-        let failed = self.rack.failed_slots();
         assert_eq!(
             self.rack.failed_set(),
-            slot_set(failed.iter().copied()),
-            "rack's kept failed set diverged from the chassis tables"
-        );
-        for slot in &failed {
-            assert!(!booked.contains(slot), "job occupies failed slot {slot}");
-            assert!(!serve_slots.contains(slot), "replica occupies failed slot {slot}");
-        }
-        assert_eq!(
             failed,
-            self.fstate.slot_down.keys().copied().collect::<Vec<_>>(),
-            "rack failed set diverged from fault refcounts"
+            "{p}: rack's kept failed set diverged from the chassis tables"
+        );
+        assert!(failed & booked == 0, "{p}: job occupies failed slot {}", named(failed & booked));
+        assert!(
+            failed & serving == 0,
+            "{p}: replica occupies failed slot {}",
+            named(failed & serving)
+        );
+        let refcounted = slot_set(self.fstate.slot_down.keys().copied());
+        assert!(
+            failed == refcounted,
+            "{p}: rack failed set diverged from fault refcounts at {}",
+            named(failed ^ refcounted)
         );
     }
 
@@ -2048,5 +2077,166 @@ mod tests {
         assert_eq!(serve.failovers, 1, "the outage must displace the replica");
         assert_eq!(serve.generated, serve.completed + serve.dropped);
         assert!(serve.completed > 0, "service keeps serving on the other drawer");
+    }
+
+    // Breach tests: each builds a valid mid-replay state, proves the
+    // conservation audit passes on it, corrupts one thing, and asserts
+    // that the audit panics naming the broken invariant. They match the
+    // invariant's words, not whole messages, so a rewrite of the audit
+    // keeps them only by keeping every check. `scripts/ci.sh` also runs
+    // them in release, where replays audit too.
+
+    /// The sim-time the breach states are built and audited at.
+    const AT: SimTime = SimTime::from_millis(1_500);
+
+    fn gang(job: u64, tenant: u32) -> JobSpec {
+        JobSpec {
+            id: job,
+            tenant: TenantId(tenant),
+            benchmark: Benchmark::MobileNetV2,
+            gpus: 2,
+            min_gpus: 2,
+            priority: 1,
+            arrival: SimTime::ZERO,
+            iters: 8,
+        }
+    }
+
+    /// A valid state on one chassis: tenant 0's job 0 on `d0s0, d0s1` and
+    /// tenant 1's job 1 on `d0s2, d0s3`, both seated through `start_job`.
+    /// With `serving`, tenant 0 also holds a replica on `d1s7`, composed
+    /// the way the serving pass composes one.
+    fn seated(serving: bool) -> (ClusterSim, BTreeMap<u64, Running>) {
+        let jobs = vec![gang(0, 0), gang(1, 1)];
+        let services = if serving {
+            let mut s = tiny_mix().services.remove(0);
+            s.tenant = TenantId(0);
+            vec![s]
+        } else {
+            Vec::new()
+        };
+        let mix = MixedTrace { name: "breach".into(), jobs: jobs.clone(), services };
+        let cfg = SchedulerConfig { probe_iters: 1, ..SchedulerConfig::default() };
+        let probes = ProbeCache::new(cfg.probe_iters);
+        let policy = resolve_policy("fifo-first-fit").expect("registered policy");
+        let mut sim =
+            ClusterSim::with_probe_cache_mixed_on(RackTopology::SINGLE, mix, policy, cfg, probes)
+                .expect("admitted");
+        let mut running = BTreeMap::new();
+        for (spec, first) in jobs.into_iter().zip([0u8, 2]) {
+            let slots = vec![slot(0, first), slot(0, first + 1)];
+            sim.start_job(AT, spec, slots, &mut running).expect("gang composes");
+        }
+        if serving {
+            let replica = slot(1, 7);
+            sim.rack.grant(AT, ADMIN, replica, tenant_user(0)).expect("grant");
+            sim.rack.attach(AT, tenant_user(0), replica, tenant_host(0)).expect("attach");
+            sim.serve.add_replica(0, replica, AT);
+        }
+        sim.assert_conservation(AT, &running);
+        (sim, running)
+    }
+
+    /// The message of the panic `check` raises; fails if it does not.
+    fn panic_message(check: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(check))
+            .expect_err("the check must fire on the corrupted state");
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload.downcast_ref::<&str>().expect("a text payload").to_string(),
+        }
+    }
+
+    fn assert_breach(sim: &ClusterSim, running: &BTreeMap<u64, Running>, words: &str) {
+        let msg = panic_message(|| sim.assert_conservation(AT, running));
+        assert!(msg.contains(words), "expected a breach naming {words:?}, got {msg:?}");
+    }
+
+    fn slot(drawer: u8, slot: u8) -> RackAddr {
+        RackAddr::new(0, drawer, slot)
+    }
+
+    #[test]
+    fn breach_slot_booked_by_two_jobs() {
+        let (sim, mut running) = seated(false);
+        running.get_mut(&1).unwrap().slots[0] = slot(0, 0);
+        assert_breach(&sim, &running, "double-booked");
+    }
+
+    #[test]
+    fn breach_slot_listed_twice_in_one_job() {
+        let (sim, mut running) = seated(false);
+        running.get_mut(&1).unwrap().slots = vec![slot(0, 2), slot(0, 2)];
+        assert_breach(&sim, &running, "double-booked");
+    }
+
+    #[test]
+    fn breach_training_ledger_off_by_one() {
+        let (mut sim, running) = seated(false);
+        sim.ledger_slots += 1;
+        assert_breach(&sim, &running, "ledger diverged");
+        let (mut sim, running) = seated(false);
+        sim.ledger_tenant[1] -= 1;
+        assert_breach(&sim, &running, "ledger diverged");
+    }
+
+    #[test]
+    fn breach_stale_drawer_mask() {
+        let (sim, mut running) = seated(false);
+        running.get_mut(&0).unwrap().drawer_mask = 1 << 1;
+        assert_breach(&sim, &running, "drawer mask diverged");
+    }
+
+    #[test]
+    fn breach_slot_detached_behind_the_scheduler() {
+        let (sim, running) = seated(true);
+        sim.rack.detach(AT, tenant_user(0), slot(0, 1)).unwrap();
+        assert_breach(&sim, &running, "diverged from rack attachments");
+    }
+
+    #[test]
+    fn breach_job_or_replica_on_a_failed_slot() {
+        for (s, words) in
+            [(slot(0, 1), "job occupies failed slot"), (slot(1, 7), "replica occupies failed slot")]
+        {
+            let (mut sim, running) = seated(true);
+            sim.fstate.slot_down.insert(s, 1);
+            sim.rack.fail_slot(AT, ADMIN, s).unwrap();
+            assert_breach(&sim, &running, words);
+        }
+    }
+
+    #[test]
+    fn breach_slot_down_entry_the_rack_lacks() {
+        let (mut sim, running) = seated(false);
+        sim.fstate.slot_down.insert(slot(1, 5), 1);
+        assert_breach(&sim, &running, "diverged from fault refcounts");
+    }
+
+    #[test]
+    fn breach_tenant_over_quota() {
+        let (mut sim, running) = seated(true);
+        sim.cfg.quota_gpus_per_tenant = 2;
+        assert_breach(&sim, &running, "tenant 0 over quota");
+    }
+
+    #[test]
+    fn breach_training_serving_overlap() {
+        let (mut sim, running) = seated(true);
+        sim.serve.add_replica(0, slot(0, 3), AT);
+        assert_breach(&sim, &running, "booked by training and serving");
+    }
+
+    #[test]
+    fn breach_messages_name_the_event_and_sim_time() {
+        let (mut sim, running) = seated(true);
+        sim.events_seen = 41;
+        sim.ledger_slots += 1;
+        let full = panic_message(|| sim.assert_conservation(AT, &running));
+        let cheap = panic_message(|| sim.check_ledger(AT));
+        for msg in [full, cheap] {
+            assert!(msg.contains("ledger diverged"), "{msg}");
+            assert!(msg.contains("event 41 (t = 1.500s)"), "{msg}");
+        }
     }
 }

@@ -113,13 +113,14 @@ pub struct SliceView {
 }
 
 /// What a policy sees of one running job when choosing a preemption
-/// victim: identity, tier, and the slots a preemption would free.
+/// victim: identity, tier, and the slots a preemption would free,
+/// borrowed from the job itself.
 #[derive(Debug, Clone)]
-pub struct RunningView {
+pub struct RunningView<'a> {
     pub id: u64,
     pub tenant: u32,
     pub priority: u8,
-    pub slots: Vec<RackAddr>,
+    pub slots: &'a [RackAddr],
 }
 
 /// A slot-selection strategy. Returning `None` means "this job cannot (or
@@ -154,7 +155,7 @@ pub trait PlacePolicy: Send {
     /// sacrifices the cheapest eligible victim — fewest held slots, ties
     /// to the lowest id — so high tiers displace as little work as
     /// possible.
-    fn choose_victim(&self, job: &JobSpec, running: &[RunningView]) -> Option<u64> {
+    fn choose_victim(&self, job: &JobSpec, running: &[RunningView<'_>]) -> Option<u64> {
         running
             .iter()
             .filter(|r| r.priority < job.priority)
@@ -863,7 +864,7 @@ impl PlacePolicy for ParamPolicy {
         self.params.evict_for_slo
     }
 
-    fn choose_victim(&self, job: &JobSpec, running: &[RunningView]) -> Option<u64> {
+    fn choose_victim(&self, job: &JobSpec, running: &[RunningView<'_>]) -> Option<u64> {
         // The default victim choice, plus a size floor: a victim must
         // free at least `preempt_margin` of the preemptor's demand for
         // the rollback to be worth paying. 0.0 is exactly the default.
@@ -1092,11 +1093,12 @@ mod tests {
 
     #[test]
     fn default_victim_is_the_cheapest_strictly_lower_tier() {
+        let held: Vec<RackAddr> = (0..4).map(|s| ra(0, s)).collect();
         let rv = |id: u64, priority: u8, n: usize| RunningView {
             id,
             tenant: 0,
             priority,
-            slots: (0..n as u8).map(|s| ra(0, s)).collect(),
+            slots: &held[..n],
         };
         let running = [rv(3, 1, 4), rv(5, 1, 2), rv(7, 2, 1), rv(9, 1, 2)];
         let mut head = job(8);
@@ -1227,12 +1229,20 @@ mod tests {
                     "{name} trial {trial}: place_replica diverged"
                 );
                 assert_eq!(old.evict_for_slo(), new.evict_for_slo(), "{name}");
-                let running: Vec<RunningView> = (0..rng.index(6))
-                    .map(|i| RunningView {
+                let held: Vec<(u8, Vec<RackAddr>)> = (0..rng.index(6))
+                    .map(|_| {
+                        let priority = rng.index(3) as u8;
+                        (priority, (0..1 + rng.index(8)).map(|s| ra(0, s as u8)).collect())
+                    })
+                    .collect();
+                let running: Vec<RunningView> = held
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (priority, slots))| RunningView {
                         id: i as u64,
                         tenant: 0,
-                        priority: rng.index(3) as u8,
-                        slots: (0..1 + rng.index(8)).map(|s| ra(0, s as u8)).collect(),
+                        priority: *priority,
+                        slots,
                     })
                     .collect();
                 let mut pj = job(gpus);

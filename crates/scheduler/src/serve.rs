@@ -28,8 +28,8 @@ use desim::{Dur, SimRng, SimTime};
 use devices::gpu::GpuSpec;
 use dlmodels::{Benchmark, InferenceProfile};
 use falcon::McsError;
-use rack::{drawer_mask, Rack, RackAddr};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use rack::{drawer_mask, slot_set, Rack, RackAddr};
+use std::collections::{BTreeMap, VecDeque};
 
 /// MIG-style slicing granularity of one GPU slot (V100 stands in for the
 /// A100's 7 compute slices).
@@ -732,8 +732,8 @@ impl ServeState {
 
     /// Recount per-tenant slots from `slot_use` ground truth; the full
     /// conservation audit asserts this equals the cached counters.
-    pub fn audit_slots_per_tenant(&self) -> Vec<usize> {
-        let mut v = vec![0usize; MAX_TENANTS as usize];
+    pub fn audit_slots_per_tenant(&self) -> [usize; MAX_TENANTS as usize] {
+        let mut v = [0usize; MAX_TENANTS as usize];
         for share in self.slot_use.values() {
             v[share.tenant as usize] += 1;
         }
@@ -745,9 +745,10 @@ impl ServeState {
         self.slot_use.len()
     }
 
-    /// Slots currently held by serving.
-    pub fn slots(&self) -> BTreeSet<RackAddr> {
-        self.slot_use.keys().copied().collect()
+    /// The slots currently held by serving, as a [`slot_set`] — the set
+    /// the full conservation audit adds to the training bookings.
+    pub fn slot_set(&self) -> u128 {
+        slot_set(self.slot_use.keys().copied())
     }
 
     pub fn uses_slot(&self, slot: RackAddr) -> bool {
@@ -1069,18 +1070,18 @@ impl ServeState {
         }
     }
 
-    /// Fail over replicas on `failed` slots: force-detach the serving
-    /// slots through the MCS, re-queue their waiting and in-flight
-    /// requests onto survivors (or the orphan buffer), and let the
-    /// placement pass compose replacements.
+    /// Fail over replicas on the `failed` [slot set](slot_set): force-detach
+    /// the serving slots through the MCS, re-queue their waiting and
+    /// in-flight requests onto survivors (or the orphan buffer), and let
+    /// the placement pass compose replacements.
     pub fn evacuate_failed(
         &mut self,
         now: SimTime,
         rack: &Rack,
-        failed: &BTreeSet<RackAddr>,
+        failed: u128,
     ) -> Result<bool, McsError> {
         let dead: Vec<RackAddr> =
-            self.slot_use.keys().copied().filter(|s| failed.contains(s)).collect();
+            self.slot_use.keys().copied().filter(|s| s.in_set(failed)).collect();
         if dead.is_empty() {
             return Ok(false);
         }
@@ -1094,7 +1095,7 @@ impl ServeState {
             let (dead_reps, alive): (Vec<Replica>, Vec<Replica>) = svc
                 .replicas
                 .drain(..)
-                .partition(|r| failed.contains(&r.slot));
+                .partition(|r| r.slot.in_set(failed));
             svc.replicas = alive;
             for r in dead_reps {
                 svc.failovers += 1;

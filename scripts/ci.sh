@@ -71,6 +71,14 @@ cargo test -q --offline
 echo "== workspace tests (all property + golden suites) =="
 cargo test -q --offline --workspace
 
+# The conservation audit is an `assert!` that also runs in release
+# builds, where `repro` and perfbench replay, so its breach tests run
+# there too: each corrupts one invariant of a valid replay state and
+# requires the audit to panic naming it. A check weakened to
+# `debug_assert!` passes the debug run above and fails here.
+echo "== conservation-audit breach tests in release =="
+cargo test -q --release --offline -p scheduler --lib breach_
+
 # One matrix pass runs every checked-in scenario — training, faults,
 # serving, and the multi-chassis scale-out specs (cluster_scale32/64/128,
 # up to 8 chassis / 128 GPUs). `repro cluster|faults|serve` are aliases
@@ -122,9 +130,11 @@ fi
 # The replay engine's one host-time gate: pai_magnitude must replay at
 # least 5x faster than under the semantics the engine replaced — a full
 # conservation audit every event, and every serving micro-event through
-# the global loop (`shard_serving` off) — with identical stdout. Both
-# legs run the built binary serially on one warm private probe cache,
-# 3 alternating runs each, and the medians are compared in nanoseconds.
+# the global loop (`shard_serving` off) — with identical stdout. Since
+# the audit became slot-set algebra it costs little, so the baseline's
+# extra time is now mostly the unsharded serving loop. Both legs run the
+# built binary serially on one warm private probe cache, 3 alternating
+# runs each, and the medians are compared in nanoseconds.
 echo "== replay-engine gate: pai_magnitude >= 5x over its baseline semantics =="
 cargo build --quiet --release --offline -p bench --bin repro
 gate=target/replay_gate
