@@ -14,13 +14,17 @@
 //! the pre-rack code.
 //!
 //! Time advances by discrete events: job arrivals, job finishes, fault
-//! strikes and heals, and serving events (service starts and ends,
-//! request arrivals, batch launches and completions, idle-replica
-//! checks). Running jobs progress at a rate set by (a) a probe-measured
-//! mean iteration time for their placement *shape* — so drawer-spanning
-//! placements are genuinely slower for communication-bound models — and
-//! (b) a deterministic interference dilation per co-resident job sharing
-//! a drawer's switch ASIC. Rates are piecewise constant between events.
+//! strikes and heals, and the serving instants where the loop acts:
+//! service starts and ends, scale-ups, replica reclaims, and every
+//! serving instant while a replica placement, a displaced job or defrag
+//! waits. Between them each service absorbs its own request arrivals,
+//! batch launches and completions in a serving epoch
+//! ([`ServeState::run_epoch`]). Running jobs progress at a rate set by
+//! (a) a probe-measured mean iteration time for their placement *shape*
+//! — so drawer-spanning placements are genuinely slower for
+//! communication-bound models — and (b) a deterministic interference
+//! dilation per co-resident job sharing a drawer's switch ASIC. Rates
+//! are piecewise constant between events.
 //!
 //! Every gang decision is one function: `start_job` places, `try_shrink`
 //! shrinks, `preempt_for` preempts, `defrag_pass` migrates,
@@ -147,14 +151,6 @@ pub struct SchedulerConfig {
     /// events; the O(1) ledger check covers the events in between. 1 =
     /// audit every event (the historical behavior).
     pub audit_every: u64,
-    /// Absorb per-service serving micro events (arrivals, batch
-    /// completions, launches) inside epochs between global events instead
-    /// of surfacing each as a global event. Each service advances on its
-    /// own up to the next training-side event, serially on the replay's
-    /// thread. Epoch dilation is frozen at epoch start, so this is a
-    /// (deterministic) modeling change — off by default to keep existing
-    /// replays byte-identical.
-    pub shard_serving: bool,
     /// Let a capacity-blocked queue head preempt the cheapest
     /// strictly-lower-tier running job (chosen by
     /// [`PlacePolicy::choose_victim`]): the victim checkpoints, detaches
@@ -176,7 +172,6 @@ impl Default for SchedulerConfig {
             probe_iters: 3,
             interference: 0.05,
             audit_every: 1,
-            shard_serving: false,
             preempt: false,
             defrag: false,
         }
@@ -192,7 +187,6 @@ desim::json_record! {
     probe_iters: "probe_iters" (default),
     interference: "interference" (default),
     audit_every: "audit_every" (elide),
-    shard_serving: "shard_serving" (elide),
     preempt: "preempt" (elide),
     defrag: "defrag" (elide),
 }
@@ -650,6 +644,7 @@ impl ClusterSim {
         let mut pending: Vec<JobSpec> = Vec::new();
         let mut running: BTreeMap<u64, Running> = BTreeMap::new();
         let mut now = SimTime::ZERO;
+        let mut accrued = SimTime::ZERO;
         let mut outcomes: Vec<JobOutcome> = Vec::new();
         let mut busy_gpu_secs = 0.0;
         let mut span_gpu_secs = 0.0;
@@ -667,17 +662,21 @@ impl ClusterSim {
                 // No services, or all of them retired: the serving side
                 // can never produce another event.
                 None
-            } else if self.cfg.shard_serving {
-                // Sharded loop: training cannot act before `cap`, so every
-                // service absorbs its own micro events up to there and only
-                // boundaries (starts, ends, reclaims, scale-ups) surface as
-                // global events.
+            } else {
+                // Training cannot act before `cap`, so serving runs an
+                // epoch up to there and surfaces only the instants where
+                // the loop acts. A waiting displaced job and armed defrag
+                // make the loop act at every instant: `replace_displaced`
+                // can succeed on a retry with nothing else changed, and
+                // the defrag net-win test moves with remaining work.
                 let cap =
                     [next_arrival_at, next_finish, next_fault_at].into_iter().flatten().min();
+                let hold = !self.fstate.displaced.is_empty()
+                    || (self.cfg.defrag
+                        && pending.is_empty()
+                        && running.values().any(|r| spans(r.drawer_mask)));
                 let tod = self.scratch.training_on_drawer(&running, self.topo.n_drawers());
-                self.serve.run_epoch(now, cap, self.cfg.interference, tod)
-            } else {
-                self.serve.next_event()
+                self.serve.run_epoch(now, cap, hold, self.cfg.interference, tod)
             };
             let t = [next_arrival_at, next_finish, next_fault_at, serve_next]
                 .into_iter()
@@ -689,25 +688,35 @@ impl ClusterSim {
             // Advance resource accounting and job progress to t. Held
             // GPUs count as busy even inside the re-composition window —
             // the bed is occupied either way — but training progress only
-            // accrues from `resume_at`.
-            let dt = t.since(now).as_secs_f64();
-            if dt > 0.0 {
-                for r in running.values_mut() {
-                    let g = r.slots.len() as f64;
-                    busy_gpu_secs += g * dt;
-                    if spans(r.drawer_mask) {
-                        span_gpu_secs += g * dt;
+            // accrues from `resume_at`. The tests' per-instant reference
+            // also runs the instants an epoch absorbs as events, and
+            // accrues only where the epoch stops, so accrual runs from
+            // `accrued` rather than from the previous event.
+            #[cfg(test)]
+            let accrue = !std::mem::take(&mut self.serve.absorbed);
+            #[cfg(not(test))]
+            let accrue = true;
+            if accrue {
+                let dt = t.since(accrued).as_secs_f64();
+                if dt > 0.0 {
+                    for r in running.values_mut() {
+                        let g = r.slots.len() as f64;
+                        busy_gpu_secs += g * dt;
+                        if spans(r.drawer_mask) {
+                            span_gpu_secs += g * dt;
+                        }
+                        tenant_gpu_secs[r.spec.tenant.0 as usize] += g * dt;
+                        let eff = t.since(accrued.max(r.resume_at)).as_secs_f64();
+                        if eff > 0.0 {
+                            let done = (r.rate * eff).min(r.remaining_iters);
+                            r.remaining_iters -= done;
+                            r.iters_since_placement += done;
+                        }
+                        r.last_progress = t;
                     }
-                    tenant_gpu_secs[r.spec.tenant.0 as usize] += g * dt;
-                    let eff = t.since(now.max(r.resume_at)).as_secs_f64();
-                    if eff > 0.0 {
-                        let done = (r.rate * eff).min(r.remaining_iters);
-                        r.remaining_iters -= done;
-                        r.iters_since_placement += done;
-                    }
-                    r.last_progress = t;
+                    self.serve.accrue(accrued, t, &mut busy_gpu_secs, &mut tenant_gpu_secs);
                 }
-                self.serve.accrue(now, t, &mut busy_gpu_secs, &mut tenant_gpu_secs);
+                accrued = t;
             }
             now = t;
 
@@ -1648,9 +1657,12 @@ mod tests {
     use super::*;
     use crate::fault::{paper_fault_plan, FaultEvent};
     use crate::policy::{resolve_policy, POLICY_NAMES};
-    use crate::serve::seeded_pai_mix;
-    use crate::trace::{seeded_two_tenant, TenantId};
+    use crate::scenario::{FaultSpec, Scenario, Topology, TraceSpec};
+    use crate::serve::{seeded_pai_mix, ArrivalKind};
+    use crate::trace::{seeded_two_tenant, PoissonMix, TenantId};
+    use desim::SimRng;
     use dlmodels::Benchmark;
+    use std::sync::Mutex;
 
     fn tiny_trace() -> Trace {
         seeded_two_tenant(6, 11)
@@ -2237,6 +2249,187 @@ mod tests {
         for msg in [full, cheap] {
             assert!(msg.contains("ledger diverged"), "{msg}");
             assert!(msg.contains("event 41 (t = 1.500s)"), "{msg}");
+        }
+    }
+
+    // Exactness of the serving epoch. The per-instant reference is the
+    // same loop with `ServeState::per_instant` on: every instant the epoch
+    // would absorb is a global event that runs every pass (serving step,
+    // replica placement, schedule pass, defrag, audit), and accrual runs
+    // only where the epoch stops, because re-splitting the float accrual
+    // moves job timestamps by nanoseconds and decides nothing. An epoch
+    // that commits past an instant where some pass would act changes the
+    // report; the reference cannot.
+
+    /// One probe cache for the exactness checks; split into each replay,
+    /// absorbed back after.
+    fn exact_probes() -> &'static Mutex<ProbeCache> {
+        static CELL: std::sync::OnceLock<Mutex<ProbeCache>> = std::sync::OnceLock::new();
+        CELL.get_or_init(|| Mutex::new(ProbeCache::new(SchedulerConfig::default().probe_iters)))
+    }
+
+    /// `sc` replayed under each of its policies, on the serving epoch or
+    /// on the per-instant reference: one report (or replay error) each.
+    fn exact_replays(sc: &Scenario, per_instant: bool) -> Vec<Result<String, String>> {
+        sc.validate().unwrap_or_else(|e| panic!("{}: {e}", sc.name));
+        let (mixed, plan) = sc.materialize();
+        sc.policies
+            .iter()
+            .map(|name| {
+                let policy = resolve_policy(name).expect("validated policy");
+                let probes = exact_probes().lock().unwrap().split();
+                let (topo, cfg) = (sc.topology.rack(), sc.config.clone());
+                let mut sim =
+                    ClusterSim::with_probe_cache_mixed_on(topo, mixed.clone(), policy, cfg, probes)
+                        .and_then(|sim| sim.with_faults(plan.clone()))
+                        .map_err(|e| e.to_string())?;
+                sim.serve.per_instant = per_instant;
+                let (report, probes) = sim.run_report().map_err(|e| e.to_string())?;
+                exact_probes().lock().unwrap().absorb(probes);
+                Ok(report.to_json_string())
+            })
+            .collect()
+    }
+
+    /// Inline services on top of a trace's own: random slices, batch
+    /// sizes, replica ranges and windows from the first seconds on.
+    fn inline_services(n: u8, seed: u64) -> Vec<ServiceSpec> {
+        let mut rng = SimRng::seed_from_u64(seed ^ 0x1_5E2E);
+        (0..u64::from(n))
+            .map(|k| {
+                let min_replicas = 1 + rng.index(2) as u8;
+                ServiceSpec {
+                    id: 1_000 + k,
+                    tenant: TenantId(k as u32 % MAX_TENANTS),
+                    benchmark: [Benchmark::MobileNetV2, Benchmark::ResNet50, Benchmark::BertBase]
+                        [rng.index(3)],
+                    slice: [1, 2, 4, 7][rng.index(4)],
+                    slo: Dur::from_millis(60 + 40 * rng.index(5) as u64),
+                    rate_rps: rng.uniform(2.0, 24.0),
+                    arrivals: [ArrivalKind::Poisson, ArrivalKind::Diurnal][rng.index(2)],
+                    start: SimTime::from_millis(rng.index(8_000) as u64),
+                    duration: Dur::from_millis(2_000 + rng.index(16_000) as u64),
+                    max_batch: [1, 4, 8][rng.index(3)],
+                    max_wait: Dur::from_millis(5 + rng.index(40) as u64),
+                    min_replicas,
+                    max_replicas: min_replicas + rng.index(3) as u8,
+                }
+            })
+            .collect()
+    }
+
+    /// One knob-crossing draw: (trace family, seed), (jobs, PAI-mix
+    /// services, inline services), (fault events, elastic, preempt,
+    /// defrag), (interference step, audit cadence, quota), (chassis,
+    /// first preset, preset count).
+    type KnobDraw =
+        ((u8, u64), (u8, u8, u8), (u8, bool, bool, bool), (u8, usize, usize), (u8, usize, usize));
+
+    fn knob_draw() -> testkit::Gen<KnobDraw> {
+        use testkit::{bools, tuple2, tuple3, tuple4, tuple5, u64_in, u8_in, usize_in};
+        tuple5(
+            tuple2(u8_in(0..3), u64_in(0..1_000_000)),
+            tuple3(u8_in(2..14), u8_in(0..5), u8_in(0..3)),
+            tuple4(u8_in(0..4), bools(), bools(), bools()),
+            tuple3(u8_in(0..5), usize_in(0..3), usize_in(0..3)),
+            tuple3(u8_in(1..9), usize_in(0..POLICY_NAMES.len()), usize_in(1..POLICY_NAMES.len() + 1)),
+        )
+    }
+
+    /// The scenario a draw describes: a PAI-mix, Poisson or inline
+    /// priority-tiered trace plus inline services, a seeded fault plan
+    /// over the trace's horizon, and every `SchedulerConfig` knob.
+    fn knob_scenario(d: KnobDraw) -> Scenario {
+        let ((family, seed), (n_jobs, n_mix, n_inline), toggles, levels, rack) = d;
+        let (n_faults, elastic, preempt, defrag) = toggles;
+        let (interference, audit, quota) = levels;
+        let (chassis, first, n_policies) = rack;
+        let n_jobs = usize::from(n_jobs);
+        let trace = match family {
+            0 => TraceSpec::PaiMix { n_jobs, n_services: usize::from(n_mix), seed },
+            1 => TraceSpec::Poisson {
+                seed,
+                n_jobs,
+                tenants: MAX_TENANTS,
+                mean_interarrival: Dur::from_millis(700),
+                name: None,
+            },
+            _ => {
+                let name = format!("tiers-{seed:#x}");
+                let mix = PoissonMix {
+                    seed,
+                    n_jobs,
+                    tenants: MAX_TENANTS,
+                    mean_interarrival: Dur::from_millis(400),
+                };
+                let mut jobs = mix.generate(name.clone()).jobs;
+                for j in &mut jobs {
+                    j.priority = 1 + (j.id % 3) as u8;
+                }
+                TraceSpec::Jobs { name, jobs }
+            }
+        };
+        let policies = (0..n_policies)
+            .map(|k| POLICY_NAMES[(first + k) % POLICY_NAMES.len()].to_string())
+            .collect();
+        let mut sc = Scenario::new(format!("exact-{seed:#x}"), trace, policies);
+        sc.topology = Topology::with_chassis(chassis);
+        sc.services = inline_services(n_inline, seed);
+        sc.config = SchedulerConfig {
+            quota_gpus_per_tenant: [8, 12, 24][quota],
+            elastic,
+            interference: 0.05 * f64::from(interference),
+            audit_every: [1, 7, 64][audit],
+            preempt,
+            defrag,
+            ..SchedulerConfig::default()
+        };
+        if n_faults > 0 {
+            let (mixed, _) = sc.materialize();
+            sc.faults = FaultSpec::Seeded {
+                n_events: usize::from(n_faults),
+                horizon: Dur::from_nanos(Scenario::horizon(&mixed).as_nanos()),
+                seed: seed ^ 0xFA17,
+            };
+        }
+        sc
+    }
+
+    testkit::property! {
+        /// The serving epoch replays every knob-crossing scenario to the
+        /// per-instant reference's bytes, under every drawn preset.
+        #[cases(64)]
+        fn serving_epoch_matches_the_per_instant_reference(d in knob_draw()) {
+            let sc = knob_scenario(d);
+            testkit::prop_assert_eq!(
+                exact_replays(&sc, false),
+                exact_replays(&sc, true),
+                "the serving epoch diverged from the per-instant reference on {sc:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn serving_epoch_matches_the_per_instant_reference_on_checked_in_specs() {
+        let checked_in = [
+            include_str!("../../../scenarios/cluster_serve.json"),
+            include_str!("../../../scenarios/serve_policies.json"),
+            include_str!("../../../scenarios/cluster_crossed.json"),
+            include_str!("../../../scenarios/portfolio_default/pf_serve.json"),
+            include_str!("../../../scenarios/portfolio_default/pf_pai.json"),
+        ]
+        .map(|text| Scenario::from_json_str(text).expect("checked-in scenario parses"));
+        // A knob draw where defrag stays armed across serving instants: an
+        // epoch that absorbed them would diverge from the reference.
+        let armed_defrag =
+            knob_scenario(((0, 928_975), (4, 0, 2), (1, false, false, true), (0, 0, 1), (2, 0, 1)));
+        for sc in checked_in.iter().chain([&armed_defrag]) {
+            assert_eq!(
+                exact_replays(sc, false),
+                exact_replays(sc, true),
+                "the serving epoch diverged from the per-instant reference on {}",
+                sc.name
+            );
         }
     }
 }

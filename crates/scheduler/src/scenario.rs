@@ -871,16 +871,34 @@ mod tests {
         assert!(sc.validate().is_ok());
     }
 
-    #[test]
-    fn retired_relocate_slo_knob_is_an_unknown_key() {
+    /// The parse error of `cluster_fifo` with `knob: true` added to its
+    /// config block.
+    fn config_knob_error(knob: &str) -> String {
         let mut v = fifo_scenario().to_json();
         let Value::Obj(fields) = &mut v else { unreachable!("a scenario is an object") };
         let (_, config) = fields.iter_mut().find(|(k, _)| k == "config").expect("config block");
         let Value::Obj(knobs) = config else { unreachable!("config is an object") };
-        knobs.push(("relocate_slo".into(), Value::Bool(true)));
-        let err = Scenario::from_json_str(&v.emit_pretty()).expect_err("retired knob rejected");
-        let msg = err.to_string();
+        knobs.push((knob.into(), Value::Bool(true)));
+        Scenario::from_json_str(&v.emit_pretty()).expect_err("retired knob rejected").to_string()
+    }
+
+    #[test]
+    fn retired_relocate_slo_knob_is_an_unknown_key() {
+        let msg = config_knob_error("relocate_slo");
         assert!(msg.contains("cluster_fifo") && msg.contains("\"relocate_slo\""), "{msg}");
+    }
+
+    #[test]
+    fn retired_shard_serving_knob_is_an_unknown_key() {
+        let msg = config_knob_error("shard_serving");
+        let valid = "(valid: quota_gpus_per_tenant, elastic, probe_iters, interference, \
+                     audit_every, preempt, defrag)";
+        assert!(
+            msg.contains("cluster_fifo")
+                && msg.contains("config: unknown key \"shard_serving\"")
+                && msg.contains(valid),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -323,6 +323,11 @@ struct Replica {
 }
 
 impl Replica {
+    /// No batch in flight and nothing queued.
+    fn idle(&self) -> bool {
+        self.busy_until.is_none() && self.queue.is_empty()
+    }
+
     fn next_event(&self, svc_ended: bool, max_batch: u32, max_wait: Dur) -> Option<SimTime> {
         if let Some(b) = self.busy_until {
             return Some(b);
@@ -433,31 +438,44 @@ impl SvcState {
         }
     }
 
-    /// Launch a batch on replica `ri` if it is ready and due. Returns the
-    /// launch decision so callers can track activity.
-    fn try_launch(&mut self, ri: usize, now: SimTime, dilation: f64, gpu: &GpuSpec) -> bool {
+    /// Launch a batch on replica `ri` if it is ready and due.
+    fn try_launch(&mut self, ri: usize, now: SimTime, dilation: f64, gpu: &GpuSpec) {
         let ended = self.ended;
         let (max_batch, max_wait, slice) =
             (self.spec.max_batch, self.spec.max_wait, self.spec.slice);
         let r = &mut self.replicas[ri];
         if r.busy_until.is_some() || r.queue.is_empty() || now < r.ready_at {
-            return false;
+            return;
         }
         let full = r.queue.len() >= max_batch as usize;
         let head_due = *r.queue.front().expect("nonempty queue") + max_wait <= now;
         if !(full || ended || head_due) {
-            return false;
+            return;
         }
         let n = r.queue.len().min(max_batch as usize);
         r.batch = r.queue.drain(..n).collect();
         let lat = batch_latency(&self.profile, gpu, slice, n as u32, dilation);
         r.busy_until = Some(now + lat);
         r.idle_check = None;
-        true
+    }
+
+    /// The last part of instant `t`: launch every due batch, dilated by
+    /// `dil(d)` for the replica's global drawer `d`.
+    fn launch_due(&mut self, t: SimTime, dil: impl Fn(usize) -> f64, gpu: &GpuSpec) {
+        for ri in 0..self.replicas.len() {
+            let d = self.replicas[ri].slot.global_drawer();
+            self.try_launch(ri, t, dil(d), gpu);
+        }
     }
 
     fn backlog(&self) -> usize {
         self.replicas.iter().map(|r| r.queue.len()).sum::<usize>() + self.orphans.len()
+    }
+
+    /// The backlog above which the service wants one more replica: this
+    /// many full batches per live replica.
+    fn scale_up_threshold(&self) -> usize {
+        SERVE_BACKLOG_SCALE_UP * self.replicas.len().max(1) * self.spec.max_batch as usize
     }
 
     /// Scale up when the backlog exceeds the live replicas' batch
@@ -467,13 +485,12 @@ impl SvcState {
         self.started
             && !self.ended
             && self.target < self.spec.max_replicas
-            && self.backlog()
-                > SERVE_BACKLOG_SCALE_UP * self.replicas.len().max(1) * self.spec.max_batch as usize
+            && self.backlog() > self.scale_up_threshold()
     }
 
-    /// The first half of every serving step at `t`: complete each batch
-    /// due by `t`, then route each request that arrived by `t`. Returns
-    /// the latest completion (`SimTime::ZERO` when none).
+    /// The first half of instant `t`: complete each batch due by `t`,
+    /// then route each request that arrived by `t`. Returns the latest
+    /// completion (`SimTime::ZERO` when none). Idempotent at one `t`.
     fn complete_then_arrive(&mut self, t: SimTime) -> SimTime {
         let mut last = SimTime::ZERO;
         for ri in 0..self.replicas.len() {
@@ -493,6 +510,105 @@ impl SvcState {
         last
     }
 
+    /// Instant `t` of this service up to its launches, in the one order
+    /// the global step and the epoch share: start the window, complete →
+    /// arrive, bump the target when the backlog wants a replica, end the
+    /// window, then reclaim each idle replica that may go (every one once
+    /// ended, those above the floor whose idle check is due) into
+    /// `freed`, or clear its due check. Launches ([`launch_due`]) come
+    /// after every service has run this, so their dilation counts every
+    /// reclaim at `t`. Returns the latest completion or window end.
+    ///
+    /// [`launch_due`]: Self::launch_due
+    fn instant(&mut self, t: SimTime, freed: &mut Vec<RackAddr>) -> SimTime {
+        if !self.started && self.spec.start <= t {
+            self.started = true;
+            self.target = self.spec.min_replicas;
+        }
+        let mut last = self.complete_then_arrive(t);
+        if self.scale_up_wanted() {
+            self.target += 1;
+        }
+        if self.started && !self.ended && self.spec.end() <= t {
+            self.ended = true;
+            self.target = 0;
+            self.dropped += self.orphans.len() as u64;
+            self.orphans.clear();
+            last = last.max(t);
+        }
+        let mut ri = 0;
+        while ri < self.replicas.len() {
+            let r = &self.replicas[ri];
+            let check_due = r.idle_check.is_some_and(|c| c <= t);
+            let above_floor = self.replicas.len() > usize::from(self.spec.min_replicas);
+            if r.idle() && (self.ended || (check_due && above_floor)) {
+                freed.push(self.replicas.remove(ri).slot);
+                if !self.ended {
+                    self.target = self.target.saturating_sub(1).max(self.spec.min_replicas);
+                }
+            } else {
+                if check_due {
+                    self.replicas[ri].idle_check = None;
+                }
+                ri += 1;
+            }
+        }
+        last
+    }
+
+    /// Would [`instant`](Self::instant) at `t` act beyond this service's
+    /// own queues — start or end the window, bump the target, or reclaim
+    /// a replica? Asked after `complete_then_arrive(t)`. An ended service
+    /// always does: its drain tail reclaims.
+    fn needs_loop(&self, t: SimTime) -> bool {
+        if !self.started {
+            return self.spec.start <= t;
+        }
+        if self.ended || self.spec.end() <= t || self.scale_up_wanted() {
+            return true;
+        }
+        self.replicas.len() > usize::from(self.spec.min_replicas)
+            && self.replicas.iter().any(|r| r.idle() && r.idle_check.is_some_and(|c| c <= t))
+    }
+
+    /// A lower bound on the first instant after `t0` at which this service
+    /// [needs the loop](Self::needs_loop), read off its state without
+    /// simulating: its start; its end; once ended, its next micro event;
+    /// the arrival that could first push the backlog over the scale-up
+    /// threshold (an arrival adds at most one request, and only a global
+    /// event changes the replica count); and, above the replica floor,
+    /// its pending idle checks and `t0 + SERVE_IDLE_SCALE_DOWN` (a check
+    /// set later is set after `t0`). `SimTime::MAX` when it never will.
+    ///
+    /// `None` while the service holds the loop at every instant: its
+    /// backlog already wants a replica (each step bumps the target), or it
+    /// is live below its target (each event retries the placement).
+    fn loop_bound(&self, t0: SimTime) -> Option<SimTime> {
+        if !self.started {
+            return Some(self.spec.start);
+        }
+        if self.ended {
+            return Some(self.next_micro().unwrap_or(SimTime::MAX));
+        }
+        if self.replicas.len() < usize::from(self.target) {
+            return None;
+        }
+        let mut bound = self.spec.end();
+        if self.target < self.spec.max_replicas {
+            let headroom = self.scale_up_threshold().checked_sub(self.backlog())?;
+            if let Some(&a) = self.arrivals.get(self.cursor + headroom) {
+                bound = bound.min(a);
+            }
+        }
+        if self.replicas.len() > usize::from(self.spec.min_replicas) {
+            bound = bound.min(t0 + SERVE_IDLE_SCALE_DOWN);
+            for c in self.replicas.iter().filter_map(|r| r.idle_check) {
+                bound = bound.min(c);
+            }
+        }
+        Some(bound)
+    }
+
     /// Earliest pending micro event of this service: an arrival, a batch
     /// completion, a due launch, or an idle check.
     fn next_micro(&self) -> Option<SimTime> {
@@ -509,85 +625,52 @@ impl SvcState {
         t
     }
 
-    /// Advance this service through its own micro events (completions,
-    /// arrivals, launches) strictly before `cap`, stopping at the first
-    /// *boundary* — an event that needs the global loop because it changes
-    /// replica/slot membership or the scale target. Returns the boundary
-    /// time (if one falls before `cap`) and the latest completion folded
-    /// into activity. Dilation is frozen per epoch (`dil`, one factor per
-    /// global drawer, current only where this service's replicas sit, the
-    /// only entries read here); replica sets and training membership only
-    /// change at global events, so the frozen factors are constant over
-    /// the epoch.
-    ///
-    /// The per-service evolution is a pure function of (service state,
-    /// frozen dilation, cap): no service reads another's state, so the
-    /// order `run_epoch` visits them in cannot change the outcome.
-    fn advance_until(
+    /// The next instant anything happens to this service: a micro event,
+    /// or its start or end.
+    fn next_instant(&self) -> Option<SimTime> {
+        let edge = if !self.started {
+            Some(self.spec.start)
+        } else if !self.ended {
+            Some(self.spec.end())
+        } else {
+            None
+        };
+        [edge, self.next_micro()].into_iter().flatten().min()
+    }
+
+    /// Run instant `t` inside an epoch, launching with this service's
+    /// frozen dilation row `dil` (one factor per global drawer, current
+    /// where its replicas sit). The epoch's bounds guarantee the instant
+    /// does not need the loop, so it only moves requests and clears
+    /// checks. Returns the latest completion.
+    fn absorb(&mut self, t: SimTime, dil: &[f64], gpu: &GpuSpec) -> SimTime {
+        let (mut freed, target, ended) = (Vec::new(), self.target, self.ended);
+        let last = self.instant(t, &mut freed);
+        debug_assert!(
+            freed.is_empty() && self.target == target && self.ended == ended,
+            "service {} needed the loop at {t}, inside an epoch",
+            self.spec.id
+        );
+        self.launch_due(t, |d| dil[d], gpu);
+        last
+    }
+
+    /// [Absorb](Self::absorb) every instant of this service strictly
+    /// before `until`, starting from its next micro event `next`. Returns
+    /// the latest completion.
+    fn advance_before(
         &mut self,
-        now: SimTime,
-        cap: Option<SimTime>,
+        mut next: SimTime,
+        until: SimTime,
         dil: &[f64],
         gpu: &GpuSpec,
-    ) -> (Option<SimTime>, SimTime) {
-        let below = |t: SimTime| cap.map_or(true, |c| t < c);
+    ) -> SimTime {
         let mut last = SimTime::ZERO;
-        if !self.started {
-            // Nothing can happen before the start boundary: the arrival
-            // stream begins strictly after `spec.start`.
-            let s = self.spec.start;
-            return (below(s).then_some(s), last);
+        while next < until {
+            last = last.max(self.absorb(next, dil, gpu));
+            next = self.next_micro().unwrap_or(SimTime::MAX);
         }
-        let mut t_low = now;
-        loop {
-            if self.ended {
-                // The drain tail (final completions, flush launches, idle
-                // reclaims) all touch membership; hand each remaining
-                // micro event to the global loop one at a time.
-                return (self.next_micro().filter(|&t| below(t)), last);
-            }
-            if self.scale_up_wanted() {
-                // The global step bumps the target and the placement pass
-                // composes the replica — stop where the backlog crossed.
-                return (below(t_low).then_some(t_low), last);
-            }
-            let end = self.spec.end();
-            let tm = self.next_micro().map_or(end, |t| t.min(end));
-            if !below(tm) {
-                return (None, last);
-            }
-            if tm >= end {
-                // Everything due at the end instant (arrival drain, the
-                // ended flag, reclaims) runs through the legacy step.
-                return (Some(end), last);
-            }
-            // Absorb the micro events at `tm`, in the legacy step() order:
-            // completions, then arrivals, then reclaim checks, then
-            // launches. The scale-up check re-runs at the loop top.
-            last = last.max(self.complete_then_arrive(tm));
-            // A reclaim removes a replica and possibly detaches a slot —
-            // that is the global loop's job. A due check on a busy or
-            // queued replica just clears, exactly like the legacy branch.
-            let above_floor = self.replicas.len() > usize::from(self.spec.min_replicas);
-            let mut reclaim = false;
-            for r in &mut self.replicas {
-                if r.idle_check.is_some_and(|c| c <= tm) {
-                    if r.busy_until.is_none() && r.queue.is_empty() && above_floor {
-                        reclaim = true; // leave idle_check set for the global step
-                    } else {
-                        r.idle_check = None;
-                    }
-                }
-            }
-            if reclaim {
-                return (Some(tm), last);
-            }
-            for ri in 0..self.replicas.len() {
-                let d = self.replicas[ri].slot.global_drawer();
-                self.try_launch(ri, tm, dil[d], gpu);
-            }
-            t_low = tm;
-        }
+        last
     }
 
     fn outcome(&self) -> ServiceOutcome {
@@ -615,6 +698,21 @@ impl SvcState {
             failovers: self.failovers,
         }
     }
+}
+
+/// Interference dilation of a service's work on global drawer `d`:
+/// training jobs there plus the other live services there. `counts` holds
+/// live services per drawer and `mine` is this service's drawer mask (the
+/// occupancy scratch).
+fn service_dilation(
+    counts: &[usize],
+    mine: u64,
+    d: usize,
+    interference: f64,
+    training_on_drawer: &[usize],
+) -> f64 {
+    let others = counts[d] - ((mine >> d) & 1) as usize;
+    dilation(interference, training_on_drawer[d] + others)
 }
 
 /// A slot share held by serving replicas. All sharers are replicas of the
@@ -645,9 +743,20 @@ pub struct ServeState {
     /// masks), hoisted out of the event loop.
     epoch_counts: Vec<usize>,
     epoch_masks: Vec<u64>,
-    /// Frozen dilation rows, one per service and `n_drawers` wide, sized
-    /// once; `run_epoch` says which entries are current.
+    /// One service's frozen dilation row, `n_drawers` wide, current only
+    /// where that service's replicas sit (see `freeze_dilation`).
     epoch_dil: Vec<f64>,
+    /// Each active service's [loop bound](SvcState::loop_bound) and next
+    /// micro event, in `active` order, refilled each epoch.
+    epoch_bounds: Vec<(SimTime, SimTime)>,
+    /// The per-instant reference of the tests: `run_epoch` surfaces each
+    /// instant it would absorb as a global event instead.
+    #[cfg(test)]
+    pub(crate) per_instant: bool,
+    /// Whether the instant the reference's last `run_epoch` returned is
+    /// one the epoch absorbs (the loop accrues nothing there).
+    #[cfg(test)]
+    pub(crate) absorbed: bool,
 }
 
 impl ServeState {
@@ -658,7 +767,7 @@ impl ServeState {
         let svcs: Vec<SvcState> = specs.into_iter().map(SvcState::new).collect();
         ServeState {
             active: (0..svcs.len()).collect(),
-            epoch_dil: vec![1.0; svcs.len() * n_drawers],
+            epoch_dil: vec![1.0; n_drawers],
             svcs,
             slot_use: BTreeMap::new(),
             tenant_slots: vec![0; MAX_TENANTS as usize],
@@ -667,6 +776,11 @@ impl ServeState {
             last_activity: SimTime::ZERO,
             epoch_counts: Vec::new(),
             epoch_masks: Vec::new(),
+            epoch_bounds: Vec::new(),
+            #[cfg(test)]
+            per_instant: false,
+            #[cfg(test)]
+            absorbed: false,
         }
     }
 
@@ -682,25 +796,6 @@ impl ServeState {
     /// mixed-replay makespan folds this in.
     pub fn last_activity(&self) -> SimTime {
         self.last_activity
-    }
-
-    /// The earliest pending serving event: a service start or end, an
-    /// arrival, a batch completion, a due launch, or an idle check.
-    pub fn next_event(&self) -> Option<SimTime> {
-        let mut t: Option<SimTime> = None;
-        let mut fold = |x: SimTime| t = Some(t.map_or(x, |c| c.min(x)));
-        for svc in self.active.iter().map(|&i| &self.svcs[i]) {
-            if !svc.started {
-                fold(svc.spec.start);
-            }
-            if svc.started && !svc.ended {
-                fold(svc.spec.end());
-            }
-            if let Some(m) = svc.next_micro() {
-                fold(m);
-            }
-        }
-        t
     }
 
     /// Accrue replica-seconds (as fractional GPU-seconds) over `now → t`
@@ -787,18 +882,18 @@ impl ServeState {
         }
     }
 
-    /// Interference dilation of service `i`'s work on global drawer `d`:
-    /// training jobs there plus the other live services there, from the
-    /// occupancy scratch.
-    fn dilation_at(
-        &self,
-        i: usize,
-        d: usize,
-        interference: f64,
-        training_on_drawer: &[usize],
-    ) -> f64 {
-        let others = self.epoch_counts[d] - ((self.epoch_masks[i] >> d) & 1) as usize;
-        dilation(interference, training_on_drawer[d] + others)
+    /// Freeze service `i`'s dilation into the `epoch_dil` row, from the
+    /// occupancy scratch: only the drawers its replicas sit on, the only
+    /// entries it reads.
+    fn freeze_dilation(&mut self, i: usize, interference: f64, training_on_drawer: &[usize]) {
+        let mine = self.epoch_masks[i];
+        let mut m = mine;
+        while m != 0 {
+            let d = m.trailing_zeros() as usize;
+            self.epoch_dil[d] =
+                service_dilation(&self.epoch_counts, mine, d, interference, training_on_drawer);
+            m &= m - 1;
+        }
     }
 
     /// Services wanting a replica placed: `(svc index, tenant, slice,
@@ -921,10 +1016,11 @@ impl ServeState {
         }
     }
 
-    /// Process every serving event due at `now`: service starts, batch
-    /// completions, arrivals, scale-up decisions, service ends, launches,
-    /// and idle reclaims. Returns true when the replica/slot set changed
-    /// (training rates must be recomputed).
+    /// Run instant `now` for every service: each one's
+    /// [`instant`](SvcState::instant) in `active` order, releasing the
+    /// slices it reclaims (an emptied slot detaches through the MCS), then
+    /// retirement, then every due launch. Returns true when the
+    /// replica/slot set changed (training rates must be recomputed).
     pub fn step(
         &mut self,
         now: SimTime,
@@ -934,53 +1030,19 @@ impl ServeState {
     ) -> Result<bool, McsError> {
         let mut changed = false;
         let mut last = self.last_activity;
+        let mut freed = Vec::new();
         for idx in 0..self.active.len() {
-            let i = self.active[idx];
-            let svc = &mut self.svcs[i];
-            if !svc.started && svc.spec.start <= now {
-                svc.started = true;
-                svc.target = svc.spec.min_replicas;
+            let svc = &mut self.svcs[self.active[idx]];
+            last = last.max(svc.instant(now, &mut freed));
+            if freed.is_empty() {
+                continue;
             }
-            last = last.max(svc.complete_then_arrive(now));
-            if svc.scale_up_wanted() {
-                svc.target += 1;
-            }
-            if svc.started && !svc.ended && svc.spec.end() <= now {
-                svc.ended = true;
-                svc.target = 0;
-                svc.dropped += svc.orphans.len() as u64;
-                svc.orphans.clear();
-                last = last.max(now);
-            }
-            // Reclaim idle replicas: all of them once the service ended,
-            // those above the floor when their idle window expires.
-            let mut ri = 0;
-            while ri < svc.replicas.len() {
-                let idle = svc.replicas[ri].busy_until.is_none()
-                    && svc.replicas[ri].queue.is_empty();
-                let check_due =
-                    svc.replicas[ri].idle_check.is_some_and(|c| c <= now);
-                let above_floor = svc.replicas.len() > usize::from(svc.spec.min_replicas);
-                if idle && (svc.ended || (check_due && above_floor)) {
-                    let r = svc.replicas.remove(ri);
-                    if !svc.ended {
-                        svc.target = svc.target.saturating_sub(1).max(svc.spec.min_replicas);
-                    }
-                    if Self::release_slice(
-                        &mut self.slot_use,
-                        &mut self.tenant_slots,
-                        r.slot,
-                        svc.spec.slice,
-                    ) {
-                        rack.detach(now, tenant_user(svc.spec.tenant.0), r.slot)?;
-                    }
-                    changed = true;
-                } else {
-                    if check_due {
-                        svc.replicas[ri].idle_check = None;
-                    }
-                    ri += 1;
+            for slot in freed.drain(..) {
+                let (tenant, slice) = (svc.spec.tenant.0, svc.spec.slice);
+                if Self::release_slice(&mut self.slot_use, &mut self.tenant_slots, slot, slice) {
+                    rack.detach(now, tenant_user(tenant), slot)?;
                 }
+                changed = true;
             }
         }
         // Retire services that can never act again (ended, drained,
@@ -999,55 +1061,109 @@ impl ServeState {
         Ok(changed)
     }
 
-    /// Advance every service through its private micro events strictly
-    /// before `cap` (the next training-side event), returning the earliest
-    /// serving *boundary* — the next instant the global loop must handle
-    /// (start, end, reclaim, scale-up). This is the sharded event loop:
-    /// instead of surfacing every arrival/completion/launch as a global
-    /// event, each service absorbs its own micro-traffic locally with
-    /// dilation frozen at epoch start. Services are advanced one after
-    /// another on the replay's own thread.
+    /// The serving epoch: advance every service from `now` toward `cap`
+    /// (the next training-side event) and return the next instant the
+    /// global loop must run. Each service runs its own instants strictly
+    /// before the earliest [loop bound](SvcState::loop_bound) of any
+    /// service, launching with dilation frozen at entry (replica and job
+    /// membership change only at global events). At that instant every
+    /// service completes and arrives first; if one then [needs the
+    /// loop](SvcState::needs_loop) the epoch stops and leaves the rest of
+    /// the instant to [`step`](Self::step), otherwise each service
+    /// finishes the instant and the epoch goes on. No service ever runs
+    /// past an instant where the global loop acts.
+    ///
+    /// While the loop acts at every instant — `hold` from the training
+    /// side (a displaced job waits, or defrag is armed), or a service
+    /// without a loop bound (over its scale-up threshold, or below its
+    /// target) — the epoch stops at the next instant of any service.
     pub fn run_epoch(
         &mut self,
         now: SimTime,
         cap: Option<SimTime>,
+        hold: bool,
         interference: f64,
         training_on_drawer: &[usize],
     ) -> Option<SimTime> {
-        if self.active.is_empty() {
-            return None;
+        // One pass over the services: each one's loop bound and next micro
+        // event, or the next instant of any service while the loop acts at
+        // every instant.
+        let mut bounds = std::mem::take(&mut self.epoch_bounds);
+        bounds.clear();
+        let mut every_instant = hold;
+        for &i in &self.active {
+            let svc = &self.svcs[i];
+            match svc.loop_bound(now) {
+                Some(b) if !every_instant => {
+                    bounds.push((b, svc.next_micro().unwrap_or(SimTime::MAX)))
+                }
+                _ => {
+                    every_instant = true;
+                    break;
+                }
+            }
         }
-        // Freeze the per-(service, drawer) dilation factors for the epoch.
-        // Replica sets and training membership only change at global
-        // events, so these are constant until the next boundary. Rows are
-        // indexed by absolute service index. `advance_until` reads only
-        // the drawers its replicas sit on, so only those entries of the
-        // active rows are written; the rest keep stale factors no one
-        // reads.
+        if every_instant {
+            self.epoch_bounds = bounds;
+            let next = self.active.iter().filter_map(|&i| self.svcs[i].next_instant()).min();
+            return [next, cap].into_iter().flatten().min();
+        }
+        // Dilation is frozen at entry: replica sets and training membership
+        // change only at global events. A service's row is written just
+        // before it runs an instant.
         self.fill_occupancy_scratch();
-        let nd = self.n_drawers;
-        let mut dil = std::mem::take(&mut self.epoch_dil);
-        for &i in &self.active {
-            let mut m = self.epoch_masks[i];
-            while m != 0 {
-                let d = m.trailing_zeros() as usize;
-                dil[i * nd + d] = self.dilation_at(i, d, interference, training_on_drawer);
-                m &= m - 1;
-            }
-        }
-        let mut boundary: Option<SimTime> = None;
         let mut last = self.last_activity;
-        for &i in &self.active {
-            let (sb, sl) =
-                self.svcs[i].advance_until(now, cap, &dil[i * nd..(i + 1) * nd], &self.gpu);
-            if let Some(t) = sb {
-                boundary = Some(boundary.map_or(t, |c| c.min(t)));
+        let stop = loop {
+            let first_bound = bounds.iter().map(|&(b, _)| b).min().unwrap_or(SimTime::MAX);
+            let t = cap.map_or(first_bound, |c| c.min(first_bound));
+            if t == SimTime::MAX {
+                break None;
             }
-            last = last.max(sl);
-        }
-        self.epoch_dil = dil;
+            #[cfg(test)]
+            if self.per_instant {
+                let first = bounds.iter().map(|&(_, m)| m).min().filter(|&m| m < t);
+                if first.is_some() {
+                    self.absorbed = true;
+                    break first;
+                }
+            }
+            for (k, &(_, next)) in bounds.iter().enumerate() {
+                if next < t {
+                    let i = self.active[k];
+                    self.freeze_dilation(i, interference, training_on_drawer);
+                    let (dil, gpu) = (&self.epoch_dil, &self.gpu);
+                    last = last.max(self.svcs[i].advance_before(next, t, dil, gpu));
+                }
+            }
+            if Some(t) == cap {
+                break cap;
+            }
+            for &i in &self.active {
+                last = last.max(self.svcs[i].complete_then_arrive(t));
+            }
+            let needed = self.active.iter().zip(&bounds);
+            if needed.into_iter().any(|(&i, &(b, _))| b == t && self.svcs[i].needs_loop(t)) {
+                break Some(t);
+            }
+            #[cfg(test)]
+            if self.per_instant {
+                self.absorbed = true;
+                break Some(t);
+            }
+            for (k, bound) in bounds.iter_mut().enumerate() {
+                let i = self.active[k];
+                self.freeze_dilation(i, interference, training_on_drawer);
+                let svc = &mut self.svcs[i];
+                last = last.max(svc.absorb(t, &self.epoch_dil, &self.gpu));
+                if bound.0 == t {
+                    bound.0 = svc.loop_bound(t).expect("no hold begins inside an epoch");
+                }
+                bound.1 = svc.next_micro().unwrap_or(SimTime::MAX);
+            }
+        };
+        self.epoch_bounds = bounds;
         self.last_activity = last;
-        boundary
+        stop
     }
 
     /// Launch every due batch. Dilation is frozen per batch at launch:
@@ -1060,13 +1176,11 @@ impl ServeState {
         training_on_drawer: &[usize],
     ) {
         self.fill_occupancy_scratch();
-        for idx in 0..self.active.len() {
-            let i = self.active[idx];
-            for ri in 0..self.svcs[i].replicas.len() {
-                let d = self.svcs[i].replicas[ri].slot.global_drawer();
-                let dil = self.dilation_at(i, d, interference, training_on_drawer);
-                self.svcs[i].try_launch(ri, now, dil, &self.gpu);
-            }
+        let counts = &self.epoch_counts;
+        for &i in &self.active {
+            let mine = self.epoch_masks[i];
+            let dil = |d| service_dilation(counts, mine, d, interference, training_on_drawer);
+            self.svcs[i].launch_due(now, dil, &self.gpu);
         }
     }
 

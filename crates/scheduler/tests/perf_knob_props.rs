@@ -1,17 +1,16 @@
-//! Differential property tests for the replay-engine performance knobs
-//! (DESIGN §14). Each knob trades per-event work for amortized or
-//! incremental bookkeeping, and each is required to be *semantically
-//! free*: the canonical report bytes must not depend on it.
+//! Differential property tests for the replay engine's performance
+//! paths (DESIGN §14). Each trades per-event work for amortized
+//! bookkeeping, and each is required to be *semantically free*: the
+//! canonical report bytes must not depend on it.
 //!
 //! Invariants covered (testkit, 64 cases each):
 //! * `audit_every` — amortized conservation auditing (O(1) ledger check
 //!   between full audits) yields byte-identical reports at cadence 1
 //!   (the exhaustive legacy behavior) and cadence 7, and the ledger
 //!   itself survives every full audit's cross-check en route;
-//! * `shard_serving` — the epoch-sharded serving engine is worker-count
-//!   independent: a 2–5 preset portfolio replayed at `--jobs 1` and
-//!   `--jobs 4` (whole replays fanned across workers) produces identical
-//!   bytes.
+//! * serving — a replay with serving epochs is worker-count independent:
+//!   a 2–5 preset portfolio replayed at `--jobs 1` and `--jobs 4` (whole
+//!   replays fanned across workers) produces identical bytes.
 //!
 //! Scenarios are PAI-mix based (training jobs + autoscaling services)
 //! with seeded fault plans on 1–8 chassis under any of the five preset
@@ -90,11 +89,11 @@ property! {
         prop_assert_eq!(bytes(&every, 1), bytes(&amortized, 1), "audit cadence changed the report");
     }
 
-    /// The epoch-sharded serving engine is worker-count independent: a
-    /// portfolio of 2–5 presets (consecutive from the drawn one) replays
-    /// whole policies across 4 workers, byte-identical to a serial pass.
+    /// Serving is worker-count independent: a portfolio of 2–5 presets
+    /// (consecutive from the drawn one) replays whole policies across 4
+    /// workers, byte-identical to a serial pass.
     #[cases(64)]
-    fn sharded_serving_is_worker_count_independent(
+    fn serving_is_worker_count_independent(
         s in shape(),
         extra in tuple3(u8_in(4..9), bools(), usize_in(2..POLICY_NAMES.len() + 1))
     ) {
@@ -104,14 +103,13 @@ property! {
         sc.policies = (0..n_policies)
             .map(|k| POLICY_NAMES[(rack.1 + k) % POLICY_NAMES.len()].to_string())
             .collect();
-        sc.config.shard_serving = true;
         if big_audit {
             sc.config.audit_every = 64;
         }
         prop_assert_eq!(
             bytes(&sc, 1),
             bytes(&sc, 4),
-            "sharded serving depends on the worker count"
+            "serving depends on the worker count"
         );
     }
 }

@@ -32,10 +32,11 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 # One short run of a benchmark workload through the benchmark's own
 # correctness gate: every round must reproduce the workload's pinned
-# bytes, and none may fail. The result object is the last stdout line.
+# bytes, and none may fail. The result object is the last stdout line,
+# left in $result. The run lasts $2 seconds (default 1).
 bench_gate() {
     result=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload "$1" --seconds 1 --trace 0 | tail -n 1)
+        --workload "$1" --seconds "${2:-1}" --trace 0 | tail -n 1)
     echo "$result"
     case "$result" in
         *'"correct":true'*) ;;
@@ -62,8 +63,23 @@ bench_gate rack_faults
 # And on the 128-GPU PAI-scale replay: every pai_mixed round must
 # reproduce crates/bench/golden/pai_magnitude.json through the
 # benchmark's warm-cache path, not only through `repro scenario`.
-echo "== pai_mixed rounds against the pai_magnitude golden (1 s) =="
-bench_gate pai_mixed
+#
+# The same run is the replay engine's one host-time gate. Its median
+# round, scaled to the reference host's speed, must stay within 0.21 s:
+# the semantics the engine replaced (a full conservation audit every
+# event, and every serving micro event through the global loop) took
+# 1.07 s a round, so the budget is the old >= 5x bound over them. Today's
+# engine takes about 0.1 s; one that held every serving epoch (the
+# per-micro-event engine) takes about 0.6 s. Three seconds give 15-30
+# rounds for the median.
+echo "== pai_mixed rounds against the pai_magnitude golden, round_s budget 0.21 s (3 s) =="
+bench_gate pai_mixed 3
+round_s=$(printf '%s\n' "$result" | sed -n 's/.*"round_s":{"value":\([0-9.eE+-]*\)[,}].*/\1/p')
+echo "pai_mixed median round ${round_s:-?} s at reference speed (budget 0.21 s)"
+if ! awk -v r="$round_s" 'BEGIN { exit !(r != "" && r + 0 <= 0.21) }'; then
+    echo "ERROR: the pai_magnitude replay ran over its 0.21 s round budget" >&2
+    exit 1
+fi
 
 echo "== tier-1: tests =="
 cargo test -q --offline
@@ -127,60 +143,28 @@ if [ "$pai_elapsed" -gt 60 ]; then
     exit 1
 fi
 
-# The replay engine's one host-time gate: pai_magnitude must replay at
-# least 5x faster than under the semantics the engine replaced — a full
-# conservation audit every event, and every serving micro-event through
-# the global loop (`shard_serving` off) — with identical stdout. Since
-# the audit became slot-set algebra it costs little, so the baseline's
-# extra time is now mostly the unsharded serving loop. Both legs run the
-# built binary serially on one warm private probe cache, 3 alternating
-# runs each, and the medians are compared in nanoseconds.
-echo "== replay-engine gate: pai_magnitude >= 5x over its baseline semantics =="
+# The replay engine's correctness at full audit: a copy of pai_magnitude
+# that runs the conservation audit at every event (`audit_every` 1) must
+# print the golden's bytes, so amortized auditing hides no breach and
+# changes no byte of the PAI-scale replay.
+echo "== pai_magnitude with an audit at every event matches its golden =="
 cargo build --quiet --release --offline -p bench --bin repro
 gate=target/replay_gate
 rm -rf "$gate"
 mkdir -p "$gate"
 sed 's/"audit_every": [0-9]*/"audit_every": 1/' scenarios/pai_magnitude.json > "$gate/audit.json"
-sed 's/"shard_serving": true/"shard_serving": false/' "$gate/audit.json" > "$gate/baseline.json"
-if cmp -s scenarios/pai_magnitude.json "$gate/audit.json" ||
-    cmp -s "$gate/audit.json" "$gate/baseline.json"; then
-    echo "ERROR: pai_magnitude.json no longer sets audit_every > 1 and shard_serving true;" >&2
-    echo "the gate's baseline leg would replay the optimized engine" >&2
+if cmp -s scenarios/pai_magnitude.json "$gate/audit.json"; then
+    echo "ERROR: pai_magnitude.json no longer sets audit_every > 1;" >&2
+    echo "the full-audit replay would repeat the pinned one" >&2
     exit 1
 fi
-gate_run() {
-    t0=$(date +%s%N)
-    if ! PROBE_CACHE="$gate/probe_cache.json" target/release/repro scenario "$1" --jobs 1 \
-        > "$2" 2> "$gate/stderr"; then
-        cat "$gate/stderr" >&2
-        exit 1
-    fi
-    t1=$(date +%s%N)
-    echo $((t1 - t0))
-}
-median3() {
-    printf '%s\n' "$@" | sort -n | sed -n 2p
-}
-gate_run scenarios/pai_magnitude.json "$gate/warm.out" > /dev/null
-base_ns=""
-opt_ns=""
-for _ in 1 2 3; do
-    base_ns="$base_ns $(gate_run "$gate/baseline.json" "$gate/baseline.out")"
-    opt_ns="$opt_ns $(gate_run scenarios/pai_magnitude.json "$gate/optimized.out")"
-    if ! cmp -s "$gate/baseline.out" "$gate/optimized.out"; then
-        echo "ERROR: the baseline and optimized legs printed different reports" >&2
-        exit 1
-    fi
-done
-# Unquoted on purpose: each leg's three samples are separate arguments.
-base_med=$(median3 $base_ns)
-opt_med=$(median3 $opt_ns)
-awk -v b="$base_med" -v o="$opt_med" 'BEGIN {
-    printf "pai_magnitude median: baseline %.3fs, optimized %.3fs, ratio %.1fx (gate >= 5x)\n",
-        b / 1e9, o / 1e9, b / o
-}'
-if [ "$base_med" -lt $((5 * opt_med)) ]; then
-    echo "ERROR: the replay engine is less than 5x faster than its baseline semantics" >&2
+if ! PROBE_CACHE="$gate/probe_cache.json" target/release/repro scenario "$gate/audit.json" \
+    --jobs 1 > "$gate/audit.out" 2> "$gate/stderr"; then
+    cat "$gate/stderr" >&2
+    exit 1
+fi
+if ! cmp -s "$gate/audit.out" crates/bench/golden/pai_magnitude.json; then
+    echo "ERROR: pai_magnitude at audit_every 1 differs from crates/bench/golden/pai_magnitude.json" >&2
     exit 1
 fi
 

@@ -144,8 +144,8 @@ fn scenario_matrix_identical_across_worker_counts() {
 
 /// The production-scale replay workload keeps the contract on its own
 /// terms: `scenarios/pai_magnitude.json` (10k training jobs + 60
-/// services on the 128-GPU rack, epoch-sharded serving, amortized
-/// audits) replayed at `--jobs 1` and `--jobs 4` yields byte-identical
+/// services on the 128-GPU rack, serving epochs, amortized audits)
+/// replayed at `--jobs 1` and `--jobs 4` yields byte-identical
 /// canonical reports. The scenario has one policy and a replay never
 /// fans out inside itself, so today both runs execute the same serial
 /// code; the test stays so that any future intra-replay parallelism has
