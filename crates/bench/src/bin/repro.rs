@@ -25,9 +25,10 @@
 //! `--jobs N` sets the parsweep worker count for every sweep (grids,
 //! recommendation, policy replays); the default is available parallelism.
 //! Thread count never changes a byte of output — only wall-clock (see
-//! DESIGN §9). Scenario runs persist their probe cache to `$PROBE_CACHE`
-//! (default `target/probe_cache.json`), so a second run prices every
-//! placement without re-running probe simulations.
+//! DESIGN §9). `scenario` and `scenario-matrix` share one persisted probe
+//! cache, `$PROBE_CACHE` (default `target/probe_cache.json`): prices do
+//! not depend on the rack shape, so a later run of either, on any
+//! topology, reuses every placement priced before.
 
 use bench::experiments::{self, Scale};
 use bench::paper;
@@ -447,9 +448,29 @@ fn scaling() {
     println!("{}", table(&header, &rows));
 }
 
-fn probe_cache_path() -> PathBuf {
-    std::env::var_os("PROBE_CACHE")
-        .map_or_else(|| PathBuf::from("target/probe_cache.json"), PathBuf::from)
+/// Run `replay` on the persisted probe cache, `$PROBE_CACHE` (default
+/// `target/probe_cache.json`), then save the grown cache back. `replay`
+/// returns its result and a stderr headline, to which the cache's
+/// loaded, probed and saved counts are appended.
+fn on_persisted_cache<T>(
+    probe_iters: u64,
+    replay: impl FnOnce(&mut ProbeCache) -> (T, String),
+) -> T {
+    let path = std::env::var_os("PROBE_CACHE")
+        .map_or_else(|| PathBuf::from("target/probe_cache.json"), PathBuf::from);
+    let mut cache = ProbeCache::load_file(&path, probe_iters);
+    let loaded = cache.len();
+    let (out, headline) = replay(&mut cache);
+    eprintln!(
+        "{headline}; probe cache {}: {loaded} entries loaded, {} probes run, {} saved",
+        path.display(),
+        cache.probes_run(),
+        cache.len()
+    );
+    if let Err(e) = cache.save_file(&path) {
+        eprintln!("[repro] probe cache not saved ({e}); runs stay correct without it");
+    }
+    out
 }
 
 fn die(msg: String) -> ! {
@@ -498,26 +519,12 @@ fn scenario_cmd(files: &[&str]) {
     };
     let path = PathBuf::from(file);
     let sc = load_scenario(&path);
-    let cache_path = probe_cache_path();
-    // The cache stamp folds in the scenario's rack topology: a file saved
-    // from a 1-chassis run loads empty for a 4-chassis run (and vice
-    // versa) instead of silently mixing persistence domains.
-    let mut cache = ProbeCache::load_file_for(&cache_path, sc.config.probe_iters, sc.topology.rack());
-    let loaded = cache.len();
-    let report = run_scenario(&sc, parsweep::default_jobs(), &mut cache)
-        .unwrap_or_else(|e| die(format!("{}: {e}", path.display())));
-    eprintln!(
-        "[scenario {}] {} policies replayed; probe cache {}: {} entries loaded, {} probes run, {} saved",
-        sc.name,
-        report.reports.len(),
-        cache_path.display(),
-        loaded,
-        cache.probes_run(),
-        cache.len()
-    );
-    if let Err(e) = cache.save_file(&cache_path) {
-        eprintln!("[scenario] probe cache not saved ({e}); runs stay correct without it");
-    }
+    let report = on_persisted_cache(sc.config.probe_iters, |cache| {
+        let report = run_scenario(&sc, parsweep::default_jobs(), cache)
+            .unwrap_or_else(|e| die(format!("{}: {e}", path.display())));
+        let headline = format!("[scenario {}] {} policies replayed", sc.name, report.reports.len());
+        (report, headline)
+    });
     print!("{}", report.canonical_json_string());
 }
 
@@ -536,8 +543,7 @@ fn autotune_cmd(files: &[&str], args: &[String]) {
         budget: flag_value(args, "--budget").map_or(default.budget, |n| n as usize),
     };
     // A fresh cache per search: probe prices are pure, so warm state
-    // never changes an answer, and the portfolio may span topologies
-    // while the persisted cache stamp is bound to exactly one.
+    // never changes an answer.
     let mut cache = ProbeCache::new(pf.probe_iters());
     let tuned = autotune::tune(&pf, &spec, parsweep::default_jobs(), &mut cache)
         .unwrap_or_else(|e| die(e.to_string()));
@@ -572,23 +578,12 @@ fn scenario_matrix_cmd(files: &[&str]) {
 /// byte-identical at any `--jobs` count — the property
 /// `tests/parallel_determinism.rs` pins.
 fn scenario_matrix(scenarios: Vec<Scenario>) {
-    let cfg = SchedulerConfig::default();
-    let cache_path = probe_cache_path();
-    let mut cache = ProbeCache::load_file(&cache_path, cfg.probe_iters);
-    let loaded = cache.len();
-    let reports = run_matrix(&scenarios, parsweep::default_jobs(), &mut cache)
-        .unwrap_or_else(|e| die(e.to_string()));
-    eprintln!(
-        "[scenario-matrix] {} scenarios replayed; probe cache {}: {} entries loaded, {} probes run, {} saved",
-        reports.len(),
-        cache_path.display(),
-        loaded,
-        cache.probes_run(),
-        cache.len()
-    );
-    if let Err(e) = cache.save_file(&cache_path) {
-        eprintln!("[scenario-matrix] probe cache not saved ({e}); runs stay correct without it");
-    }
+    let reports = on_persisted_cache(SchedulerConfig::default().probe_iters, |cache| {
+        let reports = run_matrix(&scenarios, parsweep::default_jobs(), cache)
+            .unwrap_or_else(|e| die(e.to_string()));
+        let headline = format!("[scenario-matrix] {} scenarios replayed", reports.len());
+        (reports, headline)
+    });
     for rep in &reports {
         println!(
             "== scenario {} ({} {}) ==",

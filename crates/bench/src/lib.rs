@@ -29,10 +29,9 @@ pub fn scenario(file: &str) -> Scenario {
     sc
 }
 
-/// Replay `sc` at `jobs` workers on a fresh probe cache bound to its
-/// topology, returning one report per policy. Panics naming the scenario
-/// when the replay fails.
+/// Replay `sc` at `jobs` workers on a fresh probe cache, returning one
+/// report per policy. Panics naming the scenario when the replay fails.
 pub fn replay_fresh(sc: &Scenario, jobs: usize) -> Vec<ScheduleReport> {
-    let mut cache = ProbeCache::new_for(sc.config.probe_iters, sc.topology.rack());
+    let mut cache = ProbeCache::new(sc.config.probe_iters);
     run_scenario(sc, jobs, &mut cache).unwrap_or_else(|e| panic!("{}: {e}", sc.name)).reports
 }

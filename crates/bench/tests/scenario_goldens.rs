@@ -83,3 +83,23 @@ fn checked_in_scenarios_are_valid_and_canonical() {
         assert_eq!(sc.name, stem, "{}: scenario name matches its file name", path.display());
     }
 }
+
+/// Probe prices are per-chassis-pure, so one persisted cache serves every
+/// rack shape: a cache saved after the 2-chassis `cluster_scale32` replay
+/// loads in full for the 1-chassis `cluster_fifo`, the reverse holds too,
+/// and each replay on the loaded cache still matches its golden.
+#[test]
+fn persisted_cache_loads_in_full_across_rack_shapes() {
+    for (saved, loaded) in [("cluster_scale32", "cluster_fifo"), ("cluster_fifo", "cluster_scale32")] {
+        let first = scenario(&format!("{saved}.json"));
+        let mut cache = ProbeCache::new(first.config.probe_iters);
+        run_scenario(&first, 2, &mut cache).unwrap_or_else(|e| panic!("{saved}: {e}"));
+        let second = scenario(&format!("{loaded}.json"));
+        let mut reloaded = ProbeCache::load_str(&cache.save_json(), second.config.probe_iters);
+        assert_eq!(reloaded.len(), cache.len(), "{saved} → {loaded}: every entry loads");
+        let report = run_scenario(&second, 2, &mut reloaded)
+            .unwrap_or_else(|e| panic!("{loaded}: {e}"));
+        let golden_file = golden(&format!("{loaded}.json"));
+        check_scenario_golden(&second.name, golden_file, &report.canonical_json_string());
+    }
+}

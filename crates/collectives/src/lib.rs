@@ -18,10 +18,8 @@
 //! capacity, reproducing NCCL's preference for NVLink edges and producing
 //! exactly two slow crossing edges in the paper's hybrid configuration.
 
-pub mod cost;
 pub mod ring;
 
-pub use cost::{alpha_beta_allreduce, RingCost};
 pub use ring::{
     all_gather, pair_capacity, plan_ring, reduce_scatter, ring_allreduce, ring_bottleneck,
     star_broadcast, star_reduce,

@@ -10,9 +10,9 @@
 //!   of truth shared by `Scenario::validate` and error messages.
 //! * [`RackAddr`] — global `chassis × drawer × slot` addressing on top of
 //!   the per-chassis [`falcon::SlotAddr`].
-//! * The inter-chassis tier's bandwidth/latency class and the analytic
-//!   [`cross_chassis_stretch`] a gang pays for spanning chassis, degraded
-//!   further when the rack-tier links are unhealthy.
+//! * The inter-chassis tier as the analytic [`cross_chassis_stretch`] a
+//!   gang pays for spanning chassis, degraded further when the rack-tier
+//!   links are unhealthy. No rack link is simulated.
 //! * [`Rack`] — N [`falcon::ManagementCenter`]s routed by chassis index,
 //!   with its attached, failed and free GPU slots kept as 128-bit
 //!   [`slot_set`]s, so a composition query never walks the chassis
@@ -29,10 +29,6 @@ use falcon::{Falcon4016, HostId, ManagementCenter, McsError, SlotAddr, SlotDevic
 use std::cell::Cell;
 use std::fmt;
 
-/// Version stamp for the rack fabric model, folded into `model_hash` so
-/// probe caches never survive a change to the inter-chassis cost model.
-pub const RACK_FABRIC_VERSION: u64 = 1;
-
 /// Largest supported rack: 8 chassis × 16 GPUs = 128 GPUs.
 pub const MAX_CHASSIS: u8 = 8;
 
@@ -41,15 +37,6 @@ pub const DRAWERS_PER_CHASSIS: u8 = 2;
 
 /// Slots per drawer (fixed by the hardware).
 pub const SLOTS_PER_DRAWER: u8 = 8;
-
-/// Aggregate bandwidth class of one inter-chassis FabreX link (PCIe Gen4
-/// x16 per port on the rack switch), vs 400 Gb/s CDFP inside the chassis.
-pub const RACK_LINK_GBPS: f64 = 256.0;
-
-/// One-way latency of a rack-switch hop. PCIe-semantics switching keeps
-/// this sub-microsecond — the FabreX pitch — but it is still an extra hop
-/// that intra-chassis traffic never pays.
-pub const RACK_HOP_LATENCY_NS: u64 = 500;
 
 /// Fractional iteration-time stretch per *additional* chassis a gang
 /// spans. Calibrated to the GigaIO 32-GPU scaling curve: all-reduce over
@@ -120,21 +107,6 @@ impl RackTopology {
     /// Total drawers across the rack (the unit of placement locality).
     pub fn n_drawers(&self) -> usize {
         self.chassis as usize * self.drawers_per_chassis as usize
-    }
-
-    /// Bytes identifying this topology *and* the inter-chassis tier
-    /// parameters, folded into the probe-cache `model_hash` so a cache
-    /// saved under one rack shape loads empty under another.
-    pub fn fingerprint(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(35);
-        v.extend_from_slice(&RACK_FABRIC_VERSION.to_le_bytes());
-        v.push(self.chassis);
-        v.push(self.drawers_per_chassis);
-        v.push(self.slots_per_drawer);
-        v.extend_from_slice(&CROSS_CHASSIS_STRETCH.to_bits().to_le_bytes());
-        v.extend_from_slice(&RACK_LINK_GBPS.to_bits().to_le_bytes());
-        v.extend_from_slice(&RACK_HOP_LATENCY_NS.to_le_bytes());
-        v
     }
 }
 
@@ -541,14 +513,6 @@ mod tests {
         assert_eq!(rack.attached_set(), 1 << a.bit());
         assert_eq!(rack.failed_set(), 1 << b.bit());
         assert_eq!(rack.table_sets(), (1 << a.bit(), 1 << b.bit()));
-    }
-
-    #[test]
-    fn fingerprints_differ_per_chassis_count() {
-        let one = RackTopology::SINGLE.fingerprint();
-        let four = RackTopology::with_chassis(4).fingerprint();
-        assert_ne!(one, four);
-        assert_eq!(one, RackTopology::with_chassis(1).fingerprint());
     }
 
     #[test]

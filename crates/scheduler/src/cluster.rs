@@ -200,6 +200,8 @@ pub enum SchedulerError {
     QuotaUnsatisfiable { job: u64, gpus: u8, quota: usize },
     BadElasticRange { job: u64, min_gpus: u8, gpus: u8 },
     ZeroLength { job: u64 },
+    /// A job's priority is outside the supported tiers (1..=3).
+    BadPriority { job: u64, priority: u8 },
     /// Two jobs in one trace share an id; completion accounting would
     /// silently merge them.
     DuplicateJobId { id: u64 },
@@ -215,7 +217,7 @@ pub enum SchedulerError {
 impl fmt::Display for SchedulerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SchedulerError::EmptyTrace => write!(f, "trace has no jobs"),
+            SchedulerError::EmptyTrace => write!(f, "trace has neither jobs nor services"),
             SchedulerError::TooManyTenants { job, tenant } => {
                 write!(f, "job {job}: tenant {tenant} exceeds the {MAX_TENANTS}-tenant test bed")
             }
@@ -229,6 +231,9 @@ impl fmt::Display for SchedulerError {
                 write!(f, "job {job}: min_gpus {min_gpus} outside 1..={gpus}")
             }
             SchedulerError::ZeroLength { job } => write!(f, "job {job}: zero iterations"),
+            SchedulerError::BadPriority { job, priority } => {
+                write!(f, "job {job}: priority tier {priority} outside 1..=3")
+            }
             SchedulerError::DuplicateJobId { id } => {
                 write!(f, "job id {id} appears more than once in the trace")
             }
@@ -425,8 +430,10 @@ pub struct ClusterSim {
 /// Admission: every job and service must fit the bed, the two-tenant
 /// model, and the quota before a replay starts — a typed error up front,
 /// never a queue that cannot drain. Service-only workloads are legal; one
-/// with neither jobs nor services is not.
-fn admit(
+/// with neither jobs nor services is not. [`crate::Scenario::validate`]
+/// runs it on the workload a spec materializes, so a matrix stops before
+/// any replay.
+pub(crate) fn admit(
     topo: &RackTopology,
     cfg: &SchedulerConfig,
     jobs: &[JobSpec],
@@ -500,6 +507,9 @@ fn admit(
         }
         if j.iters == 0 {
             return Err(SchedulerError::ZeroLength { job: j.id });
+        }
+        if !(1..=3).contains(&j.priority) {
+            return Err(SchedulerError::BadPriority { job: j.id, priority: j.priority });
         }
     }
     Ok(())
@@ -2409,6 +2419,98 @@ mod tests {
         }
     }
 
+    /// A one-chassis spec that slot-kills `deaths` (drawer, slot) at
+    /// `at_ms`, healing after a minute, under `fifo-first-fit`.
+    fn slot_deaths(name: &str, trace: TraceSpec, at_ms: u64, deaths: &[(u8, u8)]) -> Scenario {
+        let mut sc = Scenario::new(name, trace, vec!["fifo-first-fit".into()]);
+        let events = deaths
+            .iter()
+            .map(|&(drawer, slot)| FaultEvent {
+                at: SimTime::from_millis(at_ms),
+                chassis: 0,
+                kind: FaultKind::SlotDeath { drawer, slot },
+                duration: Dur::from_secs(60),
+            })
+            .collect();
+        sc.faults = FaultSpec::Inline(FaultPlan { name: "slot-deaths".into(), events });
+        sc
+    }
+
+    /// A service of `tenant` with a 100 ms SLO and a 10 ms batching wait.
+    #[allow(clippy::too_many_arguments)]
+    fn service(
+        id: u64,
+        tenant: u32,
+        benchmark: Benchmark,
+        slice: u8,
+        rate_rps: f64,
+        (start_ms, secs): (u64, u64),
+        max_batch: u32,
+        (min_replicas, max_replicas): (u8, u8),
+    ) -> ServiceSpec {
+        ServiceSpec {
+            id,
+            tenant: TenantId(tenant),
+            benchmark,
+            slice,
+            slo: Dur::from_millis(100),
+            rate_rps,
+            arrivals: ArrivalKind::Poisson,
+            start: SimTime::from_millis(start_ms),
+            duration: Dur::from_secs(secs),
+            max_batch,
+            max_wait: Dur::from_millis(10),
+            min_replicas,
+            max_replicas,
+        }
+    }
+
+    /// A displaced job stepped over for quota while a service runs
+    /// epochs. Tenant 0's elastic 8-GPU job and 4-GPU job fill its
+    /// 12-GPU quota next to tenant 1's 4-GPU job, so tenant 0's service
+    /// waits at quota. Slot deaths at 5 s displace both 4-GPU jobs; the
+    /// service takes a freed GPU, tenant 0's job is stepped over for
+    /// quota, and re-placing tenant 1's job shrinks tenant 0's elastic
+    /// job. That frees quota for the stepped-over job, which a retry at
+    /// the next instant, a serving one, places.
+    fn quota_step_over() -> Scenario {
+        let job = |id: u64, tenant: u32, gpus: u8, min_gpus: u8| JobSpec {
+            id,
+            tenant: TenantId(tenant),
+            benchmark: Benchmark::ResNet50,
+            gpus,
+            min_gpus,
+            priority: 1,
+            arrival: SimTime::from_millis(id),
+            iters: 200,
+        };
+        let jobs = vec![job(0, 0, 8, 4), job(1, 0, 4, 2), job(2, 1, 4, 4)];
+        let trace = TraceSpec::Jobs { name: "quota-step-over".into(), jobs };
+        let mut sc = slot_deaths("quota-step-over", trace, 5_000, &[(1, 0), (1, 4), (1, 5), (1, 6)]);
+        sc.services =
+            vec![service(100, 0, Benchmark::MobileNetV2, 7, 5.0, (3_000, 30), 4, (1, 1))];
+        sc
+    }
+
+    /// A service over its scale-up threshold at epoch entry. A 3,000 rps
+    /// BERT-base service starts with five 2/7 replicas, three on GPU
+    /// (0, 1), and its backlog climbs toward the threshold. A slot death
+    /// at 1.024 s kills those three with batches in flight; the requests
+    /// re-queue on the two survivors, the loop raises the target by one
+    /// and places the replacements, and the service enters the next
+    /// epoch over its threshold with `max_replicas` headroom. A second,
+    /// 2,000 rps service supplies instants before the first's next
+    /// arrival.
+    fn over_threshold_at_entry() -> Scenario {
+        let trace = TraceSpec::Jobs { name: "over-threshold".into(), jobs: Vec::new() };
+        let mut sc = slot_deaths("over-threshold", trace, 1_024, &[(0, 1)]);
+        sc.services = vec![
+            service(200, 1, Benchmark::BertBase, 2, 3_000.0, (1_000, 3), 4, (5, 9)),
+            service(201, 0, Benchmark::MobileNetV2, 7, 2_000.0, (500, 4), 8, (1, 1)),
+        ];
+        sc
+    }
+
     #[test]
     fn serving_epoch_matches_the_per_instant_reference_on_checked_in_specs() {
         let checked_in = [
@@ -2419,11 +2521,14 @@ mod tests {
             include_str!("../../../scenarios/portfolio_default/pf_pai.json"),
         ]
         .map(|text| Scenario::from_json_str(text).expect("checked-in scenario parses"));
-        // A knob draw where defrag stays armed across serving instants: an
-        // epoch that absorbed them would diverge from the reference.
+        // Specs that hold the loop across serving instants: a knob draw
+        // with defrag armed, a displaced job stepped over for quota, and a
+        // service over its scale-up threshold. An epoch that absorbed
+        // those instants would diverge from the reference.
         let armed_defrag =
             knob_scenario(((0, 928_975), (4, 0, 2), (1, false, false, true), (0, 0, 1), (2, 0, 1)));
-        for sc in checked_in.iter().chain([&armed_defrag]) {
+        let held = [armed_defrag, quota_step_over(), over_threshold_at_entry()];
+        for sc in checked_in.iter().chain(&held) {
             assert_eq!(
                 exact_replays(sc, false),
                 exact_replays(sc, true),

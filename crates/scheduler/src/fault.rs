@@ -34,12 +34,6 @@ pub const RECOMPOSE_LATENCY: Dur = Dur::from_millis(2_000);
 /// checkpoint; they are re-run on the replacement placement.
 pub const CHECKPOINT_ITERS: u64 = 8;
 
-/// Version stamp of the fault model itself — how link degradation maps to
-/// capacity scaling, which links a drawer degrade touches, the recompose
-/// and checkpoint constants. Folded into the probe cache's `model_hash`
-/// so persisted probe prices invalidate when the fault model changes.
-pub const FAULT_MODEL_VERSION: u64 = 1;
-
 /// The hardware event kinds the plan can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {

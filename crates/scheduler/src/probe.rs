@@ -13,7 +13,6 @@
 //! handful of probes price an entire trace replay, including replays under
 //! injected PCIe link degradation (see [`crate::fault`]).
 
-use crate::fault::{CHECKPOINT_ITERS, FAULT_MODEL_VERSION, RECOMPOSE_LATENCY};
 use crate::trace::{benchmark_from_label, Trace};
 use composable_core::recommend::Objective;
 use composable_core::system::build_falcon_slots;
@@ -28,9 +27,10 @@ use std::path::Path;
 use training::engine::run_job;
 use training::{max_feasible_batch, JobConfig};
 
-/// Version stamp of the persisted cache format; bump on layout changes.
-/// Version 2 added the per-drawer link-health key dimension, so version-1
-/// caches (priced before the fault model existed) load empty.
+/// Version stamp of the persisted cache: bump it on a layout change and
+/// on any change to what `run_probe` measures, including how a
+/// [`LinkHealth`] maps to link capacity. Version 2 added the per-drawer
+/// link-health key dimension, so version-1 caches load empty.
 pub const CACHE_FORMAT_VERSION: u64 = 2;
 
 /// Per-drawer slot counts of a placement, normalized so `d0 >= d1`
@@ -89,10 +89,6 @@ pub struct LinkHealth {
 impl LinkHealth {
     /// Both drawers at full bandwidth — the fault-free key.
     pub const FULL: LinkHealth = LinkHealth { h0: 100, h1: 100 };
-
-    pub fn is_full(&self) -> bool {
-        *self == LinkHealth::FULL
-    }
 }
 
 /// The canonical `(Shape, LinkHealth)` cache key for a placement on
@@ -126,17 +122,18 @@ pub struct Probe {
 /// cache never changes an answer — it only avoids re-simulating. Counting
 /// actual simulations separately from entries makes "the second run probed
 /// nothing" an assertable property.
+///
+/// A probe composes one chassis and the rack tier is an analytic stretch
+/// applied outside the cache, so every price is per-chassis-pure: one
+/// cache (in memory or persisted) serves replays on any rack shape.
 pub struct ProbeCache {
     probe_iters: u64,
-    topo: RackTopology,
     map: BTreeMap<ProbeKey, Probe>,
     probes_run: u64,
-    /// Keys inserted since this cache was [`split`](Self::split) off —
-    /// `Some` only for split children, so [`absorb`](Self::absorb) can
-    /// merge append-only (visiting just the additions) instead of
-    /// re-inserting the whole shared baseline. `None` for root caches,
-    /// which fall back to the full-map merge.
-    added: Option<Vec<ProbeKey>>,
+    /// Keys inserted since this cache was created or
+    /// [`split`](Self::split) off, so [`absorb`](Self::absorb) visits just
+    /// the additions, never the shared baseline.
+    added: Vec<ProbeKey>,
 }
 
 /// The canonical cache key: benchmark label × placement shape × per-drawer
@@ -144,31 +141,26 @@ pub struct ProbeCache {
 type ProbeKey = (&'static str, Shape, LinkHealth);
 
 impl ProbeCache {
-    /// A cache for the paper's single-chassis test bed.
+    /// An empty cache pricing at `probe_iters` iterations per probe.
     pub fn new(probe_iters: u64) -> ProbeCache {
-        ProbeCache::new_for(probe_iters, RackTopology::SINGLE)
-    }
-
-    /// A cache whose persistence stamp is bound to `topo`. Entries are
-    /// per-chassis-pure (multi-chassis placements are priced as the max
-    /// over per-chassis parts times the rack-tier stretch), but the
-    /// *stamp* folds the topology in so a file saved under one rack shape
-    /// never silently seeds a differently-shaped run.
-    pub fn new_for(probe_iters: u64, topo: RackTopology) -> ProbeCache {
         ProbeCache {
             probe_iters: probe_iters.max(1),
-            topo,
             map: BTreeMap::new(),
             probes_run: 0,
-            added: None,
+            added: Vec::new(),
         }
     }
 
-    /// Record an insertion for the append-only absorb path.
-    fn note_added(&mut self, key: ProbeKey) {
-        if let Some(added) = &mut self.added {
-            added.push(key);
-        }
+    /// [`new`](Self::new), kept for API compatibility: prices do not
+    /// depend on the rack shape, so `_topo` is ignored. Callers should
+    /// call `new`; this will be removed once none remain.
+    pub fn new_for(probe_iters: u64, _topo: RackTopology) -> ProbeCache {
+        ProbeCache::new(probe_iters)
+    }
+
+    fn insert(&mut self, key: ProbeKey, p: Probe) {
+        self.map.insert(key, p);
+        self.added.push(key);
     }
 
     pub fn len(&self) -> usize {
@@ -209,8 +201,7 @@ impl ProbeCache {
         }
         let p = run_probe(benchmark, shape, health, self.probe_iters);
         self.probes_run += 1;
-        self.map.insert((benchmark.label(), shape, health), p);
-        self.note_added((benchmark.label(), shape, health));
+        self.insert((benchmark.label(), shape, health), p);
         p
     }
 
@@ -240,8 +231,7 @@ impl ProbeCache {
                 .collect(),
         );
         for ((b, s), p) in missing.into_iter().zip(priced) {
-            self.map.insert((b.label(), s, LinkHealth::FULL), p);
-            self.note_added((b.label(), s, LinkHealth::FULL));
+            self.insert((b.label(), s, LinkHealth::FULL), p);
             self.probes_run += 1;
         }
     }
@@ -252,40 +242,22 @@ impl ProbeCache {
     pub fn split(&self) -> ProbeCache {
         ProbeCache {
             probe_iters: self.probe_iters,
-            topo: self.topo,
             map: self.map.clone(),
             probes_run: 0,
-            added: Some(Vec::new()),
+            added: Vec::new(),
         }
     }
 
-    /// Merge a split cache back: union the entries (probes are
+    /// Merge a [`split`](Self::split) back: union the entries (probes are
     /// deterministic, so colliding keys hold equal values — first write
-    /// wins) and add the split's probe count to ours.
-    ///
-    /// A cache produced by [`split`](Self::split) tracks exactly the keys
-    /// it added, so the merge is **append-only**: only those keys are
-    /// visited, never the shared baseline (which is already ours). Caches
-    /// from other origins fall back to the full-map merge.
+    /// wins) and add the split's probe count to ours. The merge is
+    /// **append-only**: only the keys the split added are visited, never
+    /// the shared baseline (which is already ours).
     pub fn absorb(&mut self, other: ProbeCache) {
         self.probes_run += other.probes_run;
-        match other.added {
-            Some(keys) => {
-                for k in keys {
-                    let v = other.map[&k];
-                    if let std::collections::btree_map::Entry::Vacant(e) = self.map.entry(k) {
-                        e.insert(v);
-                        self.note_added(k);
-                    }
-                }
-            }
-            None => {
-                for (k, v) in other.map {
-                    if let std::collections::btree_map::Entry::Vacant(e) = self.map.entry(k) {
-                        e.insert(v);
-                        self.note_added(k);
-                    }
-                }
+        for k in other.added {
+            if !self.map.contains_key(&k) {
+                self.insert(k, other.map[&k]);
             }
         }
     }
@@ -298,7 +270,7 @@ impl ProbeCache {
         CacheFile {
             version: CACHE_FORMAT_VERSION,
             probe_iters: self.probe_iters,
-            model_hash: model_hash_for(&self.topo),
+            model_hash: model_hash(),
             entries: self
                 .map
                 .iter()
@@ -322,27 +294,19 @@ impl ProbeCache {
     /// cache: persistence is an accelerator, never a correctness input, so
     /// stale files degrade to re-probing rather than to wrong prices.
     pub fn load_str(s: &str, probe_iters: u64) -> ProbeCache {
-        ProbeCache::load_str_for(s, probe_iters, RackTopology::SINGLE)
-    }
-
-    /// Parse a persisted cache for a run on `topo`. The stamp folds the
-    /// topology (chassis count + inter-chassis tier parameters) into
-    /// `model_hash`, so a cache saved from a 1-chassis run loads empty
-    /// for a 4-chassis run instead of mispricing placements.
-    pub fn load_str_for(s: &str, probe_iters: u64, topo: RackTopology) -> ProbeCache {
-        let mut cache = ProbeCache::new_for(probe_iters, topo);
+        let mut cache = ProbeCache::new(probe_iters);
         let Ok(file) = Value::parse(s).and_then(|v| CacheFile::from_json(&v)) else {
             return cache;
         };
         if file.version != CACHE_FORMAT_VERSION
             || file.probe_iters != probe_iters
-            || file.model_hash != model_hash_for(&topo)
+            || file.model_hash != model_hash()
         {
             return cache;
         }
         for e in file.entries {
             let Some(b) = benchmark_from_label(&e.benchmark) else {
-                return ProbeCache::new_for(probe_iters, topo);
+                return ProbeCache::new(probe_iters);
             };
             let key = (b.label(), Shape::new(e.d0, e.d1), LinkHealth { h0: e.h0, h1: e.h1 });
             cache.map.insert(key, Probe { mean_iter: e.mean_iter, score: e.score });
@@ -358,15 +322,9 @@ impl ProbeCache {
 
     /// Load from `path`; a missing or stale file yields an empty cache.
     pub fn load_file(path: &Path, probe_iters: u64) -> ProbeCache {
-        ProbeCache::load_file_for(path, probe_iters, RackTopology::SINGLE)
-    }
-
-    /// Load from `path` for a run on `topo` (see
-    /// [`load_str_for`](Self::load_str_for)).
-    pub fn load_file_for(path: &Path, probe_iters: u64, topo: RackTopology) -> ProbeCache {
         match std::fs::read_to_string(path) {
-            Ok(s) => ProbeCache::load_str_for(&s, probe_iters, topo),
-            Err(_) => ProbeCache::new_for(probe_iters, topo),
+            Ok(s) => ProbeCache::load_str(&s, probe_iters),
+            Err(_) => ProbeCache::new(probe_iters),
         }
     }
 }
@@ -409,38 +367,11 @@ desim::json_record! {
     score: "score",
 }
 
-/// Fingerprint of everything a probe's answer depends on besides its key:
-/// the benchmark roster, each model's parameter count, the probe GPU's
-/// memory (which gates batch clamping), the fault model's parameters
-/// (degrade levels, recompose/checkpoint constants, model version) — a
-/// degraded probe's price depends on how degradation maps to link
-/// capacity, so a cache priced under a different fault model is stale —
-/// and, for the single-chassis default, the rack topology fingerprint
-/// (see [`model_hash_for`]). FNV-1a, hex.
+/// Fingerprint of the model inputs a probe reads besides its key: the
+/// benchmark roster, each model's parameter count and the probe GPU's
+/// memory (which gates batch clamping). What the probe itself measures is
+/// versioned by [`CACHE_FORMAT_VERSION`]. FNV-1a, hex.
 pub fn model_hash() -> String {
-    model_hash_for(&RackTopology::SINGLE)
-}
-
-/// [`model_hash`] bound to a rack topology: folds the chassis count and
-/// the inter-chassis tier's parameters (stretch factor, bandwidth/latency
-/// class, rack fabric version) so probe caches never cross-contaminate
-/// between rack shapes or rack-model revisions.
-pub fn model_hash_for(topo: &RackTopology) -> String {
-    let mut extra = fault_model_fingerprint();
-    extra.extend_from_slice(&topo.fingerprint());
-    model_hash_with(&extra)
-}
-
-fn fault_model_fingerprint() -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&FAULT_MODEL_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&RECOMPOSE_LATENCY.as_nanos().to_le_bytes());
-    bytes.extend_from_slice(&CHECKPOINT_ITERS.to_le_bytes());
-    bytes.extend_from_slice(&crate::fault::DEGRADE_LEVELS);
-    bytes
-}
-
-fn model_hash_with(extra_fingerprint: &[u8]) -> String {
     let mut h = 0xcbf29ce484222325u64;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -453,7 +384,6 @@ fn model_hash_with(extra_fingerprint: &[u8]) -> String {
         eat(&dlmodels::paper_model(b).param_count().to_le_bytes());
     }
     eat(&GpuSpec::v100_pcie_16gb().memory_bytes.to_le_bytes());
-    eat(extra_fingerprint);
     format!("{h:016x}")
 }
 
@@ -641,46 +571,6 @@ mod tests {
         );
         let bad_hash = good.replace(&model_hash(), "0000000000000000");
         assert!(ProbeCache::load_str(&bad_hash, 2).is_empty(), "model hash mismatch");
-    }
-
-    #[test]
-    fn model_hash_covers_fault_model_parameters() {
-        // A cache priced under different degrade factors / recovery
-        // constants must hash differently, so persisted prices invalidate
-        // when the fault model changes.
-        assert_ne!(model_hash(), model_hash_with(b""));
-        assert_ne!(model_hash(), model_hash_with(&[0u8; 27]));
-        let mut full = fault_model_fingerprint();
-        full.extend_from_slice(&RackTopology::SINGLE.fingerprint());
-        assert_eq!(model_hash(), model_hash_with(&full));
-        // The fault fingerprint alone is not enough: the topology (and
-        // rack-tier parameters) must be folded in too.
-        assert_ne!(model_hash(), model_hash_with(&fault_model_fingerprint()));
-    }
-
-    #[test]
-    fn cache_is_keyed_on_topology() {
-        // A cache saved from a 1-chassis run must load *empty* for a
-        // 4-chassis run — per-chassis prices would be reused, but the
-        // stamp conservatively refuses cross-topology files so the two
-        // runs can never share a mispriced state.
-        let mut single = ProbeCache::new(2);
-        single.warm(&[(Benchmark::MobileNetV2, Shape::new(1, 0))], 1);
-        let text = single.save_json();
-        let four = RackTopology::with_chassis(4);
-        assert!(
-            ProbeCache::load_str_for(&text, 2, four).is_empty(),
-            "1-chassis cache must not seed a 4-chassis run"
-        );
-        // Same topology round-trips; the re-save under the new topology
-        // stamps the new hash and then round-trips for that topology.
-        assert_eq!(ProbeCache::load_str_for(&text, 2, RackTopology::SINGLE).len(), 1);
-        let mut rack_cache = ProbeCache::new_for(2, four);
-        rack_cache.warm(&[(Benchmark::MobileNetV2, Shape::new(1, 0))], 1);
-        let rack_text = rack_cache.save_json();
-        assert_ne!(rack_text, text, "stamps differ by topology");
-        assert_eq!(ProbeCache::load_str_for(&rack_text, 2, four).len(), 1);
-        assert!(ProbeCache::load_str(&rack_text, 2).is_empty());
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //!   `summary` strips them for sweep-sized output.
 //!
 //! [`Scenario::validate`] rejects malformed specs with typed
-//! [`ScenarioError`]s (duplicate ids, out-of-range slices, fault events
-//! beyond the trace horizon, unknown policies, unsupported topology,
-//! generators sized past [`MAX_TRACE_JOBS`] and its sibling bounds).
+//! [`ScenarioError`]s that name the scenario: every admission rule the
+//! scheduler applies to the materialized workload (ids, tenants, demand
+//! against pool and quota, slices, service rates and replica ranges),
+//! fault events beyond the trace horizon, unknown policies, unsupported
+//! topology, and generators sized past [`MAX_TRACE_JOBS`] and its
+//! sibling bounds.
 //! [`run_scenario`] is the repo's one replay path: it and
 //! [`run_scenario_with_policy`] build every replay through
 //! [`ClusterSim::with_probe_cache_mixed_on`], and [`run_matrix`] fans
@@ -33,7 +36,7 @@
 //! goldens hold); anything else wraps its reports in a
 //! [`ScenarioReport`] object.
 
-use crate::cluster::{ClusterSim, SchedulerConfig, SchedulerError};
+use crate::cluster::{admit, ClusterSim, SchedulerConfig, SchedulerError};
 use crate::fault::{seeded_fault_plan, seeded_rack_fault_plan, FaultPlan};
 use crate::metrics::ScheduleReport;
 use crate::policy::{resolve_policy, PlacePolicy};
@@ -280,15 +283,9 @@ pub struct Scenario {
 pub enum ScenarioError {
     EmptyName,
     UnsupportedTopology(Topology),
-    EmptyTrace { scenario: String },
     NoPolicies { scenario: String },
     UnknownPolicy { scenario: String, source: crate::policy::UnknownPolicy },
     DuplicatePolicy { scenario: String, policy: String },
-    DuplicateJobId { scenario: String, id: u64 },
-    DuplicateServiceId { scenario: String, id: u64 },
-    /// A job's `priority` field is outside the supported tiers (1..=3).
-    BadPriority { scenario: String, job: u64, priority: u8 },
-    BadSlice { scenario: String, service: u64, slice: u8 },
     BadConfig { scenario: String, msg: String },
     BadFault { scenario: String, msg: String },
     /// A fault strikes after every job has arrived and every service
@@ -298,7 +295,9 @@ pub enum ScenarioError {
     /// (`field` is the spec path, e.g. `trace.n_jobs`).
     TooLarge { scenario: String, field: &'static str, value: usize, max: usize },
     Json(JsonError),
-    Scheduler(SchedulerError),
+    /// The scheduler refused the scenario's workload, at admission (which
+    /// [`Scenario::validate`] runs) or during a replay.
+    Scheduler { scenario: String, source: SchedulerError },
 }
 
 impl fmt::Display for ScenarioError {
@@ -313,9 +312,6 @@ impl fmt::Display for ScenarioError {
                 t.slots_per_drawer,
                 rack::supported_envelope()
             ),
-            ScenarioError::EmptyTrace { scenario } => {
-                write!(f, "{scenario}: trace has neither jobs nor services")
-            }
             ScenarioError::NoPolicies { scenario } => {
                 write!(f, "{scenario}: at least one policy is required")
             }
@@ -324,18 +320,6 @@ impl fmt::Display for ScenarioError {
             }
             ScenarioError::DuplicatePolicy { scenario, policy } => {
                 write!(f, "{scenario}: policy \"{policy}\" listed more than once")
-            }
-            ScenarioError::DuplicateJobId { scenario, id } => {
-                write!(f, "{scenario}: job id {id} appears more than once")
-            }
-            ScenarioError::DuplicateServiceId { scenario, id } => {
-                write!(f, "{scenario}: service id {id} appears more than once")
-            }
-            ScenarioError::BadPriority { scenario, job, priority } => {
-                write!(f, "{scenario}: job {job}: priority tier {priority} outside 1..=3")
-            }
-            ScenarioError::BadSlice { scenario, service, slice } => {
-                write!(f, "{scenario}: service {service} slice {slice}/7 not in {{1,2,4,7}}")
             }
             ScenarioError::BadConfig { scenario, msg } => write!(f, "{scenario}: config: {msg}"),
             ScenarioError::BadFault { scenario, msg } => write!(f, "{scenario}: fault plan: {msg}"),
@@ -349,7 +333,7 @@ impl fmt::Display for ScenarioError {
                 write!(f, "{scenario}: {field} {value} exceeds the bound {max}")
             }
             ScenarioError::Json(e) => write!(f, "scenario json: {e}"),
-            ScenarioError::Scheduler(e) => write!(f, "replay: {e}"),
+            ScenarioError::Scheduler { scenario, source } => write!(f, "{scenario}: {source}"),
         }
     }
 }
@@ -359,12 +343,6 @@ impl std::error::Error for ScenarioError {}
 impl From<JsonError> for ScenarioError {
     fn from(e: JsonError) -> Self {
         ScenarioError::Json(e)
-    }
-}
-
-impl From<SchedulerError> for ScenarioError {
-    fn from(e: SchedulerError) -> Self {
-        ScenarioError::Scheduler(e)
     }
 }
 
@@ -435,9 +413,10 @@ impl Scenario {
         jobs.chain(svcs).max().unwrap_or(SimTime::ZERO)
     }
 
-    /// Check the spec against the runnable envelope; every rejection is a
-    /// typed [`ScenarioError`]. Cheap enough to call before every run —
-    /// the runners do.
+    /// Check the spec against the runnable envelope and admit its
+    /// materialized workload as a replay would; every rejection is a typed
+    /// [`ScenarioError`] naming the scenario. Cheap enough to call before
+    /// every run — the runners do.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.name.is_empty() {
             return Err(ScenarioError::EmptyName);
@@ -503,37 +482,8 @@ impl Scenario {
             }
         }
         let (mixed, plan) = self.materialize();
-        if mixed.jobs.is_empty() && mixed.services.is_empty() {
-            return Err(ScenarioError::EmptyTrace { scenario: scenario() });
-        }
-        let mut ids: Vec<u64> = mixed.jobs.iter().map(|j| j.id).collect();
-        ids.sort_unstable();
-        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(ScenarioError::DuplicateJobId { scenario: scenario(), id: w[0] });
-        }
-        for j in &mixed.jobs {
-            if !(1..=3).contains(&j.priority) {
-                return Err(ScenarioError::BadPriority {
-                    scenario: scenario(),
-                    job: j.id,
-                    priority: j.priority,
-                });
-            }
-        }
-        let mut sids: Vec<u64> = mixed.services.iter().map(|s| s.id).collect();
-        sids.sort_unstable();
-        if let Some(w) = sids.windows(2).find(|w| w[0] == w[1]) {
-            return Err(ScenarioError::DuplicateServiceId { scenario: scenario(), id: w[0] });
-        }
-        for s in &mixed.services {
-            if !matches!(s.slice, 1 | 2 | 4 | 7) {
-                return Err(ScenarioError::BadSlice {
-                    scenario: scenario(),
-                    service: s.id,
-                    slice: s.slice,
-                });
-            }
-        }
+        admit(&self.topology.rack(), &self.config, &mixed.jobs, &mixed.services)
+            .map_err(|source| ScenarioError::Scheduler { scenario: scenario(), source })?;
         plan.validate_for(&self.topology.rack())
             .map_err(|msg| ScenarioError::BadFault { scenario: scenario(), msg })?;
         let horizon = Self::horizon(&mixed);
@@ -713,7 +663,10 @@ fn replay_policies(
             .collect();
     let mut reports = Vec::new();
     for outcome in parsweep::run(jobs, replays) {
-        let (report, probes) = outcome?;
+        let (report, probes) = outcome.map_err(|source| ScenarioError::Scheduler {
+            scenario: scenario.name.clone(),
+            source,
+        })?;
         cache.absorb(probes);
         reports.push(report);
     }
@@ -769,8 +722,10 @@ pub fn run_matrix(
 mod tests {
     use super::*;
     use crate::fault::paper_fault_plan;
-    use crate::trace::seeded_two_tenant;
+    use crate::serve::ArrivalKind;
+    use crate::trace::{seeded_two_tenant, TenantId};
     use desim::Dur;
+    use dlmodels::Benchmark;
 
     /// The spec of the pinned `cluster_fifo` study.
     fn fifo_scenario() -> Scenario {
@@ -869,6 +824,84 @@ mod tests {
         // The pinned plan sits inside the horizon and passes.
         sc.faults = FaultSpec::Inline(paper_fault_plan());
         assert!(sc.validate().is_ok());
+    }
+
+    /// `cluster_fifo` with its jobs inline plus one service, so every
+    /// admission rule has a job and a service to break.
+    fn inline_scenario() -> Scenario {
+        let mut sc = fifo_scenario();
+        let (mixed, _) = sc.materialize();
+        sc.trace = TraceSpec::Jobs { name: mixed.name, jobs: mixed.jobs };
+        sc.services = vec![ServiceSpec {
+            id: 100,
+            tenant: TenantId(1),
+            benchmark: Benchmark::MobileNetV2,
+            slice: 2,
+            slo: Dur::from_millis(100),
+            rate_rps: 8.0,
+            arrivals: ArrivalKind::Poisson,
+            start: SimTime::from_secs(1),
+            duration: Dur::from_secs(10),
+            max_batch: 4,
+            max_wait: Dur::from_millis(10),
+            min_replicas: 1,
+            max_replicas: 2,
+        }];
+        sc
+    }
+
+    /// Break the first job (or service) of [`inline_scenario`] with `f`.
+    fn broken(f: impl FnOnce(&mut Vec<JobSpec>, &mut Vec<ServiceSpec>)) -> Scenario {
+        let mut sc = inline_scenario();
+        let TraceSpec::Jobs { jobs, .. } = &mut sc.trace else { unreachable!("inline trace") };
+        f(jobs, &mut sc.services);
+        sc
+    }
+
+    #[test]
+    fn validate_rejects_each_admission_rule_naming_the_scenario() {
+        assert!(inline_scenario().validate().is_ok());
+        let cases: Vec<(Scenario, &str)> = vec![
+            (
+                broken(|j, s| {
+                    j.clear();
+                    s.clear();
+                }),
+                "trace has neither jobs nor services",
+            ),
+            (broken(|_, s| s.push(s[0].clone())), "service 100: service id appears more than once"),
+            (broken(|_, s| s[0].tenant = TenantId(2)), "service 100: tenant outside"),
+            (broken(|_, s| s[0].slice = 3), "service 100: slice must be 1, 2, 4, or 7"),
+            (broken(|_, s| s[0].rate_rps = 0.0), "service 100: rate must be positive"),
+            (broken(|_, s| s[0].duration = Dur::ZERO), "service 100: zero-length service window"),
+            (broken(|_, s| s[0].slo = Dur::ZERO), "service 100: zero SLO"),
+            (broken(|_, s| s[0].max_batch = 0), "service 100: max_batch must be at least 1"),
+            (broken(|_, s| s[0].min_replicas = 3), "service 100: replica range"),
+            (broken(|j, _| j.push(j[0].clone())), "job id 0 appears more than once"),
+            (broken(|j, _| j[0].tenant = TenantId(2)), "job 0: tenant 2 exceeds"),
+            (broken(|j, _| j[0].gpus = 0), "job 0: demand 0 outside 1..=16 GPUs"),
+            (broken(|j, _| j[0].gpus = 17), "job 0: demand 17 outside 1..=16 GPUs"),
+            (broken(|j, _| j[0].gpus = 16), "job 0: demand 16 can never fit tenant quota 12"),
+            (broken(|j, _| j[0].min_gpus = 0), "job 0: min_gpus 0 outside"),
+            (broken(|j, _| j[0].iters = 0), "job 0: zero iterations"),
+            (broken(|j, _| j[0].priority = 4), "job 0: priority tier 4 outside 1..=3"),
+        ];
+        for (sc, words) in cases {
+            let err = sc.validate().expect_err(words);
+            let msg = err.to_string();
+            assert!(matches!(err, ScenarioError::Scheduler { .. }), "{msg}");
+            assert!(msg.starts_with("cluster_fifo: ") && msg.contains(words), "{words}: {msg}");
+        }
+    }
+
+    #[test]
+    fn matrix_rejects_an_inadmissible_scenario_before_any_replay() {
+        let mut bad = broken(|j, _| j[0].gpus = 16);
+        bad.name = "over-quota".into();
+        let mut cache = ProbeCache::new(SchedulerConfig::default().probe_iters);
+        let err = run_matrix(&[fifo_scenario(), bad], 1, &mut cache).expect_err("over quota");
+        assert!(err.to_string().starts_with("over-quota: job 0: demand 16"), "{err}");
+        assert_eq!(cache.probes_run(), 0, "no scenario replayed");
     }
 
     /// The parse error of `cluster_fifo` with `knob: true` added to its

@@ -28,7 +28,7 @@ use scheduler::trace::{JobSpec, TenantId};
 use scheduler::scenario::{MAX_FAULT_EVENTS, MAX_TRACE_JOBS, MAX_TRACE_SERVICES};
 use scheduler::{
     seeded_fault_plan, FaultEvent, FaultKind, FaultSpec, MetricLevel, Scenario, ScenarioError,
-    SchedulerConfig, Topology, TraceSpec,
+    SchedulerConfig, SchedulerError, Topology, TraceSpec,
 };
 use testkit::{
     bools, prop_assert, prop_assert_eq, property, tuple3, tuple5, u32_in, u64_in, u8_in, usize_in,
@@ -58,8 +58,10 @@ fn raw_services() -> Gen<Vec<(u8, u8, u8, u32, u8)>> {
 }
 
 /// (quota, elastic, probe_iters, interference-in-hundredths, summary?).
+/// The quota is at least the largest generated demand (8 GPUs), so
+/// every drawn job is admissible.
 fn raw_config() -> Gen<(u8, bool, u8, u8, bool)> {
-    tuple5(u8_in(1..17), bools(), u8_in(1..5), u8_in(0..100), bools())
+    tuple5(u8_in(8..17), bools(), u8_in(1..5), u8_in(0..100), bools())
 }
 
 fn build_jobs(raw: &[(u8, u8, u8, u32, u8)]) -> Vec<JobSpec> {
@@ -298,7 +300,10 @@ property! {
                 let dup = jobs[0].clone();
                 jobs.push(dup);
                 prop_assert!(
-                    matches!(sc.validate(), Err(ScenarioError::DuplicateJobId { id: 0, .. })),
+                    matches!(
+                        sc.validate(),
+                        Err(ScenarioError::Scheduler { source: SchedulerError::DuplicateJobId { id: 0 }, .. })
+                    ),
                     "duplicate job id -> DuplicateJobId, got {:?}", sc.validate()
                 );
             }
@@ -306,15 +311,23 @@ property! {
                 let dup = sc.services[0].clone();
                 sc.services.push(dup);
                 prop_assert!(
-                    matches!(sc.validate(), Err(ScenarioError::DuplicateServiceId { .. })),
-                    "duplicate service id -> DuplicateServiceId, got {:?}", sc.validate()
+                    matches!(
+                        sc.validate(),
+                        Err(ScenarioError::Scheduler { source: SchedulerError::BadService { ref msg, .. }, .. })
+                            if msg.contains("more than once")
+                    ),
+                    "duplicate service id -> BadService, got {:?}", sc.validate()
                 );
             }
             2 => {
                 sc.services[0].slice = [0u8, 3, 5, 6, 8, 9][(seed % 6) as usize];
                 prop_assert!(
-                    matches!(sc.validate(), Err(ScenarioError::BadSlice { .. })),
-                    "slice outside {{1,2,4,7}} -> BadSlice, got {:?}", sc.validate()
+                    matches!(
+                        sc.validate(),
+                        Err(ScenarioError::Scheduler { source: SchedulerError::BadService { ref msg, .. }, .. })
+                            if msg.contains("slice")
+                    ),
+                    "slice outside {{1,2,4,7}} -> BadService, got {:?}", sc.validate()
                 );
             }
             3 => {
@@ -457,7 +470,9 @@ property! {
                 prop_assert!(
                     matches!(
                         sc.validate(),
-                        Err(ScenarioError::BadPriority { job: 0, priority, .. }) if priority == bad
+                        Err(ScenarioError::Scheduler {
+                            source: SchedulerError::BadPriority { job: 0, priority }, ..
+                        }) if priority == bad
                     ),
                     "tier outside 1..=3 -> BadPriority, got {:?}", sc.validate()
                 );

@@ -120,6 +120,55 @@ if ! grep -q '"fault"' target/typo_scenario.err; then
     exit 1
 fi
 
+# Probe prices do not depend on the rack shape, so one persisted cache
+# serves every topology: after a 2-chassis run and a 1-chassis matrix
+# pass on the same $PROBE_CACHE, a second 2-chassis run probes nothing.
+echo "== one persisted probe cache across rack shapes (cluster_scale32, cluster_fifo) =="
+cargo build --quiet --release --offline -p bench --bin repro
+shared=target/shared_cache
+rm -rf "$shared"
+mkdir -p "$shared"
+for step in "scenario scenarios/cluster_scale32.json" \
+    "scenario-matrix scenarios/cluster_fifo.json" \
+    "scenario scenarios/cluster_scale32.json"; do
+    # shellcheck disable=SC2086 # $step is a subcommand and its file
+    PROBE_CACHE="$shared/probe_cache.json" target/release/repro $step \
+        > /dev/null 2> "$shared/stderr"
+    cat "$shared/stderr"
+done
+if ! grep -q ' 0 probes run' "$shared/stderr"; then
+    echo "ERROR: the second cluster_scale32 run re-probed prices the shared cache holds" >&2
+    exit 1
+fi
+
+# An inadmissible scenario stops a matrix before any replay: a job that
+# asks for 16 GPUs under the default 12-GPU tenant quota must exit 2
+# naming its scenario, with no table printed for the valid one.
+echo "== inadmissible scenario stops the matrix (quota breach next to cluster_fifo) =="
+bad=target/bad_matrix
+rm -rf "$bad"
+mkdir -p "$bad"
+cp scenarios/cluster_fifo.json "$bad/"
+cat > "$bad/quota_breach.json" <<'SPEC'
+{
+  "name": "quota_breach",
+  "trace": {"kind": "jobs", "name": "one-wide-job", "jobs": [
+    {"id": 1, "tenant": 0, "benchmark": "resnet50", "gpus": 16, "min_gpus": 16,
+     "arrival_ns": 0, "iters": 10}
+  ]},
+  "policies": ["fifo-first-fit"]
+}
+SPEC
+status=0
+PROBE_CACHE="$bad/probe_cache.json" target/release/repro scenario-matrix "$bad" \
+    > "$bad/stdout" 2> "$bad/stderr" || status=$?
+cat "$bad/stderr"
+if [ "$status" -ne 2 ] || ! grep -q '^repro: quota_breach: job 1' "$bad/stderr" \
+    || [ -s "$bad/stdout" ]; then
+    echo "ERROR: the matrix did not stop with exit 2 naming quota_breach before any table" >&2
+    exit 1
+fi
+
 # The preemption study exercised on its own: checkpoint preemption +
 # migration defrag must replay cleanly through the CLI path too, not
 # just inside the matrix fan-out. It has one policy, so `--jobs 2` only

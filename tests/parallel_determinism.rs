@@ -38,7 +38,7 @@ fn training(chassis: u8, n_jobs: usize, seed: u64, config: SchedulerConfig) -> S
 /// One `run_scenario` pass at `jobs` workers on a fresh cache: canonical
 /// report bytes, probe-cache bytes, and the reports themselves.
 fn snapshot(sc: &Scenario, jobs: usize) -> (String, String, ScenarioReport) {
-    let mut cache = ProbeCache::new_for(sc.config.probe_iters, sc.topology.rack());
+    let mut cache = ProbeCache::new(sc.config.probe_iters);
     let report = run_scenario(sc, jobs, &mut cache).unwrap_or_else(|e| panic!("{}: {e}", sc.name));
     (report.canonical_json_string(), cache.save_json(), report)
 }
