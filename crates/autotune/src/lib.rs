@@ -3,7 +3,7 @@
 //! The five hand-written policies in `scheduler::policy` are single
 //! points in the [`PolicyParams`] space. This crate searches that space
 //! against a [`Portfolio`] of scenario files, using the probe cache as
-//! the cost oracle and parsweep workers for throughput:
+//! the cost oracle and [`scheduler::replay`]'s workers for throughput:
 //!
 //! * **Objective** — a weighted sum over each scenario's replay report:
 //!   mean JCT (normalized by the fifo-first-fit baseline on the same
@@ -13,9 +13,10 @@
 //! * **Search** — seeded successive halving over a [`lattice`] of knob
 //!   values (every preset is a lattice point), then coordinate-descent
 //!   refinement around the incumbent. The budget counts candidate ×
-//!   scenario evaluations; every evaluation is one parsweep job, so
-//!   `--jobs N` scales throughput while the winning [`TunedPolicy`] —
-//!   artifact bytes included — stays byte-identical at any worker count.
+//!   scenario evaluations; each batch of evaluations is one
+//!   [`scheduler::replay`] call with one job per evaluation, so `--jobs N`
+//!   scales throughput while the winning [`TunedPolicy`] — artifact bytes
+//!   included — stays byte-identical at any worker count.
 //! * **Artifact** — [`TunedPolicy::to_json_string`] emits the winning
 //!   params plus per-scenario scores and full provenance (seed, budget,
 //!   evaluations spent, portfolio hash). The artifact file is itself a
@@ -26,8 +27,8 @@
 use desim::json::{ToJson, Value};
 use desim::{Dur, SimRng};
 use scheduler::{
-    run_scenario_with_policy, ParamPolicy, ParamsError, PolicyParams, ProbeCache, Scenario,
-    ScenarioError, ScheduleReport, POLICY_NAMES,
+    replay, ParamPolicy, ParamsError, PlacePolicy, PolicyParams, ProbeCache, Scenario,
+    ScenarioError, ScheduleReport, Workload, POLICY_NAMES,
 };
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -117,7 +118,10 @@ impl From<ParamsError> for AutotuneError {
 /// The scenario set a search optimizes against, in file-name order.
 /// All scenarios must agree on `probe_iters` (one shared cost oracle).
 pub struct Portfolio {
-    pub scenarios: Vec<Scenario>,
+    scenarios: Vec<Scenario>,
+    /// Each scenario's admitted workload, index-aligned with `scenarios`:
+    /// validated and materialized once, replayed by every evaluation.
+    workloads: Vec<Workload>,
     hash: u64,
 }
 
@@ -158,8 +162,9 @@ impl Portfolio {
         }
         let expected = scenarios[0].config.probe_iters;
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut workloads = Vec::with_capacity(scenarios.len());
         for sc in &scenarios {
-            sc.validate()?;
+            workloads.push(sc.validate()?);
             if sc.config.probe_iters != expected {
                 return Err(AutotuneError::MixedProbeIters {
                     scenario: sc.name.clone(),
@@ -169,7 +174,12 @@ impl Portfolio {
             }
             hash = fnv1a(sc.to_json_string().as_bytes(), hash);
         }
-        Ok(Portfolio { scenarios, hash })
+        Ok(Portfolio { scenarios, workloads, hash })
+    }
+
+    /// The portfolio's scenarios, in file-name order.
+    pub fn scenarios(&self) -> &[Scenario] {
+        &self.scenarios
     }
 
     /// FNV-1a over the canonical JSON of every scenario, in order —
@@ -344,36 +354,20 @@ impl TunedPolicy {
     }
 }
 
-/// One candidate × scenario replay, as a parsweep batch so throughput
-/// scales with `jobs`. Splits of the shared cache are taken on the
-/// caller's thread in submission order and absorbed back in the same
-/// order — the invariant that keeps the whole search byte-identical at
-/// any worker count.
+/// Replay each `(candidate, scenario index)` evaluation through one
+/// [`replay`] call on the shared cache, so throughput scales with `jobs`
+/// and the whole search stays byte-identical at any worker count.
 fn eval_batch(
     pf: &Portfolio,
     work: &[(PolicyParams, usize)],
     jobs: usize,
     cache: &mut ProbeCache,
 ) -> Result<Vec<ScheduleReport>, AutotuneError> {
-    let runs: Vec<parsweep::Job<'_, Result<(ScheduleReport, ProbeCache), AutotuneError>>> = work
-        .iter()
-        .map(|&(params, si)| {
-            let mut local = cache.split();
-            let sc = &pf.scenarios[si];
-            parsweep::Job::new(format!("autotune candidate on {}", sc.name), move || {
-                let policy = ParamPolicy::new(params)?;
-                let report = run_scenario_with_policy(sc, Box::new(policy), &mut local)?;
-                Ok((report, local))
-            })
-        })
-        .collect();
-    let mut out = Vec::with_capacity(work.len());
-    for outcome in parsweep::run(jobs, runs) {
-        let (report, local) = outcome?;
-        cache.absorb(local);
-        out.push(report);
+    let mut runs: Vec<(&Workload, Box<dyn PlacePolicy>)> = Vec::with_capacity(work.len());
+    for &(params, si) in work {
+        runs.push((&pf.workloads[si], Box::new(ParamPolicy::new(params)?)));
     }
-    Ok(out)
+    Ok(replay(runs, jobs, cache)?)
 }
 
 struct Cand {

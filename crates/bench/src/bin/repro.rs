@@ -16,8 +16,9 @@
 //! the reproduction targets.
 //!
 //! Cluster studies are scenario files replayed through
-//! `scheduler::run_scenario`: `scenario <file>` prints one canonical
-//! report, `scenario-matrix <dir|files>` a comparison table per scenario.
+//! `scheduler::replay`: `scenario <file>` (`run_scenario`) prints one
+//! canonical report, `scenario-matrix <dir|files>` (`run_matrix`) a
+//! comparison table per scenario.
 //! `cluster`, `faults` and `serve` are aliases for `scenario-matrix` over
 //! `scenarios/{cluster,faults,serve}_policies.json`, embedded in the
 //! binary so they run from any directory.
@@ -550,7 +551,7 @@ fn autotune_cmd(files: &[&str], args: &[String]) {
     eprintln!(
         "[autotune {dir}] {} scenarios, budget {} (seed {}): {} evaluations, tuned objective \
          {:.4} vs best preset {} at {:.4}",
-        pf.scenarios.len(),
+        pf.scenarios().len(),
         spec.budget,
         spec.seed,
         tuned.evals,

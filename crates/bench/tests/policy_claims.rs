@@ -11,10 +11,9 @@
 use autotune::objective;
 use bench::{replay_fresh, scenario};
 use desim::json::{FromJson, Value};
-use desim::Dur;
 use scheduler::{
-    run_scenario_with_policy, ParamPolicy, PolicyParams, ProbeCache, Scenario, ScheduleReport,
-    Trace, TraceSpec, POLICY_NAMES,
+    replay, ParamPolicy, PlacePolicy, PolicyParams, ProbeCache, ScheduleReport, Trace, TraceSpec,
+    POLICY_NAMES,
 };
 
 fn by_policy<'a>(reports: &'a [ScheduleReport], name: &str) -> &'a ScheduleReport {
@@ -209,16 +208,6 @@ fn preemption_buys_the_high_tier_more_than_it_costs_the_low_tier() {
     );
 }
 
-/// `pai_magnitude` objective of one replay, normalized by FIFO's mean JCT
-/// exactly as the search oracle does.
-fn pai_objective(sc: &Scenario, p: PolicyParams, base_jct: Dur, cache: &mut ProbeCache) -> f64 {
-    let policy = Box::new(ParamPolicy::new(p).expect("params validate"));
-    objective(
-        &run_scenario_with_policy(sc, policy, cache).expect("pai_magnitude drains"),
-        base_jct,
-    )
-}
-
 /// The frozen tuned params strictly beat all five presets on the held-out
 /// `pai_magnitude` objective (10k jobs + 60 services on 128 GPUs). The
 /// search never saw this trace: its portfolio holds a 2k-job cut.
@@ -230,19 +219,28 @@ fn tuned_policy_beats_every_preset_on_held_out_pai_magnitude() {
     let tuned = PolicyParams::from_json(art.get("params").expect("the artifact has params"))
         .expect("the frozen params parse");
 
+    // The five presets, fifo-first-fit first, then the tuned params: six
+    // replays of one admitted workload in one fan-out.
     let sc = scenario("pai_magnitude.json");
+    let workload = sc.validate().expect("pai_magnitude validates");
+    let params = POLICY_NAMES.map(|name| PolicyParams::preset(name).expect("preset exists"));
+    let runs = params
+        .iter()
+        .chain([&tuned])
+        .map(|&p| {
+            let policy = ParamPolicy::new(p).expect("params validate");
+            (&workload, Box::new(policy) as Box<dyn PlacePolicy>)
+        })
+        .collect();
     let mut cache = ProbeCache::new(sc.config.probe_iters);
-    let fifo = Box::new(ParamPolicy::preset("fifo-first-fit").expect("preset exists"));
-    let fifo = run_scenario_with_policy(&sc, fifo, &mut cache).expect("fifo baseline drains");
-    let base_jct = fifo.mean_jct;
-    let tuned = pai_objective(&sc, tuned, base_jct, &mut cache);
-    for name in POLICY_NAMES {
-        let preset = if name == "fifo-first-fit" {
-            objective(&fifo, base_jct)
-        } else {
-            let p = PolicyParams::preset(name).expect("preset exists");
-            pai_objective(&sc, p, base_jct, &mut cache)
-        };
+    let reports = replay(runs, parsweep::default_jobs(), &mut cache).expect("pai_magnitude drains");
+    // Objectives normalized by FIFO's mean JCT exactly as the search
+    // oracle does.
+    assert_eq!(POLICY_NAMES[0], "fifo-first-fit");
+    let base_jct = reports[0].mean_jct;
+    let tuned = objective(&reports[POLICY_NAMES.len()], base_jct);
+    for (name, report) in POLICY_NAMES.iter().zip(&reports) {
+        let preset = objective(report, base_jct);
         assert!(
             tuned < preset,
             "the tuned policy must strictly beat {name} on held-out pai_magnitude: \

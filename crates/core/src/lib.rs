@@ -14,7 +14,7 @@
 //!   [`training::RunReport`]s; sweeps run configurations in parallel on
 //!   host threads (each simulation stays single-threaded-deterministic).
 //! * [`report`] — renders the paper's tables and figure series as text.
-//! * [`recommend`] — the paper's stated future work (§VI): given a
+//! * [`recommend`](mod@recommend) — the paper's stated future work (§VI): given a
 //!   workload, simulate candidate compositions and recommend a topology.
 //!
 //! # Quickstart

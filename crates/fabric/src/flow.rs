@@ -1,11 +1,12 @@
 //! Fluid flow simulation with max-min fair bandwidth sharing.
 //!
-//! A [`Flow`] is a byte transfer along a routed path. While active, the set
-//! of flows sharing each directed link divides its capacity by
-//! **progressive filling** (water-filling): all unfrozen flows rise at the
-//! same rate until a link saturates or a flow hits its route ceiling
-//! (bottleneck link × peer-to-peer path efficiency); those flows freeze and
-//! the rest keep rising. This yields the classic max-min fair allocation.
+//! A flow (named by a [`FlowId`]) is a byte transfer along a routed path.
+//! While active, the set of flows sharing each directed link divides its
+//! capacity by **progressive filling** (water-filling): all unfrozen flows
+//! rise at the same rate until a link saturates or a flow hits its route
+//! ceiling (bottleneck link × peer-to-peer path efficiency); those flows
+//! freeze and the rest keep rising. This yields the classic max-min fair
+//! allocation.
 //!
 //! Every flow start/finish/abort *settles* accumulated progress (also
 //! attributing bytes to [`PortStats`]), recomputes the allocation, and
@@ -85,7 +86,7 @@ pub struct FabricState<S> {
     pub ports: PortStats,
     /// When set (the default), a flow start/finish/abort re-prices only the
     /// connected component of flows sharing links with the change, found
-    /// through [`FabricState::link_flows`]. Clearing it re-prices every
+    /// through `FabricState::link_flows`. Clearing it re-prices every
     /// active flow on every change: the oracle the differential tests in
     /// `tests/incremental_reprice.rs` compare the component path against.
     pub incremental: bool,

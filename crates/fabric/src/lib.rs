@@ -3,8 +3,8 @@
 //! This crate models the communication substrate of the composable system:
 //! PCIe Gen3/Gen4 links, second-generation NVLink, the 400 Gb/s CDFP host
 //! cables that attach a Falcon 4016 chassis to its host servers, and the
-//! storage/NIC links — as a graph ([`Topology`]) over which byte
-//! [`flow::Flow`]s are simulated fluidly.
+//! storage/NIC links — as a graph ([`Topology`]) over which byte flows
+//! ([`flow`]) are simulated fluidly.
 //!
 //! The central abstraction is **max-min fair bandwidth sharing**: every
 //! active flow crosses a set of directed links; link capacity is divided by

@@ -2,7 +2,7 @@
 //!
 //! The Falcon's BMC "manages and monitors most of the standard buses in
 //! the system, as well as temperature, fan sensors, storage devices, and
-//! network [and] can alert administrators to any parameters which fall
+//! network \[and\] can alert administrators to any parameters which fall
 //! outside of specifications" (paper §II-B). The model here is a
 //! deterministic thermal/fan loop driven by device load, with thresholds
 //! that emit alert events into a queryable log.

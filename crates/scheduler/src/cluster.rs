@@ -614,7 +614,7 @@ impl ClusterSim {
 
     /// A no-op kept for API compatibility: a replay runs on one thread,
     /// and `--jobs` parallelism fans out whole replays instead (see
-    /// [`crate::run_scenario`]). Callers should drop the call; it will be
+    /// [`crate::replay`]). Callers should drop the call; it will be
     /// removed once none remain.
     pub fn with_workers(self, _workers: usize) -> ClusterSim {
         self

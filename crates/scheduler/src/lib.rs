@@ -25,10 +25,11 @@
 //!   builder ([`ClusterSim::with_probe_cache_mixed_on`]) admits every
 //!   workload.
 //! * [`scenario`] — declarative studies (topology × trace × faults ×
-//!   services × policies × config) and the one replay path:
-//!   [`run_scenario`] replays every study, [`run_scenario_with_policy`]
-//!   replays one under an unnamed policy, and [`run_matrix`] fans whole
-//!   scenario files across workers.
+//!   services × policies × config) and the one replay loop: [`replay`]
+//!   runs one parsweep job per `(workload, policy)` pair on splits of one
+//!   shared probe cache, [`Scenario::validate`] builds the admitted
+//!   [`Workload`]s it runs, and [`run_scenario`] (one study) and
+//!   [`run_matrix`] (every policy of many studies in one fan-out) call it.
 //! * [`fault`] — failure injection: seeded `FaultPlan`s of drawer/slot
 //!   outages, link degradation, and BMC thermal trips replayed mid-trace.
 //! * [`serve`] — latency-SLO inference serving: fractional-GPU (MIG-style)
@@ -69,8 +70,8 @@ pub use policy::{
 };
 pub use probe::{warm_set_for_trace, Probe, ProbeCache, Shape};
 pub use scenario::{
-    run_matrix, run_scenario, run_scenario_with_policy, FaultSpec, MetricLevel, Scenario,
-    ScenarioError, ScenarioReport, Topology, TraceSpec,
+    replay, run_matrix, run_scenario, FaultSpec, MetricLevel, Scenario, ScenarioError,
+    ScenarioReport, Topology, TraceSpec, Workload,
 };
 pub use serve::{
     batch_latency, request_times, seeded_pai_mix, ArrivalKind, MixedTrace, ServeState,

@@ -127,8 +127,8 @@ pub struct RunningView<'a> {
 /// should not) be placed right now"; the cluster loop decides whether that
 /// blocks the queue.
 ///
-/// `Send` because [`crate::scenario::run_scenario`] ships each policy to
-/// a parsweep worker for its replay; policies are stateless slot
+/// `Send` because [`crate::scenario::replay`] ships each policy to a
+/// parsweep worker for its replay; policies are stateless slot
 /// selectors, so the bound costs implementors nothing.
 pub trait PlacePolicy: Send {
     fn name(&self) -> &'static str;

@@ -26,15 +26,19 @@
 //! against pool and quota, slices, service rates and replica ranges),
 //! fault events beyond the trace horizon, unknown policies, unsupported
 //! topology, and generators sized past [`MAX_TRACE_JOBS`] and its
-//! sibling bounds.
-//! [`run_scenario`] is the repo's one replay path: it and
-//! [`run_scenario_with_policy`] build every replay through
-//! [`ClusterSim::with_probe_cache_mixed_on`], and [`run_matrix`] fans
-//! whole scenario files across parsweep workers — all byte-identical at
-//! any worker count. A one-policy, full-metrics scenario's canonical
-//! output is the bare [`ScheduleReport`] JSON (the form the pinned
-//! goldens hold); anything else wraps its reports in a
-//! [`ScenarioReport`] object.
+//! sibling bounds. What it admits comes back as a [`Workload`], the
+//! materialized trace and fault plan that only `validate` can build.
+//!
+//! [`replay`] is the repo's one replay loop: it fans one parsweep job out
+//! per `(workload, policy)` pair, each built through
+//! [`ClusterSim::with_probe_cache_mixed_on`], on splits of one shared
+//! probe cache warmed once beforehand. [`run_scenario`] (a scenario's own
+//! policies), [`run_matrix`] (every policy of every scenario in one
+//! fan-out) and the autotuner (candidate policies) are its callers, and
+//! all are byte-identical at any worker count. A one-policy,
+//! full-metrics scenario's canonical output is the bare
+//! [`ScheduleReport`] JSON (the form the pinned goldens hold); anything
+//! else wraps its reports in a [`ScenarioReport`] object.
 
 use crate::cluster::{admit, ClusterSim, SchedulerConfig, SchedulerError};
 use crate::fault::{seeded_fault_plan, seeded_rack_fault_plan, FaultPlan};
@@ -46,6 +50,7 @@ use crate::trace::{JobSpec, PoissonMix};
 use desim::json::{Fields, FromJson, JsonError, ToJson, Value};
 use desim::{Dur, SimTime};
 use rack::RackTopology;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Most jobs a trace generator may draw (`trace.n_jobs`). The bounds on
@@ -415,9 +420,10 @@ impl Scenario {
 
     /// Check the spec against the runnable envelope and admit its
     /// materialized workload as a replay would; every rejection is a typed
-    /// [`ScenarioError`] naming the scenario. Cheap enough to call before
-    /// every run — the runners do.
-    pub fn validate(&self) -> Result<(), ScenarioError> {
+    /// [`ScenarioError`] naming the scenario. The admitted workload is
+    /// returned for [`replay`]: a runner validates each scenario once and
+    /// replays that one materialization under every policy.
+    pub fn validate(&self) -> Result<Workload, ScenarioError> {
         if self.name.is_empty() {
             return Err(ScenarioError::EmptyName);
         }
@@ -482,9 +488,10 @@ impl Scenario {
             }
         }
         let (mixed, plan) = self.materialize();
-        admit(&self.topology.rack(), &self.config, &mixed.jobs, &mixed.services)
+        let rack = self.topology.rack();
+        admit(&rack, &self.config, &mixed.jobs, &mixed.services)
             .map_err(|source| ScenarioError::Scheduler { scenario: scenario(), source })?;
-        plan.validate_for(&self.topology.rack())
+        plan.validate_for(&rack)
             .map_err(|msg| ScenarioError::BadFault { scenario: scenario(), msg })?;
         let horizon = Self::horizon(&mixed);
         for (i, e) in plan.events.iter().enumerate() {
@@ -497,8 +504,9 @@ impl Scenario {
                 });
             }
         }
-        Ok(())
+        Ok(Workload { name: scenario(), rack, config: self.config.clone(), mixed, plan })
     }
+
 
     pub fn to_json_string(&self) -> String {
         self.to_json().emit_pretty()
@@ -526,6 +534,35 @@ desim::json_record! {
     policies: "policies",
     config: "config" (default),
     metrics: "metrics" (default),
+}
+
+/// A scenario's workload as [`Scenario::validate`] admitted it: the
+/// materialized trace and fault plan on the scenario's rack under its
+/// config. Only `validate` builds one, so every `Workload` has passed
+/// admission, and [`replay`] runs it under any number of policies without
+/// materializing it again.
+#[derive(Debug)]
+pub struct Workload {
+    name: String,
+    rack: RackTopology,
+    config: SchedulerConfig,
+    mixed: MixedTrace,
+    plan: FaultPlan,
+}
+
+impl Workload {
+    /// One replay under `policy` on `probes`, its error naming the scenario.
+    fn run(
+        &self,
+        policy: Box<dyn PlacePolicy>,
+        probes: ProbeCache,
+    ) -> Result<(ScheduleReport, ProbeCache), ScenarioError> {
+        let (mixed, cfg) = (self.mixed.clone(), self.config.clone());
+        ClusterSim::with_probe_cache_mixed_on(self.rack, mixed, policy, cfg, probes)
+            .and_then(|sim| sim.with_faults(self.plan.clone()))
+            .and_then(ClusterSim::run_report)
+            .map_err(|source| ScenarioError::Scheduler { scenario: self.name.clone(), source })
+    }
 }
 
 /// The canonical result of one scenario: one [`ScheduleReport`] per
@@ -596,119 +633,95 @@ impl ScenarioReport {
 
 /// Replay `scenario` under each of its policies across `jobs` parsweep
 /// workers and return the reports in policy order, byte-identical at any
-/// worker count.
+/// worker count: a one-scenario [`run_matrix`].
 pub fn run_scenario(
     scenario: &Scenario,
     jobs: usize,
     cache: &mut ProbeCache,
 ) -> Result<ScenarioReport, ScenarioError> {
-    scenario.validate()?;
-    let policies = scenario
-        .policies
-        .iter()
-        .map(|name| resolve_policy(name).expect("validated above"))
-        .collect();
-    Ok(ScenarioReport {
-        scenario: scenario.name.clone(),
-        metrics: scenario.metrics,
-        reports: replay_policies(scenario, policies, jobs, cache)?,
-    })
+    Ok(run_matrix(std::slice::from_ref(scenario), jobs, cache)?.remove(0))
 }
 
-/// Replay `scenario` under one externally supplied `policy` instead of
-/// the scenario's own policy list — the autotuner's evaluation path,
-/// where the candidate under test is a [`crate::policy::ParamPolicy`]
-/// that has no name the scenario file could carry. Runs on the calling
-/// thread (callers fan out across *candidates*, one parsweep job each)
-/// and returns the single [`ScheduleReport`].
-pub fn run_scenario_with_policy(
-    scenario: &Scenario,
-    policy: Box<dyn PlacePolicy>,
-    cache: &mut ProbeCache,
-) -> Result<ScheduleReport, ScenarioError> {
-    scenario.validate()?;
-    let mut reports = replay_policies(scenario, vec![policy], 1, cache)?;
-    Ok(reports.pop().expect("one policy, one report"))
-}
-
-/// The replay path behind both runners. Materializes the (validated)
-/// spec, warms `cache` for its training side, then replays it once per
-/// policy across `jobs` parsweep workers, each on a
-/// [`ProbeCache::split`] of `cache`. Each replay runs whole on one
-/// worker; nothing inside a replay fans out. The splits are absorbed back
-/// in policy order; probes are pure, so reports and cache are
-/// byte-identical at any `jobs`.
-fn replay_policies(
-    scenario: &Scenario,
-    policies: Vec<Box<dyn PlacePolicy>>,
-    jobs: usize,
-    cache: &mut ProbeCache,
-) -> Result<Vec<ScheduleReport>, ScenarioError> {
-    let topo = scenario.topology.rack();
-    let (mixed, plan) = scenario.materialize();
-    cache.warm(&warm_set_for_trace(&mixed.training()), jobs);
-    let replays: Vec<parsweep::Job<'_, Result<(ScheduleReport, ProbeCache), SchedulerError>>> =
-        policies
-            .into_iter()
-            .map(|policy| {
-                let label = format!("scenario {} under {}", scenario.name, policy.name());
-                let (split, cfg) = (cache.split(), scenario.config.clone());
-                let (mixed, plan) = (mixed.clone(), plan.clone());
-                parsweep::Job::new(label, move || {
-                    ClusterSim::with_probe_cache_mixed_on(topo, mixed, policy, cfg, split)?
-                        .with_faults(plan)?
-                        .run_report()
-                })
-            })
-            .collect();
-    let mut reports = Vec::new();
-    for outcome in parsweep::run(jobs, replays) {
-        let (report, probes) = outcome.map_err(|source| ScenarioError::Scheduler {
-            scenario: scenario.name.clone(),
-            source,
-        })?;
-        cache.absorb(probes);
-        reports.push(report);
-    }
-    Ok(reports)
-}
-
-/// Run a whole scenario matrix: each scenario is one parsweep job (its
-/// policies replay serially inside it), results return **in scenario
-/// order**. Splits of the shared probe cache are taken on the caller's
-/// thread in submission order and absorbed back in the same order, so
-/// the matrix — reports and cache — is byte-identical at any `jobs`.
-///
-/// A scenario whose `probe_iters` differs from the shared cache's prices
-/// from (and discards) a private cache instead — persisted prices are
-/// only reusable at the iteration count they were measured with.
+/// Run a whole scenario matrix: every scenario is validated first (so an
+/// inadmissible one stops the matrix before any replay), then every
+/// policy of every scenario replays in one [`replay`] fan-out. Results
+/// return **in scenario order**, byte-identical (reports and cache) at
+/// any `jobs`.
 pub fn run_matrix(
     scenarios: &[Scenario],
     jobs: usize,
     cache: &mut ProbeCache,
 ) -> Result<Vec<ScenarioReport>, ScenarioError> {
-    for sc in scenarios {
-        sc.validate()?;
+    let workloads = scenarios.iter().map(Scenario::validate).collect::<Result<Vec<_>, _>>()?;
+    let runs = scenarios
+        .iter()
+        .zip(&workloads)
+        .flat_map(|(sc, w)| {
+            sc.policies.iter().map(move |name| (w, resolve_policy(name).expect("validated policy")))
+        })
+        .collect();
+    let mut reports = replay(runs, jobs, cache)?.into_iter();
+    Ok(scenarios
+        .iter()
+        .map(|sc| ScenarioReport {
+            scenario: sc.name.clone(),
+            metrics: sc.metrics,
+            reports: reports.by_ref().take(sc.policies.len()).collect(),
+        })
+        .collect())
+}
+
+/// The one replay loop: replay each `(workload, policy)` pair as one
+/// parsweep job across `jobs` workers and return the reports in
+/// submission order. The shared `cache` is first warmed once, across
+/// `jobs` workers, with the union of the warm sets of every workload at
+/// the cache's `probe_iters`; each such replay then runs on a
+/// [`ProbeCache::split`] absorbed back in submission order. Workloads at
+/// another `probe_iters` share one private cache per count, warmed the
+/// same way and then discarded: prices are only reusable at the count
+/// they were measured with. Probes are pure, so reports and cache are
+/// byte-identical at any `jobs`; the first failing replay in submission
+/// order is the error, naming its scenario.
+pub fn replay(
+    runs: Vec<(&Workload, Box<dyn PlacePolicy>)>,
+    jobs: usize,
+    cache: &mut ProbeCache,
+) -> Result<Vec<ScheduleReport>, ScenarioError> {
+    let mut warm_sets: BTreeMap<u64, Vec<_>> = BTreeMap::new();
+    let mut seen: Vec<&Workload> = Vec::new();
+    for &(w, _) in &runs {
+        if !seen.iter().any(|&v| std::ptr::eq(v, w)) {
+            seen.push(w);
+            let keys = warm_set_for_trace(&w.mixed.training());
+            warm_sets.entry(w.config.probe_iters).or_default().extend(keys);
+        }
     }
-    let shared_iters = cache.probe_iters();
-    let runs: Vec<parsweep::Job<'_, Result<(ScenarioReport, Option<ProbeCache>), ScenarioError>>> =
-        scenarios
-            .iter()
-            .map(|sc| {
-                let shareable = sc.config.probe_iters == shared_iters;
-                let mut local = if shareable {
-                    cache.split()
-                } else {
-                    ProbeCache::new(sc.config.probe_iters)
-                };
-                parsweep::Job::new(format!("scenario {}", sc.name), move || {
-                    let report = run_scenario(sc, 1, &mut local)?;
-                    Ok((report, shareable.then_some(local)))
-                })
+    let iters = cache.probe_iters();
+    let mut private: BTreeMap<u64, ProbeCache> = BTreeMap::new();
+    for (count, keys) in warm_sets {
+        let target = if count == iters {
+            &mut *cache
+        } else {
+            private.entry(count).or_insert_with(|| ProbeCache::new(count))
+        };
+        target.warm(&keys, jobs);
+    }
+    type Outcome = Result<(ScheduleReport, Option<ProbeCache>), ScenarioError>;
+    let replays: Vec<parsweep::Job<'_, Outcome>> = runs
+        .into_iter()
+        .map(|(w, policy)| {
+            let shared = w.config.probe_iters == iters;
+            let probes =
+                if shared { cache.split() } else { private[&w.config.probe_iters].split() };
+            let label = format!("scenario {} under {}", w.name, policy.name());
+            parsweep::Job::new(label, move || {
+                let (report, probes) = w.run(policy, probes)?;
+                Ok((report, shared.then_some(probes)))
             })
-            .collect();
+        })
+        .collect();
     let mut reports = Vec::new();
-    for outcome in parsweep::run(jobs, runs) {
+    for outcome in parsweep::run(jobs, replays) {
         let (report, probes) = outcome?;
         if let Some(probes) = probes {
             cache.absorb(probes);
@@ -967,5 +980,41 @@ mod tests {
         assert_eq!(reps[0].scenario, "small");
         assert_eq!(reps[1].scenario, "odd-iters");
         assert!(cache.len() > 0, "matching-iters scenario warmed the shared cache");
+
+        // A cold matrix over `cluster_fifo` and a renamed copy warms the
+        // union of their warm sets once, before either replays: each
+        // warm-set key is probed once, and the copy adds only the lazy
+        // misses its own split repeats.
+        let fifo = fifo_scenario();
+        let mut alone = ProbeCache::new(fifo.config.probe_iters);
+        let solo = run_scenario(&fifo, 1, &mut alone).unwrap();
+        let warm = warm_set_for_trace(&fifo.materialize().0.training()).len() as u64;
+        assert_eq!(alone.probes_run(), alone.len() as u64, "one replay probes each key once");
+        let lazy = alone.probes_run() - warm;
+        let mut copy = fifo.clone();
+        copy.name = "cluster_fifo_copy".into();
+        let mut cold = ProbeCache::new(fifo.config.probe_iters);
+        let reps = run_matrix(&[fifo, copy], 2, &mut cold).unwrap();
+        assert_eq!(cold.save_json(), alone.save_json(), "the same prices");
+        assert_eq!(cold.probes_run(), warm + 2 * lazy, "{warm} warm keys, {lazy} lazy misses");
+        for rep in &reps {
+            assert_eq!(rep.reports, solo.reports, "{} replays cluster_fifo's bytes", rep.scenario);
+        }
+    }
+
+    /// A replay prices at its own spec's `probe_iters`: on a passed cache
+    /// measured at another count it prices on a private cache and leaves
+    /// the passed one untouched.
+    #[test]
+    fn run_scenario_prices_at_the_spec_probe_iters_on_any_cache() {
+        let sc = fifo_scenario();
+        let mut own = ProbeCache::new(sc.config.probe_iters);
+        let want = run_scenario(&sc, 1, &mut own).unwrap().canonical_json_string();
+        for iters in [1, 2, 5] {
+            let mut other = ProbeCache::new(iters);
+            let got = run_scenario(&sc, 2, &mut other).unwrap().canonical_json_string();
+            assert!(got == want, "a cache at probe_iters {iters} changed the report bytes");
+            assert!(other.is_empty() && other.probes_run() == 0, "probe_iters {iters} cache");
+        }
     }
 }

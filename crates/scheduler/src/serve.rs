@@ -1017,7 +1017,7 @@ impl ServeState {
     }
 
     /// Run instant `now` for every service: each one's
-    /// [`instant`](SvcState::instant) in `active` order, releasing the
+    /// `SvcState::instant` in `active` order, releasing the
     /// slices it reclaims (an emptied slot detaches through the MCS), then
     /// retirement, then every due launch. Returns true when the
     /// replica/slot set changed (training rates must be recomputed).
@@ -1064,11 +1064,11 @@ impl ServeState {
     /// The serving epoch: advance every service from `now` toward `cap`
     /// (the next training-side event) and return the next instant the
     /// global loop must run. Each service runs its own instants strictly
-    /// before the earliest [loop bound](SvcState::loop_bound) of any
+    /// before the earliest loop bound (`SvcState::loop_bound`) of any
     /// service, launching with dilation frozen at entry (replica and job
     /// membership change only at global events). At that instant every
-    /// service completes and arrives first; if one then [needs the
-    /// loop](SvcState::needs_loop) the epoch stops and leaves the rest of
+    /// service completes and arrives first; if one then needs the loop
+    /// (`SvcState::needs_loop`) the epoch stops and leaves the rest of
     /// the instant to [`step`](Self::step), otherwise each service
     /// finishes the instant and the epoch goes on. No service ever runs
     /// past an instant where the global loop acts.

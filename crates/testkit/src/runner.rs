@@ -1,5 +1,5 @@
 //! Property runner: deterministic case generation, greedy shrinking, and
-//! the [`property!`] macro that mimics the proptest surface the suites
+//! the [`property!`](crate::property!) macro that mimics the proptest surface the suites
 //! were originally written against.
 //!
 //! Each property gets a stable base seed (FNV-1a of its full test path),
@@ -197,7 +197,7 @@ macro_rules! property {
 }
 
 /// Combine 1–4 generators into one (tuple) generator. Internal to
-/// [`property!`].
+/// [`property!`](crate::property!).
 #[macro_export]
 macro_rules! zip_gens {
     ($g:expr) => { $g };
@@ -212,7 +212,7 @@ macro_rules! zip_gens {
 /// Generic applicators: passing the cloned tuple fields *alongside* the
 /// body closure pins the closure's parameter types to the generator's
 /// output type, so property bodies need no annotations. Internal to
-/// [`property!`].
+/// [`property!`](crate::property!).
 pub fn apply1<A, R>(a: A, f: impl FnOnce(A) -> R) -> R {
     f(a)
 }
@@ -238,7 +238,7 @@ pub fn apply5<A, B, C, D, E, R>(
 }
 
 /// Invoke the property body with cloned tuple fields via the `applyN`
-/// helpers. Internal to [`property!`].
+/// helpers. Internal to [`property!`](crate::property!).
 #[macro_export]
 macro_rules! apply_args {
     ($v:ident, ($a:ident), $body:block) => {

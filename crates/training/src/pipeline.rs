@@ -60,7 +60,7 @@ impl PipelineState {
         self.queues.iter().all(|&q| q > 0)
     }
 
-    /// Consume one batch from every queue (call only when [`all_ready`]).
+    /// Consume one batch from every queue (call only when [`all_ready`](Self::all_ready)).
     pub fn consume_all(&mut self) {
         for q in &mut self.queues {
             debug_assert!(*q > 0);

@@ -23,6 +23,12 @@ fi
 echo "== tier-1: release build =="
 cargo build --release --offline
 
+# Every intra-doc link must resolve to a public item: with rustdoc's
+# warnings as errors, a dead or private link fails here instead of
+# rendering as plain text.
+echo "== rustdoc: every public doc link resolves (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 # perfbench is a standalone package (its own workspace) compiled against
 # the scheduler's public API; building it here makes an API change that
 # breaks the benchmark fail CI instead of the next perf run. Its tests are
@@ -100,8 +106,10 @@ cargo test -q --release --offline -p scheduler --lib breach_
 # up to 8 chassis / 128 GPUs). `repro cluster|faults|serve` are aliases
 # for this same path over the *_policies.json files it already covers,
 # and one test binary guards every pinned golden through
-# testkit::check_scenario_golden. `--jobs 2` runs two whole scenarios at
-# a time and spreads probe warms; no replay fans out inside itself.
+# testkit::check_scenario_golden. The matrix warms every scenario's
+# probe keys once, then replays one job per (scenario, policy) pair;
+# `--jobs 2` runs two such replays at a time and spreads the warm. No
+# replay fans out inside itself.
 echo "== scenario-matrix smoke (every scenarios/*.json, 2 parallel workers) =="
 cargo run --release --offline -p bench --bin repro -- scenario-matrix scenarios --jobs 2
 

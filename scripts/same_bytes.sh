@@ -6,10 +6,14 @@
 #
 # Replays every scenarios/*.json, every perfbench/workloads/*.json and
 # every SPEC_DIR/*.json through both binaries at --jobs 1 and --jobs 2,
-# then runs the frozen policy search (`autotune scenarios/portfolio_default
-# --budget 96 --seed 7`) through both. Each run's stdout and exit code must
-# match between the binaries; a spec both reject with the same exit code
-# counts as the same. The change's autotune output must also equal
+# runs `scenario-matrix` over scenarios/ and over each SPEC_DIR at the same
+# two worker counts, then runs the frozen policy search (`autotune
+# scenarios/portfolio_default --budget 96 --seed 7`) through both. Each
+# run's stdout and exit code must match between the binaries; a spec (or
+# matrix) both reject with the same exit code counts as the same. A matrix
+# stops at its first inadmissible spec, so give rejected specs their own
+# SPEC_DIR to keep the valid ones' matrix leg meaningful. The change's
+# autotune output must also equal
 # crates/bench/golden/tuned_default.json. Each binary runs from its own
 # temporary directory with its own PROBE_CACHE, so neither sees the
 # other's probes. Prints one line per run and exits 1 if anything differs.
@@ -95,6 +99,12 @@ for dir in $spec_dirs; do
         for jobs in 1 2; do
             compare "jobs=$jobs $spec" scenario "$spec" --jobs "$jobs"
         done
+    done
+done
+
+for dir in "$root/scenarios" $spec_dirs; do
+    for jobs in 1 2; do
+        compare "jobs=$jobs scenario-matrix ${dir#"$root"/}" scenario-matrix "$dir" --jobs "$jobs"
     done
 done
 
