@@ -577,9 +577,18 @@ fn scenario_matrix_cmd(files: &[&str]) {
 /// recovery table when they carry a `recovery` block, the training table
 /// otherwise. Stdout is a pure function of the reports, so it is
 /// byte-identical at any `--jobs` count — the property
-/// `tests/parallel_determinism.rs` pins.
+/// `tests/parallel_determinism.rs` pins. When every scenario prices at
+/// one `probe_iters`, the persisted cache is loaded and saved at that
+/// count; a matrix of mixed counts uses the default (`replay` prices the
+/// other counts on private caches it does not keep).
 fn scenario_matrix(scenarios: Vec<Scenario>) {
-    let reports = on_persisted_cache(SchedulerConfig::default().probe_iters, |cache| {
+    let iters = scenarios[0].config.probe_iters;
+    let probe_iters = if scenarios.iter().all(|s| s.config.probe_iters == iters) {
+        iters
+    } else {
+        SchedulerConfig::default().probe_iters
+    };
+    let reports = on_persisted_cache(probe_iters, |cache| {
         let reports = run_matrix(&scenarios, parsweep::default_jobs(), cache)
             .unwrap_or_else(|e| die(e.to_string()));
         let headline = format!("[scenario-matrix] {} scenarios replayed", reports.len());

@@ -73,15 +73,11 @@ pub fn grid(scale: Scale) -> Vec<GridCell> {
 
 /// Table II (measured): `(label, params, derived depth, reported depth)`.
 pub fn table2_measured() -> Vec<(String, u64, u32, u32)> {
-    dlmodels::paper_benchmarks()
+    Benchmark::all()
         .into_iter()
-        .map(|m| {
-            (
-                m.benchmark.label().to_string(),
-                m.param_count(),
-                m.derived_depth(),
-                m.reported_depth,
-            )
+        .map(|b| {
+            let m = paper_model(b);
+            (b.label().to_string(), m.param_count(), m.derived_depth(), m.reported_depth)
         })
         .collect()
 }
@@ -305,7 +301,7 @@ fn probe_throughput(bench: Benchmark, n: usize, probes: &mut ProbeCache) -> f64 
     let gpu = GpuSpec::v100_pcie_16gb();
     let cfg = JobConfig::paper_scaled(bench, n, 8);
     let model = paper_model(bench);
-    let fit = max_feasible_batch(&model, gpu.memory_bytes, cfg.precision, cfg.strategy, n);
+    let fit = max_feasible_batch(model, gpu.memory_bytes, cfg.precision, cfg.strategy, n);
     let batch = cfg.per_gpu_batch.min(fit).max(1);
     (n as u64 * batch) as f64 / (iter_ns / 1e9)
 }

@@ -1,7 +1,8 @@
-//! Golden-table regression tests: the paper's headline tables and one
-//! full (scaled) run report are rendered to JSON and compared against
-//! checked-in snapshots under `crates/bench/golden/`. The cluster
-//! studies' goldens are guarded by `scenario_goldens.rs`.
+//! Golden-table regression tests: the paper's headline tables, two full
+//! (scaled) run reports and the scheduler's probe prices are rendered to
+//! JSON and compared against checked-in snapshots under
+//! `crates/bench/golden/`. The cluster studies' goldens are guarded by
+//! `scenario_goldens.rs`.
 //!
 //! The producing pipelines are fully deterministic (fixed seed, discrete
 //! event simulation, no wall-clock), so the snapshots change only when
@@ -17,6 +18,9 @@ use composable_core::runner::{run, ExperimentOpts};
 use composable_core::HostConfig;
 use desim::json::Value;
 use dlmodels::Benchmark;
+use scheduler::fault::DEGRADE_LEVELS;
+use scheduler::probe::degraded_key;
+use scheduler::{ProbeCache, Shape};
 use testkit::check_golden;
 
 fn golden(name: &str) -> String {
@@ -88,6 +92,28 @@ fn golden_strong_scaling() {
         ("rows", Value::Arr(rows)),
     ]);
     check_golden(golden("strong_scaling.json"), &table.emit_pretty());
+}
+
+/// The scheduler's placement prices: every benchmark on one- and
+/// two-drawer shapes at full link health and at two degraded healths,
+/// saved as the persisted probe-cache file. `cargo test` otherwise pins
+/// degraded prices nowhere, and an engine change moves a price before it
+/// moves any report byte.
+#[test]
+fn golden_probe_prices() {
+    let shapes = [(1, 0), (2, 0), (4, 0), (8, 0), (1, 1), (2, 2), (4, 4), (8, 8)];
+    let mut cache = ProbeCache::new(3);
+    for b in Benchmark::all() {
+        for (d0, d1) in shapes {
+            let slots = Shape::new(d0, d1).canonical_slots();
+            let healths = [(100, 100), (DEGRADE_LEVELS[0], 100), (DEGRADE_LEVELS[1], DEGRADE_LEVELS[2])];
+            for (h0, h1) in healths {
+                let (shape, health) = degraded_key(&slots, h0, h1);
+                cache.price_degraded(b, shape, health);
+            }
+        }
+    }
+    check_golden(golden("probe_prices.json"), &cache.save_json());
 }
 
 /// Full (scaled) training runs under a pinned seed: each freezes the

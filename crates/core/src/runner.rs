@@ -113,9 +113,8 @@ pub fn run(
             .iter()
             .map(|g| g.spec.memory_bytes)
             .fold(f64::INFINITY, f64::min);
-        let model = dlmodels::paper_model(benchmark);
         let max = training::max_feasible_batch(
-            &model,
+            dlmodels::paper_model(benchmark),
             capacity,
             cfg.precision,
             cfg.strategy,

@@ -52,7 +52,7 @@ impl InferenceProfile {
     /// every deployed V100 service would use: tensor cores, half the
     /// weight traffic).
     pub fn for_benchmark(benchmark: Benchmark) -> InferenceProfile {
-        InferenceProfile::of(&paper_model(benchmark), Precision::Fp16)
+        InferenceProfile::of(paper_model(benchmark), Precision::Fp16)
     }
 
     /// Forward FLOPs for a batch.
@@ -69,7 +69,6 @@ impl InferenceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper_benchmarks;
 
     #[test]
     fn profiles_exist_for_all_benchmarks_and_are_positive() {
@@ -86,8 +85,8 @@ mod tests {
 
     #[test]
     fn forward_flops_match_the_training_model() {
-        for m in paper_benchmarks() {
-            let p = InferenceProfile::of(&m, Precision::Fp16);
+        for m in Benchmark::all().map(paper_model) {
+            let p = InferenceProfile::of(m, Precision::Fp16);
             assert_eq!(p.flops_per_sample, m.flops_fwd_per_sample());
             // Forward-only is a third of a training step.
             assert_eq!(3.0 * p.flops(1), m.flops_step_per_sample());
@@ -96,8 +95,8 @@ mod tests {
 
     #[test]
     fn inference_skips_the_autograd_overhead() {
-        for m in paper_benchmarks() {
-            let p = InferenceProfile::of(&m, Precision::Fp16);
+        for m in Benchmark::all().map(paper_model) {
+            let p = InferenceProfile::of(m, Precision::Fp16);
             let training = m.activation_bytes_per_sample(Precision::Fp16);
             assert!(
                 p.act_bytes_per_sample <= training,

@@ -35,19 +35,24 @@ pub use layer::{Layer, LayerKind};
 pub use model::{benchmark_from_label, Benchmark, Domain, ModelDesc};
 pub use precision::{Precision, OPTIMIZER_BYTES_PER_PARAM_AMP, OPTIMIZER_BYTES_PER_PARAM_FP32};
 
-/// The analytic model of one paper benchmark, at the paper's settings
-/// (BERT at sequence length 384).
-pub fn paper_model(benchmark: Benchmark) -> ModelDesc {
-    match benchmark {
-        Benchmark::MobileNetV2 => vision::mobilenet_v2(),
-        Benchmark::ResNet50 => vision::resnet50(),
-        Benchmark::YoloV5L => vision::yolov5l(),
-        Benchmark::BertBase => nlp::bert_base(384),
-        Benchmark::BertLarge => nlp::bert_large(384),
-    }
-}
+use std::sync::OnceLock;
 
-/// All five paper benchmarks, in Table II order.
-pub fn paper_benchmarks() -> Vec<ModelDesc> {
-    Benchmark::all().into_iter().map(paper_model).collect()
+/// The analytic model of one paper benchmark, at the paper's settings
+/// (BERT at sequence length 384). The five models are built once per
+/// process, on first use, and shared: every training run and placement
+/// probe reads the same instance.
+pub fn paper_model(benchmark: Benchmark) -> &'static ModelDesc {
+    static ZOO: OnceLock<[ModelDesc; 5]> = OnceLock::new();
+    let zoo = ZOO.get_or_init(|| {
+        Benchmark::all().map(|b| match b {
+            Benchmark::MobileNetV2 => vision::mobilenet_v2(),
+            Benchmark::ResNet50 => vision::resnet50(),
+            Benchmark::YoloV5L => vision::yolov5l(),
+            Benchmark::BertBase => nlp::bert_base(384),
+            Benchmark::BertLarge => nlp::bert_large(384),
+        })
+    });
+    // `Benchmark::all()` lists the variants in declaration order, so a
+    // benchmark's discriminant is its index in the zoo.
+    &zoo[benchmark as usize]
 }

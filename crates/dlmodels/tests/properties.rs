@@ -11,7 +11,7 @@
 //!   superlinearly in sequence length.
 
 use dlmodels::layer::Layer;
-use dlmodels::{paper_benchmarks, paper_model, Benchmark, Precision};
+use dlmodels::{nlp, paper_model, vision, Benchmark, Precision};
 use testkit::{prop_assert, prop_assert_eq, property, u32_in, u64_in};
 
 property! {
@@ -76,21 +76,40 @@ property! {
     }
 }
 
-/// The zoo is `paper_model` over `Benchmark::all`, in that order, and
-/// each model instantiates the benchmark it was built for.
+/// The zoo is `paper_model` over `Benchmark::all`, in that order. Each
+/// model instantiates the benchmark it was built for, prints as a fresh
+/// build by its constructor, and is one instance per process: the same
+/// across calls and across parsweep workers.
 #[test]
 fn zoo_is_one_model_per_benchmark_in_order() {
-    let order: Vec<Benchmark> = paper_benchmarks().iter().map(|m| m.benchmark).collect();
-    assert_eq!(order, Benchmark::all());
-    for b in Benchmark::all() {
-        assert_eq!(paper_model(b).benchmark, b);
+    let jobs = Benchmark::all()
+        .into_iter()
+        .flat_map(|b| [b, b])
+        .map(|b| parsweep::Job::new(b.label(), move || paper_model(b)))
+        .collect();
+    let from_workers = parsweep::run(4, jobs);
+    let fresh = [
+        vision::mobilenet_v2(),
+        vision::resnet50(),
+        vision::yolov5l(),
+        nlp::bert_base(384),
+        nlp::bert_large(384),
+    ];
+    for ((b, built), workers) in Benchmark::all().into_iter().zip(fresh).zip(from_workers.chunks(2)) {
+        let m = paper_model(b);
+        assert_eq!(m.benchmark, b);
+        assert!(std::ptr::eq(m, paper_model(b)), "{b:?}: a second call built another model");
+        for &w in workers {
+            assert!(std::ptr::eq(m, w), "{b:?}: a parsweep worker saw another model");
+        }
+        assert_eq!(format!("{m:?}"), format!("{built:?}"), "{b:?}: the zoo differs from its constructor");
     }
 }
 
 /// Cross-model invariants over the real zoo.
 #[test]
 fn zoo_invariants() {
-    for m in paper_benchmarks() {
+    for m in Benchmark::all().map(paper_model) {
         // Gradients are exactly param_count x element size.
         assert_eq!(
             m.gradient_bytes(Precision::Fp16),

@@ -9,9 +9,9 @@
 //! allocation.
 //!
 //! Every flow start/finish/abort *settles* accumulated progress (also
-//! attributing bytes to [`PortStats`]), recomputes the allocation, and
-//! reschedules each flow's completion event — cancellable handles in
-//! [`desim`] make this cheap.
+//! attributing bytes on watched links to [`PortStats`]), recomputes the
+//! allocation, and reschedules each flow's completion event — cancellable
+//! handles in [`desim`] make this cheap.
 //!
 //! Flows begin with a latency phase equal to the route's one-way latency
 //! (link propagation + switch/root-complex forwarding), so short transfers
@@ -390,7 +390,8 @@ impl<S: FlowWorld> FabricState<S> {
     }
 
     /// Advance all active flows to `now` at their current rates, attributing
-    /// moved bytes to the port counters.
+    /// moved bytes to the counters of the watched links among their hops
+    /// (the rest are skipped).
     fn settle(&mut self, now: SimTime) {
         let dt = now.since(self.last_settle).as_secs_f64();
         if dt > 0.0 {
@@ -874,11 +875,14 @@ mod tests {
     #[test]
     fn port_counters_attribute_all_bytes() {
         let (mut w, _sw, a, b) = two_gpu_switch();
+        let route = w.fabric.topo.route(a, b).unwrap();
+        for &dl in &route.hops {
+            w.fabric.ports.watch(dl);
+        }
         let mut sim = Sim::new();
         w.fabric
             .start_flow(&mut sim, a, b, 4.6 * GB, FlowTag::UNTAGGED, log("f"));
         sim.run(&mut w);
-        let route = w.fabric.topo.route(a, b).unwrap();
         for &dl in &route.hops {
             let total = w.fabric.ports.total_bytes(dl);
             assert!(

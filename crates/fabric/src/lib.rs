@@ -13,9 +13,9 @@
 //! than being hand-coded. This is what lets the training-time overheads of
 //! the paper's Figures 11–16 fall out of protocol + topology alone.
 //!
-//! Per-directed-link ingress/egress counters ([`ports::PortStats`]) mirror
-//! the Falcon management GUI's port-traffic monitoring and reproduce the
-//! paper's Figure 12 PCIe-traffic series.
+//! Ingress/egress counters on watched directed links
+//! ([`ports::PortStats`]) mirror the Falcon management GUI's port-traffic
+//! monitoring and reproduce the paper's Figure 12 PCIe-traffic series.
 
 pub mod export;
 pub mod flow;

@@ -8,11 +8,16 @@
 //! * fairness invariants hold after every simulation event;
 //! * identical scenarios produce bit-identical completion schedules;
 //! * port counters conserve bytes per directed link;
+//! * a watched link's counters do not depend on which other links are
+//!   watched;
 //! * makespan respects the physical capacity lower bound.
 
 use desim::{Dur, Sim, SimTime};
 use fabric::flow::FlowCallback;
-use fabric::{FabricState, FlowTag, FlowWorld, LinkClass, LinkSpec, NodeId, NodeKind, Topology, GB};
+use fabric::{
+    DirLink, FabricState, FlowTag, FlowWorld, LinkClass, LinkId, LinkSpec, NodeId, NodeKind, Topology,
+    GB,
+};
 use testkit::{f64_in, prop_assert, prop_assert_eq, property, tuple2, tuple4, u64_in, usize_in, vec_of, Gen};
 
 struct World {
@@ -78,13 +83,9 @@ fn scenario_gen() -> Gen<Scenario> {
         })
 }
 
-fn run_scenario(sc: &Scenario, check_each_event: bool) -> Vec<(usize, SimTime)> {
-    let (topo, nodes) = star(&sc.caps);
-    let mut world = World {
-        fabric: FabricState::new(topo),
-        completions: Vec::new(),
-    };
-    let mut sim: Sim<World> = Sim::new();
+/// Schedule every transfer of `sc` between distinct endpoints at its start
+/// offset; returns how many were scheduled.
+fn schedule_transfers(sc: &Scenario, nodes: &[NodeId], sim: &mut Sim<World>) -> usize {
     let mut launched = 0usize;
     for (i, &(s, d, gb, off)) in sc.transfers.iter().enumerate() {
         if s == d {
@@ -98,6 +99,17 @@ fn run_scenario(sc: &Scenario, check_each_event: bool) -> Vec<(usize, SimTime)> 
                 .start_flow(sim, src, dst, bytes, FlowTag::UNTAGGED, done(i));
         });
     }
+    launched
+}
+
+fn run_scenario(sc: &Scenario, check_each_event: bool) -> Vec<(usize, SimTime)> {
+    let (topo, nodes) = star(&sc.caps);
+    let mut world = World {
+        fabric: FabricState::new(topo),
+        completions: Vec::new(),
+    };
+    let mut sim: Sim<World> = Sim::new();
+    let launched = schedule_transfers(sc, &nodes, &mut sim);
     while sim.step(&mut world) {
         if check_each_event {
             world.fabric.check_invariants();
@@ -135,7 +147,8 @@ property! {
             if s == d { continue; }
             let bytes = gb * GB;
             let route = world.fabric.topo.route(nodes[s], nodes[d]).unwrap();
-            for dl in &route.hops {
+            for &dl in &route.hops {
+                world.fabric.ports.watch(dl);
                 *expected.entry(dl.dense_index()).or_insert(0.0) += bytes;
             }
             let (src, dst) = (nodes[s], nodes[d]);
@@ -152,6 +165,39 @@ property! {
             prop_assert!((got - exp).abs() < exp * 1e-6 + 1.0,
                 "link {} carried {} expected {}", idx, got, exp);
         }
+    }
+
+    /// Counting is per watched link: the links picked by `mask` (bit `i`
+    /// watches the directed link of dense index `i`) read bit-identical
+    /// `bytes_within` and `aggregate_trace` whether or not every other link
+    /// is watched too.
+    #[cases(64)]
+    fn watched_links_read_the_same_whatever_else_is_watched(sc in scenario_gen(),
+                                                             mask in u64_in(0..1 << 14)) {
+        let read = |watch_all: bool| {
+            let (topo, nodes) = star(&sc.caps);
+            let all: Vec<DirLink> = (0..topo.link_count() as u32)
+                .flat_map(|l| [DirLink::forward(LinkId(l)), DirLink::reverse(LinkId(l))])
+                .collect();
+            let subset: Vec<DirLink> =
+                all.iter().copied().filter(|dl| mask >> dl.dense_index() & 1 == 1).collect();
+            let mut world = World { fabric: FabricState::new(topo), completions: Vec::new() };
+            for &dl in if watch_all { &all } else { &subset } {
+                world.fabric.ports.watch(dl);
+            }
+            let mut sim: Sim<World> = Sim::new();
+            schedule_transfers(&sc, &nodes, &mut sim);
+            sim.run(&mut world);
+            let (start, end) = (SimTime::ZERO, sim.now());
+            let ports = &world.fabric.ports;
+            let bytes: Vec<u64> =
+                subset.iter().map(|&dl| ports.bytes_within(dl, start, end).to_bits()).collect();
+            let bucket = Dur::from_nanos((end.since(start).as_nanos() / 7).max(1));
+            let trace: Vec<u64> =
+                ports.aggregate_trace(&subset, start, end, bucket).iter().map(|v| v.to_bits()).collect();
+            (bytes, trace)
+        };
+        prop_assert_eq!(read(false), read(true));
     }
 
     /// Makespan is bounded below by the work on the most-loaded directed

@@ -460,7 +460,7 @@ fn run_probe(benchmark: Benchmark, shape: Shape, health: LinkHealth, iters: u64)
     // (YOLO, BERT) divide across GPUs, so small placements would OOM a
     // 16 GB card without this (same gate as `runner::run`'s auto-batch).
     let model = dlmodels::paper_model(benchmark);
-    let fit = max_feasible_batch(&model, gpu.memory_bytes, cfg.precision, cfg.strategy, n);
+    let fit = max_feasible_batch(model, gpu.memory_bytes, cfg.precision, cfg.strategy, n);
     cfg.per_gpu_batch = cfg.per_gpu_batch.min(fit).max(1);
     let report = run_job(composed.topology, composed.cluster, cfg)
         .expect("probe fits after batch clamping");

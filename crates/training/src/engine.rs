@@ -19,7 +19,7 @@ use collectives::{all_gather, plan_ring, reduce_scatter, ring_allreduce, star_br
 use desim::{Dur, Sim, SimRng, SimTime};
 use devices::roofline::KernelTime;
 use dlmodels::{Benchmark, ModelDesc};
-use fabric::{FabricState, FlowTag, FlowWorld, NodeId, Topology};
+use fabric::{DirLink, FabricState, FlowTag, FlowWorld, NodeId, Topology};
 use std::fmt;
 
 /// Training-job failure modes.
@@ -107,7 +107,7 @@ pub struct TrainWorld {
     pub fabric: FabricState<TrainWorld>,
     pub cluster: Cluster,
     pub cfg: JobConfig,
-    pub model: ModelDesc,
+    pub model: &'static ModelDesc,
     pub telemetry: Telemetry,
     pub pipeline: PipelineState,
     pub job: JobState,
@@ -161,7 +161,7 @@ pub fn run_job(topo: Topology, cluster: Cluster, cfg: JobConfig) -> Result<RunRe
     let model = dlmodels::paper_model(cfg.benchmark);
 
     // Memory feasibility (the Fig 16 batch-size gate).
-    let budget = gpu_memory_needed(&model, cfg.per_gpu_batch, cfg.precision, cfg.strategy, n);
+    let budget = gpu_memory_needed(model, cfg.per_gpu_batch, cfg.precision, cfg.strategy, n);
     let capacity = cluster
         .gpus
         .iter()
@@ -187,7 +187,7 @@ pub fn run_job(topo: Topology, cluster: Cluster, cfg: JobConfig) -> Result<RunRe
     let epoch_scale = iters_per_epoch as f64 / full_iters_per_epoch as f64;
 
     // Precompute kernel times.
-    let mut fwd = forward_time(&model, &cluster, &cfg);
+    let mut fwd = forward_time(model, &cluster, &cfg);
     let mut bwd = fwd.scaled(2.0);
     if matches!(cfg.strategy, Strategy::Dp) {
         let d = dp_dispatch_dilation(n);
@@ -218,6 +218,12 @@ pub fn run_job(topo: Topology, cluster: Cluster, cfg: JobConfig) -> Result<RunRe
 
     let mut fabric = FabricState::new(topo);
     let ring = plan_ring(&mut fabric.topo, &cluster.gpu_cores());
+    // The report reads port traffic only on the Falcon GUI's monitored
+    // links, so only those are counted, from before the first flow.
+    let monitored = cluster.monitored_pcie_links(&fabric.topo);
+    for &dl in &monitored {
+        fabric.ports.watch(dl);
+    }
 
     let dataset_fits = cluster
         .dram
@@ -292,7 +298,7 @@ pub fn run_job(topo: Topology, cluster: Cluster, cfg: JobConfig) -> Result<RunRe
     assert!(drained, "simulation exceeded its event budget");
     assert_eq!(world.job.phase, Phase::Done, "job did not finish");
 
-    Ok(build_report(&world, &mut sim))
+    Ok(build_report(&world, &monitored))
 }
 
 // ---- state machine ---------------------------------------------------------
@@ -605,7 +611,7 @@ fn next_epoch_or_finish(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
 
 // ---- reporting --------------------------------------------------------------
 
-fn build_report(w: &TrainWorld, sim: &mut Sim<TrainWorld>) -> RunReport {
+fn build_report(w: &TrainWorld, monitored: &[DirLink]) -> RunReport {
     let end = w.job.finished_at;
     let total = end.since(SimTime::ZERO);
     let n = w.cluster.n_gpus();
@@ -617,7 +623,6 @@ fn build_report(w: &TrainWorld, sim: &mut Sim<TrainWorld>) -> RunReport {
         / n as f64;
     let gpu_util_trace = w.telemetry.gpu_busy[0].trace(SimTime::ZERO, end, trace_bucket);
 
-    let monitored = w.cluster.monitored_pcie_links(&w.fabric.topo);
     // Fig 12's quantity is the *steady-state* transfer rate while training
     // iterations run, so normalize total monitored bytes by accumulated
     // iteration time rather than by wall clock (which includes
@@ -635,7 +640,7 @@ fn build_report(w: &TrainWorld, sim: &mut Sim<TrainWorld>) -> RunReport {
     let falcon_pcie_trace =
         w.fabric
             .ports
-            .aggregate_trace(&monitored, SimTime::ZERO, end, trace_bucket);
+            .aggregate_trace(monitored, SimTime::ZERO, end, trace_bucket);
 
     let kernel_total = w.telemetry.kernel_time_sum + w.telemetry.exposed_comm;
     let gpu_mem_access_share = if kernel_total.is_zero() {
@@ -652,7 +657,6 @@ fn build_report(w: &TrainWorld, sim: &mut Sim<TrainWorld>) -> RunReport {
         .map(|(k, v)| (k, v.as_secs_f64()))
         .collect();
     let iter_times = w.telemetry.iter_times.clone();
-    let _ = sim; // report is pure; sim retained for signature symmetry
     RunReport {
         label: w.cluster.label.clone(),
         benchmark: w.model.name.clone(),

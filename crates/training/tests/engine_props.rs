@@ -32,8 +32,8 @@ property! {
     fn memory_monotone_in_batch(b in any_benchmark(), s in any_strategy(),
                                 p in any_precision(), batch in u64_in(1..32)) {
         let m = paper_model(b);
-        let small = gpu_memory_needed(&m, batch, p, s, 8).total();
-        let large = gpu_memory_needed(&m, batch + 1, p, s, 8).total();
+        let small = gpu_memory_needed(m, batch, p, s, 8).total();
+        let large = gpu_memory_needed(m, batch + 1, p, s, 8).total();
         prop_assert!(large > small);
     }
 
@@ -43,11 +43,11 @@ property! {
                              p in any_precision(), cap_gb in f64_in(8.0, 40.0)) {
         let m = paper_model(b);
         let cap = cap_gb * 1e9;
-        let max = max_feasible_batch(&m, cap, p, s, 8);
+        let max = max_feasible_batch(m, cap, p, s, 8);
         if max > 0 {
-            prop_assert!(gpu_memory_needed(&m, max, p, s, 8).total() <= cap);
+            prop_assert!(gpu_memory_needed(m, max, p, s, 8).total() <= cap);
         }
-        prop_assert!(gpu_memory_needed(&m, max + 1, p, s, 8).total() > cap);
+        prop_assert!(gpu_memory_needed(m, max + 1, p, s, 8).total() > cap);
     }
 
     /// Sharding never needs more memory than plain DDP at equal batch.
@@ -55,8 +55,8 @@ property! {
     fn sharding_never_hurts_memory(b in any_benchmark(), p in any_precision(),
                                    batch in u64_in(1..16), n in usize_in(2..16)) {
         let m = paper_model(b);
-        let ddp = gpu_memory_needed(&m, batch, p, training::Strategy::ddp(), n).total();
-        let sh = gpu_memory_needed(&m, batch, p, training::Strategy::sharded(), n).total();
+        let ddp = gpu_memory_needed(m, batch, p, training::Strategy::ddp(), n).total();
+        let sh = gpu_memory_needed(m, batch, p, training::Strategy::sharded(), n).total();
         prop_assert!(sh <= ddp);
     }
 
@@ -65,8 +65,8 @@ property! {
     fn sharded_memory_shrinks_with_replicas(b in any_benchmark(), batch in u64_in(1..8),
                                             n in usize_in(2..15)) {
         let m = paper_model(b);
-        let small = gpu_memory_needed(&m, batch, Precision::Fp16, training::Strategy::sharded(), n).total();
-        let large = gpu_memory_needed(&m, batch, Precision::Fp16, training::Strategy::sharded(), n + 1).total();
+        let small = gpu_memory_needed(m, batch, Precision::Fp16, training::Strategy::sharded(), n).total();
+        let large = gpu_memory_needed(m, batch, Precision::Fp16, training::Strategy::sharded(), n + 1).total();
         prop_assert!(large <= small);
     }
 }

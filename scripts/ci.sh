@@ -149,6 +149,30 @@ if ! grep -q ' 0 probes run' "$shared/stderr"; then
     exit 1
 fi
 
+# A matrix whose scenarios all price at one probe_iters keeps its prices
+# in the persisted cache at that count: a directory holding only
+# cluster_scale32 at probe_iters 2, run twice on one $PROBE_CACHE, loads
+# all 31 prices the second time and probes nothing.
+echo "== matrix persists prices at its scenarios' probe_iters (cluster_scale32 at 2, twice) =="
+iters=target/matrix_iters
+rm -rf "$iters"
+mkdir -p "$iters/specs"
+sed 's/"probe_iters": [0-9]*/"probe_iters": 2/' scenarios/cluster_scale32.json \
+    > "$iters/specs/cluster_scale32.json"
+if cmp -s scenarios/cluster_scale32.json "$iters/specs/cluster_scale32.json"; then
+    echo "ERROR: cluster_scale32.json no longer sets probe_iters; the copy would run at the default" >&2
+    exit 1
+fi
+for _ in 1 2; do
+    PROBE_CACHE="$iters/probe_cache.json" target/release/repro scenario-matrix "$iters/specs" \
+        > /dev/null 2> "$iters/stderr"
+    cat "$iters/stderr"
+done
+if ! grep -q ' 31 entries loaded, 0 probes run' "$iters/stderr"; then
+    echo "ERROR: the second matrix run did not reuse the prices its first run priced" >&2
+    exit 1
+fi
+
 # An inadmissible scenario stops a matrix before any replay: a job that
 # asks for 16 GPUs under the default 12-GPU tenant quota must exit 2
 # naming its scenario, with no table printed for the valid one.

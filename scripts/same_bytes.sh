@@ -10,7 +10,10 @@
 # two worker counts, then runs the frozen policy search (`autotune
 # scenarios/portfolio_default --budget 96 --seed 7`) through both. Each
 # run's stdout and exit code must match between the binaries; a spec (or
-# matrix) both reject with the same exit code counts as the same. A matrix
+# matrix) both reject with the same exit code counts as the same. After
+# each run the two sides' saved probe caches must be byte-identical too
+# (a price can move without moving a printed byte); a cache saved on only
+# one side is a difference. A matrix
 # stops at its first inadmissible spec, so give rejected specs their own
 # SPEC_DIR to keep the valid ones' matrix leg meaningful. The change's
 # autotune output must also equal
@@ -73,18 +76,30 @@ run() {
     echo "$code"
 }
 
-# compare LABEL ARGS...: one run of ARGS through both binaries.
+# caches_match: the two sides' saved probe caches are byte-identical, or
+# neither side has saved one.
+caches_match() {
+    p_cache="$work/parent/probe_cache.json"
+    c_cache="$work/change/probe_cache.json"
+    { [ ! -e "$p_cache" ] && [ ! -e "$c_cache" ]; } || cmp -s "$p_cache" "$c_cache"
+}
+
+# compare LABEL ARGS...: one run of ARGS through both binaries, then a
+# compare of the probe caches both sides have saved so far.
 compare() {
     label=$1
     shift
     p_code=$(run parent "$parent" "$work/parent.out" "$@")
     c_code=$(run change "$change" "$work/change.out" "$@")
     runs=$((runs + 1))
-    if [ "$p_code" = "$c_code" ] && cmp -s "$work/parent.out" "$work/change.out"; then
-        echo "same    $label (exit $c_code)"
-    else
+    if [ "$p_code" != "$c_code" ] || ! cmp -s "$work/parent.out" "$work/change.out"; then
         differ=$((differ + 1))
         echo "DIFFER  $label (exit $p_code -> $c_code)"
+    elif ! caches_match; then
+        differ=$((differ + 1))
+        echo "DIFFER  $label (saved probe caches)"
+    else
+        echo "same    $label (exit $c_code)"
     fi
 }
 
