@@ -28,7 +28,6 @@
 //! assert!(report.total_time.as_secs_f64() > 0.0);
 //! ```
 
-pub mod analysis;
 pub mod config;
 pub mod recommend;
 pub mod report;

@@ -1,6 +1,5 @@
 //! Text rendering of the paper's tables and figure series.
 
-use desim::stats::Summary;
 use training::RunReport;
 
 /// Render a simple aligned table.
@@ -40,12 +39,12 @@ pub fn sparkline(values: &[f64]) -> String {
     if values.is_empty() {
         return String::new();
     }
-    let s = Summary::of(values);
-    let span = (s.max - s.min).max(1e-12);
+    let (min, _, max) = min_mean_max(values);
+    let span = (max - min).max(1e-12);
     values
         .iter()
         .map(|v| {
-            let idx = (((v - s.min) / span) * 7.0).round() as usize;
+            let idx = (((v - min) / span) * 7.0).round() as usize;
             BARS[idx.min(7)]
         })
         .collect()
@@ -53,14 +52,27 @@ pub fn sparkline(values: &[f64]) -> String {
 
 /// One labeled series line, e.g. for the Fig 9 utilization traces.
 pub fn series_line(label: &str, values: &[f64], unit: &str) -> String {
-    let s = Summary::of(values);
+    let (min, mean, max) = min_mean_max(values);
     format!(
-        "{label:12} {} min={:.2}{unit} mean={:.2}{unit} max={:.2}{unit}",
+        "{label:12} {} min={min:.2}{unit} mean={mean:.2}{unit} max={max:.2}{unit}",
         sparkline(values),
-        s.min,
-        s.mean,
-        s.max
     )
+}
+
+/// Minimum, mean and maximum of a series; all 0 when it is empty.
+fn min_mean_max(values: &[f64]) -> (f64, f64, f64) {
+    if values.is_empty() {
+        return (0.0, 0.0, 0.0);
+    }
+    let mut min = f64::INFINITY;
+    let mut max = f64::NEG_INFINITY;
+    let mut sum = 0.0;
+    for &v in values {
+        min = min.min(v);
+        max = max.max(v);
+        sum += v;
+    }
+    (min, sum / values.len() as f64, max)
 }
 
 /// Percent with sign, e.g. `+12.3%`.
@@ -84,34 +96,6 @@ pub fn run_row(r: &RunReport) -> Vec<String> {
         format!("{:.0}%", r.gpu_util * 100.0),
         format!("{:.0}%", r.cpu_util * 100.0),
     ]
-}
-
-/// Render a set of run reports as CSV (header + one row per run) for
-/// downstream plotting.
-pub fn runs_to_csv(reports: &[&RunReport]) -> String {
-    let mut out = String::from(
-        "benchmark,config,total_secs,mean_iter_secs,throughput,gpu_util,cpu_util,\
-host_mem_util,gpu_mem_util,gpu_mem_access_share,falcon_pcie_gbps,exposed_comm_share,input_stall_share\n",
-    );
-    for r in reports {
-        out.push_str(&format!(
-            "{},{},{:.6},{:.6},{:.3},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4}\n",
-            r.benchmark,
-            r.label,
-            r.total_time.as_secs_f64(),
-            r.mean_iter.as_secs_f64(),
-            r.throughput,
-            r.gpu_util,
-            r.cpu_util,
-            r.host_mem_util,
-            r.gpu_mem_util,
-            r.gpu_mem_access_share,
-            r.falcon_pcie_rate / 1e9,
-            r.exposed_comm_share,
-            r.input_stall_share,
-        ));
-    }
-    out
 }
 
 pub const RUN_HEADERS: [&str; 7] = [
@@ -154,22 +138,6 @@ mod tests {
         assert_eq!(pct(12.34), "+12.3%");
         assert_eq!(pct(-3.0), "-3.0%");
         assert_eq!(gbps(76.43e9), "76.43 GB/s");
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let r = crate::runner::run(
-            dlmodels::Benchmark::MobileNetV2,
-            crate::HostConfig::LocalGpus,
-            &crate::runner::ExperimentOpts::scaled(2),
-        )
-        .unwrap();
-        let csv = runs_to_csv(&[&r, &r]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("benchmark,config,"));
-        assert_eq!(lines[0].split(',').count(), lines[1].split(',').count());
-        assert!(lines[1].contains("MobileNetV2"));
     }
 
     #[test]

@@ -57,13 +57,22 @@ fn vision_workloads_stay_under_about_seven_percent() {
 #[test]
 fn bert_large_doubles_on_falcon_gpus() {
     let opts = ExperimentOpts::scaled(15).without_checkpoints();
-    let local = iter_secs(Benchmark::BertLarge, HostConfig::LocalGpus, &opts);
-    let falcon = iter_secs(Benchmark::BertLarge, HostConfig::FalconGpus, &opts);
+    let run = |c| composable_core::run(Benchmark::BertLarge, c, &opts).unwrap();
+    let (local_run, falcon_run) = (run(HostConfig::LocalGpus), run(HostConfig::FalconGpus));
+    let local = local_run.mean_iter.as_secs_f64();
+    let falcon = falcon_run.mean_iter.as_secs_f64();
     let ratio = falcon / local;
     assert!(
         (1.7..=2.3).contains(&ratio),
         "BERT-L falcon/local ratio {ratio:.2} should be ~2x"
     );
+    // The extra time is exposed gradient communication over the switch.
+    assert!(
+        falcon_run.exposed_comm_share > 0.2,
+        "BERT-L on falcon is comm-bound: {:.3}",
+        falcon_run.exposed_comm_share
+    );
+    assert!(local_run.exposed_comm_share < falcon_run.exposed_comm_share);
     // Hybrid sits between the extremes.
     let hybrid = iter_secs(Benchmark::BertLarge, HostConfig::HybridGpus, &opts);
     assert!(hybrid > local * 1.1 && hybrid < falcon);

@@ -6,9 +6,9 @@
 //! * [`SimTime`] / [`Dur`] — nanosecond-resolution instants and durations,
 //! * [`Sim`] — an event scheduler generic over a user "world" state, with
 //!   cancellable event handles and deterministic tie-breaking,
-//! * [`stats`] — counters, time-weighted gauges, histograms and the
-//!   time-bucketed series used to reproduce the paper's telemetry
-//!   (GPU/CPU utilization traces, PCIe traffic rates),
+//! * [`stats`] — time-weighted gauges and the time-bucketed series used
+//!   to reproduce the paper's telemetry (GPU/CPU utilization traces,
+//!   PCIe traffic rates),
 //! * [`rng`] — seeded random-number plumbing so identical inputs always
 //!   produce identical simulations,
 //! * [`json`] — a self-contained JSON value/parser/emitter so the types
@@ -45,11 +45,9 @@ pub mod rng;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use json::{FromJson, JsonError, ToJson, Value};
 pub use queue::{EventHandle, EventQueue};
 pub use rng::SimRng;
 pub use sim::Sim;
 pub use time::{Dur, SimTime};
-pub use trace::SpanRecorder;

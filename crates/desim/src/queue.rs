@@ -235,13 +235,6 @@ impl<T> EventQueue<T> {
         Some(payload)
     }
 
-    /// Is the event referenced by `handle` still pending?
-    pub fn is_pending(&self, handle: EventHandle) -> bool {
-        self.slots
-            .get(handle.slot as usize)
-            .is_some_and(|s| s.generation == handle.generation && s.payload.is_some())
-    }
-
     /// Time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         if self.settle_head() {
@@ -391,9 +384,7 @@ mod tests {
     fn cancel_returns_payload_once() {
         let mut q = EventQueue::new();
         let h = q.push(t(10), 42);
-        assert!(q.is_pending(h));
         assert_eq!(q.cancel(h), Some(42));
-        assert!(!q.is_pending(h));
         assert_eq!(q.cancel(h), None, "double cancel is a no-op");
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
@@ -427,7 +418,6 @@ mod tests {
         let mut q = EventQueue::new();
         let h = q.push(t(10), 7);
         assert_eq!(q.pop(), Some((t(10), 7)));
-        assert!(!q.is_pending(h));
         assert_eq!(q.cancel(h), None);
     }
 

@@ -98,27 +98,10 @@ impl SimRng {
         }
     }
 
-    /// Normal draw via Box–Muller.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        debug_assert!(std_dev >= 0.0);
-        let u1 = self.unit().max(f64::EPSILON);
-        let u2 = self.unit();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
-
     /// Bernoulli draw.
     pub fn chance(&mut self, p: f64) -> bool {
         debug_assert!((0.0..=1.0).contains(&p));
         self.unit() < p
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
     }
 }
 
@@ -196,17 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments_are_plausible() {
-        let mut rng = SimRng::seed_from_u64(11);
-        let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.normal(5.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.1, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.25, "var {var}");
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut rng = SimRng::seed_from_u64(5);
         assert!(!rng.chance(0.0));
@@ -221,16 +193,5 @@ mod tests {
         for _ in 0..1000 {
             assert!(rng.index(7) < 7);
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from_u64(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "astronomically unlikely to be identity");
     }
 }

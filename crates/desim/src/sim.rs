@@ -16,7 +16,6 @@ pub type Event<S> = Box<dyn FnOnce(&mut S, &mut Sim<S>)>;
 pub struct Sim<S> {
     now: SimTime,
     queue: EventQueue<Event<S>>,
-    executed: u64,
 }
 
 impl<S> Default for Sim<S> {
@@ -30,23 +29,12 @@ impl<S> Sim<S> {
         Sim {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            executed: 0,
         }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Total number of events executed so far.
-    pub fn events_executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Schedule `f` at the absolute instant `at`.
@@ -79,23 +67,12 @@ impl<S> Sim<S> {
         self.queue.cancel(handle).is_some()
     }
 
-    /// Is `handle` still pending?
-    pub fn is_pending(&self, handle: EventHandle) -> bool {
-        self.queue.is_pending(handle)
-    }
-
-    /// Time of the next pending event, if any.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Execute the next event, advancing time. Returns `false` when idle.
     pub fn step(&mut self, state: &mut S) -> bool {
         match self.queue.pop() {
             Some((time, event)) => {
                 debug_assert!(time >= self.now, "event queue went backwards");
                 self.now = time;
-                self.executed += 1;
                 event(state, self);
                 true
             }
@@ -158,7 +135,6 @@ mod tests {
         sim.run(&mut w);
         assert_eq!(w.log, vec![(10, "a"), (20, "b")]);
         assert_eq!(sim.now(), SimTime::from_nanos(20));
-        assert_eq!(sim.events_executed(), 2);
     }
 
     #[test]
@@ -194,9 +170,8 @@ mod tests {
         sim.run_until(&mut w, SimTime::from_nanos(50));
         assert_eq!(w.log, vec![(10, "in")]);
         assert_eq!(sim.now(), SimTime::from_nanos(50));
-        assert_eq!(sim.pending(), 1);
         sim.run(&mut w);
-        assert_eq!(w.log.last(), Some(&(100, "out")));
+        assert_eq!(w.log, vec![(10, "in"), (100, "out")]);
     }
 
     #[test]

@@ -1,44 +1,14 @@
 //! Telemetry primitives: the simulated equivalents of the paper's
 //! Weights & Biases / Nsight / Falcon-GUI instrumentation.
 //!
-//! * [`Counter`] — monotonically increasing totals (bytes moved, iterations).
 //! * [`TimeWeightedGauge`] — a value sampled over time with exact
 //!   time-weighted averaging (memory in use, queue depth).
 //! * [`BusyTracker`] — records busy intervals of a device and reports a
 //!   utilization trace in fixed buckets (the paper's Fig 9/10/13 series).
 //! * [`RateSeries`] — attributes transferred bytes to time buckets and
 //!   reports per-bucket rates (the paper's Fig 12 PCIe-traffic series).
-//! * [`Histogram`] — latency distributions with percentile queries.
-//! * [`Summary`] — scalar min/mean/max aggregation of a finished series.
 
 use crate::time::{Dur, SimTime};
-
-/// A monotonically increasing counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Counter {
-    total: f64,
-    events: u64,
-}
-
-impl Counter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-    pub fn add(&mut self, amount: f64) {
-        debug_assert!(amount >= 0.0, "counters only increase");
-        self.total += amount;
-        self.events += 1;
-    }
-    pub fn incr(&mut self) {
-        self.add(1.0);
-    }
-    pub fn total(&self) -> f64 {
-        self.total
-    }
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-}
 
 /// A gauge whose time-weighted average is computed exactly from its update
 /// history (no sampling error).
@@ -301,112 +271,12 @@ fn segment_share((s, e, b): (SimTime, SimTime, f64), from: SimTime, to: SimTime)
     (hi > lo).then(|| b * (hi.since(lo).as_secs_f64() / e.since(s).as_secs_f64()))
 }
 
-/// A simple collecting histogram with percentile queries.
-///
-/// Values are stored exactly; queries sort lazily. Suitable for the tens of
-/// thousands of latency samples a run produces, not for unbounded streams.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    pub fn new() -> Self {
-        Self::default()
-    }
-    pub fn record(&mut self, v: f64) {
-        debug_assert!(v.is_finite());
-        self.values.push(v);
-        self.sorted = false;
-    }
-    pub fn count(&self) -> usize {
-        self.values.len()
-    }
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
-    }
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.values
-                .sort_by(|a, b| a.partial_cmp(b).expect("non-finite histogram value"));
-            self.sorted = true;
-        }
-    }
-    /// Percentile in `[0, 100]` via nearest-rank; 0 on an empty histogram.
-    pub fn percentile(&mut self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p));
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let rank = ((p / 100.0) * (self.values.len() as f64 - 1.0)).round() as usize;
-        self.values[rank]
-    }
-    pub fn min(&mut self) -> f64 {
-        self.percentile(0.0)
-    }
-    pub fn max(&mut self) -> f64 {
-        self.percentile(100.0)
-    }
-}
-
-/// Scalar summary of a finished series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    pub min: f64,
-    pub mean: f64,
-    pub max: f64,
-    pub count: usize,
-}
-
-impl Summary {
-    pub fn of(values: &[f64]) -> Summary {
-        if values.is_empty() {
-            return Summary {
-                min: 0.0,
-                mean: 0.0,
-                max: 0.0,
-                count: 0,
-            };
-        }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        for &v in values {
-            min = min.min(v);
-            max = max.max(v);
-            sum += v;
-        }
-        Summary {
-            min,
-            mean: sum / values.len() as f64,
-            max,
-            count: values.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.add(3.0);
-        c.add(4.5);
-        c.incr();
-        assert_eq!(c.total(), 8.5);
-        assert_eq!(c.events(), 3);
     }
 
     #[test]
@@ -490,35 +360,5 @@ mod tests {
         let trace = r.trace(t(0), t(20), Dur::from_micros(10));
         assert_eq!(trace.len(), 2);
         assert!((trace[0] - trace[1]).abs() < 1e-6, "uniform spread");
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = Histogram::new();
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.min(), 1.0);
-        assert_eq!(h.max(), 5.0);
-        assert_eq!(h.percentile(50.0), 3.0);
-        assert!((h.mean() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_empty_is_zero() {
-        let mut h = Histogram::new();
-        assert_eq!(h.percentile(50.0), 0.0);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn summary_of_values() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert!((s.mean - 2.0).abs() < 1e-9);
-        assert_eq!(s.count, 3);
-        assert_eq!(Summary::of(&[]).count, 0);
     }
 }

@@ -90,10 +90,6 @@ impl Dur {
         debug_assert!(s >= 0.0 && s.is_finite(), "invalid duration {s}");
         Dur((s * NANOS_PER_SEC as f64).round() as u64)
     }
-    /// Construct from fractional microseconds.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Dur::from_secs_f64(us * 1e-6)
-    }
     pub const fn as_nanos(self) -> u64 {
         self.0
     }

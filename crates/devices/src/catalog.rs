@@ -76,47 +76,40 @@ pub fn wire_cube_mesh(topo: &mut Topology, gpus: &[GpuNodes]) -> Vec<LinkId> {
         .collect()
 }
 
-/// A single NCCL-style ring order that stays on NVLink in the cube mesh:
-/// every consecutive pair (cyclically) is directly NVLink-connected.
-pub const CUBE_MESH_RING: [usize; 8] = [0, 1, 2, 3, 7, 6, 5, 4];
-
-/// Check that `ring` only crosses direct NVLink edges of the cube mesh.
-pub fn ring_stays_on_nvlink(ring: &[usize]) -> bool {
-    ring.iter()
-        .zip(ring.iter().cycle().skip(1))
-        .take(ring.len())
-        .all(|(&a, &b)| {
-            HYBRID_CUBE_MESH
-                .iter()
-                .any(|&(x, y, _)| (x, y) == (a.min(b), a.max(b)))
-        })
-}
-
-/// Convenience: all NVLink brick counts per GPU in the mesh.
-pub fn bricks_per_gpu() -> [u8; 8] {
-    let mut n = [0u8; 8];
-    for &(a, b, lanes) in &HYBRID_CUBE_MESH {
-        n[a] += lanes;
-        n[b] += lanes;
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gpu::{add_gpu, GpuSpec};
 
+    /// Does `ring` cross only direct NVLink edges of the cube mesh?
+    fn ring_stays_on_nvlink(ring: &[usize]) -> bool {
+        ring.iter()
+            .zip(ring.iter().cycle().skip(1))
+            .take(ring.len())
+            .all(|(&a, &b)| {
+                HYBRID_CUBE_MESH
+                    .iter()
+                    .any(|&(x, y, _)| (x, y) == (a.min(b), a.max(b)))
+            })
+    }
+
     #[test]
     fn every_gpu_uses_six_bricks() {
-        assert_eq!(bricks_per_gpu(), [6; 8]);
+        let mut bricks = [0u8; 8];
+        for &(a, b, lanes) in &HYBRID_CUBE_MESH {
+            bricks[a] += lanes;
+            bricks[b] += lanes;
+        }
+        assert_eq!(bricks, [6; 8]);
     }
 
     #[test]
     fn canonical_ring_is_all_nvlink() {
-        assert!(ring_stays_on_nvlink(&CUBE_MESH_RING));
-        // A naive 0..7 ring crosses 7-0 which is not directly linked... in
-        // fact 0-7 is absent from the mesh: verify the checker notices.
+        // NCCL's ring order for the cube mesh: every consecutive pair
+        // (cyclically) is directly NVLink-connected.
+        assert!(ring_stays_on_nvlink(&[0, 1, 2, 3, 7, 6, 5, 4]));
+        // A naive 0..7 ring closes on 7-0, which the mesh lacks: verify
+        // the checker notices.
         assert!(!ring_stays_on_nvlink(&[0, 1, 2, 3, 4, 5, 6, 7]));
     }
 

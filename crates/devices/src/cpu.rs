@@ -3,11 +3,10 @@
 //! The hosts carry two Intel Xeon Gold 6148 sockets (20 cores each at
 //! 2.4 GHz). In DL training the CPUs matter for the *data pipeline* —
 //! JPEG decode, augmentation, tokenization — which the paper observes
-//! stresses vision workloads far more than NLP (Fig 13). The model here is
-//! a worker-pool throughput model: preprocessing costs core-seconds per
-//! sample; `workers` cores process samples concurrently.
+//! stresses vision workloads far more than NLP (Fig 13). The spec gives the
+//! core count; the training pipeline prices preprocessing in core-seconds
+//! per sample and shares these cores among every GPU's dataloader workers.
 
-use desim::Dur;
 
 /// Static description of the host CPU complex.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,33 +27,6 @@ impl CpuSpec {
             clock_hz: 2.4e9,
         }
     }
-
-    /// Steady-state preprocessing throughput (samples/s) with `workers`
-    /// dataloader workers, each consuming `per_sample` core-time.
-    pub fn pipeline_throughput(&self, workers: u32, per_sample: Dur) -> f64 {
-        assert!(workers > 0);
-        let w = workers.min(self.cores) as f64;
-        if per_sample.is_zero() {
-            return f64::INFINITY;
-        }
-        w / per_sample.as_secs_f64()
-    }
-
-    /// Time for `workers` cores to preprocess a batch of `samples`.
-    pub fn batch_time(&self, workers: u32, per_sample: Dur, samples: u64) -> Dur {
-        let tput = self.pipeline_throughput(workers, per_sample);
-        if tput.is_infinite() {
-            Dur::ZERO
-        } else {
-            Dur::from_secs_f64(samples as f64 / tput)
-        }
-    }
-
-    /// CPU utilization (fraction of all cores) while sustaining
-    /// `samples_per_sec` of preprocessing at `per_sample` cost.
-    pub fn utilization(&self, samples_per_sec: f64, per_sample: Dur) -> f64 {
-        (samples_per_sec * per_sample.as_secs_f64() / self.cores as f64).min(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -65,40 +37,5 @@ mod tests {
     fn xeon_has_forty_cores() {
         let c = CpuSpec::dual_xeon_6148();
         assert_eq!(c.cores, 40);
-    }
-
-    #[test]
-    fn throughput_scales_with_workers() {
-        let c = CpuSpec::dual_xeon_6148();
-        let t8 = c.pipeline_throughput(8, Dur::from_millis(2));
-        let t16 = c.pipeline_throughput(16, Dur::from_millis(2));
-        assert!((t16 / t8 - 2.0).abs() < 1e-9);
-        assert!((t8 - 4000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn workers_capped_at_core_count() {
-        let c = CpuSpec::dual_xeon_6148();
-        let t40 = c.pipeline_throughput(40, Dur::from_millis(1));
-        let t99 = c.pipeline_throughput(99, Dur::from_millis(1));
-        assert_eq!(t40, t99);
-    }
-
-    #[test]
-    fn batch_time_and_zero_cost() {
-        let c = CpuSpec::dual_xeon_6148();
-        // 8 workers, 2 ms/sample, 80 samples -> 10 samples each -> 20 ms.
-        let t = c.batch_time(8, Dur::from_millis(2), 80);
-        assert_eq!(t, Dur::from_millis(20));
-        assert_eq!(c.batch_time(8, Dur::ZERO, 80), Dur::ZERO);
-    }
-
-    #[test]
-    fn utilization_saturates_at_one() {
-        let c = CpuSpec::dual_xeon_6148();
-        // 10k samples/s at 2 ms/sample = 20 core-seconds per second = 50%.
-        let u = c.utilization(10_000.0, Dur::from_millis(2));
-        assert!((u - 0.5).abs() < 1e-9);
-        assert_eq!(c.utilization(1e9, Dur::from_millis(2)), 1.0);
     }
 }

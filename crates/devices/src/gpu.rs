@@ -115,10 +115,6 @@ impl GpuSpec {
             self.launch_overhead,
         )
     }
-
-    pub fn has_nvlink(&self) -> bool {
-        self.nvlink_bricks > 0
-    }
 }
 
 /// The fabric nodes of an instantiated GPU.
@@ -156,8 +152,8 @@ mod tests {
         assert!((g.fp32_flops / TFLOP - 15.7).abs() < 0.1);
         assert!((g.fp16_flops / TFLOP - 125.0).abs() < 1.0);
         assert_eq!(g.memory_bytes, 16.0 * GB);
-        assert!(g.has_nvlink());
-        assert!(!GpuSpec::v100_pcie_16gb().has_nvlink());
+        assert_eq!(g.nvlink_bricks, 6);
+        assert_eq!(GpuSpec::v100_pcie_16gb().nvlink_bricks, 0);
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //! * Intel X540 10 GbE NICs ([`nic`]).
 //!
 //! The [`roofline`] module converts layer workloads (FLOPs + bytes touched)
-//! into kernel times, also reporting whether the kernel was compute- or
-//! memory-bound — the source of the paper's Fig 10 "% time accessing GPU
-//! memory" metric.
+//! into kernel times split into compute- and memory-limited components —
+//! the source of the paper's Fig 10 "% time accessing GPU memory" metric.
 
 pub mod catalog;
 pub mod cpu;

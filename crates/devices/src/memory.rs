@@ -32,55 +32,6 @@ impl DramSpec {
     }
 }
 
-/// Simple accounting of host-memory occupancy over a run; drives the
-/// paper's Fig 14 system-memory-utilization series.
-#[derive(Debug, Clone)]
-pub struct HostMemory {
-    spec: DramSpec,
-    in_use: f64,
-    peak: f64,
-}
-
-impl HostMemory {
-    pub fn new(spec: DramSpec) -> Self {
-        HostMemory {
-            spec,
-            in_use: 0.0,
-            peak: 0.0,
-        }
-    }
-
-    /// Reserve bytes; returns false (and reserves nothing) if out of memory.
-    pub fn reserve(&mut self, bytes: f64) -> bool {
-        if self.in_use + bytes > self.spec.capacity_bytes {
-            return false;
-        }
-        self.in_use += bytes;
-        self.peak = self.peak.max(self.in_use);
-        true
-    }
-
-    pub fn release(&mut self, bytes: f64) {
-        self.in_use = (self.in_use - bytes).max(0.0);
-    }
-
-    pub fn in_use(&self) -> f64 {
-        self.in_use
-    }
-
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    pub fn utilization(&self) -> f64 {
-        self.in_use / self.spec.capacity_bytes
-    }
-
-    pub fn spec(&self) -> &DramSpec {
-        &self.spec
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,30 +47,5 @@ mod tests {
         let d = DramSpec::host_756gb();
         assert!(d.fits_in_page_cache(150.0 * GB, 100.0 * GB));
         assert!(!d.fits_in_page_cache(700.0 * GB, 100.0 * GB));
-    }
-
-    #[test]
-    fn reserve_release_and_peak() {
-        let mut m = HostMemory::new(DramSpec::host_756gb());
-        assert!(m.reserve(100.0 * GB));
-        assert!(m.reserve(50.0 * GB));
-        m.release(100.0 * GB);
-        assert_eq!(m.in_use(), 50.0 * GB);
-        assert_eq!(m.peak(), 150.0 * GB);
-        assert!((m.utilization() - 50.0 / 756.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reserve_fails_when_full() {
-        let mut m = HostMemory::new(DramSpec::host_756gb());
-        assert!(!m.reserve(800.0 * GB));
-        assert_eq!(m.in_use(), 0.0);
-    }
-
-    #[test]
-    fn release_floors_at_zero() {
-        let mut m = HostMemory::new(DramSpec::host_756gb());
-        m.release(10.0 * GB);
-        assert_eq!(m.in_use(), 0.0);
     }
 }

@@ -6,7 +6,6 @@
 //! like any other PCIe device, so the model exists for completeness and
 //! for the management plane's resource lists.
 
-use crate::GB;
 use fabric::{LinkClass, LinkSpec, NodeId, NodeKind, Topology};
 
 /// Static description of a NIC.
@@ -19,15 +18,6 @@ pub struct NicSpec {
 }
 
 impl NicSpec {
-    /// Intel X540-AT2 dual-port 10 GbE.
-    pub fn intel_x540() -> NicSpec {
-        NicSpec {
-            name: "Intel X540-AT2 10GbE".to_string(),
-            line_rate: 1.25 * GB,
-            ports: 2,
-        }
-    }
-
     pub fn aggregate_rate(&self) -> f64 {
         self.line_rate * f64::from(self.ports)
     }
@@ -48,18 +38,19 @@ pub fn add_nic(topo: &mut Topology, name: &str, spec: &NicSpec) -> NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GB;
 
     #[test]
-    fn x540_rates() {
-        let n = NicSpec::intel_x540();
-        assert_eq!(n.ports, 2);
-        assert!((n.aggregate_rate() - 2.5 * GB).abs() < 1e-6);
-    }
-
-    #[test]
-    fn add_nic_wires_device() {
+    fn add_nic_wires_device_at_its_aggregate_rate() {
+        // Intel X540-AT2: two 10 GbE ports.
+        let x540 = NicSpec {
+            name: "Intel X540-AT2 10GbE".to_string(),
+            line_rate: 1.25 * GB,
+            ports: 2,
+        };
+        assert!((x540.aggregate_rate() - 2.5 * GB).abs() < 1e-6);
         let mut t = Topology::new();
-        let port = add_nic(&mut t, "nic0", &NicSpec::intel_x540());
+        let port = add_nic(&mut t, "nic0", &x540);
         assert_eq!(t.node(port).kind, NodeKind::DevicePort);
         assert_eq!(t.node_count(), 2);
     }

@@ -3,8 +3,8 @@
 //! A GPU kernel is characterized by the FLOPs it performs and the HBM bytes
 //! it touches. Its execution time is the max of the compute-limited and
 //! memory-limited times, each discounted by an achievable-fraction
-//! efficiency. The estimator also reports *which* roof bound the kernel —
-//! aggregated over a training step this yields the "% of time the model
+//! efficiency. The estimator also reports both components — the memory
+//! one, aggregated over a training step, yields the "% of time the model
 //! spent accessing GPU memory" metric of the paper's Figure 10.
 
 use desim::Dur;
@@ -46,22 +46,6 @@ impl KernelTime {
         compute_time: Dur::ZERO,
         mem_time: Dur::ZERO,
     };
-
-    /// True when HBM bandwidth, not the ALUs, bounds this kernel.
-    pub fn memory_bound(&self) -> bool {
-        self.mem_time > self.compute_time
-    }
-
-    /// Fraction of the kernel's duration attributable to memory traffic
-    /// (1.0 for fully memory-bound kernels). Used for Fig 10's
-    /// memory-access-time percentage.
-    pub fn mem_fraction(&self) -> f64 {
-        if self.total.is_zero() {
-            0.0
-        } else {
-            self.mem_time.as_secs_f64() / self.total.as_secs_f64()
-        }
-    }
 
     /// Accumulate another kernel (sequential execution).
     pub fn accumulate(&mut self, other: KernelTime) {
@@ -117,18 +101,18 @@ mod tests {
     fn compute_bound_kernel() {
         // 1 TFLOP at 10 TFLOP/s effective = 100 ms; tiny memory traffic.
         let k = kernel_time(1e12, 1e6, 20e12, 0.5, 800e9, Dur::ZERO);
+        assert_eq!(k.total, k.compute_time);
         assert_eq!(k.total, Dur::from_millis(100));
-        assert!(!k.memory_bound());
-        assert!(k.mem_fraction() < 0.01);
+        assert!(k.mem_time.as_secs_f64() < 0.01 * k.total.as_secs_f64());
     }
 
     #[test]
     fn memory_bound_kernel() {
         // 80 GB of traffic at 800 GB/s = 100 ms; negligible FLOPs.
         let k = kernel_time(1e9, 80e9, 20e12, 0.5, 800e9, Dur::ZERO);
+        assert_eq!(k.total, k.mem_time);
         assert_eq!(k.total, Dur::from_millis(100));
-        assert!(k.memory_bound());
-        assert!((k.mem_fraction() - 1.0).abs() < 1e-9);
+        assert!(k.compute_time < k.mem_time);
     }
 
     #[test]

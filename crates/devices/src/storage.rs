@@ -54,23 +54,6 @@ impl StorageSpec {
         }
     }
 
-    /// Effective read bandwidth for a stream of `file_bytes`-sized objects:
-    /// small objects are IOPS-bound, large ones bandwidth-bound.
-    pub fn effective_read(&self, file_bytes: f64) -> f64 {
-        assert!(file_bytes > 0.0);
-        let iops_bound = self.rand_read_iops * file_bytes.min(4096.0);
-        // Reads above 4 KiB amortize seeks: interpolate toward sequential.
-        let per_op_seek = 1.0 / self.rand_read_iops;
-        let per_op_xfer = file_bytes / self.seq_read;
-        let streaming = file_bytes / (per_op_seek + per_op_xfer);
-        streaming.max(iops_bound.min(self.seq_read))
-    }
-
-    /// Time to read `bytes` as a stream of `file_bytes` objects.
-    pub fn read_time(&self, bytes: f64, file_bytes: f64) -> Dur {
-        self.latency + Dur::for_bytes(bytes, self.effective_read(file_bytes))
-    }
-
     /// Time to write `bytes` sequentially (checkpointing).
     pub fn write_time(&self, bytes: f64) -> Dur {
         self.latency + Dur::for_bytes(bytes, self.seq_write)
@@ -111,30 +94,6 @@ mod tests {
         assert!(nvme.seq_read / sata.seq_read > 5.0);
         assert!(nvme.rand_read_iops / sata.rand_read_iops > 5.0);
         assert!(nvme.latency < sata.latency);
-    }
-
-    #[test]
-    fn large_files_reach_sequential_bandwidth() {
-        let nvme = StorageSpec::intel_p4500_4tb();
-        let eff = nvme.effective_read(100e6); // 100 MB objects
-        assert!(eff > 0.95 * nvme.seq_read, "{eff}");
-    }
-
-    #[test]
-    fn tiny_files_are_iops_bound() {
-        let sata = StorageSpec::sata_ssd();
-        let eff = sata.effective_read(1024.0); // 1 KiB objects
-        assert!(eff < 0.3 * sata.seq_read, "{eff}");
-        // Bounded by iops * size.
-        assert!(eff <= sata.rand_read_iops * 1024.0 * 1.01);
-    }
-
-    #[test]
-    fn imagenet_sized_files_near_bandwidth() {
-        // ~110 KB JPEGs: NVMe should sustain most of sequential rate.
-        let nvme = StorageSpec::intel_p4500_4tb();
-        let eff = nvme.effective_read(110e3);
-        assert!(eff > 0.7 * nvme.seq_read, "{eff}");
     }
 
     #[test]

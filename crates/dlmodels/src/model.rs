@@ -158,21 +158,6 @@ impl ModelDesc {
     pub fn h2d_bytes_per_sample(&self, precision: Precision) -> f64 {
         self.input_elems_per_sample as f64 * precision.bytes_per_element()
     }
-
-    /// Table II row: `(label, domain, dataset, params, depth)`.
-    pub fn table2_row(&self) -> (String, &'static str, String, u64, u32) {
-        let domain = match self.domain {
-            Domain::ComputerVision => "Computer Vision",
-            Domain::Nlp => "NLP (Q&A)",
-        };
-        (
-            self.benchmark.label().to_string(),
-            domain,
-            self.dataset.name.clone(),
-            self.param_count(),
-            self.reported_depth,
-        )
-    }
 }
 
 #[cfg(test)]

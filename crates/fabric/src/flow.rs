@@ -45,7 +45,6 @@ pub struct FlowTag(pub u64);
 impl FlowTag {
     pub const UNTAGGED: FlowTag = FlowTag(0);
     pub const H2D: FlowTag = FlowTag(1);
-    pub const D2H: FlowTag = FlowTag(2);
     pub const COLLECTIVE: FlowTag = FlowTag(3);
     pub const STORAGE: FlowTag = FlowTag(4);
     pub const CHECKPOINT: FlowTag = FlowTag(5);
@@ -76,7 +75,6 @@ struct FlowState<S> {
     phase: Phase,
     event: EventHandle,
     on_complete: Option<FlowCallback<S>>,
-    tag: FlowTag,
     generation: u32,
 }
 
@@ -164,25 +162,10 @@ impl<S: FlowWorld> FabricState<S> {
         }
     }
 
-    /// Number of flows currently in flight (latency or active phase).
-    pub fn flows_in_flight(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Attribution tag of an in-flight flow; `None` if finished.
-    pub fn flow_tag(&self, id: FlowId) -> Option<FlowTag> {
-        let s = self.slots.get(id.slot as usize)?.as_ref()?;
-        (s.generation == id.generation).then_some(s.tag)
-    }
-
-    /// Current allocated rate of a flow (bytes/s); `None` if finished.
-    pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
-        let s = self.slots.get(id.slot as usize)?.as_ref()?;
-        (s.generation == id.generation).then_some(s.rate)
-    }
-
     /// Start a transfer of `bytes` from `src` to `dst`. `on_complete` fires
-    /// (with the world and scheduler) when the last byte arrives.
+    /// (with the world and scheduler) when the last byte arrives. The tag
+    /// names the traffic's subsystem at the call site; the fabric keeps no
+    /// record of it.
     ///
     /// # Panics
     /// Panics if no route exists between the endpoints.
@@ -192,7 +175,7 @@ impl<S: FlowWorld> FabricState<S> {
         src: NodeId,
         dst: NodeId,
         bytes: f64,
-        tag: FlowTag,
+        _tag: FlowTag,
         on_complete: FlowCallback<S>,
     ) -> FlowId {
         assert!(bytes >= 0.0 && bytes.is_finite());
@@ -221,7 +204,6 @@ impl<S: FlowWorld> FabricState<S> {
             phase: Phase::Latency,
             event: EventHandle::DEAD,
             on_complete: Some(on_complete),
-            tag,
             generation,
         });
 
@@ -892,17 +874,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flows_in_flight_counts() {
-        let (mut w, _sw, a, b) = two_gpu_switch();
-        let mut sim = Sim::new();
-        w.fabric
-            .start_flow(&mut sim, a, b, 1.0 * GB, FlowTag::UNTAGGED, log("f"));
-        assert_eq!(w.fabric.flows_in_flight(), 1);
-        sim.run(&mut w);
-        assert_eq!(w.fabric.flows_in_flight(), 0);
-    }
-
     /// The hash-map filler the dense `fill_rates` replaced, kept verbatim
     /// as the reference for `dense_fill_matches_hash_map_fill`: per-link
     /// residuals and user lists in hash maps rebuilt per call, each link's
@@ -1091,7 +1062,6 @@ mod tests {
                 phase: Phase::Active,
                 event: EventHandle::DEAD,
                 on_complete: None,
-                tag: FlowTag::UNTAGGED,
                 generation: 0,
             }));
         }

@@ -32,5 +32,3 @@ pub use topology::{Dir, DirLink, LinkId, NodeId, NodeKind, Route, Topology};
 
 /// Bytes per second in one gigabyte per second (decimal, as in the paper).
 pub const GB: f64 = 1e9;
-/// Bytes in one mebibyte.
-pub const MIB: f64 = 1024.0 * 1024.0;

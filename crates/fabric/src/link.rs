@@ -147,16 +147,6 @@ impl LinkSpec {
         }
     }
 
-    /// Scale the effective capacity (calibration hook).
-    pub fn with_efficiency(class: LinkClass, efficiency: f64) -> LinkSpec {
-        assert!(efficiency > 0.0 && efficiency <= 1.0);
-        LinkSpec {
-            class,
-            capacity: class.raw_bandwidth() * efficiency,
-            latency: class.latency(),
-        }
-    }
-
     pub fn with_latency(mut self, latency: Dur) -> LinkSpec {
         self.latency = latency;
         self
@@ -238,18 +228,6 @@ mod tests {
             assert!(spec.capacity < class.raw_bandwidth());
             assert!(spec.capacity > 0.5 * class.raw_bandwidth());
         }
-    }
-
-    #[test]
-    fn efficiency_override() {
-        let spec = LinkSpec::with_efficiency(LinkClass::PcieGen4x16, 0.5);
-        assert!((spec.capacity - 15.75 * GB).abs() < 1e6);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_efficiency_rejected() {
-        let _ = LinkSpec::with_efficiency(LinkClass::PcieGen4x16, 0.0);
     }
 
     #[test]

@@ -88,15 +88,6 @@ pub fn p2p_probe(topo: &Topology, a: NodeId, b: NodeId, probe_bytes: f64) -> P2p
     }
 }
 
-/// Measure the aggregate throughput of an arbitrary set of simultaneous
-/// transfers (useful for contention studies and tests): returns
-/// (makespan, aggregate bytes/s).
-pub fn contention_probe(topo: &Topology, transfers: &[(NodeId, NodeId, f64)]) -> (Dur, f64) {
-    let total: f64 = transfers.iter().map(|t| t.2).sum();
-    let makespan = run_flows(topo, transfers);
-    (makespan, total / makespan.as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,18 +150,5 @@ mod tests {
         assert!((gbs - 72.37).abs() < 2.0, "L-L bidir {gbs} GB/s");
         let us = r.latency.as_micros_f64();
         assert!((us - 1.85).abs() < 0.1, "L-L latency {us} us");
-    }
-
-    #[test]
-    fn contention_probe_halves_per_flow_throughput() {
-        let (t, a, b) = ff_topology();
-        let (mk1, _) = contention_probe(&t, &[(a, b, 2.0 * GB)]);
-        let (mk2, _) = contention_probe(&t, &[(a, b, 2.0 * GB), (a, b, 2.0 * GB)]);
-        let ratio = mk2.as_secs_f64() / mk1.as_secs_f64();
-        // Alone, the flow is ceiling-limited (13.3 GB/s DMA x 0.92 switch
-        // p2p = 12.24 GB/s); sharing splits the 13.3 GB/s DMA link in half
-        // (6.65 GB/s each), so the makespan grows by 2 x 12.24/13.3 = 1.84.
-        let expected = 2.0 * (13.3 * 0.92) / 13.3;
-        assert!((ratio - expected).abs() < 0.05, "sharing ratio {ratio} vs {expected}");
     }
 }

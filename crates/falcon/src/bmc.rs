@@ -117,10 +117,6 @@ impl Bmc {
         self.check_thresholds(at, sensor, prev_temp);
     }
 
-    pub fn fan_failed(&self, sensor: &str) -> bool {
-        self.failed_fans.contains(sensor)
-    }
-
     /// The airflow a sensor's zone actually receives.
     fn effective_fan(&self, sensor: &str) -> f64 {
         if self.failed_fans.contains(sensor) {
@@ -202,16 +198,6 @@ impl Bmc {
     pub fn events_at_least(&self, severity: Severity) -> Vec<&BmcEvent> {
         self.log.iter().filter(|e| e.severity >= severity).collect()
     }
-
-    /// Record an informational event (device hot-plug, reassignment, …).
-    pub fn log_info(&mut self, at: SimTime, sensor: &str, message: impl Into<String>) {
-        self.log.push(BmcEvent {
-            at,
-            severity: Severity::Info,
-            sensor: sensor.to_string(),
-            message: message.into(),
-        });
-    }
 }
 
 #[cfg(test)]
@@ -265,16 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn info_log_and_ordering() {
-        let mut bmc = Bmc::falcon_defaults();
-        bmc.log_info(t(1), "drawer0", "GPU hot-plugged in d0s3");
-        bmc.log_info(t(2), "drawer0", "GPU reassigned to host 2");
-        assert_eq!(bmc.events().len(), 2);
-        assert!(bmc.events()[0].at < bmc.events()[1].at);
-        assert!(bmc.events_at_least(Severity::Warning).is_empty());
-    }
-
-    #[test]
     fn fan_failure_drives_a_loaded_drawer_critical() {
         let mut bmc = Bmc::falcon_defaults();
         // A healthy fan keeps full load below critical (≈58.6 C settled).
@@ -283,7 +259,6 @@ mod tests {
         // Fan failure at full load: 24 + 46·1.0·(1 − 0) = 70 ≥ critical,
         // and the flip itself raises the alert.
         bmc.set_fan_failed(t(2), "drawer0", true);
-        assert!(bmc.fan_failed("drawer0"));
         assert_eq!(bmc.events_at_least(Severity::Critical).len(), 1);
         // Only the failed zone overheats; its repair restores cooling.
         assert!(bmc.temperature("drawer1").unwrap() < 60.0);

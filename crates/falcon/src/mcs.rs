@@ -298,24 +298,6 @@ impl ManagementCenter {
         Ok(st.chassis.reassign(slot, to)?)
     }
 
-    /// The resources visible to `user`: everything for admins, owned slots
-    /// for users (isolation between tenants).
-    pub fn visible_resources(&self, user: UserId) -> Result<Vec<SlotAddr>, McsError> {
-        let st = self.state.read().unwrap();
-        let role = Self::role_of(&st, user)?;
-        let mut v: Vec<SlotAddr> = match role {
-            Role::Admin => st.chassis.occupied_slots().map(|(a, _)| a).collect(),
-            Role::User => st
-                .grants
-                .iter()
-                .filter(|(_, &u)| u == user)
-                .map(|(a, _)| *a)
-                .collect(),
-        };
-        v.sort_unstable();
-        Ok(v)
-    }
-
     /// Export the audit log (admin feature, mirroring the GUI's
     /// "define event logs for export"), formatting each record's action.
     pub fn export_audit(&self, user: UserId) -> Result<Vec<AuditEntry>, McsError> {
@@ -415,16 +397,6 @@ mod tests {
             .grant(t(0), UserId(0), SlotAddr::new(0, 1), UserId(99))
             .unwrap_err();
         assert_eq!(err, McsError::UnknownUser(UserId(99)));
-    }
-
-    #[test]
-    fn visibility_is_isolated() {
-        let mcs = setup();
-        mcs.grant(t(0), UserId(0), SlotAddr::new(0, 0), UserId(1)).unwrap();
-        mcs.grant(t(0), UserId(0), SlotAddr::new(0, 1), UserId(2)).unwrap();
-        assert_eq!(mcs.visible_resources(UserId(1)).unwrap(), vec![SlotAddr::new(0, 0)]);
-        assert_eq!(mcs.visible_resources(UserId(2)).unwrap(), vec![SlotAddr::new(0, 1)]);
-        assert_eq!(mcs.visible_resources(UserId(0)).unwrap().len(), 8);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! serving instant while a replica placement, a displaced job or defrag
 //! waits. Between them each service absorbs its own request arrivals,
 //! batch launches and completions in a serving epoch
-//! ([`ServeState::run_epoch`]). Running jobs progress at a rate set by
+//! (`ServeState::run_epoch`). Running jobs progress at a rate set by
 //! (a) a probe-measured mean iteration time for their placement *shape*
 //! — so drawer-spanning placements are genuinely slower for
 //! communication-bound models — and (b) a deterministic interference
@@ -66,8 +66,6 @@ use rack::{
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// GPUs in the shared pool (2 drawers × 8 slots).
-pub const POOL_GPUS: usize = 16;
 /// The chassis has four host ports; two per tenant means two tenants.
 pub const MAX_TENANTS: u32 = 2;
 

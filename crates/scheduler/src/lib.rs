@@ -52,21 +52,19 @@ pub mod scenario;
 pub mod serve;
 pub mod trace;
 
-pub use cluster::{ClusterSim, SchedulerConfig, SchedulerError, POOL_GPUS};
+pub use cluster::{ClusterSim, SchedulerConfig, SchedulerError};
 pub use fault::{
     paper_fault_plan, seeded_fault_plan, seeded_rack_fault_plan, FaultEvent, FaultKind, FaultPlan,
     CHECKPOINT_ITERS, RECOMPOSE_LATENCY,
 };
-pub use rack::{
-    cross_chassis_stretch, supported_envelope, Rack, RackAddr, RackTopology, MAX_CHASSIS,
-};
+pub use rack::{cross_chassis_stretch, Rack, RackAddr, RackTopology, MAX_CHASSIS};
 pub use metrics::{
-    comparison_table, jain_fairness, recovery_comparison_table, serve_comparison_table,
+    comparison_table, recovery_comparison_table, serve_comparison_table,
     JobOutcome, MigrationMetrics, RecoveryMetrics, ScheduleReport, ServeMetrics, ServiceOutcome,
 };
 pub use policy::{
     all_policies, resolve_policy, FreeView, ParamPolicy, ParamsError, PlacePolicy, PolicyParams,
-    RunningView, SliceSlot, SliceView, SloAwarePack, UnknownPolicy, POLICY_NAMES,
+    RunningView, SliceSlot, SliceView, UnknownPolicy, POLICY_NAMES,
 };
 pub use probe::{warm_set_for_trace, Probe, ProbeCache, Shape};
 pub use scenario::{
@@ -74,10 +72,10 @@ pub use scenario::{
     ScenarioReport, Topology, TraceSpec, Workload,
 };
 pub use serve::{
-    batch_latency, request_times, seeded_pai_mix, ArrivalKind, MixedTrace, ServeState,
-    ServiceSpec, SERVE_COMPUTE_EFF, SLICES_PER_GPU,
+    batch_latency, request_times, seeded_pai_mix, ArrivalKind, MixedTrace, ServiceSpec,
+    SERVE_COMPUTE_EFF, SLICES_PER_GPU,
 };
 pub use trace::{
-    priority_tier_from_label, priority_tier_label, seeded_two_tenant, JobSpec, PoissonMix,
+    priority_tier_from_label, seeded_two_tenant, JobSpec, PoissonMix,
     TenantId, Trace, PRIORITY_TIERS,
 };

@@ -34,7 +34,6 @@
 use crate::probe::{ProbeCache, Shape};
 use crate::trace::JobSpec;
 use desim::json::{FromJson, JsonError, ToJson, Value};
-use falcon::SlotAddr;
 use rack::{cross_chassis_stretch, drawers_spanned, RackAddr};
 use std::cmp::Reverse;
 
@@ -59,11 +58,6 @@ impl FreeView {
         FreeView { free, n_drawers, runs }
     }
 
-    /// The paper's single-chassis view (chassis 0, 2 drawers).
-    pub fn single_chassis(free: Vec<SlotAddr>) -> FreeView {
-        FreeView::new(free.into_iter().map(RackAddr::local).collect(), 2)
-    }
-
     pub fn total(&self) -> usize {
         self.free.len()
     }
@@ -75,11 +69,6 @@ impl FreeView {
     /// Global drawers in the rack (2 per chassis).
     pub fn n_drawers(&self) -> usize {
         self.n_drawers
-    }
-
-    /// Free slots inside one global drawer, ascending.
-    pub fn in_drawer(&self, drawer: usize) -> Vec<RackAddr> {
-        self.run(drawer).to_vec()
     }
 
     /// One global drawer's free run, ascending; empty outside the view.
@@ -923,14 +912,7 @@ mod tests {
 
     /// d0 has slots {2,3}, d1 has {0,1,2,3} free.
     fn fragmented() -> FreeView {
-        FreeView::single_chassis(vec![
-            SlotAddr::new(0, 2),
-            SlotAddr::new(0, 3),
-            SlotAddr::new(1, 0),
-            SlotAddr::new(1, 1),
-            SlotAddr::new(1, 2),
-            SlotAddr::new(1, 3),
-        ])
+        FreeView::new(vec![ra(0, 2), ra(0, 3), ra(1, 0), ra(1, 1), ra(1, 2), ra(1, 3)], 2)
     }
 
     #[test]
@@ -972,14 +954,7 @@ mod tests {
     fn topology_aware_prices_competing_splits() {
         // 3 free in each drawer, a 4-GPU job: no whole-drawer fit, so the
         // policy must price the 3+1 spill against the 2+2 balanced split.
-        let free = FreeView::single_chassis(vec![
-            SlotAddr::new(0, 0),
-            SlotAddr::new(0, 1),
-            SlotAddr::new(0, 2),
-            SlotAddr::new(1, 0),
-            SlotAddr::new(1, 1),
-            SlotAddr::new(1, 2),
-        ]);
+        let free = FreeView::new(vec![ra(0, 0), ra(0, 1), ra(0, 2), ra(1, 0), ra(1, 1), ra(1, 2)], 2);
         let mut probes = ProbeCache::new(2);
         let mut j = job(4);
         j.benchmark = Benchmark::BertLarge;
@@ -1050,7 +1025,7 @@ mod tests {
     #[test]
     fn all_policies_refuse_impossible_demands() {
         let mut probes = ProbeCache::new(2);
-        let tiny = FreeView::single_chassis(vec![SlotAddr::new(0, 0)]);
+        let tiny = FreeView::new(vec![ra(0, 0)], 2);
         for p in all_policies() {
             assert!(p.place(&job(2), &tiny, &mut probes).is_none(), "{}", p.name());
         }
@@ -1303,10 +1278,10 @@ mod tests {
     testkit::property! {
         /// The kept run starts find each drawer's slots exactly: on every
         /// drawer of a random 1–8 chassis view built from an unsorted
-        /// list, `in_drawer` is `slots()` filtered to that drawer, and
-        /// the drawers past the view's last are empty.
+        /// list, its `run` is `slots()` filtered to that drawer, and the
+        /// drawers past the view's last are empty.
         #[cases(256)]
-        fn in_drawer_is_the_slots_of_that_drawer(
+        fn run_is_the_slots_of_that_drawer(
             chassis in testkit::u8_in(1..9),
             bits in testkit::vec_of(testkit::u8_in(0..128), 0..96)
         ) {
@@ -1315,10 +1290,10 @@ mod tests {
             for d in 0..free.n_drawers() {
                 let want: Vec<RackAddr> =
                     free.slots().iter().copied().filter(|s| s.global_drawer() == d).collect();
-                testkit::prop_assert_eq!(free.in_drawer(d), want, "drawer {d}");
+                testkit::prop_assert_eq!(free.run(d), want.as_slice(), "drawer {d}");
             }
             for d in free.n_drawers()..free.n_drawers() + 2 {
-                testkit::prop_assert!(free.in_drawer(d).is_empty(), "drawer {d} outside the view");
+                testkit::prop_assert!(free.run(d).is_empty(), "drawer {d} outside the view");
             }
         }
     }

@@ -723,7 +723,7 @@ struct SlotShare {
 }
 
 /// All serving state of one replay, driven by the cluster event loop.
-pub struct ServeState {
+pub(crate) struct ServeState {
     svcs: Vec<SvcState>,
     /// Indices of services that can still do anything — not yet ended,
     /// or ended with replicas left to drain. A retired service (ended,

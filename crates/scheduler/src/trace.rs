@@ -41,11 +41,6 @@ pub fn priority_tier_from_label(label: &str) -> Option<u8> {
         .map(|&(_, tier)| tier)
 }
 
-/// The label for a numeric tier, if it is one of the named tiers.
-pub fn priority_tier_label(tier: u8) -> Option<&'static str> {
-    PRIORITY_TIERS.iter().find(|&&(_, t)| t == tier).map(|&(name, _)| name)
-}
-
 pub use dlmodels::benchmark_from_label;
 
 /// One training job in a cluster trace.
@@ -371,10 +366,8 @@ mod tests {
         for (label, tier) in PRIORITY_TIERS {
             assert_eq!(priority_tier_from_label(label), Some(tier));
             assert_eq!(priority_tier_from_label(&label.to_uppercase()), Some(tier));
-            assert_eq!(priority_tier_label(tier), Some(label));
         }
         assert_eq!(priority_tier_from_label("platinum"), None);
-        assert_eq!(priority_tier_label(0), None);
 
         let t = seeded_two_tenant(3, 5);
         let named = t.to_json_string().replace("\"priority\": 1", "\"priority\": \"low\"");

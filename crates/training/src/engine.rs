@@ -14,7 +14,7 @@ use crate::cluster::Cluster;
 use crate::config::{dp_dispatch_dilation, JobConfig, Strategy};
 use crate::memory::gpu_memory_needed;
 use crate::pipeline::{self, PipelineState};
-use crate::telemetry::{RunReport, Telemetry};
+use crate::telemetry::{self, RunReport, Telemetry};
 use collectives::{all_gather, plan_ring, reduce_scatter, ring_allreduce, star_broadcast, star_reduce};
 use desim::{Dur, Sim, SimRng, SimTime};
 use devices::roofline::KernelTime;
@@ -322,11 +322,8 @@ fn try_start_after_input(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
         return;
     }
     w.pipeline.consume_all();
-    let stall = sim.now().since(w.job.input_wait_start);
-    w.telemetry.input_stall += stall;
     w.telemetry
-        .spans
-        .record(0, "data-wait", w.job.input_wait_start, sim.now());
+        .add_phase(telemetry::Phase::DataWait, w.job.input_wait_start, sim.now());
     // Refill the queues we just drained. (H2D already happened inside the
     // pipeline's prefetch — batches are device-resident when consumed.)
     for g in 0..w.pipeline.queues.len() {
@@ -365,7 +362,7 @@ fn start_dp_broadcast(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
             // The master GPU drives the copies.
             w.telemetry.gpu_busy[0].record(start, sim.now());
             w.telemetry.exposed_comm += sim.now().since(start);
-            w.telemetry.spans.record(0, "exposed-comm", start, sim.now());
+            w.telemetry.add_phase(telemetry::Phase::ExposedComm, start, sim.now());
             start_fwd(w, sim);
         }),
     );
@@ -374,7 +371,7 @@ fn start_dp_broadcast(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
 fn start_fwd(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
     w.job.phase = Phase::Fwd;
     let dur = w.job.fwd.total * w.rng.jitter(w.cfg.jitter_frac);
-    w.telemetry.spans.record(0, "forward", sim.now(), sim.now() + dur);
+    w.telemetry.add_phase(telemetry::Phase::Forward, sim.now(), sim.now() + dur);
     w.telemetry.all_gpus_busy(sim.now(), sim.now() + dur);
     w.telemetry.kernel_time_sum += w.job.fwd.total;
     w.telemetry.mem_time_sum += w.job.fwd.mem_time;
@@ -384,7 +381,7 @@ fn start_fwd(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
 fn start_bwd(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
     w.job.phase = Phase::Bwd;
     let dur = w.job.bwd.total * w.rng.jitter(w.cfg.jitter_frac);
-    w.telemetry.spans.record(0, "backward", sim.now(), sim.now() + dur);
+    w.telemetry.add_phase(telemetry::Phase::Backward, sim.now(), sim.now() + dur);
     w.telemetry.all_gpus_busy(sim.now(), sim.now() + dur);
     w.telemetry.kernel_time_sum += w.job.bwd.total;
     w.telemetry.mem_time_sum += w.job.bwd.mem_time;
@@ -491,8 +488,7 @@ fn check_sync_done(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
         let exposed = sim.now().since(w.job.bwd_end);
         w.telemetry.exposed_comm += exposed;
         w.telemetry
-            .spans
-            .record(0, "exposed-comm", w.job.bwd_end, sim.now());
+            .add_phase(telemetry::Phase::ExposedComm, w.job.bwd_end, sim.now());
         w.telemetry.all_gpus_busy(w.job.bwd_end, sim.now());
     }
     start_optimizer(w, sim);
@@ -514,7 +510,7 @@ fn start_dp_reduce(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
         Box::new(move |w: &mut TrainWorld, sim| {
             w.telemetry.gpu_busy[0].record(start, sim.now());
             w.telemetry.exposed_comm += sim.now().since(start);
-            w.telemetry.spans.record(0, "exposed-comm", start, sim.now());
+            w.telemetry.add_phase(telemetry::Phase::ExposedComm, start, sim.now());
             start_optimizer(w, sim);
         }),
     );
@@ -523,7 +519,7 @@ fn start_dp_reduce(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
 fn start_optimizer(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
     w.job.phase = Phase::Optimizer;
     let dur = w.job.opt_time;
-    w.telemetry.spans.record(0, "optimizer", sim.now(), sim.now() + dur);
+    w.telemetry.add_phase(telemetry::Phase::Optimizer, sim.now(), sim.now() + dur);
     match w.cfg.strategy {
         // DP: the optimizer runs only on the master replica.
         Strategy::Dp => w.telemetry.gpu_busy[0].record(sim.now(), sim.now() + dur),
@@ -542,12 +538,8 @@ fn after_optimizer(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
     }
 
     // Iteration bookkeeping.
-    w.telemetry
-        .iter_times
-        .record(sim.now().since(w.job.iter_start).as_secs_f64());
-    w.telemetry
-        .samples_trained
-        .add((w.cfg.per_gpu_batch * w.cluster.n_gpus() as u64) as f64);
+    w.telemetry.iter_secs += sim.now().since(w.job.iter_start).as_secs_f64();
+    w.telemetry.samples_trained += (w.cfg.per_gpu_batch * w.cluster.n_gpus() as u64) as f64;
     w.job.iters_total += 1;
     w.job.iter_in_epoch += 1;
 
@@ -559,7 +551,6 @@ fn after_optimizer(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
 }
 
 fn end_epoch(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
-    w.telemetry.epoch_marks.push(sim.now());
     w.job.iter_in_epoch = 0;
     w.job.epoch += 1;
 
@@ -591,9 +582,11 @@ fn checkpoint_then(
         bytes,
         FlowTag::CHECKPOINT,
         Box::new(move |w: &mut TrainWorld, sim| {
-            w.telemetry
-                .spans
-                .record(0, "checkpoint", started, sim.now() + write_time);
+            w.telemetry.add_phase(
+                telemetry::Phase::Checkpoint,
+                started,
+                sim.now() + write_time,
+            );
             sim.schedule_in(write_time, cont);
         }),
     );
@@ -631,7 +624,12 @@ fn build_report(w: &TrainWorld, monitored: &[DirLink]) -> RunReport {
         .iter()
         .map(|dl| w.fabric.ports.bytes_within(*dl, SimTime::ZERO, end))
         .sum();
-    let active_secs = w.telemetry.iter_times.mean() * w.job.iters_total as f64;
+    let mean_iter_secs = if w.job.iters_total == 0 {
+        0.0
+    } else {
+        w.telemetry.iter_secs / w.job.iters_total as f64
+    };
+    let active_secs = mean_iter_secs * w.job.iters_total as f64;
     let falcon_pcie_rate = if active_secs > 0.0 {
         monitored_bytes / active_secs
     } else {
@@ -649,21 +647,13 @@ fn build_report(w: &TrainWorld, monitored: &[DirLink]) -> RunReport {
         w.telemetry.mem_time_sum.as_secs_f64() / kernel_total.as_secs_f64()
     };
 
-    let phase_totals = w
-        .telemetry
-        .spans
-        .totals_by_label()
-        .into_iter()
-        .map(|(k, v)| (k, v.as_secs_f64()))
-        .collect();
-    let iter_times = w.telemetry.iter_times.clone();
     RunReport {
         label: w.cluster.label.clone(),
         benchmark: w.model.name.clone(),
         total_time: total,
         iterations: w.job.iters_total,
-        mean_iter: Dur::from_secs_f64(iter_times.mean()),
-        throughput: w.telemetry.samples_trained.total() / total.as_secs_f64().max(1e-9),
+        mean_iter: Dur::from_secs_f64(mean_iter_secs),
+        throughput: w.telemetry.samples_trained / total.as_secs_f64().max(1e-9),
         gpu_util,
         gpu_util_trace,
         gpu_mem_util: w.telemetry.gpu_mem_used / w.telemetry.gpu_mem_capacity,
@@ -672,9 +662,10 @@ fn build_report(w: &TrainWorld, monitored: &[DirLink]) -> RunReport {
         host_mem_util: w.telemetry.host_mem_used.mean(end) / w.cluster.dram.capacity_bytes,
         falcon_pcie_rate,
         falcon_pcie_trace,
-        input_stall_share: w.telemetry.input_stall.as_secs_f64() / total.as_secs_f64().max(1e-9),
+        input_stall_share: w.telemetry.phase_total(telemetry::Phase::DataWait).as_secs_f64()
+            / total.as_secs_f64().max(1e-9),
         exposed_comm_share: w.telemetry.exposed_comm.as_secs_f64()
             / total.as_secs_f64().max(1e-9),
-        phase_totals,
+        phase_totals: w.telemetry.phase_totals(),
     }
 }

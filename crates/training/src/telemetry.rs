@@ -1,11 +1,45 @@
 //! Run telemetry: everything the paper's figures plot.
 
 use desim::json::{FromJson, JsonError, ToJson, Value};
-use desim::stats::{BusyTracker, Counter, Histogram, Summary, TimeWeightedGauge};
-use desim::trace::SpanRecorder;
+use desim::stats::{BusyTracker, TimeWeightedGauge};
 use desim::{Dur, SimTime};
 
-/// Live collectors during a run.
+/// A phase of the lockstep group's iteration — the Fig 8 data-path
+/// breakdown [`RunReport::phase_totals`] reports. Declared in label order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    Backward,
+    Checkpoint,
+    DataWait,
+    ExposedComm,
+    Forward,
+    Optimizer,
+}
+
+impl Phase {
+    /// Every phase, in label order.
+    pub const ALL: [Phase; 6] = [
+        Phase::Backward,
+        Phase::Checkpoint,
+        Phase::DataWait,
+        Phase::ExposedComm,
+        Phase::Forward,
+        Phase::Optimizer,
+    ];
+
+    pub fn label(self) -> &'static str {
+        match self {
+            Phase::Backward => "backward",
+            Phase::Checkpoint => "checkpoint",
+            Phase::DataWait => "data-wait",
+            Phase::ExposedComm => "exposed-comm",
+            Phase::Forward => "forward",
+            Phase::Optimizer => "optimizer",
+        }
+    }
+}
+
+/// Live collectors during a run: one running sum per reported quantity.
 #[derive(Debug)]
 pub struct Telemetry {
     /// Per-GPU compute busy intervals (Fig 9/10 GPU utilization).
@@ -21,16 +55,14 @@ pub struct Telemetry {
     /// Per-GPU memory in use, bytes (static per run; Fig 10 middle panel).
     pub gpu_mem_used: f64,
     pub gpu_mem_capacity: f64,
-    pub iter_times: Histogram,
-    pub epoch_marks: Vec<SimTime>,
-    pub samples_trained: Counter,
-    /// Time spent stalled waiting for input batches (pipeline-bound).
-    pub input_stall: Dur,
+    /// Sum of the iterations' wall-clock times, seconds.
+    pub iter_secs: f64,
+    /// Samples trained, summed over the replicas.
+    pub samples_trained: f64,
     /// Time communication was exposed (not overlapped with compute).
     pub exposed_comm: Dur,
-    /// Phase spans of the lockstep group (track 0): data wait, forward,
-    /// backward, exposed comm, optimizer, checkpoint.
-    pub spans: SpanRecorder,
+    /// Wall-clock of the lockstep group per [`Phase`], indexed by it.
+    phase_sums: [Dur; Phase::ALL.len()],
 }
 
 impl Telemetry {
@@ -43,12 +75,10 @@ impl Telemetry {
             host_mem_used: TimeWeightedGauge::new(SimTime::ZERO, 0.0),
             gpu_mem_used: 0.0,
             gpu_mem_capacity,
-            iter_times: Histogram::new(),
-            epoch_marks: Vec::new(),
-            samples_trained: Counter::new(),
-            input_stall: Dur::ZERO,
+            iter_secs: 0.0,
+            samples_trained: 0.0,
             exposed_comm: Dur::ZERO,
-            spans: SpanRecorder::new(),
+            phase_sums: [Dur::ZERO; Phase::ALL.len()],
         }
     }
 
@@ -57,6 +87,27 @@ impl Telemetry {
         for b in &mut self.gpu_busy {
             b.record(from, to);
         }
+    }
+
+    /// Add the interval `[from, to)` to `phase`'s total (nothing when
+    /// `to <= from`).
+    pub fn add_phase(&mut self, phase: Phase, from: SimTime, to: SimTime) {
+        self.phase_sums[phase as usize] += to.since(from);
+    }
+
+    /// Total time recorded in `phase`.
+    pub fn phase_total(&self, phase: Phase) -> Dur {
+        self.phase_sums[phase as usize]
+    }
+
+    /// Seconds per phase label, in label order, phases with no recorded
+    /// time left out.
+    pub fn phase_totals(&self) -> Vec<(String, f64)> {
+        Phase::ALL
+            .iter()
+            .filter(|&&p| !self.phase_total(p).is_zero())
+            .map(|&p| (p.label().to_string(), self.phase_total(p).as_secs_f64()))
+            .collect()
     }
 }
 
@@ -93,8 +144,9 @@ pub struct RunReport {
     pub input_stall_share: f64,
     /// Fraction of run time in exposed (unoverlapped) communication.
     pub exposed_comm_share: f64,
-    /// Wall-clock per phase label (the Fig 8 data-path breakdown):
-    /// forward, backward, exposed-comm, optimizer, checkpoint, data-wait.
+    /// Wall-clock seconds per phase label (the Fig 8 data-path
+    /// breakdown), in label order: backward, checkpoint, data-wait,
+    /// exposed-comm, forward, optimizer; a phase with no time is left out.
     pub phase_totals: Vec<(String, f64)>,
 }
 
@@ -103,15 +155,6 @@ impl RunReport {
     /// Fig 15 quantity): positive = slower than baseline.
     pub fn pct_change_vs(&self, baseline: &RunReport) -> f64 {
         (self.total_time.as_secs_f64() / baseline.total_time.as_secs_f64() - 1.0) * 100.0
-    }
-
-    /// Speedup of `self` relative to `other` (>1 means self is faster).
-    pub fn speedup_vs(&self, other: &RunReport) -> f64 {
-        other.total_time.as_secs_f64() / self.total_time.as_secs_f64()
-    }
-
-    pub fn gpu_util_summary(&self) -> Summary {
-        Summary::of(&self.gpu_util_trace)
     }
 
     /// Compact JSON form (downstream tooling, golden files).
@@ -173,12 +216,11 @@ mod tests {
     }
 
     #[test]
-    fn pct_change_and_speedup() {
+    fn pct_change() {
         let base = report(100.0);
         let slow = report(200.0);
         assert!((slow.pct_change_vs(&base) - 100.0).abs() < 1e-9);
-        assert!((base.speedup_vs(&slow) - 2.0).abs() < 1e-9);
-        assert!((slow.speedup_vs(&base) - 0.5).abs() < 1e-9);
+        assert!((base.pct_change_vs(&slow) + 50.0).abs() < 1e-9);
     }
 
     #[test]
@@ -191,10 +233,27 @@ mod tests {
     }
 
     #[test]
-    fn util_summary() {
-        let r = report(10.0);
-        let s = r.gpu_util_summary();
-        assert_eq!(s.count, 2);
-        assert!((s.mean - 0.9).abs() < 1e-9);
+    fn phase_totals_are_in_label_order_without_empty_phases() {
+        let mut t = Telemetry::new(1, 16e9);
+        let us = SimTime::from_micros;
+        t.add_phase(Phase::Optimizer, us(30), us(40));
+        t.add_phase(Phase::Forward, us(0), us(10));
+        t.add_phase(Phase::DataWait, us(5), us(5));
+        t.add_phase(Phase::Backward, us(10), us(30));
+        t.add_phase(Phase::Forward, us(40), us(50));
+        t.add_phase(Phase::Checkpoint, us(9), us(3));
+        assert_eq!(t.phase_total(Phase::Forward), Dur::from_micros(20));
+        let labels: Vec<&str> = Phase::ALL.iter().map(|p| p.label()).collect();
+        let mut sorted = labels.clone();
+        sorted.sort_unstable();
+        assert_eq!(labels, sorted, "Phase::ALL is in label order");
+        assert_eq!(
+            t.phase_totals(),
+            vec![
+                ("backward".to_string(), 20e-6),
+                ("forward".to_string(), 20e-6),
+                ("optimizer".to_string(), 10e-6),
+            ]
+        );
     }
 }
