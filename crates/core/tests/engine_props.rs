@@ -5,12 +5,15 @@
 //! * every (benchmark, config, batch, seed) cell yields a physically
 //!   coherent report (fractions in range, throughput consistent with
 //!   iteration accounting, falcon traffic iff falcon GPUs);
+//! * the phase totals tile the run under every strategy, and the stall
+//!   and exposed-comm shares are their phases' totals;
 //! * equal seeds replay identically, different seeds stay in a jitter band.
 
 use composable_core::runner::{run, ExperimentOpts};
 use composable_core::HostConfig;
 use dlmodels::Benchmark;
-use testkit::{prop_assert, prop_assert_eq, property, select, tuple4, u64_in, usize_in};
+use testkit::{bools, prop_assert, prop_assert_eq, property, select, tuple4, u64_in, usize_in};
+use training::Strategy;
 
 property! {
     /// Any (benchmark, config, small batch) cell that fits produces a
@@ -49,6 +52,41 @@ property! {
             prop_assert!(r.falcon_pcie_rate > 0.0);
         } else {
             prop_assert!(r.falcon_pcie_rate == 0.0);
+        }
+    }
+
+    /// The phases tile the run: on every (benchmark, GPU config,
+    /// strategy, checkpoints) draw the phase totals add up to the run
+    /// time, and the data-wait and exposed-comm totals are the input-stall
+    /// and exposed-comm shares of it (an absent phase counts as 0).
+    #[cases(64)]
+    fn phase_totals_tile_the_run(input in tuple4(
+        select(Benchmark::all().to_vec()),
+        usize_in(0..3),
+        select(vec![Strategy::ddp(), Strategy::Dp, Strategy::sharded()]),
+        bools(),
+    )) {
+        let (b, cfg_idx, strategy, checkpoints) = input;
+        let mut opts = ExperimentOpts::scaled(3).with_strategy(strategy).with_auto_batch();
+        opts.checkpoint = checkpoints;
+        let r = run(b, HostConfig::gpu_configs()[cfg_idx], &opts).unwrap();
+        let total = r.total_time.as_secs_f64();
+        let sum: f64 = r.phase_totals.iter().map(|&(_, secs)| secs).sum();
+        prop_assert!(
+            (sum - total).abs() < 1e-9,
+            "phases sum to {} of {} s: {:?}", sum, total, r.phase_totals
+        );
+        let phase = |label: &str| {
+            r.phase_totals.iter().find(|(l, _)| l == label).map_or(0.0, |&(_, secs)| secs)
+        };
+        for (label, share) in [
+            ("data-wait", r.input_stall_share),
+            ("exposed-comm", r.exposed_comm_share),
+        ] {
+            prop_assert!(
+                (phase(label) - share * total).abs() < 1e-9,
+                "{} total {} s vs share {} of {} s", label, phase(label), share, total
+            );
         }
     }
 

@@ -361,7 +361,6 @@ fn start_dp_broadcast(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
         Box::new(move |w: &mut TrainWorld, sim| {
             // The master GPU drives the copies.
             w.telemetry.gpu_busy[0].record(start, sim.now());
-            w.telemetry.exposed_comm += sim.now().since(start);
             w.telemetry.add_phase(telemetry::Phase::ExposedComm, start, sim.now());
             start_fwd(w, sim);
         }),
@@ -471,8 +470,8 @@ fn dispatch_comm(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
 fn on_params_gathered(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
     w.job.params_ready = true;
     if w.job.phase == Phase::WaitParams {
-        let waited = sim.now().since(w.job.bwd_end);
-        w.telemetry.exposed_comm += waited;
+        w.telemetry
+            .add_phase(telemetry::Phase::ExposedComm, w.job.bwd_end, sim.now());
         w.telemetry.all_gpus_busy(w.job.bwd_end, sim.now());
         start_fwd(w, sim);
     }
@@ -485,8 +484,6 @@ fn check_sync_done(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
     // Communication that outlived backward is exposed; the NCCL kernels
     // keep the SMs occupied during it.
     if sim.now() > w.job.bwd_end {
-        let exposed = sim.now().since(w.job.bwd_end);
-        w.telemetry.exposed_comm += exposed;
         w.telemetry
             .add_phase(telemetry::Phase::ExposedComm, w.job.bwd_end, sim.now());
         w.telemetry.all_gpus_busy(w.job.bwd_end, sim.now());
@@ -509,7 +506,6 @@ fn start_dp_reduce(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
         FlowTag::COLLECTIVE,
         Box::new(move |w: &mut TrainWorld, sim| {
             w.telemetry.gpu_busy[0].record(start, sim.now());
-            w.telemetry.exposed_comm += sim.now().since(start);
             w.telemetry.add_phase(telemetry::Phase::ExposedComm, start, sim.now());
             start_optimizer(w, sim);
         }),
@@ -640,7 +636,8 @@ fn build_report(w: &TrainWorld, monitored: &[DirLink]) -> RunReport {
             .ports
             .aggregate_trace(monitored, SimTime::ZERO, end, trace_bucket);
 
-    let kernel_total = w.telemetry.kernel_time_sum + w.telemetry.exposed_comm;
+    let exposed_comm = w.telemetry.phase_total(telemetry::Phase::ExposedComm);
+    let kernel_total = w.telemetry.kernel_time_sum + exposed_comm;
     let gpu_mem_access_share = if kernel_total.is_zero() {
         0.0
     } else {
@@ -664,7 +661,7 @@ fn build_report(w: &TrainWorld, monitored: &[DirLink]) -> RunReport {
         falcon_pcie_trace,
         input_stall_share: w.telemetry.phase_total(telemetry::Phase::DataWait).as_secs_f64()
             / total.as_secs_f64().max(1e-9),
-        exposed_comm_share: w.telemetry.exposed_comm.as_secs_f64()
+        exposed_comm_share: exposed_comm.as_secs_f64()
             / total.as_secs_f64().max(1e-9),
         phase_totals: w.telemetry.phase_totals(),
     }

@@ -59,8 +59,6 @@ pub struct Telemetry {
     pub iter_secs: f64,
     /// Samples trained, summed over the replicas.
     pub samples_trained: f64,
-    /// Time communication was exposed (not overlapped with compute).
-    pub exposed_comm: Dur,
     /// Wall-clock of the lockstep group per [`Phase`], indexed by it.
     phase_sums: [Dur; Phase::ALL.len()],
 }
@@ -77,7 +75,6 @@ impl Telemetry {
             gpu_mem_capacity,
             iter_secs: 0.0,
             samples_trained: 0.0,
-            exposed_comm: Dur::ZERO,
             phase_sums: [Dur::ZERO; Phase::ALL.len()],
         }
     }
