@@ -602,7 +602,7 @@ impl ClusterSim {
             fstate: FaultState::default(),
             mig: MigState::default(),
             suspended: BTreeMap::new(),
-            serve: ServeState::new_for(services, n_drawers),
+            serve: ServeState::new_for(services, n_drawers)?,
             ledger_slots: 0,
             ledger_tenant: vec![0; MAX_TENANTS as usize],
             events_seen: 0,

@@ -917,6 +917,33 @@ mod tests {
         assert_eq!(cache.probes_run(), 0, "no scenario replayed");
     }
 
+    #[test]
+    fn a_request_stream_over_the_cap_fails_the_replay_naming_scenario_and_service() {
+        // 1,000,000 rps over 1 s: five times the per-service cap.
+        let mut sc = broken(|_, s| {
+            s[0].rate_rps = 1_000_000.0;
+            s[0].duration = Dur::from_secs(1);
+        });
+        sc.name = "over-cap".into();
+        // Admission draws no stream, so the spec validates...
+        assert!(sc.validate().is_ok());
+        // ...and the replay stops before its first event instead of
+        // serving a cut stream.
+        let mut cache = ProbeCache::new(sc.config.probe_iters);
+        let err = run_scenario(&sc, 1, &mut cache).expect_err("over-cap stream replayed");
+        assert!(
+            matches!(
+                err,
+                ScenarioError::Scheduler {
+                    source: SchedulerError::BadService { id: 100, .. },
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().starts_with("over-cap: service 100: request stream passes"), "{err}");
+    }
+
     /// The parse error of `cluster_fifo` with `knob: true` added to its
     /// config block.
     fn config_knob_error(knob: &str) -> String {

@@ -19,7 +19,7 @@
 //! dilate serving batches and live services dilate training rates via the
 //! same per-drawer interference model.
 
-use crate::cluster::{dilation, tenant_user, ADMIN, MAX_TENANTS};
+use crate::cluster::{dilation, tenant_user, SchedulerError, ADMIN, MAX_TENANTS};
 use crate::metrics::{percentile_dur, round4, ServeMetrics, ServiceOutcome};
 use crate::policy::{SliceSlot, SliceView};
 use crate::trace::{JobSpec, PoissonMix, TenantId, Trace};
@@ -43,7 +43,8 @@ pub const SERVE_IDLE_SCALE_DOWN: Dur = Dur::from_secs(4);
 pub const SERVE_QUEUE_CAP_BATCHES: usize = 8;
 /// Scale up when the backlog exceeds this many full batches per replica.
 pub const SERVE_BACKLOG_SCALE_UP: usize = 2;
-/// Hard cap on generated requests per service (seeded streams are finite).
+/// Most requests one service's stream may hold; a stream with more
+/// arrivals in its window is an error, never a silent cut.
 const MAX_REQUESTS: usize = 200_000;
 
 /// The open-loop arrival process of a service.
@@ -256,7 +257,9 @@ pub fn seeded_pai_mix(n_jobs: usize, n_services: usize, seed: u64) -> MixedTrace
 
 /// The seeded request arrival stream of one service — a pure function of
 /// the spec, so replays are byte-identical at any worker count.
-pub fn request_times(spec: &ServiceSpec) -> Vec<SimTime> {
+/// [`SchedulerError::BadService`] when the window holds more than the
+/// per-service cap of 200,000 requests.
+pub fn request_times(spec: &ServiceSpec) -> Result<Vec<SimTime>, SchedulerError> {
     let mut rng = SimRng::seed_from_u64(0x5E27E ^ spec.id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let end = spec.end();
     let peak = match spec.arrivals {
@@ -265,7 +268,7 @@ pub fn request_times(spec: &ServiceSpec) -> Vec<SimTime> {
     };
     let mut out = Vec::new();
     let mut t = spec.start;
-    while out.len() < MAX_REQUESTS {
+    loop {
         let gap = -(1.0 - rng.unit()).ln() / peak;
         t = t + Dur::from_secs_f64(gap);
         if t >= end {
@@ -282,10 +285,20 @@ pub fn request_times(spec: &ServiceSpec) -> Vec<SimTime> {
             }
         };
         if accept {
+            if out.len() == MAX_REQUESTS {
+                return Err(SchedulerError::BadService {
+                    id: spec.id,
+                    msg: format!(
+                        "request stream passes {MAX_REQUESTS} requests before its window \
+                         ends ({} rps over {}); lower rate_rps or duration",
+                        spec.rate_rps, spec.duration
+                    ),
+                });
+            }
             out.push(t);
         }
     }
-    out
+    Ok(out)
 }
 
 /// Forward-pass latency of one batch on a `slice`/7 slot share: kernel
@@ -369,10 +382,10 @@ struct SvcState {
 }
 
 impl SvcState {
-    fn new(spec: ServiceSpec) -> SvcState {
+    fn new(spec: ServiceSpec) -> Result<SvcState, SchedulerError> {
         let profile = InferenceProfile::for_benchmark(spec.benchmark);
-        let arrivals = request_times(&spec);
-        SvcState {
+        let arrivals = request_times(&spec)?;
+        Ok(SvcState {
             spec,
             profile,
             arrivals,
@@ -391,7 +404,7 @@ impl SvcState {
             replica_secs: 0.0,
             failovers: 0,
             peak_replicas: 0,
-        }
+        })
     }
 
     fn queue_cap(&self) -> usize {
@@ -763,9 +776,10 @@ impl ServeState {
     /// Serving state for `specs` on a rack with `n_drawers` drawers. With
     /// no services it is the training-only state: no events, no accrual,
     /// so a replay through it is byte-identical to the pre-serving loop.
-    pub fn new_for(specs: Vec<ServiceSpec>, n_drawers: usize) -> ServeState {
-        let svcs: Vec<SvcState> = specs.into_iter().map(SvcState::new).collect();
-        ServeState {
+    /// Fails naming the first service whose stream passes the request cap.
+    pub fn new_for(specs: Vec<ServiceSpec>, n_drawers: usize) -> Result<ServeState, SchedulerError> {
+        let svcs = specs.into_iter().map(SvcState::new).collect::<Result<Vec<_>, _>>()?;
+        Ok(ServeState {
             active: (0..svcs.len()).collect(),
             epoch_dil: vec![1.0; n_drawers],
             svcs,
@@ -781,7 +795,7 @@ impl ServeState {
             per_instant: false,
             #[cfg(test)]
             absorbed: false,
-        }
+        })
     }
 
     /// True once no service can ever act again — every one has ended,
@@ -1281,8 +1295,8 @@ mod tests {
     fn arrival_stream_is_deterministic_and_in_window() {
         for kind in [ArrivalKind::Poisson, ArrivalKind::Diurnal] {
             let s = spec(3, kind);
-            let a = request_times(&s);
-            let b = request_times(&s);
+            let a = request_times(&s).unwrap();
+            let b = request_times(&s).unwrap();
             assert_eq!(a, b);
             assert!(!a.is_empty());
             assert!(a.windows(2).all(|w| w[0] <= w[1]));
@@ -1295,9 +1309,30 @@ mod tests {
 
     #[test]
     fn different_service_ids_get_different_streams() {
-        let a = request_times(&spec(1, ArrivalKind::Poisson));
-        let b = request_times(&spec(2, ArrivalKind::Poisson));
+        let a = request_times(&spec(1, ArrivalKind::Poisson)).unwrap();
+        let b = request_times(&spec(2, ArrivalKind::Poisson)).unwrap();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn a_stream_over_the_request_cap_is_an_error() {
+        // 1,000,000 rps over 1 s: five times the cap.
+        let mut s = spec(9, ArrivalKind::Poisson);
+        s.rate_rps = 1_000_000.0;
+        s.duration = Dur::from_secs(1);
+        let Err(err) = request_times(&s) else { panic!("an over-cap stream was cut silently") };
+        assert!(matches!(err, SchedulerError::BadService { id: 9, .. }), "{err}");
+        assert!(err.to_string().starts_with("service 9: request stream passes 200000"), "{err}");
+        // The serving constructor names the same service.
+        let Err(err) = ServeState::new_for(vec![spec(1, ArrivalKind::Poisson), s], 2) else {
+            panic!("the serving constructor accepted an over-cap stream")
+        };
+        assert!(matches!(err, SchedulerError::BadService { id: 9, .. }), "{err}");
+        // A window that holds the stream is untouched: the cap is a
+        // bound, not a cut.
+        let mut under = spec(9, ArrivalKind::Diurnal);
+        under.rate_rps = 15_000.0;
+        assert!(request_times(&under).unwrap().len() > 100_000);
     }
 
     #[test]

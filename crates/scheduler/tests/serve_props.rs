@@ -48,8 +48,8 @@ property! {
     ) {
         let (id, bench, slice_ix, rate_x10) = input;
         let spec = build_service(id, (id % 2) as u8, bench, slice_ix, rate_x10);
-        let a = request_times(&spec);
-        let b = request_times(&spec);
+        let a = request_times(&spec).unwrap();
+        let b = request_times(&spec).unwrap();
         prop_assert_eq!(&a, &b);
         for w in a.windows(2) {
             prop_assert!(w[0] <= w[1], "stream must be sorted");

@@ -128,6 +128,34 @@ if ! grep -q '"fault"' target/typo_scenario.err; then
     exit 1
 fi
 
+# A request stream longer than the per-service cap (200,000 requests) must
+# stop the replay naming the service, not replay a stream cut short: one
+# service at 1,000,000 rps over a 1 s window asks for five times the cap.
+echo "== request stream over the per-service cap is rejected (service 7, 1,000,000 rps) =="
+over=target/over_cap
+rm -rf "$over"
+mkdir -p "$over"
+cat > "$over/over_cap.json" <<'SPEC'
+{
+  "name": "over_cap",
+  "trace": {"kind": "jobs", "name": "no-jobs", "jobs": []},
+  "services": [
+    {"id": 7, "tenant": 0, "benchmark": "MobileNetV2", "slice": 1, "slo_ns": 60000000,
+     "rate_rps": 1000000, "arrivals": "poisson", "start_ns": 0, "duration_ns": 1000000000,
+     "max_batch": 8, "max_wait_ns": 25000000, "min_replicas": 1, "max_replicas": 3}
+  ],
+  "policies": ["slo-aware-pack"]
+}
+SPEC
+status=0
+PROBE_CACHE="$over/probe_cache.json" cargo run --quiet --release --offline -p bench --bin repro -- \
+    scenario "$over/over_cap.json" > /dev/null 2> "$over/stderr" || status=$?
+cat "$over/stderr"
+if [ "$status" -ne 2 ] || ! grep -q 'service 7' "$over/stderr"; then
+    echo "ERROR: an over-cap request stream did not exit 2 naming service 7 (exit $status)" >&2
+    exit 1
+fi
+
 # Probe prices do not depend on the rack shape, so one persisted cache
 # serves every topology: after a 2-chassis run and a 1-chassis matrix
 # pass on the same $PROBE_CACHE, a second 2-chassis run probes nothing.
