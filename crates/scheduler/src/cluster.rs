@@ -2300,11 +2300,31 @@ mod tests {
     }
 
     /// Inline services on top of a trace's own: random slices, batch
-    /// sizes, replica ranges and windows from the first seconds on.
+    /// sizes, replica ranges and windows from the first seconds on. Past
+    /// the second, each is a burst: hundreds of requests a second at
+    /// `max_batch` 1 under a cap of two or three replicas, so its backlog
+    /// passes the scale-up threshold and its target climbs to the cap.
     fn inline_services(n: u8, seed: u64) -> Vec<ServiceSpec> {
         let mut rng = SimRng::seed_from_u64(seed ^ 0x1_5E2E);
         (0..u64::from(n))
             .map(|k| {
+                if k >= 2 {
+                    return ServiceSpec {
+                        id: 1_000 + k,
+                        tenant: TenantId(k as u32 % MAX_TENANTS),
+                        benchmark: [Benchmark::MobileNetV2, Benchmark::ResNet50][rng.index(2)],
+                        slice: [1, 2][rng.index(2)],
+                        slo: Dur::from_millis(60 + 40 * rng.index(5) as u64),
+                        rate_rps: rng.uniform(300.0, 1_500.0),
+                        arrivals: [ArrivalKind::Poisson, ArrivalKind::Diurnal][rng.index(2)],
+                        start: SimTime::from_millis(rng.index(8_000) as u64),
+                        duration: Dur::from_millis(500 + rng.index(2_500) as u64),
+                        max_batch: 1,
+                        max_wait: Dur::from_millis(5 + rng.index(40) as u64),
+                        min_replicas: 1,
+                        max_replicas: 2 + rng.index(2) as u8,
+                    };
+                }
                 let min_replicas = 1 + rng.index(2) as u8;
                 ServiceSpec {
                     id: 1_000 + k,
@@ -2327,9 +2347,11 @@ mod tests {
     }
 
     /// One knob-crossing draw: (trace family, seed), (jobs, PAI-mix
-    /// services, inline services), (fault events, elastic, preempt,
+    /// services, inline services), (fault plan, elastic, preempt,
     /// defrag), (interference step, audit cadence, quota), (chassis,
-    /// first preset, preset count).
+    /// first preset, preset count). Fault plans 1–3 are seeded plans of
+    /// that many events; 4–6 kill 2–4 slots of the paper's one chassis
+    /// together under quota-8 tenants.
     type KnobDraw =
         ((u8, u64), (u8, u8, u8), (u8, bool, bool, bool), (u8, usize, usize), (u8, usize, usize));
 
@@ -2337,8 +2359,8 @@ mod tests {
         use testkit::{bools, tuple2, tuple3, tuple4, tuple5, u64_in, u8_in, usize_in};
         tuple5(
             tuple2(u8_in(0..3), u64_in(0..1_000_000)),
-            tuple3(u8_in(2..14), u8_in(0..5), u8_in(0..3)),
-            tuple4(u8_in(0..4), bools(), bools(), bools()),
+            tuple3(u8_in(2..14), u8_in(0..5), u8_in(0..5)),
+            tuple4(u8_in(0..7), bools(), bools(), bools()),
             tuple3(u8_in(0..5), usize_in(0..3), usize_in(0..3)),
             tuple3(u8_in(1..9), usize_in(0..POLICY_NAMES.len()), usize_in(1..POLICY_NAMES.len() + 1)),
         )
@@ -2394,13 +2416,36 @@ mod tests {
         };
         if n_faults > 0 {
             let (mixed, _) = sc.materialize();
-            sc.faults = FaultSpec::Seeded {
-                n_events: usize::from(n_faults),
-                horizon: Dur::from_nanos(Scenario::horizon(&mixed).as_nanos()),
-                seed: seed ^ 0xFA17,
+            sc.faults = if n_faults <= 3 {
+                FaultSpec::Seeded {
+                    n_events: usize::from(n_faults),
+                    horizon: Dur::from_nanos(Scenario::horizon(&mixed).as_nanos()),
+                    seed: seed ^ 0xFA17,
+                }
+            } else {
+                sc.topology = Topology::with_chassis(1);
+                sc.config.quota_gpus_per_tenant = 8;
+                FaultSpec::Inline(slot_death_burst(n_faults - 2, Scenario::horizon(&mixed), seed))
             };
         }
         sc
+    }
+
+    /// `n` distinct slots of chassis 0 dying together at a seeded instant
+    /// in the first 9 s, while the first services run (or before the
+    /// trace's `horizon`).
+    fn slot_death_burst(n: u8, horizon: SimTime, seed: u64) -> FaultPlan {
+        let mut rng = SimRng::seed_from_u64(seed ^ 0xDEAD);
+        let window = horizon.min(SimTime::from_secs(9)).as_secs_f64();
+        let at = SimTime::from_secs_f64(rng.unit() * window);
+        let mut deaths: Vec<(u8, u8)> = Vec::new();
+        while deaths.len() < usize::from(n) {
+            let s = (rng.index(2) as u8, rng.index(8) as u8);
+            if !deaths.contains(&s) {
+                deaths.push(s);
+            }
+        }
+        slot_death_plan(at, &deaths)
     }
 
     testkit::property! {
@@ -2417,20 +2462,26 @@ mod tests {
         }
     }
 
-    /// A one-chassis spec that slot-kills `deaths` (drawer, slot) at
-    /// `at_ms`, healing after a minute, under `fifo-first-fit`.
-    fn slot_deaths(name: &str, trace: TraceSpec, at_ms: u64, deaths: &[(u8, u8)]) -> Scenario {
-        let mut sc = Scenario::new(name, trace, vec!["fifo-first-fit".into()]);
+    /// The (drawer, slot) `deaths` of chassis 0 at `at`, each healing a
+    /// minute on.
+    fn slot_death_plan(at: SimTime, deaths: &[(u8, u8)]) -> FaultPlan {
         let events = deaths
             .iter()
             .map(|&(drawer, slot)| FaultEvent {
-                at: SimTime::from_millis(at_ms),
+                at,
                 chassis: 0,
                 kind: FaultKind::SlotDeath { drawer, slot },
                 duration: Dur::from_secs(60),
             })
             .collect();
-        sc.faults = FaultSpec::Inline(FaultPlan { name: "slot-deaths".into(), events });
+        FaultPlan { name: "slot-deaths".into(), events }
+    }
+
+    /// A one-chassis spec that slot-kills `deaths` (drawer, slot) at
+    /// `at_ms` under `fifo-first-fit`.
+    fn slot_deaths(name: &str, trace: TraceSpec, at_ms: u64, deaths: &[(u8, u8)]) -> Scenario {
+        let mut sc = Scenario::new(name, trace, vec!["fifo-first-fit".into()]);
+        sc.faults = FaultSpec::Inline(slot_death_plan(SimTime::from_millis(at_ms), deaths));
         sc
     }
 
