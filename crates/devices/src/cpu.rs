@@ -7,7 +7,6 @@
 //! core count; the training pipeline prices preprocessing in core-seconds
 //! per sample and shares these cores among every GPU's dataloader workers.
 
-
 /// Static description of the host CPU complex.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpuSpec {

@@ -2425,7 +2425,11 @@ mod tests {
             } else {
                 sc.topology = Topology::with_chassis(1);
                 sc.config.quota_gpus_per_tenant = 8;
-                FaultSpec::Inline(slot_death_burst(n_faults - 2, Scenario::horizon(&mixed), seed))
+                FaultSpec::Inline(slot_death_burst(
+                    n_faults - 2,
+                    Scenario::horizon(&mixed),
+                    seed,
+                ))
             };
         }
         sc
@@ -2474,7 +2478,10 @@ mod tests {
                 duration: Dur::from_secs(60),
             })
             .collect();
-        FaultPlan { name: "slot-deaths".into(), events }
+        FaultPlan {
+            name: "slot-deaths".into(),
+            events,
+        }
     }
 
     /// A one-chassis spec that slot-kills `deaths` (drawer, slot) at

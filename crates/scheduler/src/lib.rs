@@ -59,8 +59,8 @@ pub use fault::{
 };
 pub use rack::{cross_chassis_stretch, Rack, RackAddr, RackTopology, MAX_CHASSIS};
 pub use metrics::{
-    comparison_table, recovery_comparison_table, serve_comparison_table,
-    JobOutcome, MigrationMetrics, RecoveryMetrics, ScheduleReport, ServeMetrics, ServiceOutcome,
+    comparison_table, recovery_comparison_table, serve_comparison_table, JobOutcome,
+    MigrationMetrics, RecoveryMetrics, ScheduleReport, ServeMetrics, ServiceOutcome,
 };
 pub use policy::{
     all_policies, resolve_policy, FreeView, ParamPolicy, ParamsError, PlacePolicy, PolicyParams,
@@ -76,6 +76,6 @@ pub use serve::{
     SERVE_COMPUTE_EFF, SLICES_PER_GPU,
 };
 pub use trace::{
-    priority_tier_from_label, seeded_two_tenant, JobSpec, PoissonMix,
-    TenantId, Trace, PRIORITY_TIERS,
+    priority_tier_from_label, seeded_two_tenant, JobSpec, PoissonMix, TenantId, Trace,
+    PRIORITY_TIERS,
 };

@@ -912,7 +912,10 @@ mod tests {
 
     /// d0 has slots {2,3}, d1 has {0,1,2,3} free.
     fn fragmented() -> FreeView {
-        FreeView::new(vec![ra(0, 2), ra(0, 3), ra(1, 0), ra(1, 1), ra(1, 2), ra(1, 3)], 2)
+        FreeView::new(
+            vec![ra(0, 2), ra(0, 3), ra(1, 0), ra(1, 1), ra(1, 2), ra(1, 3)],
+            2,
+        )
     }
 
     #[test]
@@ -954,7 +957,10 @@ mod tests {
     fn topology_aware_prices_competing_splits() {
         // 3 free in each drawer, a 4-GPU job: no whole-drawer fit, so the
         // policy must price the 3+1 spill against the 2+2 balanced split.
-        let free = FreeView::new(vec![ra(0, 0), ra(0, 1), ra(0, 2), ra(1, 0), ra(1, 1), ra(1, 2)], 2);
+        let free = FreeView::new(
+            vec![ra(0, 0), ra(0, 1), ra(0, 2), ra(1, 0), ra(1, 1), ra(1, 2)],
+            2,
+        );
         let mut probes = ProbeCache::new(2);
         let mut j = job(4);
         j.benchmark = Benchmark::BertLarge;

@@ -941,7 +941,11 @@ mod tests {
             ),
             "{err}"
         );
-        assert!(err.to_string().starts_with("over-cap: service 100: request stream passes"), "{err}");
+        assert!(
+            err.to_string()
+                .starts_with("over-cap: service 100: request stream passes"),
+            "{err}"
+        );
     }
 
     /// The parse error of `cluster_fifo` with `knob: true` added to its

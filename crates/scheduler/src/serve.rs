@@ -777,8 +777,14 @@ impl ServeState {
     /// no services it is the training-only state: no events, no accrual,
     /// so a replay through it is byte-identical to the pre-serving loop.
     /// Fails naming the first service whose stream passes the request cap.
-    pub fn new_for(specs: Vec<ServiceSpec>, n_drawers: usize) -> Result<ServeState, SchedulerError> {
-        let svcs = specs.into_iter().map(SvcState::new).collect::<Result<Vec<_>, _>>()?;
+    pub fn new_for(
+        specs: Vec<ServiceSpec>,
+        n_drawers: usize,
+    ) -> Result<ServeState, SchedulerError> {
+        let svcs = specs
+            .into_iter()
+            .map(SvcState::new)
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(ServeState {
             active: (0..svcs.len()).collect(),
             epoch_dil: vec![1.0; n_drawers],
@@ -1320,14 +1326,26 @@ mod tests {
         let mut s = spec(9, ArrivalKind::Poisson);
         s.rate_rps = 1_000_000.0;
         s.duration = Dur::from_secs(1);
-        let Err(err) = request_times(&s) else { panic!("an over-cap stream was cut silently") };
-        assert!(matches!(err, SchedulerError::BadService { id: 9, .. }), "{err}");
-        assert!(err.to_string().starts_with("service 9: request stream passes 200000"), "{err}");
+        let Err(err) = request_times(&s) else {
+            panic!("an over-cap stream was cut silently")
+        };
+        assert!(
+            matches!(err, SchedulerError::BadService { id: 9, .. }),
+            "{err}"
+        );
+        assert!(
+            err.to_string()
+                .starts_with("service 9: request stream passes 200000"),
+            "{err}"
+        );
         // The serving constructor names the same service.
         let Err(err) = ServeState::new_for(vec![spec(1, ArrivalKind::Poisson), s], 2) else {
             panic!("the serving constructor accepted an over-cap stream")
         };
-        assert!(matches!(err, SchedulerError::BadService { id: 9, .. }), "{err}");
+        assert!(
+            matches!(err, SchedulerError::BadService { id: 9, .. }),
+            "{err}"
+        );
         // A window that holds the stream is untouched: the cap is a
         // bound, not a cut.
         let mut under = spec(9, ArrivalKind::Diurnal);

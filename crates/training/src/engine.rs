@@ -322,8 +322,11 @@ fn try_start_after_input(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
         return;
     }
     w.pipeline.consume_all();
-    w.telemetry
-        .add_phase(telemetry::Phase::DataWait, w.job.input_wait_start, sim.now());
+    w.telemetry.add_phase(
+        telemetry::Phase::DataWait,
+        w.job.input_wait_start,
+        sim.now(),
+    );
     // Refill the queues we just drained. (H2D already happened inside the
     // pipeline's prefetch — batches are device-resident when consumed.)
     for g in 0..w.pipeline.queues.len() {
@@ -361,7 +364,8 @@ fn start_dp_broadcast(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
         Box::new(move |w: &mut TrainWorld, sim| {
             // The master GPU drives the copies.
             w.telemetry.gpu_busy[0].record(start, sim.now());
-            w.telemetry.add_phase(telemetry::Phase::ExposedComm, start, sim.now());
+            w.telemetry
+                .add_phase(telemetry::Phase::ExposedComm, start, sim.now());
             start_fwd(w, sim);
         }),
     );
@@ -370,7 +374,8 @@ fn start_dp_broadcast(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
 fn start_fwd(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
     w.job.phase = Phase::Fwd;
     let dur = w.job.fwd.total * w.rng.jitter(w.cfg.jitter_frac);
-    w.telemetry.add_phase(telemetry::Phase::Forward, sim.now(), sim.now() + dur);
+    w.telemetry
+        .add_phase(telemetry::Phase::Forward, sim.now(), sim.now() + dur);
     w.telemetry.all_gpus_busy(sim.now(), sim.now() + dur);
     w.telemetry.kernel_time_sum += w.job.fwd.total;
     w.telemetry.mem_time_sum += w.job.fwd.mem_time;
@@ -380,7 +385,8 @@ fn start_fwd(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
 fn start_bwd(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
     w.job.phase = Phase::Bwd;
     let dur = w.job.bwd.total * w.rng.jitter(w.cfg.jitter_frac);
-    w.telemetry.add_phase(telemetry::Phase::Backward, sim.now(), sim.now() + dur);
+    w.telemetry
+        .add_phase(telemetry::Phase::Backward, sim.now(), sim.now() + dur);
     w.telemetry.all_gpus_busy(sim.now(), sim.now() + dur);
     w.telemetry.kernel_time_sum += w.job.bwd.total;
     w.telemetry.mem_time_sum += w.job.bwd.mem_time;
@@ -506,7 +512,8 @@ fn start_dp_reduce(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
         FlowTag::COLLECTIVE,
         Box::new(move |w: &mut TrainWorld, sim| {
             w.telemetry.gpu_busy[0].record(start, sim.now());
-            w.telemetry.add_phase(telemetry::Phase::ExposedComm, start, sim.now());
+            w.telemetry
+                .add_phase(telemetry::Phase::ExposedComm, start, sim.now());
             start_optimizer(w, sim);
         }),
     );
@@ -515,7 +522,8 @@ fn start_dp_reduce(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
 fn start_optimizer(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
     w.job.phase = Phase::Optimizer;
     let dur = w.job.opt_time;
-    w.telemetry.add_phase(telemetry::Phase::Optimizer, sim.now(), sim.now() + dur);
+    w.telemetry
+        .add_phase(telemetry::Phase::Optimizer, sim.now(), sim.now() + dur);
     match w.cfg.strategy {
         // DP: the optimizer runs only on the master replica.
         Strategy::Dp => w.telemetry.gpu_busy[0].record(sim.now(), sim.now() + dur),
@@ -659,10 +667,12 @@ fn build_report(w: &TrainWorld, monitored: &[DirLink]) -> RunReport {
         host_mem_util: w.telemetry.host_mem_used.mean(end) / w.cluster.dram.capacity_bytes,
         falcon_pcie_rate,
         falcon_pcie_trace,
-        input_stall_share: w.telemetry.phase_total(telemetry::Phase::DataWait).as_secs_f64()
+        input_stall_share: w
+            .telemetry
+            .phase_total(telemetry::Phase::DataWait)
+            .as_secs_f64()
             / total.as_secs_f64().max(1e-9),
-        exposed_comm_share: exposed_comm.as_secs_f64()
-            / total.as_secs_f64().max(1e-9),
+        exposed_comm_share: exposed_comm.as_secs_f64() / total.as_secs_f64().max(1e-9),
         phase_totals: w.telemetry.phase_totals(),
     }
 }
