@@ -1,33 +1,21 @@
 //! Deterministic, cancellable event queue.
 //!
-//! [`EventQueue`] is a **calendar queue**: a sliding window of `K` time
-//! buckets (a timing wheel) with a [`BinaryHeap`] overflow for events
-//! beyond the window. Dense simulations — probe micro-sims, large replay
-//! loops — pay O(1) amortized per push/pop instead of the heap's
-//! O(log n), while the pop order stays exactly the legacy heap order:
-//! ascending `(time, sequence)`, so two events at the same instant pop in
-//! scheduling order.
+//! [`EventQueue`] is a binary min-heap keyed by `(time, sequence)`: events
+//! pop in ascending time, and two events at the same instant pop in the
+//! order they were scheduled.
 //!
-//! Payloads live in a slab indexed by slot; cancelling an event bumps the
-//! slot's generation so a stale [`EventHandle`] can never cancel (or
-//! observe) a recycled slot. Popping skips cancelled entries lazily, in
-//! the wheel and in the overflow alike.
+//! Payloads live in a slab indexed by slot; cancelling or popping an event
+//! bumps the slot's generation, so a stale [`EventHandle`] can never cancel
+//! (or observe) a recycled slot. A cancelled event's heap entry stays where
+//! it is and is dropped when it reaches the head.
 //!
-//! The wheel re-bases itself whenever its window drains: the next batch of
-//! overflow events is sampled and the bucket width re-derived from the
-//! batch's time span, so the same queue serves nanosecond-spaced event
-//! chains and second-spaced replay timelines without tuning.
+//! The queue serves the training engine's simulations (paper runs and
+//! placement probes), which keep a few dozen events pending at most; the
+//! scheduler's replay loop does not use it.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Buckets in the wheel window. Power of two so the window covers
-/// `K × width` nanoseconds with cheap index math.
-const WHEEL_BUCKETS: usize = 256;
-/// Overflow entries sampled per re-base when re-deriving the bucket
-/// width; 2×K keeps the expected bucket occupancy around two entries.
-const REBASE_SAMPLE: usize = 2 * WHEEL_BUCKETS;
 
 /// A handle to a scheduled event, usable to cancel it before it fires.
 ///
@@ -59,42 +47,16 @@ struct Key {
     seq: u64,
 }
 
-/// Where a live entry currently sits — needed so cancel can keep the
-/// wheel's live-entry count exact without searching either structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    Wheel,
-    Overflow,
-}
-
 struct Slot<T> {
     generation: u32,
     payload: Option<T>,
-    loc: Loc,
 }
-
-type Entry = (Key, u32, u32);
 
 /// A cancellable priority queue of timed events carrying payloads of type `T`.
 pub struct EventQueue<T> {
-    /// The sliding window: bucket `i` covers
-    /// `[wheel_start + i·width, wheel_start + (i+1)·width)`. Buckets ahead
-    /// of the cursor hold unsorted entries; the active bucket is sorted on
-    /// activation and consumed through `pos`.
-    buckets: Vec<Vec<Entry>>,
-    /// Active bucket index; `WHEEL_BUCKETS` means the window is drained.
-    cur: usize,
-    /// Consumption cursor into the (sorted) active bucket.
-    pos: usize,
-    wheel_start: SimTime,
-    /// Bucket width in nanoseconds (≥ 1); re-derived at each re-base.
-    width: u64,
-    /// Live (not cancelled) entries currently in the wheel.
-    wheel_live: usize,
-    /// Events at or beyond the window horizon, plus any pushed while the
-    /// window was drained. Strictly later than every wheel entry whenever
-    /// the wheel holds a live entry.
-    overflow: BinaryHeap<Reverse<Entry>>,
+    /// `(key, slot, generation)` of every event pushed and not yet popped,
+    /// cancelled ones included until they reach the head.
+    heap: BinaryHeap<Reverse<(Key, u32, u32)>>,
     slots: Vec<Slot<T>>,
     free: Vec<u32>,
     seq: u64,
@@ -110,13 +72,7 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
-            cur: WHEEL_BUCKETS,
-            pos: 0,
-            wheel_start: SimTime::ZERO,
-            width: 1,
-            wheel_live: 0,
-            overflow: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             seq: 0,
@@ -133,13 +89,6 @@ impl<T> EventQueue<T> {
         self.live == 0
     }
 
-    /// First nanosecond past the wheel window.
-    fn horizon(&self) -> u64 {
-        self.wheel_start
-            .as_nanos()
-            .saturating_add(WHEEL_BUCKETS as u64 * self.width)
-    }
-
     /// Schedule `payload` at `time`. Returns a cancellation handle.
     pub fn push(&mut self, time: SimTime, payload: T) -> EventHandle {
         let slot = match self.free.pop() {
@@ -154,7 +103,6 @@ impl<T> EventQueue<T> {
                 self.slots.push(Slot {
                     generation: 0,
                     payload: Some(payload),
-                    loc: Loc::Wheel,
                 });
                 idx
             }
@@ -166,54 +114,8 @@ impl<T> EventQueue<T> {
         };
         self.seq += 1;
         self.live += 1;
-        self.place(key, slot, generation);
+        self.heap.push(Reverse((key, slot, generation)));
         EventHandle { slot, generation }
-    }
-
-    /// Route a fresh entry to the wheel or the overflow.
-    fn place(&mut self, key: Key, slot: u32, generation: u32) {
-        let entry = (key, slot, generation);
-        if self.cur == WHEEL_BUCKETS {
-            if self.live == 1 {
-                // The queue was empty: re-anchor the window at this event.
-                self.wheel_start = key.time;
-                self.cur = 0;
-                self.pos = 0;
-                self.buckets[0].push(entry);
-                self.slots[slot as usize].loc = Loc::Wheel;
-                self.wheel_live = 1;
-            } else {
-                // Window drained but older events wait in the overflow; the
-                // next settle re-bases and restores wheel-min ≤ overflow-min.
-                self.slots[slot as usize].loc = Loc::Overflow;
-                self.overflow.push(Reverse(entry));
-            }
-            return;
-        }
-        if key.time.as_nanos() >= self.horizon() {
-            self.slots[slot as usize].loc = Loc::Overflow;
-            self.overflow.push(Reverse(entry));
-            return;
-        }
-        self.slots[slot as usize].loc = Loc::Wheel;
-        self.wheel_live += 1;
-        let idx = if key.time <= self.wheel_start {
-            self.cur
-        } else {
-            let off = (key.time.as_nanos() - self.wheel_start.as_nanos()) / self.width;
-            // Events at or before the active window clamp into the active
-            // bucket (pushes are not required to be monotonic).
-            (off as usize).max(self.cur)
-        };
-        if idx == self.cur {
-            // Sorted insert into the not-yet-consumed tail of the active
-            // bucket, preserving ascending (time, seq) order.
-            let b = &mut self.buckets[idx];
-            let at = self.pos + b[self.pos..].partition_point(|&(k, _, _)| k < key);
-            b.insert(at, entry);
-        } else {
-            self.buckets[idx].push(entry);
-        }
     }
 
     /// Cancel a scheduled event. Returns the payload if the event was still
@@ -224,12 +126,9 @@ impl<T> EventQueue<T> {
             return None;
         }
         let payload = slot.payload.take()?;
-        // Bump generation now; the wheel/overflow entry is skipped lazily
-        // and the slot is reusable immediately.
+        // Bump generation now; the heap entry is skipped lazily and the
+        // slot is reusable immediately.
         slot.generation = slot.generation.wrapping_add(1);
-        if slot.loc == Loc::Wheel {
-            self.wheel_live -= 1;
-        }
         self.free.push(handle.slot);
         self.live -= 1;
         Some(payload)
@@ -237,21 +136,14 @@ impl<T> EventQueue<T> {
 
     /// Time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.settle_head() {
-            Some(self.buckets[self.cur][self.pos].0.time)
-        } else {
-            None
-        }
+        self.settle_head();
+        self.heap.peek().map(|Reverse((key, _, _))| key.time)
     }
 
     /// Pop the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        if !self.settle_head() {
-            return None;
-        }
-        let (key, slot, _gen) = self.buckets[self.cur][self.pos];
-        self.pos += 1;
-        self.wheel_live -= 1;
+        self.settle_head();
+        let Reverse((key, slot, _)) = self.heap.pop()?;
         let s = &mut self.slots[slot as usize];
         let payload = s.payload.take().expect("settle_head left a dead head");
         s.generation = s.generation.wrapping_add(1);
@@ -260,92 +152,14 @@ impl<T> EventQueue<T> {
         Some((key.time, payload))
     }
 
-    fn is_live(&self, slot: u32, generation: u32) -> bool {
-        let s = &self.slots[slot as usize];
-        s.generation == generation && s.payload.is_some()
-    }
-
-    /// Advance cursor/window state until `buckets[cur][pos]` is the live
-    /// minimum of the whole queue. Returns false when the queue is empty.
-    fn settle_head(&mut self) -> bool {
-        loop {
-            if self.live == 0 {
-                // Only dead entries can remain anywhere; drop them so the
-                // structures cannot accumulate garbage across idle phases.
-                self.overflow.clear();
-                while self.cur < WHEEL_BUCKETS {
-                    self.buckets[self.cur].clear();
-                    self.cur += 1;
-                }
-                return false;
+    /// Drop cancelled entries off the heap until its head, if any, is live.
+    fn settle_head(&mut self) {
+        while let Some(&Reverse((_, slot, generation))) = self.heap.peek() {
+            if self.slots[slot as usize].generation == generation {
+                return;
             }
-            if self.wheel_live == 0 {
-                self.rebase();
-                continue;
-            }
-            while self.cur < WHEEL_BUCKETS {
-                while self.pos < self.buckets[self.cur].len() {
-                    let (_, slot, generation) = self.buckets[self.cur][self.pos];
-                    if self.is_live(slot, generation) {
-                        return true;
-                    }
-                    self.pos += 1; // cancelled: skip lazily
-                }
-                self.buckets[self.cur].clear();
-                self.cur += 1;
-                if self.cur < WHEEL_BUCKETS {
-                    self.activate(self.cur);
-                }
-            }
-            // The window drained with wheel_live > 0 is impossible — every
-            // live wheel entry sits in an unconsumed bucket — so reaching
-            // here means the count hit zero exactly at the window edge.
-            debug_assert_eq!(self.wheel_live, 0);
+            self.heap.pop(); // cancelled: its slot's generation moved on
         }
-    }
-
-    /// Sort a bucket on activation; entries are unique by `seq`, so
-    /// unstable sort yields a deterministic ascending (time, seq) order.
-    fn activate(&mut self, idx: usize) {
-        self.buckets[idx].sort_unstable_by_key(|&(k, _, _)| k);
-        self.pos = 0;
-    }
-
-    /// Slide the window onto the next batch of overflow events: sample up
-    /// to [`REBASE_SAMPLE`] earliest entries, re-derive the bucket width
-    /// from their span, and scatter those inside the new window into
-    /// buckets (dead entries are dropped here — free cleanup). Entries past
-    /// the new horizon go back to the overflow; the window start strictly
-    /// advances, so they are re-drained by a later re-base.
-    fn rebase(&mut self) {
-        debug_assert!(self.wheel_live == 0 && self.live > 0);
-        let mut batch: Vec<Entry> = Vec::with_capacity(REBASE_SAMPLE);
-        while batch.len() < REBASE_SAMPLE {
-            let Some(Reverse(entry)) = self.overflow.pop() else {
-                break;
-            };
-            if self.is_live(entry.1, entry.2) {
-                batch.push(entry);
-            }
-        }
-        debug_assert!(!batch.is_empty(), "live > 0 with an empty overflow");
-        let t0 = batch[0].0.time;
-        let span = batch.last().expect("nonempty").0.time.as_nanos() - t0.as_nanos();
-        self.width = (span / WHEEL_BUCKETS as u64).max(1);
-        self.wheel_start = t0;
-        let horizon = self.horizon();
-        for entry in batch {
-            if entry.0.time.as_nanos() < horizon {
-                self.slots[entry.1 as usize].loc = Loc::Wheel;
-                self.wheel_live += 1;
-                let idx = (entry.0.time.as_nanos() - t0.as_nanos()) / self.width;
-                self.buckets[idx as usize].push(entry);
-            } else {
-                self.overflow.push(Reverse(entry));
-            }
-        }
-        self.cur = 0;
-        self.activate(0);
     }
 }
 
@@ -406,7 +220,7 @@ mod tests {
         let mut q = EventQueue::new();
         let h1 = q.push(t(10), "old");
         q.cancel(h1);
-        // Reuses the slot with a *different* time; the stale (t=10) wheel
+        // Reuses the slot with a *different* time; the stale (t=10) heap
         // entry must not surface "new" at t=10.
         let _h2 = q.push(t(5), "new");
         assert_eq!(q.pop(), Some((t(5), "new")));
@@ -443,11 +257,10 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Times spanning many window re-bases: far-apart clusters force the
-    /// wheel to slide and re-derive its width repeatedly, and the pop
-    /// order must still be globally ascending (time, seq).
+    /// Far-apart clusters of densely tied times pop in globally ascending
+    /// (time, seq) order.
     #[test]
-    fn clustered_times_across_rebases_pop_sorted() {
+    fn many_clusters_pop_sorted() {
         let mut q = EventQueue::new();
         let mut expect: Vec<(u64, u64)> = Vec::new();
         let mut seq = 0u64;
@@ -468,7 +281,7 @@ mod tests {
     }
 
     /// Pushes are not required to be monotonic: after popping ahead, an
-    /// event earlier than the active window must still pop next.
+    /// event earlier than every pending one must still pop next.
     #[test]
     fn earlier_push_after_pops_becomes_the_head() {
         let mut q = EventQueue::new();
@@ -480,7 +293,7 @@ mod tests {
         }
         q.push(t(0), 999);
         assert_eq!(q.pop(), Some((t(0), 999)));
-        assert_eq!(q.pop(), Some((t(1100), 10)), "window ordering resumes");
+        assert_eq!(q.pop(), Some((t(1100), 10)), "time order resumes");
     }
 
     #[test]

@@ -69,6 +69,8 @@ enum QOp {
     Cancel(usize),
     /// Pop the head and compare against the reference model.
     Pop,
+    /// Peek at the head's time and compare against the model's head.
+    Peek,
 }
 
 #[derive(Default)]
@@ -158,17 +160,20 @@ property! {
         prop_assert_eq!(w.fired.len(), times.len());
     }
 
-    /// The calendar queue is observationally a heap: arbitrary interleaved
-    /// push/cancel/pop sequences yield exactly the pops a reference
-    /// min-heap ordered by (time, insertion seq) yields — the pop-order
-    /// contract DESIGN §14 leans on for replay byte-identity.
+    /// Arbitrary interleaved push/cancel/peek/pop sequences yield exactly
+    /// the heads and pops a reference min-heap ordered by (time, insertion
+    /// seq) yields — the pop-order contract DESIGN §14 leans on for replay
+    /// byte-identity. Half the pushes land on eight instants, so ties (and
+    /// ties on recycled slots) are common and must pop in insertion order.
     #[cases(128)]
-    fn calendar_queue_matches_reference_heap(
+    fn event_queue_matches_reference_heap(
         ops in vec_of(
             one_of(vec![
                 u64_in(0..5_000_000).map(|v| QOp::Push(*v)),
+                u64_in(0..8).map(|v| QOp::Push(*v)),
                 usize_in(0..8).map(|k| QOp::Cancel(*k)),
                 usize_in(0..1).map(|_| QOp::Pop),
+                usize_in(0..1).map(|_| QOp::Peek),
             ]),
             1..400,
         )
@@ -203,6 +208,10 @@ property! {
                             model = rest.into_iter().collect();
                         }
                     }
+                }
+                QOp::Peek => {
+                    let want = model.peek().map(|Reverse((t, _))| *t);
+                    prop_assert_eq!(q.peek_time().map(|t| t.as_nanos()), want);
                 }
                 QOp::Pop => {
                     let got = q.pop().map(|(t, p)| (t.as_nanos(), p));

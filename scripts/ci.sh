@@ -93,6 +93,12 @@ cargo test -q --offline
 echo "== workspace tests (all property + golden suites) =="
 cargo test -q --offline --workspace
 
+# The mutant catalogue: every entry's one-hunk bug, applied to a throwaway
+# copy of the tree under target/mutants, must fail the test the entry
+# names (about 15 s).
+echo "== mutant catalogue: every mutant killed =="
+sh scripts/mutants.sh
+
 # The conservation audit is an `assert!` that also runs in release
 # builds, where `repro` and perfbench replay, so its breach tests run
 # there too: each corrupts one invariant of a valid replay state and
