@@ -2,7 +2,7 @@
 
 use desim::{Dur, Sim};
 use fabric::flow::FlowCallback;
-use fabric::{FlowTag, FlowWorld, NodeId, Topology};
+use fabric::{FlowWorld, NodeId, Topology};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -12,7 +12,6 @@ fn run_edges<S: FlowWorld>(
     world: &mut S,
     sim: &mut Sim<S>,
     edges: Vec<(NodeId, NodeId, f64)>,
-    tag: FlowTag,
     on_done: FlowCallback<S>,
 ) {
     if edges.is_empty() {
@@ -27,7 +26,6 @@ fn run_edges<S: FlowWorld>(
             src,
             dst,
             bytes,
-            tag,
             Box::new(move |s: &mut S, sim| {
                 let cb = {
                     let mut p = pending.borrow_mut();
@@ -61,7 +59,6 @@ pub fn ring_allreduce<S: FlowWorld>(
     sim: &mut Sim<S>,
     ring: &[NodeId],
     bytes: f64,
-    tag: FlowTag,
     on_done: FlowCallback<S>,
 ) {
     let n = ring.len();
@@ -70,7 +67,7 @@ pub fn ring_allreduce<S: FlowWorld>(
         return;
     }
     let per_edge = 2.0 * (n as f64 - 1.0) / n as f64 * bytes;
-    run_edges(world, sim, ring_edges(ring, per_edge), tag, on_done);
+    run_edges(world, sim, ring_edges(ring, per_edge), on_done);
 }
 
 /// Ring **reduce-scatter**: each edge carries `(n-1)/n · bytes`.
@@ -79,7 +76,6 @@ pub fn reduce_scatter<S: FlowWorld>(
     sim: &mut Sim<S>,
     ring: &[NodeId],
     bytes: f64,
-    tag: FlowTag,
     on_done: FlowCallback<S>,
 ) {
     let n = ring.len();
@@ -88,7 +84,7 @@ pub fn reduce_scatter<S: FlowWorld>(
         return;
     }
     let per_edge = (n as f64 - 1.0) / n as f64 * bytes;
-    run_edges(world, sim, ring_edges(ring, per_edge), tag, on_done);
+    run_edges(world, sim, ring_edges(ring, per_edge), on_done);
 }
 
 /// Ring **all-gather**: same per-edge volume as reduce-scatter.
@@ -97,10 +93,9 @@ pub fn all_gather<S: FlowWorld>(
     sim: &mut Sim<S>,
     ring: &[NodeId],
     bytes: f64,
-    tag: FlowTag,
     on_done: FlowCallback<S>,
 ) {
-    reduce_scatter(world, sim, ring, bytes, tag, on_done);
+    reduce_scatter(world, sim, ring, bytes, on_done);
 }
 
 /// PyTorch-DP style **star broadcast**: the master sends the full buffer
@@ -112,7 +107,6 @@ pub fn star_broadcast<S: FlowWorld>(
     master: NodeId,
     peers: &[NodeId],
     bytes: f64,
-    tag: FlowTag,
     on_done: FlowCallback<S>,
 ) {
     let edges = peers
@@ -120,7 +114,7 @@ pub fn star_broadcast<S: FlowWorld>(
         .filter(|&&p| p != master)
         .map(|&p| (master, p, bytes))
         .collect();
-    run_edges(world, sim, edges, tag, on_done);
+    run_edges(world, sim, edges, on_done);
 }
 
 /// PyTorch-DP style **star reduce**: every peer sends its gradients to the
@@ -131,7 +125,6 @@ pub fn star_reduce<S: FlowWorld>(
     master: NodeId,
     peers: &[NodeId],
     bytes: f64,
-    tag: FlowTag,
     on_done: FlowCallback<S>,
 ) {
     let edges = peers
@@ -139,7 +132,7 @@ pub fn star_reduce<S: FlowWorld>(
         .filter(|&&p| p != master)
         .map(|&p| (p, master, bytes))
         .collect();
-    run_edges(world, sim, edges, tag, on_done);
+    run_edges(world, sim, edges, on_done);
 }
 
 /// Per-flow achievable rate between two endpoints: bottleneck capacity ×
@@ -355,7 +348,7 @@ mod tests {
         let mut sim: Sim<World> = Sim::new();
         let ring = plan_ring(&mut w.fabric.topo, &cores);
         let bytes = 512e6; // 512 MB gradients
-        ring_allreduce(&mut w, &mut sim, &ring, bytes, FlowTag::COLLECTIVE, done());
+        ring_allreduce(&mut w, &mut sim, &ring, bytes, done());
         sim.run(&mut w);
         assert_eq!(w.done_at.len(), 1);
         // Within a drawer, edges are independent (distinct slot links):
@@ -374,14 +367,14 @@ mod tests {
         let (mut w, cores) = local_mesh();
         let mut sim: Sim<World> = Sim::new();
         let ring = plan_ring(&mut w.fabric.topo, &cores);
-        ring_allreduce(&mut w, &mut sim, &ring, bytes, FlowTag::COLLECTIVE, done());
+        ring_allreduce(&mut w, &mut sim, &ring, bytes, done());
         sim.run(&mut w);
         let local = w.done_at[0].as_secs_f64();
 
         let (mut w2, cores2) = drawer();
         let mut sim2: Sim<World> = Sim::new();
         let ring2 = plan_ring(&mut w2.fabric.topo, &cores2);
-        ring_allreduce(&mut w2, &mut sim2, &ring2, bytes, FlowTag::COLLECTIVE, done());
+        ring_allreduce(&mut w2, &mut sim2, &ring2, bytes, done());
         sim2.run(&mut w2);
         let falcon = w2.done_at[0].as_secs_f64();
 
@@ -394,8 +387,8 @@ mod tests {
     fn single_member_collectives_complete_immediately() {
         let (mut w, cores) = drawer();
         let mut sim: Sim<World> = Sim::new();
-        ring_allreduce(&mut w, &mut sim, &cores[..1], 1e9, FlowTag::COLLECTIVE, done());
-        reduce_scatter(&mut w, &mut sim, &cores[..1], 1e9, FlowTag::COLLECTIVE, done());
+        ring_allreduce(&mut w, &mut sim, &cores[..1], 1e9, done());
+        reduce_scatter(&mut w, &mut sim, &cores[..1], 1e9, done());
         sim.run(&mut w);
         assert_eq!(w.done_at.len(), 2);
         assert_eq!(w.done_at[0], SimTime::ZERO);
@@ -409,9 +402,9 @@ mod tests {
             let mut sim: Sim<World> = Sim::new();
             let ring = plan_ring(&mut w.fabric.topo, &cores);
             if use_rs {
-                reduce_scatter(&mut w, &mut sim, &ring, bytes, FlowTag::COLLECTIVE, done());
+                reduce_scatter(&mut w, &mut sim, &ring, bytes, done());
             } else {
-                ring_allreduce(&mut w, &mut sim, &ring, bytes, FlowTag::COLLECTIVE, done());
+                ring_allreduce(&mut w, &mut sim, &ring, bytes, done());
             }
             sim.run(&mut w);
             w.done_at[0].as_secs_f64()
@@ -426,15 +419,7 @@ mod tests {
         let (mut w, cores) = drawer();
         let mut sim: Sim<World> = Sim::new();
         let bytes = 1e9;
-        star_broadcast(
-            &mut w,
-            &mut sim,
-            cores[0],
-            &cores[1..],
-            bytes,
-            FlowTag::COLLECTIVE,
-            done(),
-        );
+        star_broadcast(&mut w, &mut sim, cores[0], &cores[1..], bytes, done());
         sim.run(&mut w);
         // Three 1 GB copies share the master's 13.3 GB/s DMA engine:
         // ~3 GB / 13.3 GB/s ≈ 0.2256 s — not 1 GB / 12.2.
@@ -450,9 +435,9 @@ mod tests {
             let (mut w, cores) = drawer();
             let mut sim: Sim<World> = Sim::new();
             if bcast {
-                star_broadcast(&mut w, &mut sim, cores[0], &cores[1..], bytes, FlowTag::COLLECTIVE, done());
+                star_broadcast(&mut w, &mut sim, cores[0], &cores[1..], bytes, done());
             } else {
-                star_reduce(&mut w, &mut sim, cores[0], &cores[1..], bytes, FlowTag::COLLECTIVE, done());
+                star_reduce(&mut w, &mut sim, cores[0], &cores[1..], bytes, done());
             }
             sim.run(&mut w);
             w.done_at[0].as_secs_f64()

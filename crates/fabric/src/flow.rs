@@ -38,18 +38,6 @@ impl fmt::Display for FlowId {
     }
 }
 
-/// User-assigned attribution tag (which subsystem produced the traffic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct FlowTag(pub u64);
-
-impl FlowTag {
-    pub const UNTAGGED: FlowTag = FlowTag(0);
-    pub const H2D: FlowTag = FlowTag(1);
-    pub const COLLECTIVE: FlowTag = FlowTag(3);
-    pub const STORAGE: FlowTag = FlowTag(4);
-    pub const CHECKPOINT: FlowTag = FlowTag(5);
-}
-
 /// Completion callback type.
 pub type FlowCallback<S> = Box<dyn FnOnce(&mut S, &mut Sim<S>)>;
 
@@ -163,9 +151,7 @@ impl<S: FlowWorld> FabricState<S> {
     }
 
     /// Start a transfer of `bytes` from `src` to `dst`. `on_complete` fires
-    /// (with the world and scheduler) when the last byte arrives. The tag
-    /// names the traffic's subsystem at the call site; the fabric keeps no
-    /// record of it.
+    /// (with the world and scheduler) when the last byte arrives.
     ///
     /// # Panics
     /// Panics if no route exists between the endpoints.
@@ -175,7 +161,6 @@ impl<S: FlowWorld> FabricState<S> {
         src: NodeId,
         dst: NodeId,
         bytes: f64,
-        _tag: FlowTag,
         on_complete: FlowCallback<S>,
     ) -> FlowId {
         assert!(bytes >= 0.0 && bytes.is_finite());
@@ -733,7 +718,7 @@ mod tests {
         // Route a->b crosses two 10 GB/s links through a switch
         // (p2p efficiency 0.92): ceiling 9.2 GB/s.
         let fab = &mut w.fabric;
-        fab.start_flow(&mut sim, a, b, 9.2 * GB, FlowTag::UNTAGGED, log("x"));
+        fab.start_flow(&mut sim, a, b, 9.2 * GB, log("x"));
         sim.run(&mut w);
         assert_eq!(w.done.len(), 1);
         let t = w.done[0].1;
@@ -748,8 +733,8 @@ mod tests {
         let mut sim = Sim::new();
         // Both flows a->b: share both links; each gets 5 GB/s.
         let fab = &mut w.fabric;
-        fab.start_flow(&mut sim, a, b, 5.0 * GB, FlowTag::UNTAGGED, log("f1"));
-        fab.start_flow(&mut sim, a, b, 5.0 * GB, FlowTag::UNTAGGED, log("f2"));
+        fab.start_flow(&mut sim, a, b, 5.0 * GB, log("f1"));
+        fab.start_flow(&mut sim, a, b, 5.0 * GB, log("f2"));
         sim.run(&mut w);
         assert_eq!(w.done.len(), 2);
         // The shared links cap each flow at 5 GB/s (below the 9.2 GB/s
@@ -763,8 +748,8 @@ mod tests {
         let (mut w, _sw, a, b) = two_gpu_switch();
         let mut sim = Sim::new();
         let fab = &mut w.fabric;
-        fab.start_flow(&mut sim, a, b, 9.2 * GB, FlowTag::UNTAGGED, log("ab"));
-        fab.start_flow(&mut sim, b, a, 9.2 * GB, FlowTag::UNTAGGED, log("ba"));
+        fab.start_flow(&mut sim, a, b, 9.2 * GB, log("ab"));
+        fab.start_flow(&mut sim, b, a, 9.2 * GB, log("ba"));
         sim.run(&mut w);
         let t = w.done.iter().map(|d| d.1.as_secs_f64()).fold(0.0, f64::max);
         assert!((t - 1.0).abs() < 1e-3, "full duplex: {t}s");
@@ -782,8 +767,7 @@ mod tests {
             done: Vec::new(),
         };
         let mut sim = Sim::new();
-        w.fabric
-            .start_flow(&mut sim, a, b, 8.0, FlowTag::UNTAGGED, log("tiny"));
+        w.fabric.start_flow(&mut sim, a, b, 8.0, log("tiny"));
         sim.run(&mut w);
         let t = w.done[0].1;
         assert!(t >= SimTime::from_micros(2));
@@ -796,8 +780,8 @@ mod tests {
         let mut sim = Sim::new();
         let fab = &mut w.fabric;
         // Short and long flow share: short finishes, long speeds up.
-        fab.start_flow(&mut sim, a, b, 1.0 * GB, FlowTag::UNTAGGED, log("short"));
-        fab.start_flow(&mut sim, a, b, 5.0 * GB, FlowTag::UNTAGGED, log("long"));
+        fab.start_flow(&mut sim, a, b, 1.0 * GB, log("short"));
+        fab.start_flow(&mut sim, a, b, 5.0 * GB, log("long"));
         sim.run(&mut w);
         // Phase 1: both at the 5 GB/s link fair share until short finishes
         // at 0.2 s (1 GB moved each). Long then has 4 GB left and speeds up
@@ -815,9 +799,8 @@ mod tests {
         let mut sim = Sim::new();
         let id = w
             .fabric
-            .start_flow(&mut sim, a, b, 100.0 * GB, FlowTag::UNTAGGED, log("doomed"));
-        w.fabric
-            .start_flow(&mut sim, a, b, 4.6 * GB, FlowTag::UNTAGGED, log("kept"));
+            .start_flow(&mut sim, a, b, 100.0 * GB, log("doomed"));
+        w.fabric.start_flow(&mut sim, a, b, 4.6 * GB, log("kept"));
         // Let the flows activate, then abort the big one.
         sim.schedule_at(SimTime::from_millis(500), move |w: &mut World, sim| {
             assert!(w.fabric.abort_flow(sim, id));
@@ -835,8 +818,7 @@ mod tests {
     fn zero_byte_flow_completes_after_latency() {
         let (mut w, _sw, a, b) = two_gpu_switch();
         let mut sim = Sim::new();
-        w.fabric
-            .start_flow(&mut sim, a, b, 0.0, FlowTag::UNTAGGED, log("zero"));
+        w.fabric.start_flow(&mut sim, a, b, 0.0, log("zero"));
         sim.run(&mut w);
         assert_eq!(w.done.len(), 1);
         // Latency = 2 link latencies (0) + switch forwarding.
@@ -847,8 +829,7 @@ mod tests {
     fn self_flow_completes_immediately() {
         let (mut w, _sw, a, _b) = two_gpu_switch();
         let mut sim = Sim::new();
-        w.fabric
-            .start_flow(&mut sim, a, a, 1e12, FlowTag::UNTAGGED, log("self"));
+        w.fabric.start_flow(&mut sim, a, a, 1e12, log("self"));
         sim.run(&mut w);
         assert_eq!(w.done.len(), 1);
         assert_eq!(w.done[0].1, SimTime::ZERO);
@@ -862,8 +843,7 @@ mod tests {
             w.fabric.ports.watch(dl);
         }
         let mut sim = Sim::new();
-        w.fabric
-            .start_flow(&mut sim, a, b, 4.6 * GB, FlowTag::UNTAGGED, log("f"));
+        w.fabric.start_flow(&mut sim, a, b, 4.6 * GB, log("f"));
         sim.run(&mut w);
         for &dl in &route.hops {
             let total = w.fabric.ports.total_bytes(dl);
@@ -1099,9 +1079,7 @@ mod tests {
     fn abort_unknown_flow_is_false() {
         let (mut w, _sw, a, b) = two_gpu_switch();
         let mut sim = Sim::new();
-        let id = w
-            .fabric
-            .start_flow(&mut sim, a, b, 1.0, FlowTag::UNTAGGED, log("f"));
+        let id = w.fabric.start_flow(&mut sim, a, b, 1.0, log("f"));
         sim.run(&mut w);
         assert!(!w.fabric.abort_flow(&mut sim, id), "already finished");
     }

@@ -25,7 +25,7 @@ pub mod ports;
 pub mod topology;
 
 pub use export::{to_dot, TopologySpec};
-pub use flow::{FabricState, FlowId, FlowTag, FlowWorld};
+pub use flow::{FabricState, FlowId, FlowWorld};
 pub use link::{LinkClass, LinkSpec};
 pub use ports::PortStats;
 pub use topology::{Dir, DirLink, LinkId, NodeId, NodeKind, Route, Topology};

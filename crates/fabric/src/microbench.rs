@@ -8,7 +8,7 @@
 //! a fixed software overhead representing the CUDA p2p doorbell/driver
 //! path, which is what `p2pBandwidthLatencyTest` actually times.
 
-use crate::flow::{FabricState, FlowTag, FlowWorld};
+use crate::flow::{FabricState, FlowWorld};
 use crate::topology::{NodeId, Topology};
 use desim::{Dur, Sim, SimTime};
 
@@ -53,7 +53,6 @@ fn run_flows(topo: &Topology, transfers: &[(NodeId, NodeId, f64)]) -> Dur {
             src,
             dst,
             bytes,
-            FlowTag::UNTAGGED,
             Box::new(|w: &mut ProbeWorld, _| w.completions += 1),
         );
     }

@@ -15,8 +15,7 @@
 use desim::{Dur, Sim, SimTime};
 use fabric::flow::FlowCallback;
 use fabric::{
-    DirLink, FabricState, FlowTag, FlowWorld, LinkClass, LinkId, LinkSpec, NodeId, NodeKind, Topology,
-    GB,
+    DirLink, FabricState, FlowWorld, LinkClass, LinkId, LinkSpec, NodeId, NodeKind, Topology, GB,
 };
 use testkit::{f64_in, prop_assert, prop_assert_eq, property, tuple2, tuple4, u64_in, usize_in, vec_of, Gen};
 
@@ -95,8 +94,7 @@ fn schedule_transfers(sc: &Scenario, nodes: &[NodeId], sim: &mut Sim<World>) -> 
         let bytes = gb * GB;
         launched += 1;
         sim.schedule_at(SimTime::from_millis(off), move |w: &mut World, sim| {
-            w.fabric
-                .start_flow(sim, src, dst, bytes, FlowTag::UNTAGGED, done(i));
+            w.fabric.start_flow(sim, src, dst, bytes, done(i));
         });
     }
     launched
@@ -152,7 +150,7 @@ property! {
                 *expected.entry(dl.dense_index()).or_insert(0.0) += bytes;
             }
             let (src, dst) = (nodes[s], nodes[d]);
-            world.fabric.start_flow(&mut sim, src, dst, bytes, FlowTag::UNTAGGED, done(i));
+            world.fabric.start_flow(&mut sim, src, dst, bytes, done(i));
         }
         sim.run(&mut world);
         for (&idx, &exp) in &expected {

@@ -15,7 +15,7 @@
 
 use desim::{Dur, Sim, SimTime};
 use fabric::flow::FlowId;
-use fabric::{FabricState, FlowTag, FlowWorld, LinkClass, LinkSpec, NodeId, NodeKind, Topology, GB};
+use fabric::{FabricState, FlowWorld, LinkClass, LinkSpec, NodeId, NodeKind, Topology, GB};
 use testkit::{f64_in, prop_assert, prop_assert_eq, property, tuple2, tuple4, u64_in, usize_in, vec_of, Gen};
 
 const ISLANDS: usize = 2;
@@ -113,7 +113,6 @@ fn run(case: &Case, incremental: bool, check: bool) -> Vec<(usize, SimTime)> {
                 src,
                 dst,
                 bytes,
-                FlowTag::UNTAGGED,
                 Box::new(move |w: &mut World, sim| w.completions.push((i, sim.now()))),
             );
             w.ids[i] = Some(id);

@@ -19,7 +19,7 @@ use collectives::{all_gather, plan_ring, reduce_scatter, ring_allreduce, star_br
 use desim::{Dur, Sim, SimRng, SimTime};
 use devices::roofline::KernelTime;
 use dlmodels::{Benchmark, ModelDesc};
-use fabric::{DirLink, FabricState, FlowTag, FlowWorld, NodeId, Topology};
+use fabric::{DirLink, FabricState, FlowWorld, NodeId, Topology};
 use std::fmt;
 
 /// Training-job failure modes.
@@ -360,7 +360,6 @@ fn start_dp_broadcast(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
         master,
         &peers,
         bytes,
-        FlowTag::COLLECTIVE,
         Box::new(move |w: &mut TrainWorld, sim| {
             // The master GPU drives the copies.
             w.telemetry.gpu_busy[0].record(start, sim.now());
@@ -449,10 +448,8 @@ fn dispatch_comm(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
                 check_sync_done(w, sim);
             });
             match w.cfg.strategy {
-                Strategy::Sharded { .. } => {
-                    reduce_scatter(w, sim, &ring, bytes, FlowTag::COLLECTIVE, done)
-                }
-                _ => ring_allreduce(w, sim, &ring, bytes, FlowTag::COLLECTIVE, done),
+                Strategy::Sharded { .. } => reduce_scatter(w, sim, &ring, bytes, done),
+                _ => ring_allreduce(w, sim, &ring, bytes, done),
             }
         }
         CommOp::ParamAllGather => {
@@ -462,7 +459,6 @@ fn dispatch_comm(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
                 sim,
                 &ring,
                 bytes,
-                FlowTag::COLLECTIVE,
                 Box::new(|w: &mut TrainWorld, sim| {
                     w.job.comm_active = false;
                     dispatch_comm(w, sim);
@@ -509,7 +505,6 @@ fn start_dp_reduce(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
         master,
         &peers,
         bytes,
-        FlowTag::COLLECTIVE,
         Box::new(move |w: &mut TrainWorld, sim| {
             w.telemetry.gpu_busy[0].record(start, sim.now());
             w.telemetry
@@ -584,7 +579,6 @@ fn checkpoint_then(
         src,
         dst,
         bytes,
-        FlowTag::CHECKPOINT,
         Box::new(move |w: &mut TrainWorld, sim| {
             w.telemetry.add_phase(
                 telemetry::Phase::Checkpoint,

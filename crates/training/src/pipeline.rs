@@ -12,7 +12,6 @@
 
 use crate::engine::{on_batch_ready, TrainWorld};
 use desim::{Dur, Sim};
-use fabric::FlowTag;
 
 /// Pipeline state for one run.
 #[derive(Debug)]
@@ -123,7 +122,6 @@ pub fn maybe_produce(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>, g: usize) {
             src,
             dst,
             read_bytes,
-            FlowTag::STORAGE,
             Box::new(move |w: &mut TrainWorld, sim| preprocess(w, sim, g)),
         );
     } else {
@@ -165,7 +163,6 @@ fn h2d(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>, g: usize) {
         src,
         dst,
         bytes,
-        FlowTag::H2D,
         Box::new(move |w: &mut TrainWorld, sim| {
             w.pipeline.queues[g] += 1;
             w.pipeline.producing[g] = false;

@@ -180,14 +180,8 @@ fn fairness_invariants_hold_during_training() {
     };
     let mut sim: Sim<W> = Sim::new();
     let (a, b) = (composed2.cluster.gpus[0].core, composed2.cluster.gpus[5].core);
-    w.fabric.start_flow(
-        &mut sim,
-        a,
-        b,
-        1e9,
-        fabric::FlowTag::COLLECTIVE,
-        Box::new(|_, _| {}),
-    );
+    w.fabric
+        .start_flow(&mut sim, a, b, 1e9, Box::new(|_, _| {}));
     sim.run_until(&mut w, SimTime::from_millis(10));
     w.fabric.check_invariants();
 }
