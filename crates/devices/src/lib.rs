@@ -13,7 +13,6 @@
 //! * 2 × Intel Xeon Gold 6148 per host, 756 GB DRAM ([`cpu`], [`memory`]).
 //! * Intel SSDPEDKX040T7 4 TB NVMe and a SATA-class "local storage"
 //!   baseline ([`storage`]).
-//! * Intel X540 10 GbE NICs ([`nic`]).
 //!
 //! The [`roofline`] module converts layer workloads (FLOPs + bytes touched)
 //! into kernel times split into compute- and memory-limited components —
@@ -23,7 +22,6 @@ pub mod catalog;
 pub mod cpu;
 pub mod gpu;
 pub mod memory;
-pub mod nic;
 pub mod roofline;
 pub mod storage;
 
@@ -31,7 +29,6 @@ pub use catalog::Calibration;
 pub use cpu::CpuSpec;
 pub use gpu::{GpuNodes, GpuSpec};
 pub use memory::DramSpec;
-pub use nic::NicSpec;
 pub use roofline::{KernelTime, Precision};
 pub use storage::{StorageNodes, StorageSpec};
 

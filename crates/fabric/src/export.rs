@@ -90,9 +90,7 @@ impl ToJson for NodeKind {
             NodeKind::PcieSwitch => "PcieSwitch",
             NodeKind::Gpu => "Gpu",
             NodeKind::Storage => "Storage",
-            NodeKind::Nic => "Nic",
             NodeKind::Memory => "Memory",
-            NodeKind::HostAdapter => "HostAdapter",
             NodeKind::DevicePort => "DevicePort",
         })
     }
@@ -105,9 +103,7 @@ impl FromJson for NodeKind {
             "PcieSwitch" => Ok(NodeKind::PcieSwitch),
             "Gpu" => Ok(NodeKind::Gpu),
             "Storage" => Ok(NodeKind::Storage),
-            "Nic" => Ok(NodeKind::Nic),
             "Memory" => Ok(NodeKind::Memory),
-            "HostAdapter" => Ok(NodeKind::HostAdapter),
             "DevicePort" => Ok(NodeKind::DevicePort),
             other => Err(JsonError::decode(format!("unknown NodeKind \"{other}\""))),
         }
@@ -122,14 +118,10 @@ impl ToJson for LinkClass {
             }
             LinkClass::PcieGen3x16 => Value::str("PcieGen3x16"),
             LinkClass::PcieGen4x16 => Value::str("PcieGen4x16"),
-            LinkClass::PcieGen4x8 => Value::str("PcieGen4x8"),
-            LinkClass::PcieGen4x4 => Value::str("PcieGen4x4"),
             LinkClass::PcieGen3x4 => Value::str("PcieGen3x4"),
             LinkClass::Cdfp400 => Value::str("Cdfp400"),
-            LinkClass::Upi => Value::str("Upi"),
             LinkClass::MemoryBus => Value::str("MemoryBus"),
             LinkClass::Sata3 => Value::str("Sata3"),
-            LinkClass::TenGbE => Value::str("TenGbE"),
         }
     }
 }
@@ -140,14 +132,10 @@ impl FromJson for LinkClass {
             return match tag {
                 "PcieGen3x16" => Ok(LinkClass::PcieGen3x16),
                 "PcieGen4x16" => Ok(LinkClass::PcieGen4x16),
-                "PcieGen4x8" => Ok(LinkClass::PcieGen4x8),
-                "PcieGen4x4" => Ok(LinkClass::PcieGen4x4),
                 "PcieGen3x4" => Ok(LinkClass::PcieGen3x4),
                 "Cdfp400" => Ok(LinkClass::Cdfp400),
-                "Upi" => Ok(LinkClass::Upi),
                 "MemoryBus" => Ok(LinkClass::MemoryBus),
                 "Sata3" => Ok(LinkClass::Sata3),
-                "TenGbE" => Ok(LinkClass::TenGbE),
                 other => Err(JsonError::decode(format!("unknown LinkClass \"{other}\""))),
             };
         }
@@ -200,9 +188,8 @@ fn shape(kind: NodeKind) -> &'static str {
         NodeKind::PcieSwitch => "diamond",
         NodeKind::Gpu => "box3d",
         NodeKind::Storage => "cylinder",
-        NodeKind::Nic => "component",
         NodeKind::Memory => "folder",
-        NodeKind::HostAdapter | NodeKind::DevicePort => "point",
+        NodeKind::DevicePort => "point",
     }
 }
 

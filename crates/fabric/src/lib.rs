@@ -3,7 +3,7 @@
 //! This crate models the communication substrate of the composable system:
 //! PCIe Gen3/Gen4 links, second-generation NVLink, the 400 Gb/s CDFP host
 //! cables that attach a Falcon 4016 chassis to its host servers, and the
-//! storage/NIC links — as a graph ([`Topology`]) over which byte flows
+//! storage links — as a graph ([`Topology`]) over which byte flows
 //! ([`flow`]) are simulated fluidly.
 //!
 //! The central abstraction is **max-min fair bandwidth sharing**: every

@@ -20,10 +20,6 @@ pub enum LinkClass {
     /// PCI Express Gen4 ×16 (≈ 31.5 GB/s raw per direction) — the Falcon
     /// 4016 fabric and host-adapter links.
     PcieGen4x16,
-    /// PCI Express Gen4 ×8.
-    PcieGen4x8,
-    /// PCI Express Gen4 ×4 — NVMe device links.
-    PcieGen4x4,
     /// PCIe Gen3 ×4 — the locally attached NVMe in the Supermicro host.
     PcieGen3x4,
     /// Second-generation NVLink; `lanes` individual 25 GB/s-per-direction
@@ -32,14 +28,10 @@ pub enum LinkClass {
     /// The 400 Gb/s CDFP cable between a Falcon host port and the host
     /// adapter (PCIe Gen4 ×16 semantics at the transaction layer).
     Cdfp400,
-    /// CPU socket interconnect (UPI) between the two Xeons of a host.
-    Upi,
     /// Memory channel aggregate between a CPU and its DRAM.
     MemoryBus,
     /// SATA-class storage link (the "local storage" baseline).
     Sata3,
-    /// 10 GbE NIC link.
-    TenGbE,
 }
 
 impl LinkClass {
@@ -48,15 +40,11 @@ impl LinkClass {
         match self {
             LinkClass::PcieGen3x16 => 15.75 * GB,
             LinkClass::PcieGen4x16 => 31.5 * GB,
-            LinkClass::PcieGen4x8 => 15.75 * GB,
-            LinkClass::PcieGen4x4 => 7.88 * GB,
             LinkClass::PcieGen3x4 => 3.94 * GB,
             LinkClass::NvLink2 { lanes } => 25.0 * GB * f64::from(lanes),
             LinkClass::Cdfp400 => 31.5 * GB, // x16 Gen4 host adapter behind 400 Gb/s cable
-            LinkClass::Upi => 20.8 * GB,
             LinkClass::MemoryBus => 128.0 * GB,
             LinkClass::Sata3 => 0.6 * GB,
-            LinkClass::TenGbE => 1.25 * GB,
         }
     }
 
@@ -68,17 +56,13 @@ impl LinkClass {
         match self {
             LinkClass::PcieGen3x16
             | LinkClass::PcieGen4x16
-            | LinkClass::PcieGen4x8
-            | LinkClass::PcieGen4x4
             | LinkClass::PcieGen3x4
             | LinkClass::Cdfp400 => 0.85,
             // Calibrated so a 2-lane pair reproduces Table IV's measured
             // 72.37 GB/s bidirectional (36.2 GB/s per direction of 50 raw).
             LinkClass::NvLink2 { .. } => 0.72,
-            LinkClass::Upi => 0.9,
             LinkClass::MemoryBus => 0.8,
             LinkClass::Sata3 => 0.9,
-            LinkClass::TenGbE => 0.94,
         }
     }
 
@@ -87,17 +71,13 @@ impl LinkClass {
     /// node, not here).
     pub fn latency(self) -> Dur {
         match self {
-            LinkClass::PcieGen3x16
-            | LinkClass::PcieGen4x16
-            | LinkClass::PcieGen4x8
-            | LinkClass::PcieGen4x4
-            | LinkClass::PcieGen3x4 => Dur::from_nanos(250),
+            LinkClass::PcieGen3x16 | LinkClass::PcieGen4x16 | LinkClass::PcieGen3x4 => {
+                Dur::from_nanos(250)
+            }
             LinkClass::Cdfp400 => Dur::from_nanos(350), // longer cable run
             LinkClass::NvLink2 { .. } => Dur::from_nanos(700),
-            LinkClass::Upi => Dur::from_nanos(120),
             LinkClass::MemoryBus => Dur::from_nanos(90),
             LinkClass::Sata3 => Dur::from_micros(80),
-            LinkClass::TenGbE => Dur::from_micros(10),
         }
     }
 
@@ -105,15 +85,10 @@ impl LinkClass {
     pub fn protocol_name(self) -> &'static str {
         match self {
             LinkClass::PcieGen3x16 | LinkClass::PcieGen3x4 => "PCI-e 3.0",
-            LinkClass::PcieGen4x16
-            | LinkClass::PcieGen4x8
-            | LinkClass::PcieGen4x4
-            | LinkClass::Cdfp400 => "PCI-e 4.0",
+            LinkClass::PcieGen4x16 | LinkClass::Cdfp400 => "PCI-e 4.0",
             LinkClass::NvLink2 { .. } => "NVLink",
-            LinkClass::Upi => "UPI",
             LinkClass::MemoryBus => "DDR4",
             LinkClass::Sata3 => "SATA 3",
-            LinkClass::TenGbE => "10GbE",
         }
     }
 }
@@ -249,6 +224,6 @@ mod tests {
     #[test]
     fn storage_links_are_slow_and_laggy() {
         assert!(LinkClass::Sata3.raw_bandwidth() < LinkClass::PcieGen3x4.raw_bandwidth());
-        assert!(LinkClass::Sata3.latency() > LinkClass::PcieGen4x4.latency());
+        assert!(LinkClass::Sata3.latency() > LinkClass::PcieGen3x4.latency());
     }
 }

@@ -71,12 +71,8 @@ pub enum NodeKind {
     Gpu,
     /// An NVMe (or SATA) storage endpoint.
     Storage,
-    /// A network interface card.
-    Nic,
     /// A DRAM pool attached to a root complex.
     Memory,
-    /// A Falcon host-port adapter (the CDFP cable termination).
-    HostAdapter,
     /// A device's own bus interface (DMA engine). Device models are built
     /// as a `core —internal link→ port` pair so that the copy-engine rate
     /// bounds every PCIe flow in or out of the device.
@@ -103,13 +99,10 @@ impl NodeKind {
             // P2P through a root complex traverses the Xeon IIO.
             NodeKind::RootComplex => Dur::from_nanos(400),
             NodeKind::PcieSwitch => Dur::from_nanos(350),
-            NodeKind::HostAdapter => Dur::from_nanos(150),
             NodeKind::DevicePort => Dur::ZERO,
             // Endpoints normally terminate paths; if traversed, charge a
             // conservative store-and-forward cost.
-            NodeKind::Gpu | NodeKind::Storage | NodeKind::Nic | NodeKind::Memory => {
-                Dur::from_nanos(500)
-            }
+            NodeKind::Gpu | NodeKind::Storage | NodeKind::Memory => Dur::from_nanos(500),
         }
     }
 
@@ -123,7 +116,6 @@ impl NodeKind {
         match self {
             NodeKind::RootComplex => 0.80,
             NodeKind::PcieSwitch => 0.92,
-            NodeKind::HostAdapter => 0.98,
             NodeKind::DevicePort => 1.0,
             _ => 1.0,
         }

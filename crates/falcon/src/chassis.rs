@@ -11,7 +11,7 @@
 //!   drawer and devices are assigned slot-by-slot, re-assignable on the
 //!   fly.
 
-use devices::{GpuSpec, NicSpec, StorageSpec};
+use devices::{GpuSpec, StorageSpec};
 use fabric::{LinkClass, LinkSpec, NodeId, NodeKind, Topology};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -95,7 +95,6 @@ impl Mode {
 pub enum SlotDevice {
     Gpu(GpuSpec),
     Nvme(StorageSpec),
-    Nic(NicSpec),
 }
 
 impl SlotDevice {
@@ -103,7 +102,6 @@ impl SlotDevice {
         match self {
             SlotDevice::Gpu(_) => "GPU",
             SlotDevice::Nvme(_) => "NVMe",
-            SlotDevice::Nic(_) => "NIC",
         }
     }
 
@@ -111,7 +109,6 @@ impl SlotDevice {
         match self {
             SlotDevice::Gpu(g) => &g.name,
             SlotDevice::Nvme(s) => &s.name,
-            SlotDevice::Nic(n) => &n.name,
         }
     }
 }
@@ -459,13 +456,6 @@ impl Falcon4016 {
                     SlotNodes {
                         endpoint: s.device,
                         port: s.port,
-                    }
-                }
-                SlotDevice::Nic(spec) => {
-                    let port = devices::nic::add_nic(topo, &label, spec);
-                    SlotNodes {
-                        endpoint: port,
-                        port,
                     }
                 }
             };

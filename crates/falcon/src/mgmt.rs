@@ -165,7 +165,6 @@ fn vendor_of(device: &SlotDevice) -> (u16, u16) {
             (0x10de, dev) // NVIDIA
         }
         SlotDevice::Nvme(_) => (0x8086, 0x0a54), // Intel
-        SlotDevice::Nic(_) => (0x8086, 0x1528),  // Intel X540
     }
 }
 
