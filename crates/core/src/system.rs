@@ -177,69 +177,12 @@ pub fn build_config(config: HostConfig) -> Composed {
 /// local NVMe.
 pub fn build_custom_falcon_host(gpu: &GpuSpec, n_gpus: usize) -> Composed {
     assert!((1..=8).contains(&n_gpus), "one chassis: up to 8 pooled GPUs");
-    let host = HostSpec::default();
-    let mut topo = Topology::new();
-    let rc = topo.add_node("host0.rc", NodeKind::RootComplex);
-    let mem = topo.add_node("host0.dram", NodeKind::Memory);
-    topo.add_link(rc, mem, LinkSpec::of(LinkClass::MemoryBus));
-    let nvme_spec = StorageSpec::intel_p4500_4tb();
-    let nvme = add_storage(&mut topo, "host0.nvme", &nvme_spec);
-    topo.add_link(nvme.port, rc, LinkSpec::of(LinkClass::PcieGen3x4));
-
-    let mut chassis = Falcon4016::new("falcon0", Mode::Standard);
-    let host_id = HostId(0);
-    chassis
-        .connect_host(HostPort::H1, host_id, DrawerId(0))
-        .expect("cable drawer 0");
-    chassis
-        .connect_host(HostPort::H2, host_id, DrawerId(1))
-        .expect("cable drawer 1");
-    let mut slots = Vec::new();
-    for i in 0..n_gpus {
-        // Fill drawer 0's four slots first, then drawer 1 (Fig 6 layout).
-        let addr = SlotAddr::new((i / 4) as u8, (i % 4) as u8);
-        chassis
-            .insert_device(addr, SlotDevice::Gpu(gpu.clone()))
-            .expect("insert GPU");
-        chassis.attach(addr, host_id).expect("attach GPU");
-        slots.push(addr);
-    }
-    let mut host_nodes = BTreeMap::new();
-    host_nodes.insert(host_id, rc);
-    chassis
-        .materialize(&mut topo, &host_nodes)
-        .expect("materialize chassis");
-
-    let gpus = slots
-        .iter()
-        .map(|&addr| {
-            let nodes = chassis.slot_nodes(addr).expect("materialized");
-            GpuHandle {
-                core: nodes.endpoint,
-                port: nodes.port,
-                spec: gpu.clone(),
-                falcon_attached: true,
-            }
-        })
+    // Fill drawer 0's four slots first, then drawer 1 (Fig 6 layout).
+    let slots: Vec<SlotAddr> = (0..n_gpus)
+        .map(|i| SlotAddr::new((i / 4) as u8, (i % 4) as u8))
         .collect();
-
-    let cluster = Cluster {
-        host_rc: rc,
-        host_mem: mem,
-        gpus,
-        storage_dev: nvme.device,
-        storage: nvme_spec,
-        storage_falcon_attached: false,
-        cpu: host.cpu,
-        dram: host.dram,
-        label: format!("falcon-{}x{}", n_gpus, gpu.name),
-    };
-
-    Composed {
-        topology: topo,
-        cluster,
-        chassis,
-    }
+    let label = format!("falcon-{}x{}", n_gpus, gpu.name);
+    build_falcon_host(gpu, Mode::Standard, &slots, label)
 }
 
 /// Compose a host whose GPUs sit at *exactly* the given chassis slots —
@@ -253,6 +196,22 @@ pub fn build_falcon_slots(gpu: &GpuSpec, slots: &[SlotAddr]) -> Composed {
         !slots.is_empty() && slots.len() <= 16,
         "a placement uses 1..=16 chassis slots"
     );
+    let label = format!(
+        "falcon-slots[{}]",
+        slots
+            .iter()
+            .map(|a| a.to_string())
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    // Advanced mode so any slot subset is attachable to the one host.
+    build_falcon_host(gpu, Mode::Advanced, slots, label)
+}
+
+/// A host with local NVMe storage whose only GPUs are `gpu`s inserted at
+/// `slots` of one Falcon chassis in `mode`, cabled into both drawers and
+/// all attached to the host.
+fn build_falcon_host(gpu: &GpuSpec, mode: Mode, slots: &[SlotAddr], label: String) -> Composed {
     let host = HostSpec::default();
     let mut topo = Topology::new();
     let rc = topo.add_node("host0.rc", NodeKind::RootComplex);
@@ -262,8 +221,7 @@ pub fn build_falcon_slots(gpu: &GpuSpec, slots: &[SlotAddr]) -> Composed {
     let nvme = add_storage(&mut topo, "host0.nvme", &nvme_spec);
     topo.add_link(nvme.port, rc, LinkSpec::of(LinkClass::PcieGen3x4));
 
-    // Advanced mode so any slot subset is attachable to the one host.
-    let mut chassis = Falcon4016::new("falcon0", Mode::Advanced);
+    let mut chassis = Falcon4016::new("falcon0", mode);
     let host_id = HostId(0);
     chassis
         .connect_host(HostPort::H1, host_id, DrawerId(0))
@@ -305,14 +263,7 @@ pub fn build_falcon_slots(gpu: &GpuSpec, slots: &[SlotAddr]) -> Composed {
         storage_falcon_attached: false,
         cpu: host.cpu,
         dram: host.dram,
-        label: format!(
-            "falcon-slots[{}]",
-            slots
-                .iter()
-                .map(|a| a.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        ),
+        label,
     };
 
     Composed {

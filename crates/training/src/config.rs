@@ -109,21 +109,6 @@ impl JobConfig {
             ..JobConfig::paper(benchmark, n_gpus)
         }
     }
-
-    pub fn with_strategy(mut self, strategy: Strategy) -> JobConfig {
-        self.strategy = strategy;
-        self
-    }
-
-    pub fn with_precision(mut self, precision: Precision) -> JobConfig {
-        self.precision = precision;
-        self
-    }
-
-    pub fn with_batch(mut self, per_gpu_batch: u64) -> JobConfig {
-        self.per_gpu_batch = per_gpu_batch;
-        self
-    }
 }
 
 /// `(per_gpu_batch, epochs)` as run in the paper (§V-C.1).
@@ -170,16 +155,5 @@ mod tests {
     fn dp_dilation_grows_with_gpus() {
         assert_eq!(dp_dispatch_dilation(1), 1.0);
         assert!((dp_dispatch_dilation(8) - 1.56).abs() < 1e-12);
-    }
-
-    #[test]
-    fn builder_methods() {
-        let c = JobConfig::paper(Benchmark::BertLarge, 8)
-            .with_strategy(Strategy::Dp)
-            .with_precision(Precision::Fp32)
-            .with_batch(4);
-        assert_eq!(c.strategy.label(), "DP");
-        assert_eq!(c.precision, Precision::Fp32);
-        assert_eq!(c.per_gpu_batch, 4);
     }
 }
