@@ -1,21 +1,19 @@
 #!/usr/bin/env sh
 # The mutant catalogue: deliberate bugs that a named test must catch.
 #
-#   scripts/mutants.sh [NAME...]      (no NAME: every entry)
-#
-# The copies live under $MUTANTS_DIR (default target/mutants).
+#   scripts/mutants.sh
 #
 # Each entry below gives a name, a one-hunk patch, the narrowest `cargo
 # test` selection that must fail once the patch is applied, and the reason
 # it must. The script copies the working tree (without `target/`) to
-# $MUTANTS_DIR/tree and never edits the working tree itself. For each
+# target/mutants/tree and never edits the working tree itself. For each
 # entry it first runs the selection on the clean copy, which must pass;
 # then it applies the patch, builds the selection (the mutant must
 # compile), runs it, which must fail, and reverts the patch. It prints one
 # line per entry and exits 1 if any mutant survives, a patch no longer
 # applies or a clean selection fails.
 #
-# Every copy builds into $MUTANTS_DIR/target, so an entry rebuilds only
+# Every copy builds into target/mutants/target, so an entry rebuilds only
 # the crates its patch touches. Cargo decides freshness by file times, and a
 # file restored from the tree keeps its old time, so every file the
 # catalogue patches is touched once after the copy is made.
@@ -91,9 +89,7 @@ entry_head_without_liveness_check() {
 PATCH
 }
 
-names=${*:-$MUTANTS}
-mkdir -p "${MUTANTS_DIR:-target/mutants}"
-work=$(cd "${MUTANTS_DIR:-target/mutants}" && pwd)
+work=$PWD/target/mutants
 tree=$work/tree
 export CARGO_TARGET_DIR="$work/target"
 
@@ -108,7 +104,7 @@ done
 
 start=$(date +%s)
 survived=0
-for name in $names; do
+for name in $MUTANTS; do
     sel='' why=''
     "entry_$name" > "$work/$name.patch"
     log="$work/$name.log"
