@@ -10,6 +10,7 @@
 
 use crate::config::HostConfig;
 use crate::runner::ExperimentOpts;
+use desim::Dur;
 use dlmodels::Benchmark;
 use training::RunReport;
 
@@ -32,10 +33,16 @@ impl Objective {
     /// candidate compositions with the same objective definitions.
     pub fn score(self, r: &RunReport, n_gpus: usize) -> f64 {
         match self {
-            Objective::TrainingTime => -r.total_time.as_secs_f64(),
+            Objective::TrainingTime => Objective::training_time_score(r.total_time),
             Objective::ThroughputPerGpu => r.throughput / n_gpus.max(1) as f64,
             Objective::Balance => -(r.exposed_comm_share + r.input_stall_share),
         }
+    }
+
+    /// The [`Objective::TrainingTime`] score of a run that took
+    /// `total_time`, for callers that time a run without its report.
+    pub fn training_time_score(total_time: Dur) -> f64 {
+        -total_time.as_secs_f64()
     }
 }
 

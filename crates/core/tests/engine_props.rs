@@ -7,13 +7,59 @@
 //!   iteration accounting, falcon traffic iff falcon GPUs);
 //! * the phase totals tile the run under every strategy, and the stall
 //!   and exposed-comm shares are their phases' totals;
-//! * equal seeds replay identically, different seeds stay in a jitter band.
+//! * equal seeds replay identically, different seeds stay in a jitter band;
+//! * the report-free timing run reproduces the report's times bit for bit
+//!   and leaves its planned bed unchanged.
 
 use composable_core::runner::{run, ExperimentOpts};
+use composable_core::system::{build_config, build_falcon_slots, Composed};
 use composable_core::HostConfig;
-use dlmodels::Benchmark;
-use testkit::{bools, prop_assert, prop_assert_eq, property, select, tuple4, u64_in, usize_in};
-use training::Strategy;
+use devices::GpuSpec;
+use dlmodels::{Benchmark, Precision};
+use falcon::SlotAddr;
+use std::collections::BTreeSet;
+use testkit::{
+    bools, one_of, prop_assert, prop_assert_eq, property, select, tuple2, tuple4, u64_in, usize_in,
+};
+use training::{max_feasible_batch, run_job, run_timing, Bed, JobConfig, Strategy};
+
+/// A composed system to time a job on.
+#[derive(Debug, Clone, Copy)]
+enum Composition {
+    /// A Table III configuration.
+    Config(HostConfig),
+    /// V100 PCIe GPUs at the Falcon slots a nonzero 16-bit mask selects
+    /// (bit `8 × drawer + slot`).
+    Slots(u16),
+}
+
+impl Composition {
+    /// Compose it, with every link of `degrade`'s drawer switch scaled to
+    /// its percentage of capacity.
+    fn build(self, degrade: Option<(u8, u8)>) -> Composed {
+        let mut composed = match self {
+            Composition::Config(config) => build_config(config),
+            Composition::Slots(mask) => {
+                let slots: Vec<SlotAddr> = (0..16u8)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| SlotAddr::new(i / 8, i % 8))
+                    .collect();
+                build_falcon_slots(&GpuSpec::v100_pcie_16gb(), &slots)
+            }
+        };
+        if let Some((drawer, pct)) = degrade {
+            let topo = &mut composed.topology;
+            let switch = topo
+                .find_node(&format!("falcon0.drawer{drawer}.switch"))
+                .expect("every composition materializes both drawer switches");
+            let links: BTreeSet<_> = topo.links_of(switch).iter().map(|dl| dl.link).collect();
+            for l in links {
+                topo.scale_link_capacity(l, f64::from(pct) / 100.0);
+            }
+        }
+        composed
+    }
+}
 
 property! {
     /// Any (benchmark, config, small batch) cell that fits produces a
@@ -105,5 +151,52 @@ property! {
         let b = mk(seed_b);
         let ratio = b.total_time.as_secs_f64() / a1.total_time.as_secs_f64();
         prop_assert!((0.9..1.1).contains(&ratio), "jitter band: {}", ratio);
+    }
+
+    /// On any (benchmark, strategy, precision, seed) and any composition,
+    /// a Table III configuration or a Falcon slot set with or without one
+    /// degraded drawer switch, `run_timing` returns `run_job`'s mean
+    /// iteration and total time bit for bit (or its error), and a second
+    /// `run_timing` on the same bed returns them again.
+    #[cases(64)]
+    fn report_free_timing_matches_run_job(
+        job in tuple4(
+            select(Benchmark::all().to_vec()),
+            select(vec![Strategy::ddp(), Strategy::Dp, Strategy::sharded()]),
+            select(vec![Precision::Fp16, Precision::Fp32]),
+            u64_in(0..1000),
+        ),
+        bed in tuple2(
+            one_of(vec![
+                select(HostConfig::all().to_vec()).map(|&c| Composition::Config(c)),
+                u64_in(1..1 << 16).map(|&m| Composition::Slots(m as u16)),
+            ]),
+            select(vec![None, None, None, Some((0, 25)), Some((0, 50)), Some((1, 75))]),
+        ),
+    ) {
+        let ((benchmark, strategy, precision, seed), (composition, degrade)) = (job, bed);
+        let composed = composition.build(degrade);
+        let n = composed.cluster.n_gpus();
+        let mut cfg = JobConfig::paper_scaled(benchmark, n, 2);
+        cfg.strategy = strategy;
+        cfg.precision = precision;
+        cfg.seed = seed;
+        let capacity = composed
+            .cluster
+            .gpus
+            .iter()
+            .map(|g| g.spec.memory_bytes)
+            .fold(f64::INFINITY, f64::min);
+        let fit = max_feasible_batch(
+            dlmodels::paper_model(benchmark), capacity, precision, strategy, n,
+        );
+        cfg.per_gpu_batch = cfg.per_gpu_batch.min(fit).max(1);
+
+        let bed = Bed::plan(composed.topology.clone(), composed.cluster.clone()).unwrap();
+        let timed = run_timing(&bed, cfg.clone());
+        let reported = run_job(composed.topology, composed.cluster, cfg.clone())
+            .map(|r| (r.mean_iter, r.total_time));
+        prop_assert_eq!(&timed, &reported);
+        prop_assert_eq!(run_timing(&bed, cfg), timed, "a run changed its bed");
     }
 }

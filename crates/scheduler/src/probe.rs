@@ -12,6 +12,11 @@
 //! `(benchmark, per-drawer slot counts, per-drawer link health)` — a
 //! handful of probes price an entire trace replay, including replays under
 //! injected PCIe link degradation (see [`crate::fault`]).
+//!
+//! The composition itself depends only on `(shape, health)`, so a cache
+//! plans each such bed once ([`training::Bed`]: topology, cluster view,
+//! planned ring) and prices every benchmark on it with
+//! [`training::run_timing`], which builds no report.
 
 use crate::trace::{benchmark_from_label, Trace};
 use composable_core::recommend::Objective;
@@ -24,13 +29,15 @@ use falcon::SlotAddr;
 use rack::RackTopology;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use training::engine::run_job;
-use training::{max_feasible_batch, JobConfig};
+use std::sync::Arc;
+use training::{max_feasible_batch, run_timing, Bed, JobConfig};
 
 /// Version stamp of the persisted cache: bump it on a layout change and
 /// on any change to what `run_probe` measures, including how a
 /// [`LinkHealth`] maps to link capacity. Version 2 added the per-drawer
-/// link-health key dimension, so version-1 caches load empty.
+/// link-health key dimension, so version-1 caches load empty. Pricing on
+/// a bed planned once per `(Shape, LinkHealth)` without building a report
+/// left every price bit-identical, so the version stayed 2.
 pub const CACHE_FORMAT_VERSION: u64 = 2;
 
 /// Per-drawer slot counts of a placement, normalized so `d0 >= d1`
@@ -134,6 +141,12 @@ pub struct ProbeCache {
     /// [`split`](Self::split) off, so [`absorb`](Self::absorb) visits just
     /// the additions, never the shared baseline.
     added: Vec<ProbeKey>,
+    /// The bed of every composition priced here, planned on first use and
+    /// shared with splits. Beds change no price, so absorb, persistence
+    /// and `probes_run` ignore them.
+    beds: BTreeMap<(Shape, LinkHealth), Arc<Bed>>,
+    /// Beds this cache planned itself, not those a split inherited.
+    pub(crate) beds_planned: u64,
 }
 
 /// The canonical cache key: benchmark label × placement shape × per-drawer
@@ -148,6 +161,8 @@ impl ProbeCache {
             map: BTreeMap::new(),
             probes_run: 0,
             added: Vec::new(),
+            beds: BTreeMap::new(),
+            beds_planned: 0,
         }
     }
 
@@ -161,6 +176,16 @@ impl ProbeCache {
     fn insert(&mut self, key: ProbeKey, p: Probe) {
         self.map.insert(key, p);
         self.added.push(key);
+    }
+
+    /// The bed of `shape` at `health`, planned on first use.
+    fn bed(&mut self, shape: Shape, health: LinkHealth) -> Arc<Bed> {
+        let planned = &mut self.beds_planned;
+        let bed = self.beds.entry((shape, health)).or_insert_with(|| {
+            *planned += 1;
+            Arc::new(plan_bed(shape, health))
+        });
+        Arc::clone(bed)
     }
 
     pub fn len(&self) -> usize {
@@ -199,7 +224,7 @@ impl ProbeCache {
         if let Some(&p) = self.map.get(&(benchmark.label(), shape, health)) {
             return p;
         }
-        let p = run_probe(benchmark, shape, health, self.probe_iters);
+        let p = run_probe(benchmark, shape, &self.bed(shape, health), self.probe_iters);
         self.probes_run += 1;
         self.insert((benchmark.label(), shape, health), p);
         p
@@ -219,13 +244,18 @@ impl ProbeCache {
             }
         }
         let iters = self.probe_iters;
+        let beds: Vec<Arc<Bed>> = missing
+            .iter()
+            .map(|&(_, s)| self.bed(s, LinkHealth::FULL))
+            .collect();
         let priced = parsweep::run(
             jobs,
             missing
                 .iter()
-                .map(|&(b, s)| {
+                .zip(beds)
+                .map(|(&(b, s), bed)| {
                     parsweep::Job::new(format!("probe {} {}x{}", b.label(), s.d0, s.d1), move || {
-                        run_probe(b, s, LinkHealth::FULL, iters)
+                        run_probe(b, s, &bed, iters)
                     })
                 })
                 .collect(),
@@ -236,15 +266,18 @@ impl ProbeCache {
         }
     }
 
-    /// A clone for one parallel replay: same entries and `probe_iters`,
-    /// but a zeroed probe counter so [`absorb`](Self::absorb) can account
-    /// exactly the simulations that replay added.
+    /// A clone for one parallel replay: same entries, beds and
+    /// `probe_iters`, but a zeroed probe counter so
+    /// [`absorb`](Self::absorb) can account exactly the simulations that
+    /// replay added.
     pub fn split(&self) -> ProbeCache {
         ProbeCache {
             probe_iters: self.probe_iters,
             map: self.map.clone(),
             probes_run: 0,
             added: Vec::new(),
+            beds: self.beds.clone(),
+            beds_planned: 0,
         }
     }
 
@@ -425,9 +458,9 @@ pub fn warm_set_for_trace(trace: &Trace) -> Vec<(Benchmark, Shape)> {
     out
 }
 
-fn run_probe(benchmark: Benchmark, shape: Shape, health: LinkHealth, iters: u64) -> Probe {
-    let gpu = GpuSpec::v100_pcie_16gb();
-    let mut composed = build_falcon_slots(&gpu, &shape.canonical_slots());
+/// The canonical composition of `shape` at `health`, with its ring planned.
+fn plan_bed(shape: Shape, health: LinkHealth) -> Bed {
+    let mut composed = build_falcon_slots(&GpuSpec::v100_pcie_16gb(), &shape.canonical_slots());
     // Injected link degradation: scale every link on the affected drawer's
     // switch ASIC. The flow allocator reads capacities live, so degraded
     // bandwidth shows up in the probe's allreduce time directly.
@@ -451,6 +484,11 @@ fn run_probe(benchmark: Benchmark, shape: Shape, health: LinkHealth, iters: u64)
             composed.topology.scale_link_capacity(l, f64::from(pct) / 100.0);
         }
     }
+    Bed::plan(composed.topology, composed.cluster).expect("a shape has at least one GPU")
+}
+
+/// Price `benchmark` on `bed`, the planned composition of `shape`.
+fn run_probe(benchmark: Benchmark, shape: Shape, bed: &Bed, iters: u64) -> Probe {
     let n = shape.n_gpus();
     let mut cfg = JobConfig::paper_scaled(benchmark, n, iters);
     cfg.epochs = 1;
@@ -460,13 +498,13 @@ fn run_probe(benchmark: Benchmark, shape: Shape, health: LinkHealth, iters: u64)
     // (YOLO, BERT) divide across GPUs, so small placements would OOM a
     // 16 GB card without this (same gate as `runner::run`'s auto-batch).
     let model = dlmodels::paper_model(benchmark);
-    let fit = max_feasible_batch(model, gpu.memory_bytes, cfg.precision, cfg.strategy, n);
+    let memory = GpuSpec::v100_pcie_16gb().memory_bytes;
+    let fit = max_feasible_batch(model, memory, cfg.precision, cfg.strategy, n);
     cfg.per_gpu_batch = cfg.per_gpu_batch.min(fit).max(1);
-    let report = run_job(composed.topology, composed.cluster, cfg)
-        .expect("probe fits after batch clamping");
+    let (mean_iter, total_time) = run_timing(bed, cfg).expect("probe fits after batch clamping");
     Probe {
-        mean_iter: report.mean_iter,
-        score: Objective::TrainingTime.score(&report, n),
+        mean_iter,
+        score: Objective::training_time_score(total_time),
     }
 }
 
@@ -616,6 +654,45 @@ mod tests {
         let loaded = ProbeCache::load_str(&cache.save_json(), 3);
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded.save_json(), cache.save_json());
+    }
+
+    /// A cache plans each composition's bed once and its splits price on
+    /// it: five benchmarks on one `(Shape, LinkHealth)` plan one bed, a
+    /// split's miss on its parent's composition plans none, and beds
+    /// change neither the saved bytes nor the probe count.
+    #[test]
+    fn one_bed_per_composition_shared_with_splits() {
+        let (shape, degraded) = (Shape::new(2, 1), LinkHealth { h0: 50, h1: 100 });
+        let mut cache = ProbeCache::new(2);
+        cache.warm(&[(Benchmark::MobileNetV2, Shape::new(2, 0))], 1);
+        for b in Benchmark::all() {
+            cache.price_degraded(b, shape, degraded);
+        }
+        assert_eq!(
+            cache.beds_planned, 2,
+            "one bed per composition, not per benchmark"
+        );
+
+        let mut split = cache.split();
+        split.price(Benchmark::ResNet50, Shape::new(2, 0)); // a miss on the parent's bed
+        assert_eq!((split.probes_run(), split.beds_planned), (1, 0));
+        cache.absorb(split);
+        assert_eq!(cache.probes_run(), 7);
+
+        // The same prices and count as pricing every key on its own bed.
+        let mut direct = ProbeCache::new(2);
+        let keys = [Benchmark::MobileNetV2, Benchmark::ResNet50]
+            .map(|b| (b, Shape::new(2, 0), LinkHealth::FULL))
+            .into_iter()
+            .chain(Benchmark::all().map(|b| (b, shape, degraded)));
+        for (b, s, h) in keys {
+            let mut alone = ProbeCache::new(2);
+            alone.price_degraded(b, s, h);
+            assert_eq!(alone.beds_planned, 1);
+            direct.absorb(alone);
+        }
+        assert_eq!(direct.probes_run(), cache.probes_run());
+        assert_eq!(direct.save_json(), cache.save_json());
     }
 
     #[test]

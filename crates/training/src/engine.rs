@@ -151,13 +151,59 @@ fn forward_time(model: &ModelDesc, cluster: &Cluster, cfg: &JobConfig) -> Kernel
     acc
 }
 
-/// Run a training job on a composed cluster. Consumes the topology (the
-/// run needs exclusive fabric state); returns the distilled report.
-pub fn run_job(topo: Topology, cluster: Cluster, cfg: JobConfig) -> Result<RunReport, TrainError> {
-    let n = cluster.n_gpus();
-    if n == 0 {
-        return Err(TrainError::NoGpus);
+/// What a run needs of its composition and not of its job: the topology,
+/// the cluster view and the collective ring planned on them. Plan a bed
+/// once and run any number of jobs on it; each run simulates on its own
+/// copy of the topology, so a run leaves the bed as it was planned.
+#[derive(Debug)]
+pub struct Bed {
+    topology: Topology,
+    cluster: Cluster,
+    ring: Vec<NodeId>,
+}
+
+impl Bed {
+    /// Plan the ring over `cluster`'s GPUs on `topology`. The planning
+    /// routes run on a copy, so the bed carries no route cache.
+    pub fn plan(topology: Topology, cluster: Cluster) -> Result<Bed, TrainError> {
+        if cluster.n_gpus() == 0 {
+            return Err(TrainError::NoGpus);
+        }
+        let ring = plan_ring(&mut topology.clone(), &cluster.gpu_cores());
+        Ok(Bed {
+            topology,
+            cluster,
+            ring,
+        })
     }
+}
+
+/// Run a training job on a composed cluster; returns the distilled report.
+pub fn run_job(topo: Topology, cluster: Cluster, cfg: JobConfig) -> Result<RunReport, TrainError> {
+    let bed = Bed::plan(topo, cluster)?;
+    // The report reads port traffic only on the Falcon GUI's monitored
+    // links, so only those are counted, from before the first flow.
+    let monitored = bed.cluster.monitored_pcie_links(&bed.topology);
+    let world = simulate(&bed, cfg, &monitored)?;
+    Ok(build_report(&world, &monitored))
+}
+
+/// The mean iteration time and the total time of `cfg` on `bed`, bit for
+/// bit what [`run_job`] reports, from a run that watches no link and
+/// builds no report.
+pub fn run_timing(bed: &Bed, cfg: JobConfig) -> Result<(Dur, Dur), TrainError> {
+    let world = simulate(bed, cfg, &[])?;
+    Ok((
+        Dur::from_secs_f64(world.mean_iter_secs()),
+        world.total_time(),
+    ))
+}
+
+/// Run `cfg` on `bed` to completion, counting port traffic on the
+/// `watch`ed links only.
+fn simulate(bed: &Bed, cfg: JobConfig, watch: &[DirLink]) -> Result<TrainWorld, TrainError> {
+    let cluster = &bed.cluster;
+    let n = cluster.n_gpus();
     let model = dlmodels::paper_model(cfg.benchmark);
 
     // Memory feasibility (the Fig 16 batch-size gate).
@@ -187,7 +233,7 @@ pub fn run_job(topo: Topology, cluster: Cluster, cfg: JobConfig) -> Result<RunRe
     let epoch_scale = iters_per_epoch as f64 / full_iters_per_epoch as f64;
 
     // Precompute kernel times.
-    let mut fwd = forward_time(model, &cluster, &cfg);
+    let mut fwd = forward_time(model, cluster, &cfg);
     let mut bwd = fwd.scaled(2.0);
     if matches!(cfg.strategy, Strategy::Dp) {
         let d = dp_dispatch_dilation(n);
@@ -216,12 +262,8 @@ pub fn run_job(topo: Topology, cluster: Cluster, cfg: JobConfig) -> Result<RunRe
         Strategy::Dp => (Vec::new(), grad_bytes),
     };
 
-    let mut fabric = FabricState::new(topo);
-    let ring = plan_ring(&mut fabric.topo, &cluster.gpu_cores());
-    // The report reads port traffic only on the Falcon GUI's monitored
-    // links, so only those are counted, from before the first flow.
-    let monitored = cluster.monitored_pcie_links(&fabric.topo);
-    for &dl in &monitored {
+    let mut fabric = FabricState::new(bed.topology.clone());
+    for &dl in watch {
         fabric.ports.watch(dl);
     }
 
@@ -260,7 +302,7 @@ pub fn run_job(topo: Topology, cluster: Cluster, cfg: JobConfig) -> Result<RunRe
         fwd,
         bwd,
         opt_time,
-        ring,
+        ring: bed.ring.clone(),
         bucket_bytes,
         grad_sync_bytes,
         param_bytes: model.param_bytes(cfg.precision),
@@ -280,7 +322,7 @@ pub fn run_job(topo: Topology, cluster: Cluster, cfg: JobConfig) -> Result<RunRe
     let rng = SimRng::seed_from_u64(cfg.seed);
     let mut world = TrainWorld {
         fabric,
-        cluster,
+        cluster: cluster.clone(),
         cfg,
         model,
         telemetry,
@@ -298,7 +340,23 @@ pub fn run_job(topo: Topology, cluster: Cluster, cfg: JobConfig) -> Result<RunRe
     assert!(drained, "simulation exceeded its event budget");
     assert_eq!(world.job.phase, Phase::Done, "job did not finish");
 
-    Ok(build_report(&world, &monitored))
+    Ok(world)
+}
+
+impl TrainWorld {
+    /// Mean wall-clock of one training iteration, seconds.
+    fn mean_iter_secs(&self) -> f64 {
+        if self.job.iters_total == 0 {
+            0.0
+        } else {
+            self.telemetry.iter_secs / self.job.iters_total as f64
+        }
+    }
+
+    /// Simulated time from the start of the run to its finish.
+    fn total_time(&self) -> Dur {
+        self.job.finished_at.since(SimTime::ZERO)
+    }
 }
 
 // ---- state machine ---------------------------------------------------------
@@ -604,7 +662,7 @@ fn next_epoch_or_finish(w: &mut TrainWorld, sim: &mut Sim<TrainWorld>) {
 
 fn build_report(w: &TrainWorld, monitored: &[DirLink]) -> RunReport {
     let end = w.job.finished_at;
-    let total = end.since(SimTime::ZERO);
+    let total = w.total_time();
     let n = w.cluster.n_gpus();
     let trace_bucket = Dur::from_nanos((total.as_nanos() / 60).max(1));
 
@@ -622,11 +680,7 @@ fn build_report(w: &TrainWorld, monitored: &[DirLink]) -> RunReport {
         .iter()
         .map(|dl| w.fabric.ports.bytes_within(*dl, SimTime::ZERO, end))
         .sum();
-    let mean_iter_secs = if w.job.iters_total == 0 {
-        0.0
-    } else {
-        w.telemetry.iter_secs / w.job.iters_total as f64
-    };
+    let mean_iter_secs = w.mean_iter_secs();
     let active_secs = mean_iter_secs * w.job.iters_total as f64;
     let falcon_pcie_rate = if active_secs > 0.0 {
         monitored_bytes / active_secs

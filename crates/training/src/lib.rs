@@ -36,6 +36,6 @@ pub mod telemetry;
 
 pub use cluster::{Cluster, GpuHandle};
 pub use config::{paper_batch, JobConfig, Strategy};
-pub use engine::{run_job, TrainWorld};
+pub use engine::{run_job, run_timing, Bed, TrainWorld};
 pub use memory::{gpu_memory_needed, max_feasible_batch, MemoryBudget};
 pub use telemetry::{RunReport, Telemetry};
