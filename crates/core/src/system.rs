@@ -10,7 +10,7 @@
 use crate::config::HostConfig;
 use devices::catalog::wire_cube_mesh;
 use devices::gpu::{add_gpu, GpuSpec};
-use devices::storage::{add_storage, StorageSpec};
+use devices::storage::{add_storage, StorageNodes, StorageSpec};
 use devices::{CpuSpec, DramSpec};
 use fabric::{LinkClass, LinkSpec, NodeId, NodeKind, Topology};
 use falcon::{DrawerId, Falcon4016, HostId, HostPort, Mode, SlotAddr, SlotDevice};
@@ -40,15 +40,50 @@ impl Default for HostSpec {
     }
 }
 
+/// The one host every composition here builds.
+const HOST: HostId = HostId(0);
+
+/// Host 0's root complex and its DRAM on the memory bus: `(rc, dram)`.
+fn add_host_root(topo: &mut Topology) -> (NodeId, NodeId) {
+    let rc = topo.add_node("host0.rc", NodeKind::RootComplex);
+    let mem = topo.add_node("host0.dram", NodeKind::Memory);
+    topo.add_link(rc, mem, LinkSpec::of(LinkClass::MemoryBus));
+    (rc, mem)
+}
+
+/// The host's local 4 TB NVMe drive on a PCIe Gen3 x4 link to `rc`.
+fn add_local_nvme(topo: &mut Topology, rc: NodeId) -> StorageNodes {
+    let nvme = add_storage(topo, "host0.nvme", &StorageSpec::intel_p4500_4tb());
+    topo.add_link(nvme.port, rc, LinkSpec::of(LinkClass::PcieGen3x4));
+    nvme
+}
+
+/// An empty Falcon 4016 in `mode` with host 0 cabled into both drawers
+/// (port H1 to drawer 0, H2 to drawer 1).
+fn cabled_chassis(mode: Mode) -> Falcon4016 {
+    let mut chassis = Falcon4016::new("falcon0", mode);
+    chassis
+        .connect_host(HostPort::H1, HOST, DrawerId(0))
+        .expect("cable drawer 0");
+    chassis
+        .connect_host(HostPort::H2, HOST, DrawerId(1))
+        .expect("cable drawer 1");
+    chassis
+}
+
+/// Materialize `chassis`'s attached devices into `topo` below host 0's
+/// root complex `rc`.
+fn materialize(chassis: &mut Falcon4016, topo: &mut Topology, rc: NodeId) {
+    chassis
+        .materialize(topo, &BTreeMap::from([(HOST, rc)]))
+        .expect("materialize chassis");
+}
+
 /// Build a Table III configuration into a topology + cluster.
 pub fn build_config(config: HostConfig) -> Composed {
     let host = HostSpec::default();
     let mut topo = Topology::new();
-
-    // Host root complex and DRAM.
-    let rc = topo.add_node("host0.rc", NodeKind::RootComplex);
-    let mem = topo.add_node("host0.dram", NodeKind::Memory);
-    topo.add_link(rc, mem, LinkSpec::of(LinkClass::MemoryBus));
+    let (rc, mem) = add_host_root(&mut topo);
 
     // Eight local SXM2 V100s: PCIe to the root complex, NVLink cube mesh.
     let sxm2 = GpuSpec::v100_sxm2_16gb();
@@ -65,21 +100,12 @@ pub fn build_config(config: HostConfig) -> Composed {
     let sata_spec = StorageSpec::sata_ssd();
     let sata = add_storage(&mut topo, "host0.scratch", &sata_spec);
     topo.add_link(sata.port, rc, LinkSpec::of(LinkClass::Sata3));
-    let nvme_spec = StorageSpec::intel_p4500_4tb();
-    let local_nvme = add_storage(&mut topo, "host0.nvme", &nvme_spec);
-    topo.add_link(local_nvme.port, rc, LinkSpec::of(LinkClass::PcieGen3x4));
+    let local_nvme = add_local_nvme(&mut topo, rc);
 
     // The Falcon 4016 per Fig 6: four V100 PCIe GPUs in each drawer and an
-    // NVMe drive in drawer 1; host ports H1/H2 cable the host into both
-    // drawers.
-    let mut chassis = Falcon4016::new("falcon0", Mode::Standard);
-    let host_id = HostId(0);
-    chassis
-        .connect_host(HostPort::H1, host_id, DrawerId(0))
-        .expect("cable drawer 0");
-    chassis
-        .connect_host(HostPort::H2, host_id, DrawerId(1))
-        .expect("cable drawer 1");
+    // NVMe drive in drawer 1.
+    let mut chassis = cabled_chassis(Mode::Standard);
+    let nvme_spec = StorageSpec::intel_p4500_4tb();
     let pcie_v100 = GpuSpec::v100_pcie_16gb();
     for d in 0..2u8 {
         for s in 0..4u8 {
@@ -101,19 +127,14 @@ pub fn build_config(config: HostConfig) -> Composed {
         _ => Vec::new(),
     };
     for &slot in &falcon_gpu_slots {
-        chassis.attach(slot, host_id).expect("attach falcon GPU");
+        chassis.attach(slot, HOST).expect("attach falcon GPU");
     }
     if config == HostConfig::FalconNvme {
         chassis
-            .attach(SlotAddr::new(1, 4), host_id)
+            .attach(SlotAddr::new(1, 4), HOST)
             .expect("attach falcon NVMe");
     }
-
-    let mut host_nodes = BTreeMap::new();
-    host_nodes.insert(host_id, rc);
-    chassis
-        .materialize(&mut topo, &host_nodes)
-        .expect("materialize chassis");
+    materialize(&mut chassis, &mut topo, rc);
 
     // Assemble the cluster view.
     let mut gpus: Vec<GpuHandle> = Vec::new();
@@ -214,32 +235,17 @@ pub fn build_falcon_slots(gpu: &GpuSpec, slots: &[SlotAddr]) -> Composed {
 fn build_falcon_host(gpu: &GpuSpec, mode: Mode, slots: &[SlotAddr], label: String) -> Composed {
     let host = HostSpec::default();
     let mut topo = Topology::new();
-    let rc = topo.add_node("host0.rc", NodeKind::RootComplex);
-    let mem = topo.add_node("host0.dram", NodeKind::Memory);
-    topo.add_link(rc, mem, LinkSpec::of(LinkClass::MemoryBus));
-    let nvme_spec = StorageSpec::intel_p4500_4tb();
-    let nvme = add_storage(&mut topo, "host0.nvme", &nvme_spec);
-    topo.add_link(nvme.port, rc, LinkSpec::of(LinkClass::PcieGen3x4));
+    let (rc, mem) = add_host_root(&mut topo);
+    let nvme = add_local_nvme(&mut topo, rc);
 
-    let mut chassis = Falcon4016::new("falcon0", mode);
-    let host_id = HostId(0);
-    chassis
-        .connect_host(HostPort::H1, host_id, DrawerId(0))
-        .expect("cable drawer 0");
-    chassis
-        .connect_host(HostPort::H2, host_id, DrawerId(1))
-        .expect("cable drawer 1");
+    let mut chassis = cabled_chassis(mode);
     for &addr in slots {
         chassis
             .insert_device(addr, SlotDevice::Gpu(gpu.clone()))
             .expect("insert GPU");
-        chassis.attach(addr, host_id).expect("attach GPU");
+        chassis.attach(addr, HOST).expect("attach GPU");
     }
-    let mut host_nodes = BTreeMap::new();
-    host_nodes.insert(host_id, rc);
-    chassis
-        .materialize(&mut topo, &host_nodes)
-        .expect("materialize chassis");
+    materialize(&mut chassis, &mut topo, rc);
 
     let gpus = slots
         .iter()
@@ -259,7 +265,7 @@ fn build_falcon_host(gpu: &GpuSpec, mode: Mode, slots: &[SlotAddr], label: Strin
         host_mem: mem,
         gpus,
         storage_dev: nvme.device,
-        storage: nvme_spec,
+        storage: StorageSpec::intel_p4500_4tb(),
         storage_falcon_attached: false,
         cpu: host.cpu,
         dram: host.dram,
