@@ -27,7 +27,8 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-MUTANTS="seq_dropped_from_key cancel_keeps_generation head_without_liveness_check"
+MUTANTS="seq_dropped_from_key cancel_keeps_generation head_without_liveness_check
+bed_keyed_without_health loop_bound_saturates"
 
 # Two events at one instant must pop in scheduling order. Without the
 # sequence number, ties fall to slot order, which the scheduling order
@@ -86,6 +87,48 @@ entry_head_without_liveness_check() {
                  return;
              }
              self.heap.pop(); // cancelled: its slot's generation moved on
+PATCH
+}
+
+# A probe cache plans one bed per (shape, health). A bed memo that drops
+# the health prices a degraded placement on the full-health bed planned
+# before it.
+entry_bed_keyed_without_health() {
+    sel='-p scheduler --lib probe::tests::degraded_links_price_slower_for_comm_bound_jobs'
+    why='a degraded probe reuses the full-health bed and prices no slower'
+    cat <<'PATCH'
+--- a/crates/scheduler/src/probe.rs
++++ b/crates/scheduler/src/probe.rs
+@@ -181,7 +181,7 @@
+     /// The bed of `shape` at `health`, planned on first use.
+     fn bed(&mut self, shape: Shape, health: LinkHealth) -> Arc<Bed> {
+         let planned = &mut self.beds_planned;
+-        let bed = self.beds.entry((shape, health)).or_insert_with(|| {
++        let bed = self.beds.entry((shape, LinkHealth::FULL)).or_insert_with(|| {
+             *planned += 1;
+             Arc::new(plan_bed(shape, health))
+         });
+PATCH
+}
+
+# A service over its scale-up threshold at epoch entry holds the loop at
+# every instant, since each step bumps its target. Saturating the headroom
+# to zero lets the epoch run on to the service's next arrival instead.
+entry_loop_bound_saturates() {
+    sel='-p scheduler --lib serving_epoch_matches_the_per_instant_reference_on_checked_in_specs'
+    why='the pinned over-threshold spec absorbs instants that scale up'
+    cat <<'PATCH'
+--- a/crates/scheduler/src/serve.rs
++++ b/crates/scheduler/src/serve.rs
+@@ -608,7 +608,7 @@
+         }
+         let mut bound = self.spec.end();
+         if self.target < self.spec.max_replicas {
+-            let headroom = self.scale_up_threshold().checked_sub(self.backlog())?;
++            let headroom = self.scale_up_threshold().saturating_sub(self.backlog());
+             if let Some(&a) = self.arrivals.get(self.cursor + headroom) {
+                 bound = bound.min(a);
+             }
 PATCH
 }
 
