@@ -10,8 +10,9 @@
 //!
 //! Every flow start/finish/abort *settles* accumulated progress (also
 //! attributing bytes on watched links to [`PortStats`]), recomputes the
-//! allocation, and reschedules each flow's completion event — cancellable
-//! handles in [`desim`] make this cheap.
+//! allocation of the flows sharing links with the change, and reschedules
+//! their completion events — cancellable handles in [`desim`] make this
+//! cheap.
 //!
 //! Flows begin with a latency phase equal to the route's one-way latency
 //! (link propagation + switch/root-complex forwarding), so short transfers
@@ -72,8 +73,9 @@ pub struct FabricState<S> {
     pub ports: PortStats,
     /// When set (the default), a flow start/finish/abort re-prices only the
     /// connected component of flows sharing links with the change, found
-    /// through `FabricState::link_flows`. Clearing it re-prices every
-    /// active flow on every change: the oracle the differential tests in
+    /// through `FabricState::link_flows`; a flow alone on its links skips
+    /// the walk and the fill. Clearing it re-prices every active flow on
+    /// every change: the oracle the differential tests in
     /// `tests/incremental_reprice.rs` compare the component path against.
     pub incremental: bool,
     slots: Vec<Option<FlowState<S>>>,
@@ -90,7 +92,7 @@ pub struct FabricState<S> {
     scratch: Scratch,
 }
 
-/// Reusable buffers for [`FabricState::recompute_and_reschedule`] — the
+/// Reusable buffers for [`FabricState::reprice_component`] — the
 /// allocator runs on every flow start/finish/abort (the inner loop of
 /// every probe and replay), so its working vectors are hoisted here
 /// instead of reallocated. The per-flow vectors are cleared per call and
@@ -378,14 +380,8 @@ impl<S: FlowWorld> FabricState<S> {
     }
 
     /// Max-min fair allocation by progressive filling, then reschedule every
-    /// active flow's completion event.
+    /// active flow's completion event: the `incremental = false` oracle.
     fn recompute_and_reschedule(&mut self, sim: &mut Sim<S>) {
-        // Fast path: with no active flows there is nothing to allocate or
-        // reschedule — skip before touching any buffer. Latency-phase
-        // flows carry their own scheduled activation event.
-        if self.active_count == 0 {
-            return;
-        }
         let mut sc = std::mem::take(&mut self.scratch);
         sc.clear();
 
@@ -408,16 +404,37 @@ impl<S: FlowWorld> FabricState<S> {
     /// (and `seed_slot`, for a newly activated flow): the connected
     /// component of the link-sharing graph reached from those links. Flows
     /// in other components keep their rates and completion events — their
-    /// max-min allocation is independent of the change. Falls back to the
-    /// global recompute when `incremental` is off or the component spans
-    /// every active flow (the common small-replay case), which runs the
-    /// exact legacy code path.
+    /// max-min allocation is independent of the change. A flow alone on
+    /// its links is its own component and takes [`alone_rate`] without a
+    /// walk or a fill; a departed flow whose links no active flow crosses
+    /// re-prices nothing. With `incremental` off, every change runs the
+    /// global recompute instead.
+    ///
+    /// [`alone_rate`]: Self::alone_rate
     fn reprice_component(&mut self, sim: &mut Sim<S>, seed_slot: Option<u32>, seed_hops: &[DirLink]) {
+        // With no active flows there is nothing to allocate or reschedule;
+        // latency-phase flows carry their own scheduled activation event.
+        if self.active_count == 0 {
+            return;
+        }
         if !self.incremental {
             self.recompute_and_reschedule(sim);
             return;
         }
-        if self.active_count == 0 {
+        // Is the changed flow alone? Its links then carry only the flow
+        // itself (activation) or nothing (completion or abort).
+        let own = usize::from(seed_slot.is_some());
+        if seed_hops
+            .iter()
+            .all(|dl| self.link_flows.get(dl.dense_index()).map_or(0, Vec::len) == own)
+        {
+            if let Some(slot) = seed_slot {
+                let flow = self.slots[slot as usize].as_ref().expect("activated flow is live");
+                let rate = self.alone_rate(&flow.route);
+                self.apply_rate(sim, slot, rate);
+                #[cfg(debug_assertions)]
+                self.debug_assert_matches_full_recompute();
+            }
             return;
         }
         let mut sc = std::mem::take(&mut self.scratch);
@@ -457,21 +474,11 @@ impl<S: FlowWorld> FabricState<S> {
             sc.link_seen[idx] = false;
         }
 
-        if sc.active.is_empty() {
-            // A departed flow shared no links with anyone still active.
-            self.scratch = sc;
-            return;
-        }
-        if sc.active.len() == self.active_count {
-            // Component spans everything: run the global path (identical
-            // arithmetic to the pre-index engine).
-            self.scratch = sc;
-            self.recompute_and_reschedule(sim);
-            return;
-        }
         // Water-fill the component alone. Links crossed by the component
         // are, by construction, used by no flow outside it, so starting
-        // them at full capacity is exact — not an approximation.
+        // them at full capacity is exact — not an approximation. Sorted,
+        // a component of every active flow is the global recompute's slot
+        // order, so it gets the global recompute's rates and events.
         sc.active.sort_unstable();
         self.fill_rates(&mut sc);
         self.apply_rates(sim, &sc);
@@ -631,27 +638,49 @@ impl<S: FlowWorld> FabricState<S> {
         }
     }
 
+    /// The rate progressive filling gives a flow on `route` that shares no
+    /// link, in closed form. The filler's one round on it takes the lower
+    /// of the bottleneck capacity `b` (each link's `cap / 1`) and the
+    /// headroom to its ceiling, `b · path_efficiency − 0`, clamps it at 0,
+    /// raises the level from 0 by it and freezes the flow there: at its
+    /// ceiling, or with its bottleneck link's residual at 0. These are the
+    /// same float operations, so the rate has the same bits. A zero-hop
+    /// flow has `b = +∞`.
+    fn alone_rate(&self, route: &Route) -> f64 {
+        let b = route
+            .hops
+            .iter()
+            .map(|&dl| self.topo.capacity(dl))
+            .fold(f64::INFINITY, f64::min);
+        0.0 + b.min(b * route.path_efficiency).max(0.0)
+    }
+
     /// Apply `sc.rate` to the flows in `sc.active` and reschedule their
     /// completion events.
     fn apply_rates(&mut self, sim: &mut Sim<S>, sc: &Scratch) {
-        let now = sim.now();
-        for (p, &i) in sc.active.iter().enumerate() {
-            let st = self.slots[i as usize].as_mut().unwrap();
-            st.rate = sc.rate[p];
-            sim.cancel(st.event);
-            let id = FlowId {
-                slot: i,
-                generation: st.generation,
-            };
-            let eta = if st.remaining <= 0.0 || st.rate.is_infinite() {
-                Dur::ZERO
-            } else {
-                Dur::for_bytes(st.remaining, st.rate)
-            };
-            st.event = sim.schedule_at(now + eta, move |world: &mut S, sim| {
-                Self::on_complete(world, sim, id);
-            });
+        for (&slot, &rate) in sc.active.iter().zip(&sc.rate) {
+            self.apply_rate(sim, slot, rate);
         }
+    }
+
+    /// Set the rate of the active flow in `slot` and reschedule its
+    /// completion event.
+    fn apply_rate(&mut self, sim: &mut Sim<S>, slot: u32, rate: f64) {
+        let st = self.slots[slot as usize].as_mut().expect("priced flow is live");
+        st.rate = rate;
+        sim.cancel(st.event);
+        let id = FlowId {
+            slot,
+            generation: st.generation,
+        };
+        let eta = if st.remaining <= 0.0 || st.rate.is_infinite() {
+            Dur::ZERO
+        } else {
+            Dur::for_bytes(st.remaining, st.rate)
+        };
+        st.event = sim.schedule_at(sim.now() + eta, move |world: &mut S, sim| {
+            Self::on_complete(world, sim, id);
+        });
     }
 }
 
@@ -1052,12 +1081,24 @@ mod tests {
         /// The dense filler assigns every flow the same rate, bit for bit,
         /// as the hash-map reference. A subset is filled first, so the
         /// full fill runs on per-link scratch another call left behind.
+        /// Each flow filled on its own gets `alone_rate`, bit for bit.
         #[cases(96)]
         fn dense_fill_matches_hash_map_fill(case in fill_case()) {
             let fab = fill_fabric(&case);
             let all: Vec<u32> = (0..fab.slots.len() as u32).collect();
             let evens: Vec<u32> = all.iter().copied().step_by(2).collect();
             let mut sc = Scratch::default();
+            for &i in &all {
+                sc.clear();
+                sc.active.push(i);
+                fab.fill_rates(&mut sc);
+                let alone = fab.alone_rate(&fab.slots[i as usize].as_ref().unwrap().route);
+                testkit::prop_assert!(
+                    sc.rate[0].to_bits() == alone.to_bits(),
+                    "flow {} alone: filled {} vs alone_rate {}",
+                    i, sc.rate[0], alone
+                );
+            }
             for set in [evens, all] {
                 sc.clear();
                 sc.active.extend(&set);

@@ -141,11 +141,12 @@ pub struct ProbeCache {
     /// [`split`](Self::split) off, so [`absorb`](Self::absorb) visits just
     /// the additions, never the shared baseline.
     added: Vec<ProbeKey>,
-    /// The bed of every composition priced here, planned on first use and
-    /// shared with splits. Beds change no price, so absorb, persistence
-    /// and `probes_run` ignore them.
+    /// The bed of every composition priced here, planned on first use,
+    /// shared with splits and taken back from them by `absorb`. Beds
+    /// change no price, so persistence and `probes_run` ignore them.
     beds: BTreeMap<(Shape, LinkHealth), Arc<Bed>>,
-    /// Beds this cache planned itself, not those a split inherited.
+    /// Beds this cache and the splits it absorbed planned, not those a
+    /// split inherited.
     pub(crate) beds_planned: u64,
 }
 
@@ -283,15 +284,20 @@ impl ProbeCache {
 
     /// Merge a [`split`](Self::split) back: union the entries (probes are
     /// deterministic, so colliding keys hold equal values — first write
-    /// wins) and add the split's probe count to ours. The merge is
-    /// **append-only**: only the keys the split added are visited, never
-    /// the shared baseline (which is already ours).
+    /// wins), take each bed we lack, and add the split's probe and bed
+    /// counts to ours. The entry merge is **append-only**: only the keys
+    /// the split added are visited, never the shared baseline (which is
+    /// already ours).
     pub fn absorb(&mut self, other: ProbeCache) {
         self.probes_run += other.probes_run;
+        self.beds_planned += other.beds_planned;
         for k in other.added {
             if !self.map.contains_key(&k) {
                 self.insert(k, other.map[&k]);
             }
+        }
+        for (key, bed) in other.beds {
+            self.beds.entry(key).or_insert(bed);
         }
     }
 
@@ -658,7 +664,8 @@ mod tests {
 
     /// A cache plans each composition's bed once and its splits price on
     /// it: five benchmarks on one `(Shape, LinkHealth)` plan one bed, a
-    /// split's miss on its parent's composition plans none, and beds
+    /// split's miss on its parent's composition plans none, a bed a split
+    /// planned serves the parent's later splits once absorbed, and beds
     /// change neither the saved bytes nor the probe count.
     #[test]
     fn one_bed_per_composition_shared_with_splits() {
@@ -676,14 +683,29 @@ mod tests {
         let mut split = cache.split();
         split.price(Benchmark::ResNet50, Shape::new(2, 0)); // a miss on the parent's bed
         assert_eq!((split.probes_run(), split.beds_planned), (1, 0));
+        split.price(Benchmark::ResNet50, Shape::new(1, 0)); // a new composition
+        assert_eq!((split.probes_run(), split.beds_planned), (2, 1));
         cache.absorb(split);
-        assert_eq!(cache.probes_run(), 7);
+        assert_eq!((cache.probes_run(), cache.beds_planned), (8, 3));
+
+        let mut later = cache.split();
+        later.price(Benchmark::BertBase, Shape::new(1, 0)); // a miss on the absorbed bed
+        assert_eq!(
+            (later.probes_run(), later.beds_planned),
+            (1, 0),
+            "absorb keeps the beds a split planned"
+        );
+        cache.absorb(later);
 
         // The same prices and count as pricing every key on its own bed.
         let mut direct = ProbeCache::new(2);
         let keys = [Benchmark::MobileNetV2, Benchmark::ResNet50]
             .map(|b| (b, Shape::new(2, 0), LinkHealth::FULL))
             .into_iter()
+            .chain(
+                [Benchmark::ResNet50, Benchmark::BertBase]
+                    .map(|b| (b, Shape::new(1, 0), LinkHealth::FULL)),
+            )
             .chain(Benchmark::all().map(|b| (b, shape, degraded)));
         for (b, s, h) in keys {
             let mut alone = ProbeCache::new(2);

@@ -95,8 +95,9 @@ cargo test -q --offline --workspace
 
 # The mutant catalogue: every entry's one-hunk bug, applied to a throwaway
 # copy of the tree under target/mutants, must fail the test the entry
-# names (16 s with target/mutants kept from an earlier run, 30 s from
-# scratch; the two scheduler entries rebuild that crate's test binary).
+# names (13–14 s with target/mutants kept from an earlier run, 25 s from
+# scratch; the two scheduler and two fabric entries rebuild their crate's
+# test binary).
 echo "== mutant catalogue: every mutant killed =="
 sh scripts/mutants.sh
 

@@ -28,7 +28,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 MUTANTS="seq_dropped_from_key cancel_keeps_generation head_without_liveness_check
-bed_keyed_without_health loop_bound_saturates"
+bed_keyed_without_health loop_bound_saturates alone_rate_without_ceiling
+finish_skips_shared_links"
 
 # Two events at one instant must pop in scheduling order. Without the
 # sequence number, ties fall to slot order, which the scheduling order
@@ -99,7 +100,7 @@ entry_bed_keyed_without_health() {
     cat <<'PATCH'
 --- a/crates/scheduler/src/probe.rs
 +++ b/crates/scheduler/src/probe.rs
-@@ -181,7 +181,7 @@
+@@ -182,7 +182,7 @@
      /// The bed of `shape` at `health`, planned on first use.
      fn bed(&mut self, shape: Shape, health: LinkHealth) -> Arc<Bed> {
          let planned = &mut self.beds_planned;
@@ -129,6 +130,48 @@ entry_loop_bound_saturates() {
              if let Some(&a) = self.arrivals.get(self.cursor + headroom) {
                  bound = bound.min(a);
              }
+PATCH
+}
+
+# A flow alone on its links takes its one-flow fill in closed form. A
+# closed form that forgets the route's path efficiency runs a lone flow
+# through a switch at its bottleneck link's full capacity.
+entry_alone_rate_without_ceiling() {
+    sel='-p fabric --lib single_flow_gets_bottleneck_capacity'
+    why='a lone flow through a switch runs at 10 GB/s, above its 9.2 GB/s ceiling'
+    cat <<'PATCH'
+--- a/crates/fabric/src/flow.rs
++++ b/crates/fabric/src/flow.rs
+@@ -652,7 +652,7 @@
+             .iter()
+             .map(|&dl| self.topo.capacity(dl))
+             .fold(f64::INFINITY, f64::min);
+-        0.0 + b.min(b * route.path_efficiency).max(0.0)
++        0.0 + b.max(0.0)
+     }
+ 
+     /// Apply `sc.rate` to the flows in `sc.active` and reschedule their
+PATCH
+}
+
+# A departed flow re-prices nothing only when no active flow crosses its
+# links. Returning on every completion leaves a neighbour at the share it
+# had while the two flows shared a link.
+entry_finish_skips_shared_links() {
+    sel='-p fabric --lib freed_bandwidth_is_reallocated'
+    why='the long flow keeps its shared rate after the short one finishes'
+    cat <<'PATCH'
+--- a/crates/fabric/src/flow.rs
++++ b/crates/fabric/src/flow.rs
+@@ -424,7 +424,7 @@
+         // Is the changed flow alone? Its links then carry only the flow
+         // itself (activation) or nothing (completion or abort).
+         let own = usize::from(seed_slot.is_some());
+-        if seed_hops
++        if seed_slot.is_none() || seed_hops
+             .iter()
+             .all(|dl| self.link_flows.get(dl.dense_index()).map_or(0, Vec::len) == own)
+         {
 PATCH
 }
 
