@@ -16,6 +16,10 @@ use fabric::{LinkClass, LinkSpec, NodeId, NodeKind, Topology};
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Slots per chassis: 2 drawers × 8 slots, the length of every per-slot
+/// table and the width of every slot mask.
+pub(crate) const SLOTS: usize = 16;
+
 /// One of the chassis's two drawers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DrawerId(pub u8);
@@ -30,6 +34,36 @@ pub struct SlotAddr {
 impl SlotAddr {
     pub fn new(drawer: u8, slot: u8) -> SlotAddr {
         Self::try_new(drawer, slot).expect("Falcon 4016 is 2 drawers × 8 slots")
+    }
+
+    /// Dense index `drawer·8 + slot` in `0..16`, ascending in `SlotAddr`
+    /// order: the slot's entry in the chassis's per-slot tables and its
+    /// bit in [`Falcon4016::attached_mask`] and
+    /// [`Falcon4016::failed_mask`]. Meaningful only for an address inside
+    /// the chassis; every chassis and MCS entry point refuses any other
+    /// with [`ChassisError::InvalidSlot`] before it indexes.
+    pub fn index(self) -> usize {
+        debug_assert!(
+            self.drawer.0 < 2 && self.slot < 8,
+            "slot {self} outside the chassis"
+        );
+        usize::from(self.drawer.0) * 8 + usize::from(self.slot)
+    }
+
+    /// [`index`](Self::index) of an address checked to lie inside the
+    /// chassis. The fields are public, so a literal can name any drawer
+    /// and slot.
+    pub(crate) fn checked_index(self) -> Result<usize, ChassisError> {
+        Self::try_new(self.drawer.0, self.slot).map(Self::index)
+    }
+
+    /// The address at dense index `i` (the inverse of [`index`](Self::index)).
+    fn from_index(i: usize) -> SlotAddr {
+        debug_assert!(i < SLOTS, "slot index {i} outside the chassis");
+        SlotAddr {
+            drawer: DrawerId((i / 8) as u8),
+            slot: (i % 8) as u8,
+        }
     }
 
     /// Fallible construction for addresses arriving from outside the
@@ -138,6 +172,8 @@ pub enum ChassisError {
     DrawerBusy(DrawerId),
     /// A slot address outside the 2-drawer × 8-slot envelope.
     InvalidSlot { drawer: u8, slot: u8 },
+    /// A drawer outside the chassis's two.
+    InvalidDrawer(DrawerId),
     /// The slot is marked failed (outage); it cannot be attached until
     /// repaired. Detach of an already-attached failed slot still works —
     /// that is the evacuation path.
@@ -185,6 +221,9 @@ impl fmt::Display for ChassisError {
                 f,
                 "slot d{drawer}s{slot} is outside the 2-drawer x 8-slot chassis"
             ),
+            ChassisError::InvalidDrawer(d) => {
+                write!(f, "drawer {} is outside the 2-drawer chassis", d.0)
+            }
             ChassisError::SlotFailed(s) => write!(f, "slot {s} is failed; repair before attach"),
             ChassisError::AlreadyMaterialized => write!(f, "chassis already materialized"),
             ChassisError::NoFabricNode(h) => {
@@ -206,22 +245,31 @@ pub struct SlotNodes {
 }
 
 /// The Falcon 4016 chassis model.
+///
+/// Per-slot state lives in 16-entry tables indexed by
+/// [`SlotAddr::index`], and the attached and failed slots are 16-bit
+/// masks over the same indices, so a control-plane call reads and writes
+/// one entry instead of searching a map.
 #[derive(Debug, Clone)]
 pub struct Falcon4016 {
     pub name: String,
     mode: Mode,
-    slots: BTreeMap<SlotAddr, SlotDevice>,
+    /// The device in each slot.
+    slots: [Option<SlotDevice>; SLOTS],
     /// Which host each occupied slot is attached to (if any).
-    attachments: BTreeMap<SlotAddr, HostId>,
-    /// Slots in a failed state (drawer outage, slot death). A failed slot
-    /// refuses new attaches but keeps an existing attachment visible so
-    /// the management plane can evacuate (detach) it.
-    failed: std::collections::BTreeSet<SlotAddr>,
+    owners: [Option<HostId>; SLOTS],
+    /// The slots `owners` names a host for, one bit per slot index.
+    attached: u16,
+    /// Slots in a failed state (drawer outage, slot death), one bit per
+    /// slot index. A failed slot refuses new attaches but keeps an
+    /// existing attachment visible so the management plane can evacuate
+    /// (detach) it.
+    failed: u16,
     /// Cabling: host port -> (host, drawer it lands in).
     ports: BTreeMap<HostPort, (HostId, DrawerId)>,
     /// Materialized fabric nodes.
     switch_nodes: BTreeMap<DrawerId, NodeId>,
-    slot_nodes: BTreeMap<SlotAddr, SlotNodes>,
+    slot_nodes: [Option<SlotNodes>; SLOTS],
     host_nodes: BTreeMap<HostId, NodeId>,
     materialized: bool,
 }
@@ -231,12 +279,13 @@ impl Falcon4016 {
         Falcon4016 {
             name: name.into(),
             mode,
-            slots: BTreeMap::new(),
-            attachments: BTreeMap::new(),
-            failed: std::collections::BTreeSet::new(),
+            slots: Default::default(),
+            owners: [None; SLOTS],
+            attached: 0,
+            failed: 0,
             ports: BTreeMap::new(),
             switch_nodes: BTreeMap::new(),
-            slot_nodes: BTreeMap::new(),
+            slot_nodes: [None; SLOTS],
             host_nodes: BTreeMap::new(),
             materialized: false,
         }
@@ -248,29 +297,33 @@ impl Falcon4016 {
 
     /// Populate a slot with a device (physical insertion).
     pub fn insert_device(&mut self, addr: SlotAddr, device: SlotDevice) -> Result<(), ChassisError> {
-        if self.slots.contains_key(&addr) {
+        let slot = &mut self.slots[addr.checked_index()?];
+        if slot.is_some() {
             return Err(ChassisError::SlotOccupied(addr));
         }
-        self.slots.insert(addr, device);
+        *slot = Some(device);
         Ok(())
     }
 
     /// Physically remove a device (must be detached first).
     pub fn remove_device(&mut self, addr: SlotAddr) -> Result<SlotDevice, ChassisError> {
-        if self.attachments.contains_key(&addr) {
-            return Err(ChassisError::AlreadyAttached(addr, self.attachments[&addr]));
+        let i = addr.checked_index()?;
+        if let Some(owner) = self.owners[i] {
+            return Err(ChassisError::AlreadyAttached(addr, owner));
         }
-        self.slots
-            .remove(&addr)
-            .ok_or(ChassisError::SlotEmpty(addr))
+        self.slots[i].take().ok_or(ChassisError::SlotEmpty(addr))
     }
 
     pub fn device_at(&self, addr: SlotAddr) -> Option<&SlotDevice> {
-        self.slots.get(&addr)
+        self.slots[addr.checked_index().ok()?].as_ref()
     }
 
+    /// Occupied slots and their devices, sorted.
     pub fn occupied_slots(&self) -> impl Iterator<Item = (SlotAddr, &SlotDevice)> {
-        self.slots.iter().map(|(a, d)| (*a, d))
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, d)| Some((SlotAddr::from_index(i), d.as_ref()?)))
     }
 
     /// Cable a host into a drawer through a host port.
@@ -280,6 +333,9 @@ impl Falcon4016 {
         host: HostId,
         drawer: DrawerId,
     ) -> Result<(), ChassisError> {
+        if drawer.0 >= 2 {
+            return Err(ChassisError::InvalidDrawer(drawer));
+        }
         if self.ports.contains_key(&port) {
             return Err(ChassisError::PortInUse(port));
         }
@@ -296,7 +352,7 @@ impl Falcon4016 {
         if self.mode == Mode::Standard
             && !hosts.is_empty()
             && !hosts.contains(&host)
-            && self.attachments.keys().any(|a| a.drawer == drawer)
+            && self.attached >> (8 * drawer.0) & 0xff != 0
         {
             return Err(ChassisError::DrawerBusy(drawer));
         }
@@ -323,13 +379,14 @@ impl Falcon4016 {
 
     /// Attach the device in `addr` to `host`, enforcing the mode rules.
     pub fn attach(&mut self, addr: SlotAddr, host: HostId) -> Result<(), ChassisError> {
-        if !self.slots.contains_key(&addr) {
+        let i = addr.checked_index()?;
+        if self.slots[i].is_none() {
             return Err(ChassisError::SlotEmpty(addr));
         }
-        if let Some(&owner) = self.attachments.get(&addr) {
+        if let Some(owner) = self.owners[i] {
             return Err(ChassisError::AlreadyAttached(addr, owner));
         }
-        if self.failed.contains(&addr) {
+        if self.failed & 1 << i != 0 {
             return Err(ChassisError::SlotFailed(addr));
         }
         if !self.host_connected(host, addr.drawer) {
@@ -346,61 +403,71 @@ impl Falcon4016 {
                 }
             }
         }
-        self.attachments.insert(addr, host);
+        self.owners[i] = Some(host);
+        self.attached |= 1 << i;
         Ok(())
     }
 
     /// Detach the device in `addr` from its host.
     pub fn detach(&mut self, addr: SlotAddr) -> Result<HostId, ChassisError> {
-        self.attachments
-            .remove(&addr)
-            .ok_or(ChassisError::NotAttached(addr))
+        let i = addr.checked_index()?;
+        let host = self.owners[i]
+            .take()
+            .ok_or(ChassisError::NotAttached(addr))?;
+        self.attached &= !(1 << i);
+        Ok(host)
     }
 
     /// Re-assign a device to another host *while running* — the advanced
     /// mode's dynamic provisioning. Standard mode refuses.
     pub fn reassign(&mut self, addr: SlotAddr, to: HostId) -> Result<HostId, ChassisError> {
+        let i = addr.checked_index()?;
         if self.mode != Mode::Advanced {
             return Err(ChassisError::RequiresAdvancedMode);
         }
         if !self.host_connected(to, addr.drawer) {
             return Err(ChassisError::HostNotConnected(to, addr.drawer));
         }
-        let from = self.detach(addr)?;
-        self.attachments.insert(addr, to);
-        Ok(from)
+        let owner = self.owners[i]
+            .as_mut()
+            .ok_or(ChassisError::NotAttached(addr))?;
+        Ok(std::mem::replace(owner, to))
     }
 
     /// Mark a slot failed (outage). Idempotent; an attached slot stays
     /// attached until the management plane evacuates it.
-    pub fn fail_slot(&mut self, addr: SlotAddr) {
-        self.failed.insert(addr);
+    pub fn fail_slot(&mut self, addr: SlotAddr) -> Result<(), ChassisError> {
+        self.failed |= 1 << addr.checked_index()?;
+        Ok(())
     }
 
     /// Clear a slot's failed state (repair / drawer power-back).
-    pub fn repair_slot(&mut self, addr: SlotAddr) {
-        self.failed.remove(&addr);
+    pub fn repair_slot(&mut self, addr: SlotAddr) -> Result<(), ChassisError> {
+        self.failed &= !(1 << addr.checked_index()?);
+        Ok(())
     }
 
     pub fn is_failed(&self, addr: SlotAddr) -> bool {
-        self.failed.contains(&addr)
+        addr.checked_index()
+            .is_ok_and(|i| self.failed & 1 << i != 0)
     }
 
     /// Failed slots, sorted.
     pub fn failed_slots(&self) -> impl Iterator<Item = SlotAddr> + '_ {
-        self.failed.iter().copied()
+        (0..SLOTS)
+            .filter(|&i| self.failed & 1 << i != 0)
+            .map(SlotAddr::from_index)
     }
 
     pub fn owner_of(&self, addr: SlotAddr) -> Option<HostId> {
-        self.attachments.get(&addr).copied()
+        self.owners[addr.checked_index().ok()?]
     }
 
-    /// Slots attached to `host`.
+    /// Slots attached to `host`, sorted.
     pub fn slots_of(&self, host: HostId) -> Vec<SlotAddr> {
-        self.attachments
-            .iter()
-            .filter(|(_, &h)| h == host)
-            .map(|(a, _)| *a)
+        self.attachments()
+            .filter(|&(_, h)| h == host)
+            .map(|(a, _)| a)
             .collect()
     }
 
@@ -440,7 +507,9 @@ impl Falcon4016 {
         }
 
         // Devices.
-        for (&addr, device) in &self.slots {
+        for (i, device) in self.slots.iter().enumerate() {
+            let Some(device) = device else { continue };
+            let addr = SlotAddr::from_index(i);
             let sw = self.switch_nodes[&addr.drawer];
             let label = format!("{}.{}", self.name, addr);
             let nodes = match device {
@@ -461,7 +530,7 @@ impl Falcon4016 {
             };
             // Slot link into the drawer switch: PCIe Gen4 x16.
             topo.add_link(nodes.port, sw, LinkSpec::of(LinkClass::PcieGen4x16));
-            self.slot_nodes.insert(addr, nodes);
+            self.slot_nodes[i] = Some(nodes);
         }
 
         self.materialized = true;
@@ -469,17 +538,30 @@ impl Falcon4016 {
     }
 
     pub fn slot_nodes(&self, addr: SlotAddr) -> Option<SlotNodes> {
-        self.slot_nodes.get(&addr).copied()
+        self.slot_nodes[addr.checked_index().ok()?]
     }
 
     /// All (addr, owner) attachments, sorted.
     pub fn attachments(&self) -> impl Iterator<Item = (SlotAddr, HostId)> + '_ {
-        self.attachments.iter().map(|(a, h)| (*a, *h))
+        self.owners
+            .iter()
+            .enumerate()
+            .filter_map(|(i, h)| Some((SlotAddr::from_index(i), (*h)?)))
     }
 
     /// How many slots are attached, without walking the table.
     pub fn n_attachments(&self) -> usize {
-        self.attachments.len()
+        self.attached.count_ones() as usize
+    }
+
+    /// The attached slots, bit [`SlotAddr::index`] set for each.
+    pub fn attached_mask(&self) -> u16 {
+        self.attached
+    }
+
+    /// The failed slots, bit [`SlotAddr::index`] set for each.
+    pub fn failed_mask(&self) -> u16 {
+        self.failed
     }
 }
 
@@ -523,6 +605,44 @@ mod tests {
             Err(ChassisError::InvalidSlot { drawer: 0, slot: 8 })
         );
         assert_eq!(SlotAddr::try_new(1, 7), Ok(SlotAddr::new(1, 7)));
+    }
+
+    #[test]
+    fn out_of_range_literals_are_typed_errors() {
+        // The fields are public, so a literal can name a slot outside the
+        // chassis. Every entry point refuses it before it indexes a table;
+        // d0s8 must not alias d1s0.
+        let mut c = chassis(Mode::Advanced);
+        c.connect_host(HostPort::H1, HostId(1), DrawerId(0)).unwrap();
+        for (drawer, slot) in [(2, 0), (0, 8), (255, 255)] {
+            let bad = SlotAddr {
+                drawer: DrawerId(drawer),
+                slot,
+            };
+            let err = ChassisError::InvalidSlot { drawer, slot };
+            assert_eq!(c.insert_device(bad, gpu()), Err(err.clone()));
+            assert_eq!(c.remove_device(bad), Err(err.clone()));
+            assert_eq!(c.attach(bad, HostId(1)), Err(err.clone()));
+            assert_eq!(c.detach(bad), Err(err.clone()));
+            assert_eq!(c.reassign(bad, HostId(1)), Err(err.clone()));
+            assert_eq!(c.fail_slot(bad), Err(err.clone()));
+            assert_eq!(c.repair_slot(bad), Err(err));
+            assert_eq!(c.device_at(bad), None);
+            assert_eq!(c.owner_of(bad), None);
+            assert!(!c.is_failed(bad));
+            assert_eq!(c.slot_nodes(bad), None);
+        }
+        assert_eq!(
+            c.connect_host(HostPort::H2, HostId(1), DrawerId(2)),
+            Err(ChassisError::InvalidDrawer(DrawerId(2)))
+        );
+        assert_eq!(c.occupied_slots().count(), 0);
+        assert_eq!((c.attached_mask(), c.failed_mask()), (0, 0));
+        // Nothing half-recorded: the chassis still materializes.
+        let mut topo = Topology::new();
+        let rc = topo.add_node("host1.rc", NodeKind::RootComplex);
+        c.materialize(&mut topo, &BTreeMap::from([(HostId(1), rc)]))
+            .unwrap();
     }
 
     #[test]
@@ -655,14 +775,14 @@ mod tests {
         c.attach(a, h).unwrap();
         // Outage hits both slots: the attached one stays visible so it can
         // be evacuated; the free one refuses composition until repair.
-        c.fail_slot(a);
-        c.fail_slot(b);
+        c.fail_slot(a).unwrap();
+        c.fail_slot(b).unwrap();
         assert!(c.is_failed(a));
         assert_eq!(c.attach(b, h), Err(ChassisError::SlotFailed(b)));
         assert_eq!(c.detach(a), Ok(h), "evacuation must still detach");
         assert_eq!(c.attach(a, h), Err(ChassisError::SlotFailed(a)));
-        c.repair_slot(a);
-        c.repair_slot(b);
+        c.repair_slot(a).unwrap();
+        c.repair_slot(b).unwrap();
         assert_eq!(c.failed_slots().count(), 0);
         c.attach(a, h).unwrap();
         c.attach(b, h).unwrap();
@@ -681,7 +801,7 @@ mod tests {
         c.attach(SlotAddr::new(0, 2), h).unwrap();
         // A refused attach and a failed slot leave the count alone.
         assert!(c.attach(SlotAddr::new(0, 2), h).is_err());
-        c.fail_slot(SlotAddr::new(0, 0));
+        c.fail_slot(SlotAddr::new(0, 0)).unwrap();
         assert_eq!(c.n_attachments(), 2);
         assert_eq!(c.n_attachments(), c.attachments().count());
         c.detach(SlotAddr::new(0, 0)).unwrap();

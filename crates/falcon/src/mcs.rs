@@ -9,7 +9,7 @@
 //! thread-safe (`std::sync::RwLock`) so concurrent tenant sessions can
 //! drive it — exercised by a multi-threaded test.
 
-use crate::chassis::{ChassisError, Falcon4016, HostId, SlotAddr};
+use crate::chassis::{ChassisError, Falcon4016, HostId, SlotAddr, SLOTS};
 use desim::SimTime;
 use std::sync::RwLock;
 use std::collections::BTreeMap;
@@ -108,8 +108,9 @@ struct AuditRecord {
 
 struct McsState {
     users: BTreeMap<UserId, Role>,
-    /// Which user each slot is granted to (resource ownership).
-    grants: BTreeMap<SlotAddr, UserId>,
+    /// Which user each slot is granted to (resource ownership), by
+    /// [`SlotAddr::index`].
+    grants: [Option<UserId>; SLOTS],
     chassis: Falcon4016,
     audit: Vec<AuditRecord>,
 }
@@ -124,7 +125,7 @@ impl ManagementCenter {
         ManagementCenter {
             state: RwLock::new(McsState {
                 users: BTreeMap::new(),
-                grants: BTreeMap::new(),
+                grants: [None; SLOTS],
                 chassis,
                 audit: Vec::new(),
             }),
@@ -171,7 +172,7 @@ impl ManagementCenter {
             });
         }
         Self::role_of(&st, to)?;
-        st.grants.insert(slot, to);
+        st.grants[slot.checked_index()?] = Some(to);
         Ok(())
     }
 
@@ -182,8 +183,8 @@ impl ManagementCenter {
     ) -> Result<(), McsError> {
         match Self::role_of(state, user)? {
             Role::Admin => Ok(()),
-            Role::User => match state.grants.get(&slot) {
-                Some(&owner) if owner == user => Ok(()),
+            Role::User => match state.grants[slot.checked_index()?] {
+                Some(owner) if owner == user => Ok(()),
                 _ => Err(McsError::NotGranted(slot, user)),
             },
         }
@@ -219,18 +220,12 @@ impl ManagementCenter {
     /// any existing attachment so [`force_detach`](Self::force_detach) can
     /// evacuate it.
     pub fn fail_slot(&self, at: SimTime, admin: UserId, slot: SlotAddr) -> Result<(), McsError> {
-        self.admin_slot_op(at, admin, slot, AuditOp::Fail, |c, s| {
-            c.fail_slot(s);
-            Ok(())
-        })
+        self.admin_slot_op(at, admin, slot, AuditOp::Fail, Falcon4016::fail_slot)
     }
 
     /// Admin-only: clear a slot's failed state (repair / power-back).
     pub fn repair_slot(&self, at: SimTime, admin: UserId, slot: SlotAddr) -> Result<(), McsError> {
-        self.admin_slot_op(at, admin, slot, AuditOp::Repair, |c, s| {
-            c.repair_slot(s);
-            Ok(())
-        })
+        self.admin_slot_op(at, admin, slot, AuditOp::Repair, Falcon4016::repair_slot)
     }
 
     /// Admin-only forced detach — the evacuation path for failure
@@ -494,6 +489,58 @@ mod tests {
         ];
         assert_eq!(mcs.export_audit(UserId(0)).unwrap(), want);
         assert_eq!(mcs.audit_len(UserId(0)).unwrap(), want.len());
+    }
+
+    #[test]
+    fn out_of_range_slots_are_refused_after_their_audit_record() {
+        let mcs = setup();
+        let bad = SlotAddr {
+            drawer: DrawerId(0),
+            slot: 8,
+        };
+        let invalid = McsError::Chassis(ChassisError::InvalidSlot { drawer: 0, slot: 8 });
+        assert_eq!(
+            mcs.grant(t(0), UserId(0), bad, UserId(1)),
+            Err(invalid.clone())
+        );
+        assert_eq!(mcs.force_detach(t(1), UserId(0), bad), Err(invalid.clone()));
+        assert_eq!(
+            mcs.attach(t(2), UserId(0), bad, HostId(1)),
+            Err(invalid.clone())
+        );
+        assert_eq!(
+            mcs.attach(t(3), UserId(1), bad, HostId(1)),
+            Err(invalid.clone())
+        );
+        assert_eq!(mcs.fail_slot(t(4), UserId(0), bad), Err(invalid.clone()));
+        assert_eq!(mcs.repair_slot(t(5), UserId(0), bad), Err(invalid.clone()));
+        assert_eq!(
+            mcs.reassign(t(6), UserId(0), bad, HostId(2)),
+            Err(invalid.clone())
+        );
+        assert_eq!(mcs.detach(t(7), UserId(1), bad), Err(invalid));
+        // Role checks still come first.
+        assert_eq!(
+            mcs.grant(t(8), UserId(9), bad, UserId(1)),
+            Err(McsError::UnknownUser(UserId(9)))
+        );
+        assert!(matches!(
+            mcs.grant(t(9), UserId(1), bad, UserId(1)),
+            Err(McsError::PermissionDenied { .. })
+        ));
+        // Every call a known user made left its record; the admin's passed
+        // the role check, the tenant's could not name a grant.
+        let log = mcs.export_audit(UserId(0)).unwrap();
+        let allowed: Vec<bool> = log.iter().map(|e| e.allowed).collect();
+        assert_eq!(
+            allowed,
+            [true, true, true, false, true, true, true, false, false]
+        );
+        assert_eq!(log[0].action, "grant d0s8 to user 1");
+        // Nothing landed on d1s0, the slot a d0s8 index would alias.
+        mcs.with_chassis(|c| {
+            assert_eq!((c.attached_mask(), c.failed_mask()), (0, 0));
+        });
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! * [`Rack`] — N [`falcon::ManagementCenter`]s routed by chassis index,
 //!   with its attached, failed and free GPU slots kept as 128-bit
 //!   [`slot_set`]s, so a composition query never walks the chassis
-//!   tables, and one allocation-free walk that re-derives the attached
-//!   and failed sets from those tables for conservation audits that span
-//!   chassis.
+//!   tables, and an allocation-free pass that re-derives the attached and
+//!   failed sets from each chassis's slot masks for conservation audits
+//!   that span chassis.
 //!
 //! A placement confined to one chassis never touches the rack tier:
 //! [`cross_chassis_stretch`] is exactly `1.0` for a single part, which
@@ -37,6 +37,9 @@ pub const DRAWERS_PER_CHASSIS: u8 = 2;
 
 /// Slots per drawer (fixed by the hardware).
 pub const SLOTS_PER_DRAWER: u8 = 8;
+
+/// Bits per chassis in a [`slot_set`]: one per slot.
+const SLOTS_PER_CHASSIS: u32 = DRAWERS_PER_CHASSIS as u32 * SLOTS_PER_DRAWER as u32;
 
 /// Fractional iteration-time stretch per *additional* chassis a gang
 /// spans. Calibrated to the GigaIO 32-GPU scaling curve: all-reduce over
@@ -163,7 +166,7 @@ impl RackAddr {
     /// This slot's bit in a [`slot_set`].
     fn bit(&self) -> u32 {
         debug_assert!(self.chassis < MAX_CHASSIS, "slot set overflow");
-        self.global_drawer() as u32 * u32::from(SLOTS_PER_DRAWER) + u32::from(self.slot.slot)
+        u32::from(self.chassis) * SLOTS_PER_CHASSIS + self.slot.index() as u32
     }
 
     /// The slot at bit `bit` of a slot set (inverse of [`bit`](Self::bit)).
@@ -374,15 +377,16 @@ impl Rack {
     }
 
     /// The attached and failed slot sets re-derived from every chassis
-    /// table in one walk, allocating nothing: the ground truth the kept
-    /// sets mirror, and what conservation audits compare bookings with.
+    /// table, allocating nothing: the ground truth the kept sets mirror,
+    /// and what conservation audits compare bookings with. Each chassis's
+    /// attached and failed masks, read under its lock, fill its 16 bits.
     pub fn table_sets(&self) -> (u128, u128) {
         let (mut attached, mut failed) = (0, 0);
         for (c, mcs) in self.chassis.iter().enumerate() {
-            let at = |slot| RackAddr { chassis: c as u8, slot };
+            let shift = c as u32 * SLOTS_PER_CHASSIS;
             mcs.with_chassis(|ch| {
-                attached |= slot_set(ch.attachments().map(|(s, _)| at(s)));
-                failed |= slot_set(ch.failed_slots().map(at));
+                attached |= u128::from(ch.attached_mask()) << shift;
+                failed |= u128::from(ch.failed_mask()) << shift;
             });
         }
         (attached, failed)
@@ -394,7 +398,7 @@ impl Rack {
     }
 
     /// Total attachments across the rack, read from each chassis table's
-    /// length — the cheap side of the scheduler's amortized conservation
+    /// count — the cheap side of the scheduler's amortized conservation
     /// check.
     pub fn n_attachments(&self) -> usize {
         self.chassis

@@ -108,7 +108,7 @@ fn build(n: u8, layout: u8, pre: bool) -> Rack {
         }
         if pre {
             let _ = ch.attach(SlotAddr::new(1, 7), HostId(2));
-            ch.fail_slot(SlotAddr::new(0, 6));
+            ch.fail_slot(SlotAddr::new(0, 6)).unwrap();
         }
         centers.push(ManagementCenter::new(ch));
     }

@@ -466,7 +466,9 @@ impl SvcState {
             return;
         }
         let n = r.queue.len().min(max_batch as usize);
-        r.batch = r.queue.drain(..n).collect();
+        // `complete_batch` drained the last batch and kept its buffer.
+        debug_assert!(r.batch.is_empty(), "launch over an unfinished batch");
+        r.batch.extend(r.queue.drain(..n));
         let lat = batch_latency(&self.profile, gpu, slice, n as u32, dilation);
         r.busy_until = Some(now + lat);
         r.idle_check = None;

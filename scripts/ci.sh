@@ -95,9 +95,9 @@ cargo test -q --offline --workspace
 
 # The mutant catalogue: every entry's one-hunk bug, applied to a throwaway
 # copy of the tree under target/mutants, must fail the test the entry
-# names (13–14 s with target/mutants kept from an earlier run, 25 s from
-# scratch; the two scheduler and two fabric entries rebuild their crate's
-# test binary).
+# names (18–19 s with target/mutants kept from an earlier run, 38 s from
+# scratch; the two scheduler, two fabric, falcon and rack entries rebuild
+# their crate's test binaries).
 echo "== mutant catalogue: every mutant killed =="
 sh scripts/mutants.sh
 

@@ -29,7 +29,7 @@ cd "$(dirname "$0")/.."
 
 MUTANTS="seq_dropped_from_key cancel_keeps_generation head_without_liveness_check
 bed_keyed_without_health loop_bound_saturates alone_rate_without_ceiling
-finish_skips_shared_links"
+finish_skips_shared_links detach_keeps_attached_bit table_sets_shift_by_drawer"
 
 # Two events at one instant must pop in scheduling order. Without the
 # sequence number, ties fall to slot order, which the scheduling order
@@ -172,6 +172,46 @@ entry_finish_skips_shared_links() {
              .iter()
              .all(|dl| self.link_flows.get(dl.dense_index()).map_or(0, Vec::len) == own)
          {
+PATCH
+}
+
+# A chassis keeps its attached slots twice: the owner table and the mask
+# that counts them and that `Rack::table_sets` reads. A detach that clears
+# the owner but keeps the bit leaves the count and the mask one slot high.
+entry_detach_keeps_attached_bit() {
+    sel='-p falcon --test chassis_props dense_tables_match_the_map_reference'
+    why='n_attachments and attached_mask still count a detached slot'
+    cat <<'PATCH'
+--- a/crates/falcon/src/chassis.rs
++++ b/crates/falcon/src/chassis.rs
+@@ -414,7 +414,6 @@
+         let host = self.owners[i]
+             .take()
+             .ok_or(ChassisError::NotAttached(addr))?;
+-        self.attached &= !(1 << i);
+         Ok(host)
+     }
+ 
+PATCH
+}
+
+# Each chassis owns 16 bits of a rack slot set. Shifting its masks by one
+# drawer's 8 bits folds chassis c's second drawer onto chassis c+1's first.
+entry_table_sets_shift_by_drawer() {
+    sel='-p rack --test free_set_props'
+    why='table_sets puts a chassis-1 slot on a chassis-0 bit'
+    cat <<'PATCH'
+--- a/crates/rack/src/lib.rs
++++ b/crates/rack/src/lib.rs
+@@ -383,7 +383,7 @@
+     pub fn table_sets(&self) -> (u128, u128) {
+         let (mut attached, mut failed) = (0, 0);
+         for (c, mcs) in self.chassis.iter().enumerate() {
+-            let shift = c as u32 * SLOTS_PER_CHASSIS;
++            let shift = c as u32 * 8;
+             mcs.with_chassis(|ch| {
+                 attached |= u128::from(ch.attached_mask()) << shift;
+                 failed |= u128::from(ch.failed_mask()) << shift;
 PATCH
 }
 
